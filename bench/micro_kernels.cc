@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths underneath the
 // threshold-query engine: Morton coding, box-to-range decomposition,
-// derived-field kernels, result serialization, cache lookups and
-// friends-of-friends clustering.
+// derived-field kernels, result serialization and sizing, frame
+// checksums, cache lookups and friends-of-friends clustering.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "array/morton.h"
 #include "array/slab.h"
 #include "cache/semantic_cache.h"
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "datagen/turbulence.h"
@@ -151,6 +152,37 @@ void BM_EncodePointsXml(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EncodePointsXml)->Arg(1000)->Arg(100000);
+
+// The sizes the reply path charges, computed without encoding.
+void BM_PointsXmlSize(benchmark::State& state) {
+  const auto points = RandomPoints(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PointsXmlSize(points));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PointsXmlSize)->Arg(1000)->Arg(100000);
+
+void BM_PointsBinarySize(benchmark::State& state) {
+  const auto points = RandomPoints(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PointsBinarySize(points));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PointsBinarySize)->Arg(1000)->Arg(100000);
+
+// Every frame, WAL record and atom-store record is checksummed.
+void BM_Crc32(benchmark::State& state) {
+  SplitMix64 rng(32);
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  for (auto& byte : data) byte = static_cast<uint8_t>(rng.NextBounded(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20);
 
 void BM_CacheLookupHit(benchmark::State& state) {
   TransactionManager txn_manager;

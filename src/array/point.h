@@ -22,6 +22,14 @@ struct ThresholdPoint {
   }
 };
 
+/// The one threshold predicate, applied to the float norm a result row
+/// stores and the client receives (never the double it was computed
+/// from), so computed, node-cached and mediator-cached answers to one
+/// query keep exactly the same points.
+inline bool PassesThreshold(float stored_norm, double k) {
+  return static_cast<double>(stored_norm) >= k;
+}
+
 /// Builds the result row for grid point (x, y, z).
 inline ThresholdPoint MakeThresholdPoint(uint32_t x, uint32_t y, uint32_t z,
                                          float norm) {

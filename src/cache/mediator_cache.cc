@@ -61,13 +61,13 @@ MediatorCacheLookup MediatorCache::Lookup(const std::string& dataset,
       best->tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
       out.hit = true;
       out.subsumed = !(best->region == box) || best->threshold < threshold;
-      // Same comparison as SemanticCache::Lookup (float norm promoted to
-      // double), so a mediator-tier answer is byte-identical to the
-      // node-tier cached answer for the same query.
+      // The node's and SemanticCache::Lookup's predicate, so a
+      // mediator-tier answer is byte-identical to the uncached and the
+      // node-tier cached answers for the same query.
       out.points.reserve(best->points.size());
       const bool whole_region = best->region == box;
       for (const ThresholdPoint& point : best->points) {
-        if (point.norm < threshold) continue;
+        if (!PassesThreshold(point.norm, threshold)) continue;
         if (!whole_region) {
           uint32_t x = 0;
           uint32_t y = 0;

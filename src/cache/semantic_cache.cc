@@ -65,7 +65,7 @@ Result<CacheLookup> SemanticCache::Lookup(const std::string& dataset,
   cache_data_.Scan(txn.get(), data_lo, data_hi,
                    [&](const CacheDataKey& key, const float& norm) {
                      ++data_rows;
-                     if (norm >= threshold) {
+                     if (PassesThreshold(norm, threshold)) {
                        uint32_t x, y, z;
                        MortonDecode3(key.zindex, &x, &y, &z);
                        if (box.ContainsPoint(x, y, z)) {

@@ -567,8 +567,8 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
       ThresholdResult result;
       result.points = std::move(cached.points);
       result.all_cache_hits = true;
-      result.result_bytes_binary = EncodePointsBinary(result.points).size();
-      result.result_bytes_xml = EncodePointsXml(result.points).size();
+      result.result_bytes_binary = PointsBinarySize(result.points);
+      result.result_bytes_xml = PointsXmlSize(result.points);
       // Modeled time: no node phase and no LAN scatter-gather — only the
       // WAN delivery of the answer remains.
       result.time.mediator_user_comm_s =
@@ -609,8 +609,8 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
 
   // Modeled time: concurrent node phases, then the serial mediator work.
   result.time = MergeNodeTimes(outcomes);
-  result.result_bytes_binary = EncodePointsBinary(result.points).size();
-  result.result_bytes_xml = EncodePointsXml(result.points).size();
+  result.result_bytes_binary = PointsBinarySize(result.points);
+  result.result_bytes_xml = PointsXmlSize(result.points);
   const auto& cost = config_.cost;
   result.time.mediator_db_comm_s =
       static_cast<double>(outcomes.size()) *
@@ -676,7 +676,7 @@ Result<ThresholdResult> Mediator::GetThresholdStreaming(
                                     static_cast<ptrdiff_t>(end)));
         begin = end;
         streamed_points += part.size();
-        xml_bytes += EncodePointsXml(part).size();
+        xml_bytes += PointsXmlSize(part);
         TURBDB_ASSIGN_OR_RETURN(uint64_t chunk_bytes,
                                 sink(std::move(part), streamed_points));
         binary_bytes += chunk_bytes;
@@ -735,7 +735,7 @@ Result<ThresholdResult> Mediator::GetThresholdStreaming(
       // The user-facing XML rendering happens on the consumer; account
       // its modeled transfer size here so the summary's WAN term matches
       // the non-streamed path.
-      xml_bytes += EncodePointsXml(part).size();
+      xml_bytes += PointsXmlSize(part);
       TURBDB_ASSIGN_OR_RETURN(uint64_t chunk_bytes,
                               sink(std::move(part), streamed_points));
       binary_bytes += chunk_bytes;
@@ -937,8 +937,8 @@ Result<TopKResult> Mediator::GetTopK(const TopKQuery& query,
             });
   if (result.points.size() > query.k) result.points.resize(query.k);
   result.time = MergeNodeTimes(outcomes);
-  const uint64_t bytes_binary = EncodePointsBinary(result.points).size();
-  const uint64_t bytes_xml = EncodePointsXml(result.points).size();
+  const uint64_t bytes_binary = PointsBinarySize(result.points);
+  const uint64_t bytes_xml = PointsXmlSize(result.points);
   const auto& cost = config_.cost;
   result.time.mediator_db_comm_s =
       static_cast<double>(outcomes.size()) *
@@ -1358,19 +1358,27 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     return copied;
   };
   hooks.cutover = [&](const RangeMove& m) -> Result<uint64_t> {
-    TURBDB_ASSIGN_OR_RETURN(
-        const uint64_t new_generation,
-        membership_->ApplyOverride(m.begin, m.end, m.to_shard));
     net::CutoverRequest request;
     request.begin = m.begin;
     request.end = m.end;
     request.from_shard = m.from_shard;
     request.to_shard = m.to_shard;
     request.view = membership_->Snapshot();
-    // Donor and recipient must fence: their ownership changed. The rest
-    // of the cluster is updated best-effort right after.
+    request.view.ApplyOverride(m.begin, m.end, m.to_shard);
+    ++request.view.generation;
+    // Donor and recipient must fence: their ownership changed. Both
+    // install the new view before the registry commits it, because
+    // Dispatch routes by the registry: a sub-query routed at the new
+    // generation must never reach a shard still evaluating the old
+    // ownership (the recipient would skip the moved range, the donor
+    // would serve it twice). Until the commit, sub-queries routed at the
+    // old generation bounce off both with kWrongOwner and are retried.
+    // The rest of the cluster is updated best-effort right after.
     TURBDB_RETURN_NOT_OK(donor->Cutover(request));
     TURBDB_RETURN_NOT_OK(recipient->Cutover(request));
+    TURBDB_ASSIGN_OR_RETURN(
+        const uint64_t new_generation,
+        membership_->ApplyOverride(m.begin, m.end, m.to_shard));
     TURBDB_RETURN_NOT_OK(PushMembershipLocked());
     TURBDB_LOG(Info) << "range [" << m.begin << ", " << m.end
                      << ") cut over from shard " << m.from_shard

@@ -759,7 +759,8 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
           ++evaluated;
           switch (query.mode) {
             case NodeQuery::Mode::kThreshold:
-              if (norm >= query.threshold) {
+              if (PassesThreshold(static_cast<float>(norm),
+                                  query.threshold)) {
                 out.points.push_back(MakeThresholdPoint(
                     static_cast<uint32_t>(x), static_cast<uint32_t>(y),
                     static_cast<uint32_t>(z), static_cast<float>(norm)));

@@ -241,15 +241,15 @@ Result<ThresholdResult> Client::ThresholdStreamed(
   // The terminating summary carries no points; reassemble the streamed
   // set. Z-order indices are unique per grid point, so sorting on them
   // reproduces the non-streamed ordering exactly — and recomputing the
-  // encodings here makes the byte counters match the non-streamed path
-  // byte for byte.
+  // encoded sizes here makes the byte counters match the non-streamed
+  // path byte for byte.
   std::sort(points.begin(), points.end(),
             [](const ThresholdPoint& a, const ThresholdPoint& b) {
               return a.zindex < b.zindex;
             });
   result.points = std::move(points);
-  result.result_bytes_binary = EncodePointsBinary(result.points).size();
-  result.result_bytes_xml = EncodePointsXml(result.points).size();
+  result.result_bytes_binary = PointsBinarySize(result.points);
+  result.result_bytes_xml = PointsXmlSize(result.points);
   result.wall_seconds = timer.Seconds();
   return result;
 }

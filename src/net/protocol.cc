@@ -73,15 +73,15 @@ Result<bool> GetBool(const std::vector<uint8_t>& bytes, size_t* pos) {
   return byte == 1;
 }
 
-/// Point sets ride as a length-prefixed nested EncodePointsBinary blob.
+/// Point sets ride as a length-prefixed nested EncodePointsBinary blob,
+/// encoded straight into the message and decoded where it lies.
 /// The delta coding there is mod-2^64, so it round-trips any ordering
 /// (top-k results are norm-sorted, not z-sorted); sorted input just
 /// compresses best.
 void PutPoints(std::vector<uint8_t>* out,
                const std::vector<ThresholdPoint>& points) {
-  const std::vector<uint8_t> blob = EncodePointsBinary(points);
-  PutVarint64(out, blob.size());
-  out->insert(out->end(), blob.begin(), blob.end());
+  PutVarint64(out, PointsBinarySize(points));
+  AppendPointsBinary(points, out);
 }
 
 Result<std::vector<ThresholdPoint>> GetPoints(
@@ -90,11 +90,9 @@ Result<std::vector<ThresholdPoint>> GetPoints(
   if (length > bytes.size() - *pos) {
     return Status::Corruption("truncated point blob");
   }
-  const std::vector<uint8_t> blob(
-      bytes.begin() + static_cast<ptrdiff_t>(*pos),
-      bytes.begin() + static_cast<ptrdiff_t>(*pos + length));
+  const uint8_t* blob = bytes.data() + *pos;
   *pos += static_cast<size_t>(length);
-  return DecodePointsBinary(blob);
+  return DecodePointsBinary(blob, static_cast<size_t>(length));
 }
 
 void PutTime(std::vector<uint8_t>* out, const TimeBreakdown& time) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "cluster/mediator.h"
 #include "test_util.h"
+#include "wire/serializer.h"
 
 namespace turbdb {
 namespace {
@@ -283,14 +285,14 @@ TEST_F(MediatorCacheTest, LedgerPressureSkipsCachingInsteadOfBlocking) {
 
 constexpr int64_t kN = 32;
 
-std::unique_ptr<TurbDB> MakeCachedDb(int nodes, int replicas = 1) {
+std::unique_ptr<TurbDB> MakeCachedDb(
+    int nodes, uint64_t mediator_cache_bytes = 32ull << 20) {
   TurbDBConfig config;
   config.cluster.num_nodes = nodes;
   config.cluster.processes_per_node = 2;
-  config.cluster.mediator_cache_bytes = 32ull << 20;
+  config.cluster.mediator_cache_bytes = mediator_cache_bytes;
   auto db = TurbDB::Open(config);
   if (!db.ok()) return nullptr;
-  (void)replicas;
   if (!(*db)->CreateDataset(MakeIsotropicDataset("iso", kN, 2)).ok()) {
     return nullptr;
   }
@@ -383,6 +385,57 @@ TEST(MediatorCacheIntegrationTest, SubsumedQueryCostsZeroNodeExecutes) {
   EXPECT_TRUE(subsumed->all_cache_hits);
   ExpectSamePoints(subsumed->points, reference->points);
   EXPECT_GE(mediator.result_cache().stats().subsumption_hits, 1u);
+}
+
+// One threshold predicate: with the threshold on a stored norm, or one
+// double ulp either side of it, the uncached, node-cache-subsumed and
+// mediator-cache-subsumed answers hold exactly the same points. Both
+// caches can only judge the float they store, so the node must judge the
+// float it returns, not the double it computed.
+TEST(MediatorCacheIntegrationTest, ThresholdOnAStoredNormAgreesOnEveryPath) {
+  auto mediator_tier = MakeCachedDb(2);
+  auto node_tier = MakeCachedDb(2, /*mediator_cache_bytes=*/0);
+  ASSERT_NE(mediator_tier, nullptr);
+  ASSERT_NE(node_tier, nullptr);
+  ASSERT_FALSE(node_tier->mediator().result_cache().enabled());
+
+  // Warm both tiers with one entry that subsumes every probe below.
+  constexpr double kWarm = 1.0;
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+  auto warm = node_tier->Threshold(Vorticity(0, kWarm), no_cache);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_GE(warm->points.size(), 64u);
+  ASSERT_TRUE(mediator_tier->Threshold(Vorticity(0, kWarm)).ok());
+  ASSERT_TRUE(node_tier->Threshold(Vorticity(0, kWarm)).ok());
+
+  std::vector<float> norms;
+  for (const ThresholdPoint& point : warm->points) norms.push_back(point.norm);
+  std::sort(norms.begin(), norms.end());
+  Mediator& mediator = mediator_tier->mediator();
+  for (size_t i = 0; i < norms.size(); i += norms.size() / 24) {
+    const double stored = norms[i];
+    for (double threshold : {std::nextafter(stored, 0.0), stored,
+                             std::nextafter(stored, HUGE_VAL)}) {
+      if (threshold < kWarm) continue;
+      auto uncached = node_tier->Threshold(Vorticity(0, threshold), no_cache);
+      ASSERT_TRUE(uncached.ok()) << uncached.status();
+      auto node_cached = node_tier->Threshold(Vorticity(0, threshold));
+      ASSERT_TRUE(node_cached.ok()) << node_cached.status();
+      EXPECT_TRUE(node_cached->all_cache_hits);
+      const uint64_t executes = mediator.node_executes();
+      auto mediator_cached = mediator_tier->Threshold(Vorticity(0, threshold));
+      ASSERT_TRUE(mediator_cached.ok()) << mediator_cached.status();
+      EXPECT_EQ(mediator.node_executes(), executes);
+
+      const std::vector<uint8_t> expected =
+          EncodePointsBinary(uncached->points);
+      EXPECT_EQ(EncodePointsBinary(node_cached->points), expected)
+          << "node cache, threshold " << threshold;
+      EXPECT_EQ(EncodePointsBinary(mediator_cached->points), expected)
+          << "mediator cache, threshold " << threshold;
+    }
+  }
 }
 
 // The streamed path: a repeat streamed query re-chunks the cached entry

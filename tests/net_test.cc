@@ -367,6 +367,207 @@ TEST(ProtocolTest, RejectsGarbageAndTrailingBytes) {
   }
 }
 
+// -- Golden frames: point-carrying messages must keep their exact bytes.
+
+std::vector<ThresholdPoint> GoldenPoints() {
+  return {
+      ThresholdPoint{0, 0.0f},
+      ThresholdPoint{1, 1.5f},
+      ThresholdPoint{127, 123.456f},
+      ThresholdPoint{128, 1e-5f},
+      ThresholdPoint{16384, 7.25e8f},
+      ThresholdPoint{1ULL << 40, -2.0f},
+      MakeThresholdPoint(2097151, 2097151, 2097151, 3.4028235e38f),
+  };
+}
+
+TimeBreakdown GoldenTime() {
+  TimeBreakdown time;
+  time.cache_lookup_s = 0.125;
+  time.io_s = 1.0 / 3.0;
+  time.compute_s = 2.5e-7;
+  time.mediator_db_comm_s = 42.0;
+  time.mediator_user_comm_s = 1e-300;
+  return time;
+}
+
+ThresholdResult GoldenThresholdResult() {
+  ThresholdResult result;
+  result.points = GoldenPoints();
+  result.all_cache_hits = true;
+  result.result_bytes_binary = 57;
+  result.result_bytes_xml = 1234567;
+  result.time = GoldenTime();
+  return result;
+}
+
+net::ThresholdChunk GoldenThresholdChunk() {
+  net::ThresholdChunk chunk;
+  chunk.seq = 300;
+  chunk.points = GoldenPoints();
+  chunk.total_points = 70000;
+  return chunk;
+}
+
+TopKResult GoldenTopKResult() {
+  // Norm-sorted, so the z-index deltas wrap mod 2^64.
+  TopKResult result;
+  result.points = {ThresholdPoint{5000, 9.0f}, ThresholdPoint{12, 8.0f},
+                   ThresholdPoint{1ULL << 50, 7.0f}, ThresholdPoint{3, 6.5f}};
+  result.time = GoldenTime();
+  return result;
+}
+
+net::NodeResult GoldenNodeResult() {
+  net::NodeResult result;
+  result.points = GoldenPoints();
+  result.histogram = {0, 1, 200, 70000};
+  result.norm_sum = 12.5;
+  result.norm_sum_sq = 99.75;
+  result.norm_max = 7.0;
+  result.samples = {{7u, {1.0, -2.0, 0.5}}};
+  result.cache_hit = true;
+  result.time = GoldenTime();
+  result.io.atoms_read_local = 1;
+  result.io.atoms_read_remote = 2;
+  result.io.bytes_read_local = 3000;
+  result.io.bytes_read_remote = 4;
+  result.io.cache_records_scanned = 5;
+  result.io.cache_bytes_scanned = 6;
+  result.io.points_evaluated = 262144;
+  result.io.points_returned = 7;
+  return result;
+}
+
+net::FofChunk GoldenFofChunk() {
+  net::FofChunk chunk;
+  chunk.seq = 1;
+  chunk.total_clusters = 2;
+  net::FofClusterRecord with_members;
+  with_members.id = 1;
+  with_members.size = 3;
+  with_members.bbox_lo = {0, 0, 0};
+  with_members.bbox_hi = {1, 1, 2};
+  with_members.centroid = {0.5, 0.25, 1.0};
+  with_members.max_norm = 123.456f;
+  with_members.peak_zindex = 127;
+  with_members.members = {ThresholdPoint{1, 1.5f},
+                          ThresholdPoint{127, 123.456f},
+                          ThresholdPoint{128, 1e-5f}};
+  net::FofClusterRecord summary_only;
+  summary_only.id = 16384;
+  summary_only.size = 1;
+  summary_only.bbox_lo = {0, 0, 32};
+  summary_only.bbox_hi = {0, 0, 32};
+  summary_only.centroid = {0.0, 0.0, 32.0};
+  summary_only.max_norm = 7.25e8f;
+  summary_only.peak_zindex = 16384;
+  chunk.clusters = {with_members, summary_only};
+  return chunk;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+// The expected bytes were captured from the encoder that built each
+// point blob in a temporary and copied it in; encoding in place must not
+// move a single byte.
+TEST(ProtocolTest, PointCarryingMessagesMatchGoldenBytes) {
+  EXPECT_EQ(Hex(net::EncodeResponse(GoldenThresholdResult())),
+            "4137d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f7dda"
+            "2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7f013987ad4b0000"
+            "00000000c03f555555555555d53f8dedb5a0f7c6903e000000000000454059f3"
+            "f8c21f6ea501");
+  EXPECT_EQ(Hex(net::EncodeThresholdChunk(GoldenThresholdChunk())),
+            "49ac0237d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f"
+            "7dda2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7ff0a204");
+  EXPECT_EQ(Hex(net::EncodeResponse(GoldenTopKResult())),
+            "4334d3a8c1a2050488270000104184d9ffffffffffffff0100000041f4ffffff"
+            "ffffff010000e04083808080808080feff010000d040000000000000c03f5555"
+            "55555555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea501");
+  EXPECT_EQ(Hex(net::EncodeNodeExecuteResponse(GoldenNodeResult())),
+            "5237d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f7dda"
+            "2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7f040001c801f0a2"
+            "0400000000000029400000000000f058400000000000001c4001070000000000"
+            "00f03f00000000000000c0000000000000e03f01000000000000c03f55555555"
+            "5555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea5010102b817"
+            "04050680801007");
+  EXPECT_EQ(Hex(net::EncodeFofChunk(GoldenFofChunk())),
+            "5801020103000000010102000000000000e03f000000000000d03f0000000000"
+            "00f03f79e9f6427f15d3a8c1a20503010000c03f7e79e9f64201acc527378080"
+            "0101000020000020000000000000000000000000000000000000000000004040"
+            "7dda2c4e80800106d3a8c1a2050002");
+
+  // And they decode, in place, back to the inputs.
+  auto threshold = net::DecodeThresholdResponse(
+      net::EncodeResponse(GoldenThresholdResult()));
+  ASSERT_TRUE(threshold.ok()) << threshold.status();
+  EXPECT_EQ(threshold->points, GoldenPoints());
+  auto topk = net::DecodeTopKResponse(net::EncodeResponse(GoldenTopKResult()));
+  ASSERT_TRUE(topk.ok()) << topk.status();
+  EXPECT_EQ(topk->points, GoldenTopKResult().points);
+  auto node = net::DecodeNodeExecuteResponse(
+      net::EncodeNodeExecuteResponse(GoldenNodeResult()));
+  ASSERT_TRUE(node.ok()) << node.status();
+  EXPECT_EQ(node->points, GoldenPoints());
+  auto fof = net::DecodeFofChunk(net::EncodeFofChunk(GoldenFofChunk()));
+  ASSERT_TRUE(fof.ok()) << fof.status();
+  EXPECT_EQ(fof->clusters, GoldenFofChunk().clusters);
+}
+
+// A point blob is decoded where it lies in the message, so its bounds
+// are the blob's, never the payload's.
+TEST(ProtocolTest, PointBlobReadsStopAtTheBlobEnd) {
+  auto chunk_payload = [](uint64_t blob_length,
+                          const std::vector<uint8_t>& rest) {
+    std::vector<uint8_t> payload;
+    PutVarint64(&payload,
+                static_cast<uint64_t>(net::MsgType::kThresholdChunk));
+    PutVarint64(&payload, 0);  // seq
+    PutVarint64(&payload, blob_length);
+    payload.insert(payload.end(), rest.begin(), rest.end());
+    return payload;
+  };
+
+  // A blob length past the payload end.
+  const std::vector<uint8_t> blob = EncodePointsBinary(GoldenPoints());
+  std::vector<uint8_t> rest = blob;
+  PutVarint64(&rest, 7);  // total_points
+  EXPECT_TRUE(
+      net::DecodeThresholdChunk(chunk_payload(blob.size(), rest)).ok());
+  auto past_end =
+      net::DecodeThresholdChunk(chunk_payload(rest.size() + 1, rest));
+  EXPECT_TRUE(past_end.status().IsCorruption()) << past_end.status();
+
+  // Two points, the second's delta varint still continuing at the blob's
+  // last byte. The payload goes on with bytes that would complete it (and
+  // a norm), so only a read bounded by the blob end refuses it.
+  std::vector<uint8_t> cut;
+  PutVarint64(&cut, 0x54505453);  // the codec's magic
+  PutVarint64(&cut, 2);
+  for (int b : {0x80, 0x80, 0x01, 0x00, 0x00, 0x80, 0x3f, 0x80, 0x80, 0x80}) {
+    cut.push_back(static_cast<uint8_t>(b));
+  }
+  const size_t cut_length = cut.size();
+  for (int b : {0x01, 0x00, 0x00, 0x80, 0x3f, 0x02}) {
+    cut.push_back(static_cast<uint8_t>(b));
+  }
+  auto crossing = net::DecodeThresholdChunk(chunk_payload(cut_length, cut));
+  EXPECT_TRUE(crossing.status().IsCorruption()) << crossing.status();
+  // The same bytes with the blob length covering the completed varint
+  // and its norm decode: the rejection above is the bound, not the data.
+  auto whole = net::DecodeThresholdChunk(chunk_payload(cut_length + 5, cut));
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(whole->points.size(), 2u);
+}
+
 // -- End-to-end server/client -------------------------------------------
 
 class ServerEndToEndTest : public ::testing::Test {

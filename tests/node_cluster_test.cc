@@ -238,19 +238,28 @@ TEST(NodeClusterTest, KillMidQueryNamesTheLostNode) {
                             /*subquery_deadline_ms=*/10000);
   ASSERT_TRUE(db.ok()) << db.status();
 
-  // Fire the query on a separate thread and kill node 2 while it is in
-  // flight. Threshold 0 touches every grid point, so the sub-queries are
-  // long enough that the kill lands mid-execution.
+  // Fire the query on a separate thread and kill node 2 once its own
+  // stats report the sub-query admitted, so the kill lands mid-execution
+  // however fast the query runs.
   Result<ThresholdResult> result = Status::Internal("query never ran");
   QueryOptions options;
   options.use_cache = false;
   options.max_result_points = 10u << 20;
+  const NodeAddress& node2 = (*procs)->topology().nodes[2];
+  net::Client stats_client(node2.host, node2.port);
   std::thread runner([&] {
     result = (*db)->mediator().GetThreshold(VorticityQuery(0.0), options);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  bool in_flight = false;
+  while (!in_flight && std::chrono::steady_clock::now() < give_up) {
+    auto stats = stats_client.ServerStats();
+    in_flight = stats.ok() && stats->queries_in_flight >= 1;
+  }
   (*procs)->Kill(2, SIGKILL);
   runner.join();
+  ASSERT_TRUE(in_flight) << "node 2 never reported the sub-query in flight";
 
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnreachable)

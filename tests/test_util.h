@@ -72,11 +72,12 @@ inline std::vector<ThresholdPoint> BruteForceThreshold(
   for (int64_t z = box.lo[2]; z < box.hi[2]; ++z) {
     for (int64_t y = box.lo[1]; y < box.hi[1]; ++y) {
       for (int64_t x = box.lo[0]; x < box.hi[0]; ++x) {
-        const double norm = kernel.NormAt(slab, diff, x, y, z);
-        if (norm >= threshold) {
+        const auto norm =
+            static_cast<float>(kernel.NormAt(slab, diff, x, y, z));
+        if (PassesThreshold(norm, threshold)) {
           points.push_back(MakeThresholdPoint(
               static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-              static_cast<uint32_t>(z), static_cast<float>(norm)));
+              static_cast<uint32_t>(z), norm));
         }
       }
     }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -176,6 +178,101 @@ TEST(XmlCodecTest, XmlInflationIsSubstantial) {
   const auto binary = EncodePointsBinary(points);
   const std::string xml = EncodePointsXml(points);
   EXPECT_GT(xml.size(), 5 * binary.size());
+}
+
+// -- Closed-form sizes: the reply path charges these, so they must equal
+// the rendered encodings exactly, on every input.
+
+void ExpectSizesMatchEncoders(const std::vector<ThresholdPoint>& points) {
+  EXPECT_EQ(PointsBinarySize(points), EncodePointsBinary(points).size())
+      << points.size() << " points";
+  EXPECT_EQ(PointsXmlSize(points), EncodePointsXml(points).size())
+      << points.size() << " points";
+}
+
+TEST(PointsSizeTest, MatchesEncodersOnRandomSets) {
+  SplitMix64 rng(1215);
+  for (size_t count : {0u, 1u, 9u, 10u, 11u, 99u, 100u, 101u, 999u, 1000u,
+                       1001u, 5000u}) {
+    auto points = SortedRandomPoints(count, rng.Next());
+    ExpectSizesMatchEncoders(points);
+    // Norms spread over many decades, both signs.
+    for (ThresholdPoint& point : points) {
+      const double magnitude = std::pow(10.0, rng.NextDouble(-12.0, 14.0));
+      point.norm = static_cast<float>(rng.NextBounded(4) == 0 ? -magnitude
+                                                              : magnitude);
+    }
+    ExpectSizesMatchEncoders(points);
+    // Norm-sorted, as top-k replies are: z-index deltas wrap mod 2^64.
+    std::sort(points.begin(), points.end(),
+              [](const ThresholdPoint& a, const ThresholdPoint& b) {
+                return a.norm > b.norm;
+              });
+    ExpectSizesMatchEncoders(points);
+  }
+}
+
+TEST(PointsSizeTest, MatchesEncodersOnEdgeValues) {
+  std::vector<float> norms = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      0.5f,
+      1.5f,
+      123.456f,
+  };
+  // Around each power of ten from 1e-5 to 1e10, where %g switches
+  // between fixed and exponent notation or rounding carries a digit.
+  for (int exponent = -5; exponent <= 10; ++exponent) {
+    float below = static_cast<float>(std::pow(10.0, exponent));
+    float above = below;
+    for (int step = 0; step < 4; ++step) {
+      norms.push_back(below);
+      norms.push_back(-above);
+      norms.push_back(above);
+      below = std::nextafter(below, 0.0f);
+      above = std::nextafter(above, std::numeric_limits<float>::infinity());
+    }
+  }
+  // Coordinates at every digit-count boundary.
+  const uint32_t coords[] = {0, 9, 10, 99, 100, 999, 1000, 2097151};
+  std::vector<ThresholdPoint> points;
+  for (size_t i = 0; i < norms.size(); ++i) {
+    const uint32_t x = coords[i % 8];
+    const uint32_t y = coords[(i / 8) % 8];
+    const uint32_t z = coords[(i + 3) % 8];
+    points.push_back(MakeThresholdPoint(x, y, z, norms[i]));
+    ExpectSizesMatchEncoders({points.back()});
+  }
+  ExpectSizesMatchEncoders({});
+  ExpectSizesMatchEncoders(points);
+}
+
+TEST(PointsSizeTest, AppendAndRangeDecodeMatchTheVectorCodec) {
+  const auto points = SortedRandomPoints(300, 77);
+  const std::vector<uint8_t> encoded = EncodePointsBinary(points);
+  std::vector<uint8_t> buffer = {0xAA, 0xBB};
+  AppendPointsBinary(points, &buffer);
+  buffer.push_back(0xCC);
+  ASSERT_EQ(buffer.size(), 3 + encoded.size());
+  EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), buffer.begin() + 2));
+  auto decoded = DecodePointsBinary(buffer.data() + 2, encoded.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, points);
+  // The range ends where the blob does: one byte short is a truncated
+  // norm, even though the buffer goes on.
+  EXPECT_TRUE(DecodePointsBinary(buffer.data() + 2, encoded.size() - 1)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(XmlCodecTest, MalformedDocumentsFail) {

@@ -163,7 +163,7 @@ for q in p50_ms p99_ms p999_ms; do
     exit 1
   fi
 done
-if ! grep -q '"protocol_errors": 0$' "$LOAD_JSON"; then
+if ! grep -q '"protocol_errors": 0,\?$' "$LOAD_JSON"; then
   echo "loadgen smoke: protocol errors reported in $LOAD_JSON" >&2
   exit 1
 fi
@@ -381,3 +381,10 @@ if [ "$SANITIZE" != "thread" ]; then
     -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|ScrubTest|SelfHealTest" \
     --output-on-failure --timeout 300
 fi
+
+# Wall-clock benchmark smoke (perfbench, its own RelWithDebInfo build in
+# .bench_build/): every workload on a 32^3 grid, traced and untraced.
+# Its answer checks gate the change: buffered, streamed and uncached
+# digests must agree on all three workloads, and it exits nonzero on any
+# failed op or missing metric.
+(cd "$ROOT" && python3 perfbench/run.py --smoke)
