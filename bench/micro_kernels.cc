@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths underneath the
 // threshold-query engine: Morton coding, box-to-range decomposition,
-// derived-field kernels, result serialization and sizing, frame
-// checksums, cache lookups and friends-of-friends clustering.
+// derived-field kernels (per node and per row), result serialization
+// and sizing, frame checksums, cache lookups and inserts, and
+// friends-of-friends clustering.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <random>
 #include <vector>
@@ -117,6 +119,43 @@ void BM_MagnitudeNorm(benchmark::State& state) {
 }
 BENCHMARK(BM_MagnitudeNorm);
 
+/// The query engine's path: one NormsRow() call per atom-width x row.
+template <typename Kernel>
+void RunKernelRowBench(benchmark::State& state, int order) {
+  constexpr int64_t kRow = 8;
+  KernelFixture& fixture = Fixture();
+  auto diff = Differentiator::Create(fixture.geometry, order);
+  Kernel kernel;
+  double norms[kRow];
+  int64_t row = 0;
+  const int64_t n = fixture.geometry.nx();
+  for (auto _ : state) {
+    const int64_t x = (row * kRow) % n;
+    const int64_t y = (row * kRow / n) % n;
+    const int64_t z = (row * kRow / n / n) % n;
+    kernel.NormsRow(fixture.slab, *diff, x, kRow, y, z, norms);
+    benchmark::DoNotOptimize(norms);
+    benchmark::ClobberMemory();
+    ++row;
+  }
+  state.SetItemsProcessed(state.iterations() * kRow);
+}
+
+void BM_VorticityRow(benchmark::State& state) {
+  RunKernelRowBench<CurlField>(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_VorticityRow)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_QCriterionRow(benchmark::State& state) {
+  RunKernelRowBench<QCriterionField>(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_QCriterionRow)->Arg(4);
+
+void BM_MagnitudeRow(benchmark::State& state) {
+  RunKernelRowBench<MagnitudeField>(state, 4);
+}
+BENCHMARK(BM_MagnitudeRow);
+
 std::vector<ThresholdPoint> RandomPoints(size_t count) {
   SplitMix64 rng(99);
   std::vector<ThresholdPoint> points;
@@ -197,6 +236,31 @@ void BM_CacheLookupHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookupHit)->Arg(1000)->Arg(100000);
+
+/// Fills a fresh node cache with state.range(0) entries of two points
+/// each, as cold thresholds leave them, and reports the resident heap
+/// each entry costs (glibc mallinfo2).
+void BM_CacheInsert(benchmark::State& state) {
+  const int64_t entries = state.range(0);
+  const auto points = RandomPoints(2);
+  double heap_per_entry = 0.0;
+  for (auto _ : state) {
+    TransactionManager txn_manager;
+    SemanticCache cache(&txn_manager, DeviceSpec::Ssd(), 1ULL << 30);
+    const size_t before = mallinfo2().uordblks;
+    for (int64_t i = 0; i < entries; ++i) {
+      const Box3 region(i * 32, 0, 0, i * 32 + 32, 32, 32);
+      TURBDB_CHECK_OK(cache.Insert("isotropic", "velocity:vorticity", 0, 4,
+                                   region, 1.0, points));
+    }
+    cache.GarbageCollect();
+    heap_per_entry =
+        static_cast<double>(mallinfo2().uordblks - before) / entries;
+  }
+  state.counters["heap_bytes_per_entry"] = heap_per_entry;
+  state.SetItemsProcessed(state.iterations() * entries);
+}
+BENCHMARK(BM_CacheInsert)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 void BM_FriendsOfFriends(benchmark::State& state) {
   const auto raw = RandomPoints(static_cast<size_t>(state.range(0)));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,19 @@ class Slab {
   }
   float& At(int64_t x, int64_t y, int64_t z, int c) {
     return data_[Index(x, y, z, c)];
+  }
+
+  /// Component 0 of point (x, y, z); the row kernels walk the buffer
+  /// from here with Stride().
+  const float* PointData(int64_t x, int64_t y, int64_t z) const {
+    return data_.data() + Index(x, y, z, 0);
+  }
+
+  /// Floats between neighbouring points along `axis`.
+  ptrdiff_t Stride(int axis) const {
+    ptrdiff_t stride = ncomp_;
+    for (int d = 0; d < axis; ++d) stride *= region_.Extent(d);
+    return stride;
   }
 
   /// Copies the intersection of `atom`'s data into this slab.

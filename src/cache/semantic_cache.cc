@@ -24,28 +24,30 @@ Result<CacheLookup> SemanticCache::Lookup(const std::string& dataset,
   if (!enabled()) return lookup;
 
   auto txn = txn_manager_->Begin();
-  const CacheInfoKey range_lo{dataset, field, fd_order, timestep, 0};
-  const CacheInfoKey range_hi{dataset, field, fd_order, timestep,
-                              kMaxOrdinal};
 
   // Find a semantically sufficient entry: region containment plus
-  // threshold subsumption (Algorithm 1, line 12).
+  // threshold subsumption (Algorithm 1, line 12). A (dataset, field)
+  // never inserted has no field id and no entries.
   bool found = false;
   CacheInfoKey match_key;
   CacheInfoRecord match_record;
   uint64_t info_rows_scanned = 0;
-  cache_info_.Scan(txn.get(), range_lo, range_hi,
-                   [&](const CacheInfoKey& key, const CacheInfoRecord& rec) {
-                     ++info_rows_scanned;
-                     if (rec.threshold <= threshold &&
-                         rec.region.ContainsBox(box)) {
-                       found = true;
-                       match_key = key;
-                       match_record = rec;
-                       return false;
-                     }
-                     return true;
-                   });
+  const uint32_t field_id = FindFieldId(dataset, field);
+  if (field_id != 0) {
+    cache_info_.Scan(
+        txn.get(), CacheInfoKey{field_id, fd_order, timestep, 0},
+        CacheInfoKey{field_id, fd_order, timestep, kMaxOrdinal},
+        [&](const CacheInfoKey& key, const CacheInfoRecord& rec) {
+          ++info_rows_scanned;
+          if (rec.threshold <= threshold && rec.region.ContainsBox(box)) {
+            found = true;
+            match_key = key;
+            match_record = rec;
+            return false;
+          }
+          return true;
+        });
+  }
   lookup.io.cache_records_scanned += info_rows_scanned;
   lookup.io.cache_bytes_scanned += info_rows_scanned * kBytesPerInfoRecord;
   // The cacheInfo probe is a clustered-index lookup on the SSD.
@@ -105,9 +107,10 @@ Status SemanticCache::Insert(const std::string& dataset,
                      << " bytes exceeds cache capacity; not cached";
     return Status::OK();
   }
+  const uint32_t field_id = Intern(dataset, field);
   Status status;
   for (int attempt = 0; attempt < kInsertRetries; ++attempt) {
-    status = InsertOnce(dataset, field, timestep, fd_order, region, threshold,
+    status = InsertOnce(field_id, timestep, fd_order, region, threshold,
                         points);
     if (status.ok() &&
         inserts_since_gc_.fetch_add(1) + 1 >= kGcInterval) {
@@ -121,8 +124,7 @@ Status SemanticCache::Insert(const std::string& dataset,
   return Status::OK();  // Caching is best-effort; the query still succeeded.
 }
 
-Status SemanticCache::InsertOnce(const std::string& dataset,
-                                 const std::string& field, int32_t timestep,
+Status SemanticCache::InsertOnce(uint32_t field_id, int32_t timestep,
                                  int fd_order, const Box3& region,
                                  double threshold,
                                  const std::vector<ThresholdPoint>& points) {
@@ -137,9 +139,8 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
   // stored threshold no longer serves (or is simply being refreshed) is
   // superseded by this insert.
   {
-    const CacheInfoKey range_lo{dataset, field, fd_order, timestep, 0};
-    const CacheInfoKey range_hi{dataset, field, fd_order, timestep,
-                                kMaxOrdinal};
+    const CacheInfoKey range_lo{field_id, fd_order, timestep, 0};
+    const CacheInfoKey range_hi{field_id, fd_order, timestep, kMaxOrdinal};
     std::vector<std::pair<CacheInfoKey, CacheInfoRecord>> to_replace;
     cache_info_.Scan(txn.get(), range_lo, range_hi,
                      [&](const CacheInfoKey& key, const CacheInfoRecord& rec) {
@@ -166,13 +167,13 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
     auto by_age = [&]() {
       uint64_t best_ordinal = 0;
       uint64_t best_tick = UINT64_MAX;
-      for (const auto& [ordinal, tick] : lru_) {
+      for (const auto& [ordinal, meta] : meta_) {
         if (std::find(deleted_ordinals.begin(), deleted_ordinals.end(),
                       ordinal) != deleted_ordinals.end()) {
           continue;
         }
-        if (tick < best_tick) {
-          best_tick = tick;
+        if (meta.tick < best_tick) {
+          best_tick = meta.tick;
           best_ordinal = ordinal;
         }
       }
@@ -198,9 +199,9 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
   // the same semantic region (see CacheSlotKey).
   const uint64_t ordinal = next_ordinal_.fetch_add(1);
   cache_slots_.Put(txn.get(),
-                   CacheSlotKey{dataset, field, fd_order, timestep, region},
+                   CacheSlotKey{field_id, fd_order, timestep, region},
                    ordinal);
-  CacheInfoKey key{dataset, field, fd_order, timestep, ordinal};
+  const CacheInfoKey key{field_id, fd_order, timestep, ordinal};
   CacheInfoRecord record;
   record.region = region;
   record.threshold = threshold;
@@ -215,12 +216,8 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
 
   // Commit succeeded: update the byte accounting and LRU bookkeeping
   // (still under lru_mutex_, see above).
-  for (uint64_t dead : deleted_ordinals) {
-    lru_.erase(dead);
-    meta_.erase(dead);
-  }
-  lru_[ordinal] = lru_clock_.fetch_add(1) + 1;
-  meta_[ordinal] = EntryMeta{key, needed};
+  for (uint64_t dead : deleted_ordinals) meta_.erase(dead);
+  meta_[ordinal] = EntryMeta{key, needed, lru_clock_.fetch_add(1) + 1};
   uint64_t bytes = used_bytes_.load();
   while (!used_bytes_.compare_exchange_weak(bytes, bytes + needed - freed)) {
   }
@@ -230,7 +227,7 @@ Status SemanticCache::InsertOnce(const std::string& dataset,
 void SemanticCache::DeleteEntryInTxn(Transaction* txn, const CacheInfoKey& key,
                                      const CacheInfoRecord& record) {
   cache_info_.Delete(txn, key);
-  cache_slots_.Delete(txn, CacheSlotKey{key.dataset, key.field, key.fd_order,
+  cache_slots_.Delete(txn, CacheSlotKey{key.field_id, key.fd_order,
                                         key.timestep, record.region});
   std::vector<CacheDataKey> data_keys;
   data_keys.reserve(record.num_points);
@@ -251,13 +248,27 @@ Status SemanticCache::Evict(const std::string& dataset,
   for (int attempt = 0; attempt < kInsertRetries; ++attempt) {
     auto txn = txn_manager_->Begin();
     // lru_mutex_ is held through the commit so the bookkeeping can never
-    // race a concurrent insert's (see InsertOnce).
+    // race a concurrent insert's (see InsertOnce). Every entry in meta_
+    // had its field id assigned before it was registered there.
     std::lock_guard<std::mutex> lru_lock(lru_mutex_);
+    std::vector<uint32_t> field_ids;
+    if (!field.empty()) {
+      const uint32_t field_id = FindFieldId(dataset, field);
+      if (field_id != 0) field_ids.push_back(field_id);
+    } else {
+      std::lock_guard<std::mutex> lock(field_ids_mutex_);
+      for (auto it = field_ids_.lower_bound({dataset, ""});
+           it != field_ids_.end() && it->first.first == dataset; ++it) {
+        field_ids.push_back(it->second);
+      }
+    }
     std::vector<std::pair<CacheInfoKey, CacheInfoRecord>> victims;
     for (const auto& [ordinal, meta] : meta_) {
       const CacheInfoKey& key = meta.key;
-      if (key.dataset != dataset) continue;
-      if (!field.empty() && key.field != field) continue;
+      if (std::find(field_ids.begin(), field_ids.end(), key.field_id) ==
+          field_ids.end()) {
+        continue;
+      }
       if (timestep >= 0 && key.timestep != timestep) continue;
       auto record = cache_info_.Get(txn.get(), key);
       if (record.ok()) victims.push_back({key, record.value()});
@@ -270,10 +281,7 @@ Status SemanticCache::Evict(const std::string& dataset,
     Status status = txn_manager_->Commit(txn.get());
     if (status.IsAborted()) continue;
     TURBDB_RETURN_NOT_OK(status);
-    for (const auto& [key, record] : victims) {
-      lru_.erase(key.ordinal);
-      meta_.erase(key.ordinal);
-    }
+    for (const auto& [key, record] : victims) meta_.erase(key.ordinal);
     uint64_t bytes = used_bytes_.load();
     while (!used_bytes_.compare_exchange_weak(
         bytes, bytes >= freed ? bytes - freed : 0)) {
@@ -298,8 +306,25 @@ uint64_t SemanticCache::entry_count() const {
 
 void SemanticCache::TouchLru(uint64_t ordinal) {
   std::lock_guard<std::mutex> lru_lock(lru_mutex_);
-  auto it = lru_.find(ordinal);
-  if (it != lru_.end()) it->second = lru_clock_.fetch_add(1) + 1;
+  auto it = meta_.find(ordinal);
+  if (it != meta_.end()) it->second.tick = lru_clock_.fetch_add(1) + 1;
+}
+
+uint32_t SemanticCache::Intern(const std::string& dataset,
+                               const std::string& field) {
+  std::lock_guard<std::mutex> lock(field_ids_mutex_);
+  // Ids start at 1: FindFieldId's 0 means "never inserted".
+  return field_ids_
+      .try_emplace({dataset, field},
+                   static_cast<uint32_t>(field_ids_.size() + 1))
+      .first->second;
+}
+
+uint32_t SemanticCache::FindFieldId(const std::string& dataset,
+                                    const std::string& field) const {
+  std::lock_guard<std::mutex> lock(field_ids_mutex_);
+  auto it = field_ids_.find({dataset, field});
+  return it == field_ids_.end() ? 0 : it->second;
 }
 
 }  // namespace turbdb

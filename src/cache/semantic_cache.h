@@ -25,17 +25,19 @@ namespace turbdb {
 /// paper's index on (dataset, field, timestep). The FD order participates
 /// in the key because different stencil orders produce different derived
 /// values, so their results must never be substituted for each other.
+/// The owning cache interns (dataset, field) to `field_id`, so a key is
+/// 24 bytes and allocates nothing; within a prefix, entries scan by
+/// ordinal.
 struct CacheInfoKey {
-  std::string dataset;
-  std::string field;
+  uint32_t field_id = 0;
   int32_t fd_order = 4;
   int32_t timestep = 0;
   uint64_t ordinal = 0;
 
   bool operator<(const CacheInfoKey& other) const {
-    return std::tie(dataset, field, fd_order, timestep, ordinal) <
-           std::tie(other.dataset, other.field, other.fd_order,
-                    other.timestep, other.ordinal);
+    return std::tie(field_id, fd_order, timestep, ordinal) <
+           std::tie(other.field_id, other.fd_order, other.timestep,
+                    other.ordinal);
   }
   bool operator==(const CacheInfoKey& other) const {
     return !(*this < other) && !(other < *this);
@@ -58,16 +60,14 @@ struct CacheInfoRecord {
 /// otherwise both would commit under distinct ordinals and duplicate the
 /// entry.
 struct CacheSlotKey {
-  std::string dataset;
-  std::string field;
+  uint32_t field_id = 0;  ///< Interned (dataset, field), as in CacheInfoKey.
   int32_t fd_order = 4;
   int32_t timestep = 0;
   Box3 region;
 
   bool operator<(const CacheSlotKey& other) const {
-    const auto lhs = std::tie(dataset, field, fd_order, timestep);
-    const auto rhs =
-        std::tie(other.dataset, other.field, other.fd_order, other.timestep);
+    const auto lhs = std::tie(field_id, fd_order, timestep);
+    const auto rhs = std::tie(other.field_id, other.fd_order, other.timestep);
     if (lhs != rhs) return lhs < rhs;
     return std::tie(region.lo, region.hi) <
            std::tie(other.region.lo, other.region.hi);
@@ -166,14 +166,21 @@ class SemanticCache {
   static constexpr uint64_t kBytesPerInfoRecord = 128;
 
  private:
+  /// Per-entry bookkeeping kept outside the versioned tables.
   struct EntryMeta {
     CacheInfoKey key;
     uint64_t bytes = 0;
+    uint64_t tick = 0;  ///< LRU clock at the entry's last use.
   };
 
-  Status InsertOnce(const std::string& dataset, const std::string& field,
-                    int32_t timestep, int fd_order, const Box3& region,
-                    double threshold,
+  /// The field id of (dataset, field), assigned on first use.
+  uint32_t Intern(const std::string& dataset, const std::string& field);
+  /// The field id of (dataset, field), or 0 if none was assigned.
+  uint32_t FindFieldId(const std::string& dataset,
+                       const std::string& field) const;
+
+  Status InsertOnce(uint32_t field_id, int32_t timestep, int fd_order,
+                    const Box3& region, double threshold,
                     const std::vector<ThresholdPoint>& points);
 
   /// Deletes one entry's rows inside `txn`; caller commits.
@@ -197,12 +204,15 @@ class SemanticCache {
   std::atomic<uint64_t> used_bytes_{0};
   std::atomic<uint64_t> inserts_since_gc_{0};
 
+  /// (dataset, field) -> field id; ids are never reused.
+  mutable std::mutex field_ids_mutex_;
+  std::map<std::pair<std::string, std::string>, uint32_t> field_ids_;
+
   /// LRU bookkeeping, maintained outside the versioned tables so that
   /// read-only lookups never create snapshot write conflicts. Guarded by
   /// lru_mutex_; updated only after a successful commit.
   mutable std::mutex lru_mutex_;
-  std::map<uint64_t, uint64_t> lru_;        ///< ordinal -> last-use tick.
-  std::map<uint64_t, EntryMeta> meta_;      ///< ordinal -> key and size.
+  std::map<uint64_t, EntryMeta> meta_;  ///< ordinal -> key, size, tick.
   std::atomic<uint64_t> lru_clock_{0};
 };
 

@@ -547,29 +547,63 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
                               ChunkOutcome* out) {
   const int64_t w = query.dataset->geometry.atom_width();
 
-  // Fetch plan: unique codes, split into local reads and per-peer
-  // batches. The same wrapped code can back several periodic images; it
-  // is read once and copied to each destination.
-  std::vector<uint64_t> local_codes;
-  std::map<int, std::vector<uint64_t>> remote_codes;
+  // The slab covers the bounding box of all destinations. It is
+  // allocated first so that each atom is copied straight from the store
+  // or the fetch reply into every destination it backs.
+  Box3 slab_atoms;
   {
-    std::vector<uint64_t> unique_codes;
-    unique_codes.reserve(dest.size());
-    for (const auto& [coord, code] : dest) unique_codes.push_back(code);
-    std::sort(unique_codes.begin(), unique_codes.end());
-    unique_codes.erase(std::unique(unique_codes.begin(), unique_codes.end()),
-                       unique_codes.end());
-    for (uint64_t code : unique_codes) {
-      const int owner = query.partitioner->OwnerOfAtom(code);
-      if (owner == shard_id_) {
-        local_codes.push_back(code);
+    bool first = true;
+    for (const auto& [coord, code] : dest) {
+      if (first) {
+        slab_atoms = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
+                          coord[1] + 1, coord[2] + 1);
+        first = false;
       } else {
-        remote_codes[owner].push_back(code);
+        for (int d = 0; d < 3; ++d) {
+          slab_atoms.lo[d] = std::min(slab_atoms.lo[d], coord[d]);
+          slab_atoms.hi[d] = std::max(slab_atoms.hi[d], coord[d] + 1);
+        }
       }
     }
   }
+  Slab slab(Box3(slab_atoms.lo[0] * w, slab_atoms.lo[1] * w,
+                 slab_atoms.lo[2] * w, slab_atoms.hi[0] * w,
+                 slab_atoms.hi[1] * w, slab_atoms.hi[2] * w),
+            query.raw_ncomp);
 
-  std::map<uint64_t, Atom> fetched;
+  // Destinations sorted by wrapped code: the same code can back several
+  // periodic images; it is read once and copied to each.
+  std::vector<std::pair<uint64_t, std::array<int64_t, 3>>> by_code;
+  by_code.reserve(dest.size());
+  for (const auto& [coord, code] : dest) by_code.push_back({code, coord});
+  std::sort(by_code.begin(), by_code.end());
+  // Copies `atom` to every destination it backs.
+  auto place = [&](const Atom& atom) {
+    auto it = std::lower_bound(
+        by_code.begin(), by_code.end(), atom.key.zindex,
+        [](const auto& entry, uint64_t code) { return entry.first < code; });
+    for (; it != by_code.end() && it->first == atom.key.zindex; ++it) {
+      const std::array<int64_t, 3>& c = it->second;
+      slab.CopyAtom(atom, Box3(c[0] * w, c[1] * w, c[2] * w, (c[0] + 1) * w,
+                               (c[1] + 1) * w, (c[2] + 1) * w));
+    }
+  };
+
+  // Fetch plan: unique codes, split into local reads and per-peer
+  // batches.
+  std::vector<uint64_t> local_codes;
+  std::map<int, std::vector<uint64_t>> remote_codes;
+  for (size_t i = 0; i < by_code.size(); ++i) {
+    const uint64_t code = by_code[i].first;
+    if (i > 0 && by_code[i - 1].first == code) continue;
+    const int owner = query.partitioner->OwnerOfAtom(code);
+    if (owner == shard_id_) {
+      local_codes.push_back(code);
+    } else {
+      remote_codes[owner].push_back(code);
+    }
+  }
+
   // Local reads: one clustered-index range scan per contiguous run.
   if (!local_codes.empty()) {
     AtomStore* store = FindStore(query.dataset->name, query.raw_field);
@@ -580,14 +614,25 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
       return Slab();
     }
     uint64_t bytes = 0;
-    for (uint64_t code : local_codes) {
-      auto atom = store->Get(AtomKey{query.timestep, code});
-      if (!atom.ok()) {
-        out->status = atom.status();
-        return Slab();
+    for (size_t lo = 0; lo < local_codes.size();) {
+      size_t hi = lo + 1;
+      while (hi < local_codes.size() &&
+             local_codes[hi] == local_codes[hi - 1] + 1) {
+        ++hi;
       }
-      bytes += atom->SizeBytes();
-      fetched.emplace(code, std::move(atom).value());
+      size_t visited = 0;
+      out->status = store->Scan(
+          query.timestep, MortonRange{local_codes[lo], local_codes[hi - 1] + 1},
+          [&](const Atom& atom) {
+            ++visited;
+            bytes += atom.SizeBytes();
+            place(atom);
+          });
+      if (out->status.ok() && visited != hi - lo) {
+        out->status = Status::NotFound("atom not found");
+      }
+      if (!out->status.ok()) return Slab();
+      lo = hi;
     }
     out->io_s +=
         hdd_.ChargeRead(bytes, CountRuns(local_codes), query.processes);
@@ -613,43 +658,34 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
       return Slab();
     }
     out->io_s += cost;
+    // Atoms the request did not name are ignored; every one it named
+    // must be there, in the shape this dataset stores.
     uint64_t bytes = 0;
-    for (Atom& atom : atoms.value()) {
+    std::vector<bool> received(codes.size(), false);
+    for (const Atom& atom : atoms.value()) {
       bytes += atom.SizeBytes();
-      fetched.emplace(atom.key.zindex, std::move(atom));
+      auto it = std::lower_bound(codes.begin(), codes.end(), atom.key.zindex);
+      if (it == codes.end() || *it != atom.key.zindex) continue;
+      if (atom.width != w || atom.ncomp != query.raw_ncomp) {
+        out->status = Status::Internal(
+            "halo reply from node " + std::to_string(owner) +
+            " has atom " + std::to_string(atom.key.zindex) +
+            " in the wrong shape");
+        return Slab();
+      }
+      received[static_cast<size_t>(it - codes.begin())] = true;
+      place(atom);
+    }
+    const auto missing = std::count(received.begin(), received.end(), false);
+    if (missing > 0) {
+      out->status = Status::Internal(
+          "halo reply from node " + std::to_string(owner) + " lacks " +
+          std::to_string(missing) + " of " + std::to_string(codes.size()) +
+          " requested atoms");
+      return Slab();
     }
     out->io.atoms_read_remote += codes.size();
     out->io.bytes_read_remote += bytes;
-  }
-
-  // Assemble the slab over the bounding box of all destinations.
-  Box3 slab_atoms;
-  {
-    bool first = true;
-    for (const auto& [coord, code] : dest) {
-      if (first) {
-        slab_atoms = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
-                          coord[1] + 1, coord[2] + 1);
-        first = false;
-      } else {
-        for (int d = 0; d < 3; ++d) {
-          slab_atoms.lo[d] = std::min(slab_atoms.lo[d], coord[d]);
-          slab_atoms.hi[d] = std::max(slab_atoms.hi[d], coord[d] + 1);
-        }
-      }
-    }
-  }
-  const Box3 slab_region(slab_atoms.lo[0] * w, slab_atoms.lo[1] * w,
-                         slab_atoms.lo[2] * w, slab_atoms.hi[0] * w,
-                         slab_atoms.hi[1] * w, slab_atoms.hi[2] * w);
-  Slab slab(slab_region, query.raw_ncomp);
-  for (const auto& [coord, code] : dest) {
-    auto it = fetched.find(code);
-    TURBDB_CHECK(it != fetched.end());
-    const Box3 dest_box(coord[0] * w, coord[1] * w, coord[2] * w,
-                        (coord[0] + 1) * w, (coord[1] + 1) * w,
-                        (coord[2] + 1) * w);
-    slab.CopyAtom(it->second, dest_box);
   }
   return slab;
 }
@@ -738,9 +774,13 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
   if (query.options.io_only) return out;
 
   // ---- Evaluate phase ------------------------------------------------
+  // One kernel call per x row of each atom's interest box. Points are
+  // consumed in atom -> z -> y -> x order: which of equal norms top-k
+  // keeps, and where the point-cap exit stops, depend on it.
   std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
                       TopKHeapCompare>
       topk;
+  std::vector<double> norms(static_cast<size_t>(w));
   uint64_t evaluated = 0;
   for (uint64_t code : chunk_atoms) {
     out.status = CheckInterrupts(query);
@@ -751,52 +791,59 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
                         (az + 1) * w);
     const Box3 interest = atom_box.Intersection(query.box);
     if (interest.Empty()) continue;
+    const int64_t x0 = interest.lo[0];
+    const int64_t nx = interest.Extent(0);
     for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
       for (int64_t y = interest.lo[1]; y < interest.hi[1]; ++y) {
-        for (int64_t x = interest.lo[0]; x < interest.hi[0]; ++x) {
-          const double norm =
-              query.kernel->NormAt(slab, *query.diff, x, y, z);
-          ++evaluated;
-          switch (query.mode) {
-            case NodeQuery::Mode::kThreshold:
-              if (PassesThreshold(static_cast<float>(norm),
-                                  query.threshold)) {
-                out.points.push_back(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
-                if (out.points.size() > query.options.max_result_points) {
-                  // The global cap is already exceeded by this node
-                  // alone; computing further is pointless.
-                  out.status = Status::ThresholdTooLow(
-                      "threshold too low: result exceeds the point cap");
-                  return out;
-                }
+        query.kernel->NormsRow(slab, *query.diff, x0, nx, y, z, norms.data());
+        evaluated += static_cast<uint64_t>(nx);
+        auto point = [&](int64_t i, double norm) {
+          return MakeThresholdPoint(static_cast<uint32_t>(x0 + i),
+                                    static_cast<uint32_t>(y),
+                                    static_cast<uint32_t>(z),
+                                    static_cast<float>(norm));
+        };
+        switch (query.mode) {
+          case NodeQuery::Mode::kThreshold:
+            for (int64_t i = 0; i < nx; ++i) {
+              if (!PassesThreshold(static_cast<float>(norms[i]),
+                                   query.threshold)) {
+                continue;
               }
-              break;
-            case NodeQuery::Mode::kPdf: {
-              int bin = static_cast<int>(norm / query.bin_width);
+              out.points.push_back(point(i, norms[i]));
+              if (out.points.size() > query.options.max_result_points) {
+                // The global cap is already exceeded by this node
+                // alone; computing further is pointless.
+                out.status = Status::ThresholdTooLow(
+                    "threshold too low: result exceeds the point cap");
+                return out;
+              }
+            }
+            break;
+          case NodeQuery::Mode::kPdf:
+            for (int64_t i = 0; i < nx; ++i) {
+              int bin = static_cast<int>(norms[i] / query.bin_width);
               bin = std::min(bin, query.num_bins);
               ++out.histogram[static_cast<size_t>(bin)];
-              break;
             }
-            case NodeQuery::Mode::kMoments:
-              out.norm_sum += norm;
-              out.norm_sum_sq += norm * norm;
-              out.norm_max = std::max(out.norm_max, norm);
-              break;
-            case NodeQuery::Mode::kTopK:
+            break;
+          case NodeQuery::Mode::kMoments:
+            for (int64_t i = 0; i < nx; ++i) {
+              out.norm_sum += norms[i];
+              out.norm_sum_sq += norms[i] * norms[i];
+              out.norm_max = std::max(out.norm_max, norms[i]);
+            }
+            break;
+          case NodeQuery::Mode::kTopK:
+            for (int64_t i = 0; i < nx; ++i) {
               if (topk.size() < query.k) {
-                topk.push(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
-              } else if (norm > topk.top().norm) {
+                topk.push(point(i, norms[i]));
+              } else if (norms[i] > topk.top().norm) {
                 topk.pop();
-                topk.push(MakeThresholdPoint(
-                    static_cast<uint32_t>(x), static_cast<uint32_t>(y),
-                    static_cast<uint32_t>(z), static_cast<float>(norm)));
+                topk.push(point(i, norms[i]));
               }
-              break;
-          }
+            }
+            break;
         }
       }
     }

@@ -4,10 +4,52 @@
 
 namespace turbdb {
 
+namespace {
+
+/// Nodes per pass of the row kernels: bounds their stack scratch, so a
+/// row of any length (atom_width is a geometry parameter) is split.
+constexpr int64_t kRowBlock = 64;
+
+/// Q = -(1/2) tr(A^2) = (||Omega||^2 - ||S||^2)/2 of a row-major
+/// gradient a[9], with S = (A + A^T)/2 and Omega = (A - A^T)/2.
+double QFromGradient(const double* a) {
+  double s2 = 0.0;
+  double o2 = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      const double sym = 0.5 * (a[3 * i + j] + a[3 * j + i]);
+      const double asym = 0.5 * (a[3 * i + j] - a[3 * j + i]);
+      s2 += sym * sym;
+      o2 += asym * asym;
+    }
+  }
+  return 0.5 * (o2 - s2);
+}
+
+}  // namespace
+
+void DerivedField::NormsRow(const Slab& slab, const Differentiator& diff,
+                            int64_t x0, int64_t n, int64_t y, int64_t z,
+                            double* out) const {
+  for (int64_t i = 0; i < n; ++i) out[i] = NormAt(slab, diff, x0 + i, y, z);
+}
+
 void MagnitudeField::EvaluateAt(const Slab& slab, const Differentiator&,
                                 int64_t x, int64_t y, int64_t z,
                                 double* out) const {
   for (int c = 0; c < ncomp_; ++c) out[c] = slab.At(x, y, z, c);
+}
+
+void MagnitudeField::NormsRow(const Slab& slab, const Differentiator&,
+                              int64_t x0, int64_t n, int64_t y, int64_t z,
+                              double* out) const {
+  const float* p = slab.PointData(x0, y, z);
+  const ptrdiff_t step = slab.ncomp();
+  double v[9];
+  for (int64_t i = 0; i < n; ++i, p += step) {
+    for (int c = 0; c < ncomp_; ++c) v[c] = p[c];
+    out[i] = Norm(v, ncomp_);
+  }
 }
 
 void CurlField::EvaluateAt(const Slab& slab, const Differentiator& diff,
@@ -22,6 +64,28 @@ void CurlField::EvaluateAt(const Slab& slab, const Differentiator& diff,
   out[0] = dvz_dy - dvy_dz;
   out[1] = dvx_dz - dvz_dx;
   out[2] = dvy_dx - dvx_dy;
+}
+
+void CurlField::NormsRow(const Slab& slab, const Differentiator& diff,
+                         int64_t x0, int64_t n, int64_t y, int64_t z,
+                         double* out) const {
+  double dvz_dy[kRowBlock], dvy_dz[kRowBlock], dvx_dz[kRowBlock];
+  double dvz_dx[kRowBlock], dvy_dx[kRowBlock], dvx_dy[kRowBlock];
+  for (int64_t b = 0; b < n; b += kRowBlock) {
+    const int64_t m = std::min(kRowBlock, n - b);
+    const int64_t x = x0 + b;
+    diff.PartialRow(slab, 2, 1, x, m, y, z, dvz_dy);
+    diff.PartialRow(slab, 1, 2, x, m, y, z, dvy_dz);
+    diff.PartialRow(slab, 0, 2, x, m, y, z, dvx_dz);
+    diff.PartialRow(slab, 2, 0, x, m, y, z, dvz_dx);
+    diff.PartialRow(slab, 1, 0, x, m, y, z, dvy_dx);
+    diff.PartialRow(slab, 0, 1, x, m, y, z, dvx_dy);
+    for (int64_t i = 0; i < m; ++i) {
+      const double curl[3] = {dvz_dy[i] - dvy_dz[i], dvx_dz[i] - dvz_dx[i],
+                              dvy_dx[i] - dvx_dy[i]};
+      out[b + i] = Norm(curl, 3);
+    }
+  }
 }
 
 void VelocityGradientField::EvaluateAt(const Slab& slab,
@@ -55,19 +119,25 @@ void QCriterionField::EvaluateAt(const Slab& slab, const Differentiator& diff,
                                  double* out) const {
   double a[9];
   Gradient(slab, diff, x, y, z, a);
-  // Q = -(1/2) tr(A^2) = (||Omega||^2 - ||S||^2)/2 with
-  // S = (A + A^T)/2, Omega = (A - A^T)/2.
-  double s2 = 0.0;
-  double o2 = 0.0;
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      const double sym = 0.5 * (a[3 * i + j] + a[3 * j + i]);
-      const double asym = 0.5 * (a[3 * i + j] - a[3 * j + i]);
-      s2 += sym * sym;
-      o2 += asym * asym;
+  out[0] = QFromGradient(a);
+}
+
+void QCriterionField::NormsRow(const Slab& slab, const Differentiator& diff,
+                               int64_t x0, int64_t n, int64_t y, int64_t z,
+                               double* out) const {
+  double rows[9][kRowBlock];
+  for (int64_t b = 0; b < n; b += kRowBlock) {
+    const int64_t m = std::min(kRowBlock, n - b);
+    for (int k = 0; k < 9; ++k) {
+      diff.PartialRow(slab, k / 3, k % 3, x0 + b, m, y, z, rows[k]);
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      double a[9];
+      for (int k = 0; k < 9; ++k) a[k] = rows[k][i];
+      const double q = QFromGradient(a);
+      out[b + i] = Norm(&q, 1);
     }
   }
-  out[0] = 0.5 * (o2 - s2);
 }
 
 void RInvariantField::EvaluateAt(const Slab& slab, const Differentiator& diff,

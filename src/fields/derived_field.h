@@ -44,13 +44,26 @@ class DerivedField {
 
   /// The scalar compared against the query threshold: the L2 norm of the
   /// output vector (reduces to the absolute value for scalar fields).
+  /// This per-node path is the reference NormsRow() must reproduce.
   double NormAt(const Slab& slab, const Differentiator& diff, int64_t x,
                 int64_t y, int64_t z) const {
     double out[9];
     EvaluateAt(slab, diff, x, y, z, out);
+    return Norm(out, output_ncomp());
+  }
+
+  /// NormAt() at the n nodes (x0 .. x0+n-1, y, z), written to out[0..n):
+  /// the evaluation path of the query engine. Overrides must stay
+  /// bit-identical to NormAt() node by node; the default calls it.
+  virtual void NormsRow(const Slab& slab, const Differentiator& diff,
+                        int64_t x0, int64_t n, int64_t y, int64_t z,
+                        double* out) const;
+
+ protected:
+  /// L2 norm of v[0..n), summed in component order from 0.0.
+  static double Norm(const double* v, int n) {
     double sum = 0.0;
-    const int n = output_ncomp();
-    for (int c = 0; c < n; ++c) sum += out[c] * out[c];
+    for (int c = 0; c < n; ++c) sum += v[c] * v[c];
     return std::sqrt(sum);
   }
 };
@@ -69,6 +82,8 @@ class MagnitudeField : public DerivedField {
   double FlopsPerPoint(int) const override { return 2.0 * ncomp_; }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
+  void NormsRow(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z, double* out) const override;
 
  private:
   int ncomp_;
@@ -94,6 +109,8 @@ class CurlField : public DerivedField {
   }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
+  void NormsRow(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z, double* out) const override;
 
  private:
   std::string name_;
@@ -128,6 +145,8 @@ class QCriterionField : public DerivedField {
   }
   void EvaluateAt(const Slab& slab, const Differentiator& diff, int64_t x,
                   int64_t y, int64_t z, double* out) const override;
+  void NormsRow(const Slab& slab, const Differentiator& diff, int64_t x0,
+                int64_t n, int64_t y, int64_t z, double* out) const override;
 };
 
 /// Third invariant of the velocity gradient: R = -det(A).

@@ -22,7 +22,8 @@ namespace turbdb {
 ///    computed from the physical node coordinates.
 ///
 /// All weight tables are precomputed at construction, so Partial() on the
-/// hot path is a small dot product.
+/// hot path is a small dot product. PartialRow() evaluates a whole x row
+/// of nodes per call; Partial() is its per-node reference.
 class Differentiator {
  public:
   /// Fails if `order` is unsupported or the geometry is invalid.
@@ -37,6 +38,15 @@ class Differentiator {
   /// the full stencil support for that node.
   double Partial(const Slab& slab, int c, int axis, int64_t x, int64_t y,
                  int64_t z) const;
+
+  /// Partial() at the n nodes (x0 .. x0+n-1, y, z), written to out[0..n).
+  /// Bit-identical to Partial() node by node: the same taps in the same
+  /// order (the zero centre tap skipped), each a double x float product
+  /// summed from 0.0. A wall-bounded or stretched
+  /// axis, whose stencil changes from node to node, falls back to
+  /// Partial().
+  void PartialRow(const Slab& slab, int c, int axis, int64_t x0, int64_t n,
+                  int64_t y, int64_t z, double* out) const;
 
  private:
   Differentiator() = default;
@@ -60,6 +70,10 @@ class Differentiator {
   /// `uniform_centered_[axis]` true) or one row per node index.
   std::array<bool, 3> uniform_centered_{true, true, true};
   std::array<std::vector<double>, 3> centered_weights_;
+  /// The non-zero centered weights (the taps Partial() sums) and their
+  /// node offsets from the stencil centre.
+  std::array<std::vector<int>, 3> centered_tap_shifts_;
+  std::array<std::vector<double>, 3> centered_tap_weights_;
   std::array<std::vector<Row>, 3> rows_;
   std::array<std::vector<double>, 3> weight_pool_;
 };

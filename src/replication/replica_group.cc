@@ -406,6 +406,13 @@ Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
       FailMember(member, last);
       continue;
     }
+    // An expired or cancelled query says nothing about a restart, and
+    // re-syncing would dial a possibly stalled member on a fresh
+    // deadline: return it as is.
+    if (last.code() == StatusCode::kDeadlineExceeded ||
+        last.code() == StatusCode::kCancelled) {
+      return last;
+    }
     // A typed error from a member that restarted under us (and whose
     // datasets are therefore unregistered) deserves one re-sync + retry.
     if (TryRecoverStale(member)) {

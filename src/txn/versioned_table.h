@@ -23,6 +23,9 @@ namespace turbdb {
 ///   TransactionManager calls back into the table to run the
 ///   first-committer-wins conflict check and install the versions.
 /// - Superseded versions are reclaimed by GarbageCollect(horizon).
+/// - A key's first version is stored inline in its map node; only keys
+///   that are updated or deleted allocate room for later versions (most
+///   cache rows are written once and never change).
 ///
 /// This is the storage substrate for the semantic cache's cacheInfo and
 /// cacheData tables (the paper keeps those in SQL Server under snapshot
@@ -136,7 +139,7 @@ class VersionedTable {
     std::unique_lock lock(versions_mutex_);
     size_t reclaimed = 0;
     for (auto it = versions_.begin(); it != versions_.end();) {
-      std::vector<Version>& chain = it->second;
+      Chain& chain = it->second;
       // Find the newest version at or before the horizon: everything
       // older than it is invisible to every current and future snapshot.
       size_t keep_from = 0;
@@ -145,7 +148,7 @@ class VersionedTable {
       }
       if (keep_from > 0) {
         reclaimed += keep_from;
-        chain.erase(chain.begin(), chain.begin() + keep_from);
+        chain.DropOldest(keep_from);
       }
       if (chain.size() == 1 && chain[0].deleted &&
           chain[0].commit_ts <= horizon) {
@@ -169,6 +172,33 @@ class VersionedTable {
     V value{};
   };
 
+  /// One key's versions, oldest first: the first inline, later ones in a
+  /// vector allocated on the first update (null or non-empty).
+  struct Chain {
+    explicit Chain(Version version) : first(std::move(version)) {}
+
+    size_t size() const { return 1 + (later ? later->size() : 0); }
+    const Version& operator[](size_t i) const {
+      return i == 0 ? first : (*later)[i - 1];
+    }
+    const Version& back() const { return later ? later->back() : first; }
+
+    void Append(Version version) {
+      if (!later) later = std::make_unique<std::vector<Version>>();
+      later->push_back(std::move(version));
+    }
+
+    /// Drops the `count` oldest versions; `count` < size().
+    void DropOldest(size_t count) {
+      first = std::move((*later)[count - 1]);
+      later->erase(later->begin(), later->begin() + count);
+      if (later->empty()) later.reset();
+    }
+
+    Version first;
+    std::unique_ptr<std::vector<Version>> later;
+  };
+
   /// Per-transaction buffered writes; registered with the transaction as
   /// a TxnParticipant so commit/abort flow back into the table.
   struct PendingSet : public TxnParticipant {
@@ -178,7 +208,7 @@ class VersionedTable {
       std::shared_lock lock(table->versions_mutex_);
       for (const auto& [key, write] : writes) {
         auto it = table->versions_.find(key);
-        if (it == table->versions_.end() || it->second.empty()) continue;
+        if (it == table->versions_.end()) continue;
         if (it->second.back().commit_ts > begin_ts) {
           return Status::Aborted("write-write conflict");
         }
@@ -190,8 +220,11 @@ class VersionedTable {
       {
         std::unique_lock lock(table->versions_mutex_);
         for (auto& [key, write] : writes) {
-          table->versions_[key].push_back(
-              Version{commit_ts, write.deleted, std::move(write.value)});
+          Version version{commit_ts, write.deleted, std::move(write.value)};
+          // try_emplace leaves `version` alone when the key exists.
+          auto [it, inserted] =
+              table->versions_.try_emplace(key, std::move(version));
+          if (!inserted) it->second.Append(std::move(version));
         }
       }
       table->ErasePending(txn_id);
@@ -221,17 +254,16 @@ class VersionedTable {
     pending_.erase(txn_id);
   }
 
-  static const Version* ResolveVisible(const std::vector<Version>& chain,
-                                       Timestamp as_of) {
+  static const Version* ResolveVisible(const Chain& chain, Timestamp as_of) {
     const Version* visible = nullptr;
-    for (const Version& version : chain) {
-      if (version.commit_ts <= as_of) visible = &version;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      if (chain[i].commit_ts <= as_of) visible = &chain[i];
     }
     return visible;
   }
 
   mutable std::shared_mutex versions_mutex_;
-  std::map<K, std::vector<Version>> versions_;
+  std::map<K, Chain> versions_;
 
   mutable std::mutex pending_mutex_;
   std::map<uint64_t, std::unique_ptr<PendingSet>> pending_;

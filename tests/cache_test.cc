@@ -188,6 +188,74 @@ TEST_F(SemanticCacheTest, EvictByTimestepAndWildcard) {
   EXPECT_EQ(cache_.used_bytes(), 0u);
 }
 
+TEST_F(SemanticCacheTest, EvictMatchesInternedDatasetAndFieldNames) {
+  // Datasets sharing field names, one a prefix of another's name.
+  for (const char* dataset : {"mhd", "mhd2", "iso"}) {
+    for (const char* field : {"vorticity", "current"}) {
+      for (int32_t t = 0; t < 2; ++t) {
+        ASSERT_TRUE(cache_.Insert(dataset, field, t, 4, whole_, 1.0,
+                                  MakePoints(2, 2.0f))
+                        .ok());
+      }
+    }
+  }
+  ASSERT_EQ(cache_.entry_count(), 12u);
+  auto hit = [&](const char* dataset, const char* field, int32_t t) {
+    return cache_.Lookup(dataset, field, t, 4, whole_, 1.0)->hit;
+  };
+
+  // Names never inserted: nothing to drop.
+  ASSERT_TRUE(cache_.Evict("nope", "", -1).ok());
+  ASSERT_TRUE(cache_.Evict("mhd", "nope", -1).ok());
+  EXPECT_EQ(cache_.entry_count(), 12u);
+
+  // Dataset and field at one timestep.
+  ASSERT_TRUE(cache_.Evict("mhd", "vorticity", 1).ok());
+  EXPECT_EQ(cache_.entry_count(), 11u);
+  EXPECT_FALSE(hit("mhd", "vorticity", 1));
+  EXPECT_TRUE(hit("mhd", "vorticity", 0));
+  EXPECT_TRUE(hit("mhd2", "vorticity", 1));
+  EXPECT_TRUE(hit("iso", "vorticity", 1));
+
+  // Dataset and field at every timestep.
+  ASSERT_TRUE(cache_.Evict("iso", "current", -1).ok());
+  EXPECT_EQ(cache_.entry_count(), 9u);
+  EXPECT_FALSE(hit("iso", "current", 0));
+  EXPECT_TRUE(hit("iso", "vorticity", 0));
+
+  // A whole dataset at one timestep, then at all of them.
+  ASSERT_TRUE(cache_.Evict("mhd2", "", 0).ok());
+  EXPECT_EQ(cache_.entry_count(), 7u);
+  EXPECT_FALSE(hit("mhd2", "current", 0));
+  EXPECT_TRUE(hit("mhd2", "current", 1));
+  ASSERT_TRUE(cache_.Evict("mhd", "", -1).ok());
+  EXPECT_EQ(cache_.entry_count(), 4u);
+  EXPECT_FALSE(hit("mhd", "current", 0));
+  EXPECT_TRUE(hit("mhd2", "vorticity", 1));
+  EXPECT_TRUE(hit("iso", "vorticity", 1));
+
+  // Evicted names can be cached again.
+  ASSERT_TRUE(cache_.Insert("mhd", "vorticity", 1, 4, whole_, 1.0,
+                            MakePoints(2, 2.0f))
+                  .ok());
+  EXPECT_TRUE(hit("mhd", "vorticity", 1));
+  EXPECT_EQ(cache_.entry_count(), 5u);
+}
+
+TEST_F(SemanticCacheTest, UnknownNamesCostTheSameProbeAsAnEmptyPrefix) {
+  ASSERT_TRUE(cache_.Insert("mhd", "vorticity", 0, 4, whole_, 1.0,
+                            MakePoints(2, 2.0f))
+                  .ok());
+  auto unknown = cache_.Lookup("mhd", "current", 0, 4, whole_, 1.0);
+  auto empty_prefix = cache_.Lookup("mhd", "vorticity", 5, 4, whole_, 1.0);
+  ASSERT_TRUE(unknown.ok());
+  ASSERT_TRUE(empty_prefix.ok());
+  EXPECT_FALSE(unknown->hit);
+  EXPECT_EQ(unknown->io.cache_records_scanned, 0u);
+  EXPECT_EQ(unknown->lookup_cost_s, empty_prefix->lookup_cost_s);
+  EXPECT_GT(unknown->lookup_cost_s, 0.0);
+}
+
 TEST_F(SemanticCacheTest, LookupChargesSsdCosts) {
   ASSERT_TRUE(cache_.Insert("mhd", "vorticity", 0, 4, whole_, 1.0,
                             MakePoints(100, 2.0f))

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "test_util.h"
 
 namespace turbdb {
@@ -46,6 +48,76 @@ TEST(ClusterTest, MultiNodeFetchesHaloRemotely) {
         << "node " << stats.node_id << " should fetch boundary atoms";
     EXPECT_GT(stats.io.bytes_read_remote, 0u);
   }
+}
+
+TEST(ClusterTest, HaloReplyLackingAnAtomIsATypedError) {
+  // Runs a cold vorticity threshold on two nodes whose fetch replies are
+  // passed through `tamper` first.
+  auto run = [](std::function<void(std::vector<Atom>*)> tamper) {
+    auto db = MakeTestDb(kN, 2, 1, 1);
+    if (db == nullptr) return Status::Internal("test db not built");
+    Mediator& mediator = db->mediator();
+    for (int i = 0; i < mediator.num_nodes(); ++i) {
+      mediator.node(i).set_remote_fetch(
+          [&mediator, tamper](const NodeQuery&, int owner,
+                              const std::string& dataset,
+                              const std::string& field, int32_t timestep,
+                              const std::vector<uint64_t>& codes,
+                              int concurrent, double* cost_s)
+              -> Result<std::vector<Atom>> {
+            TURBDB_ASSIGN_OR_RETURN(
+                std::vector<Atom> atoms,
+                mediator.node(owner).ServeAtoms(dataset, field, timestep,
+                                                codes, concurrent, cost_s,
+                                                nullptr));
+            tamper(&atoms);
+            return atoms;
+          });
+    }
+    QueryOptions options;
+    options.use_cache = false;
+    return db->Threshold(Vorticity(0, 1.0), options).status();
+  };
+
+  // A reply that drops the last requested atom.
+  const Status lacking =
+      run([](std::vector<Atom>* atoms) { atoms->pop_back(); });
+  EXPECT_EQ(lacking.code(), StatusCode::kInternal) << lacking;
+  EXPECT_NE(lacking.message().find("lacks 1 of"), std::string::npos)
+      << lacking;
+
+  // A reply whose last atom has half the dataset's atom width (and a
+  // payload to match), which would index past it in the slab copy.
+  const Status misshapen = run([](std::vector<Atom>* atoms) {
+    Atom& atom = atoms->back();
+    atom.width /= 2;
+    atom.data.resize(static_cast<size_t>(atom.width) * atom.width *
+                     atom.width * atom.ncomp);
+  });
+  EXPECT_EQ(misshapen.code(), StatusCode::kInternal) << misshapen;
+  EXPECT_NE(misshapen.message().find("in the wrong shape"), std::string::npos)
+      << misshapen;
+}
+
+TEST(ClusterTest, LocalGatherOfMissingAtomsIsNotFound) {
+  // Time-step 1 is registered but never ingested, so the node's store
+  // has no atom for any code the gather scans.
+  TurbDBConfig config;
+  config.cluster.num_nodes = 1;
+  auto db = TurbDB::Open(config);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->CreateDataset(MakeIsotropicDataset("iso", kN, 2)).ok());
+  ASSERT_TRUE(
+      (*db)->IngestSyntheticField("iso", "velocity", SmallTestSpec(7), 0, 1)
+          .ok());
+  QueryOptions options;
+  options.use_cache = false;
+  auto result = (*db)->Threshold(Vorticity(1, 1.0), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound) << result.status();
+  EXPECT_NE(result.status().message().find("atom not found"),
+            std::string::npos)
+      << result.status();
 }
 
 TEST(ClusterTest, RawFieldThresholdNeedsNoHalo) {

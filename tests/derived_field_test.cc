@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
 
+#include "common/rng.h"
 #include "fields/field_registry.h"
 
 namespace turbdb {
@@ -195,6 +199,115 @@ TEST_F(DerivedFieldTest, BoxFilterAveragesAndPreservesConstants) {
   double out[1];
   scalar_filter.EvaluateAt(constant, diff_, 7, 8, 9, out);
   EXPECT_NEAR(out[0], 3.5, 1e-6);
+}
+
+/// Pseudo-random values over the whole grid plus `halo` nodes on every
+/// periodic axis (none beyond a wall), the region a gather assembles.
+Slab RandomSlab(const GridGeometry& geometry, int halo, int ncomp,
+                uint64_t seed) {
+  Box3 region = geometry.Bounds();
+  for (int d = 0; d < 3; ++d) {
+    if (!geometry.periodic(d)) continue;
+    region.lo[d] -= halo;
+    region.hi[d] += halo;
+  }
+  Slab slab(region, ncomp);
+  SplitMix64 rng(seed);
+  for (int64_t z = region.lo[2]; z < region.hi[2]; ++z) {
+    for (int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
+      for (int64_t x = region.lo[0]; x < region.hi[0]; ++x) {
+        for (int c = 0; c < ncomp; ++c) {
+          slab.At(x, y, z, c) = static_cast<float>(rng.NextDouble(-2.0, 2.0));
+        }
+      }
+    }
+  }
+  return slab;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// NormsRow (and the PartialRow under it) must return NormAt's (and
+// Partial's) exact bits for every registered kernel, FD order and axis
+// kind: periodic rows whose stencils reach into the wrap halo, rows on
+// and next to the walls of a stretched y axis and of wall-bounded x and
+// z axes (all three through the per-node fallback), row lengths 1 up to
+// the atom width, and whole rows longer than the kernels' scratch block.
+TEST(NormsRowTest, BitIdenticalToNormAtForEveryKernel) {
+  constexpr double kPi = 3.14159265358979323846;
+  const std::vector<std::pair<std::string, GridGeometry>> geometries = {
+      {"isotropic", GridGeometry::Isotropic(16)},
+      {"channel", GridGeometry::Channel(96, 16, 16)},
+      {"walled x/z",
+       GridGeometry::FromParts({16, 16, 16}, {2 * kPi, 2 * kPi, 2 * kPi},
+                               {false, true, false}, 8, {})},
+  };
+  const FieldRegistry registry = FieldRegistry::Default();
+  constexpr int kHalo = 4;  // Order 8 and box_filter_4 both need 4.
+  std::set<std::string> kernels_checked;
+  for (const auto& [label, geometry] : geometries) {
+    ASSERT_TRUE(geometry.Validate().ok()) << label;
+    const int64_t nx = geometry.nx();
+    const int64_t ny = geometry.ny();
+    const int64_t nz = geometry.nz();
+    std::vector<int64_t> lengths;
+    for (int64_t n = 1; n <= geometry.atom_width(); ++n) lengths.push_back(n);
+    lengths.push_back(nx);
+    for (int ncomp : {3, 1}) {
+      const Slab slab = RandomSlab(geometry, kHalo, ncomp, 40 + ncomp);
+      for (int order : {2, 4, 6, 8}) {
+        auto diff = Differentiator::Create(geometry, order);
+        ASSERT_TRUE(diff.ok()) << label;
+        std::vector<std::shared_ptr<const DerivedField>> kernels;
+        for (const std::string& name : registry.Names()) {
+          auto kernel = registry.Create(name, ncomp);
+          if (kernel.ok()) kernels.push_back(std::move(kernel).value());
+        }
+        for (int64_t z : {int64_t{0}, int64_t{1}, nz / 2, nz - 1}) {
+          for (int64_t y : {int64_t{0}, int64_t{1}, ny / 2, ny - 2, ny - 1}) {
+            for (int64_t n : lengths) {
+              for (int64_t x0 : {int64_t{0}, (nx - n) / 2, nx - n}) {
+                const std::string where =
+                    label + " order " + std::to_string(order) + " row x0=" +
+                    std::to_string(x0) + " n=" + std::to_string(n) +
+                    " y=" + std::to_string(y) + " z=" + std::to_string(z);
+                std::vector<double> row(
+                    static_cast<size_t>(n),
+                    std::numeric_limits<double>::quiet_NaN());
+                for (const auto& kernel : kernels) {
+                  kernel->NormsRow(slab, *diff, x0, n, y, z, row.data());
+                  for (int64_t i = 0; i < n; ++i) {
+                    const double ref =
+                        kernel->NormAt(slab, *diff, x0 + i, y, z);
+                    ASSERT_TRUE(SameBits(row[static_cast<size_t>(i)], ref))
+                        << kernel->name() << " " << where << " i=" << i
+                        << ": " << row[static_cast<size_t>(i)] << " vs "
+                        << ref;
+                  }
+                  kernels_checked.insert(kernel->name());
+                }
+                if (ncomp != 3) continue;
+                for (int c = 0; c < 3; ++c) {
+                  for (int axis = 0; axis < 3; ++axis) {
+                    diff->PartialRow(slab, c, axis, x0, n, y, z, row.data());
+                    for (int64_t i = 0; i < n; ++i) {
+                      ASSERT_TRUE(SameBits(
+                          row[static_cast<size_t>(i)],
+                          diff->Partial(slab, c, axis, x0 + i, y, z)))
+                          << "d" << c << "/d" << axis << " " << where;
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(kernels_checked.size(), registry.Names().size());
 }
 
 TEST(FieldRegistryTest, DefaultFieldsResolve) {

@@ -175,6 +175,63 @@ TEST_F(TxnTest, GcRemovesDeletedKeys) {
   EXPECT_EQ(table_.GarbageCollect(manager_.GcHorizon()), 2u);
 }
 
+TEST_F(TxnTest, VersionsChainPastTheInlineFirstOne) {
+  auto commit_put = [&](int key, const std::string& value) {
+    auto txn = manager_.Begin();
+    table_.Put(txn.get(), key, value);
+    ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+  };
+  commit_put(1, "v1");
+  commit_put(2, "only");
+  auto s1 = manager_.Begin();
+  commit_put(1, "v2");
+  auto s2 = manager_.Begin();
+  commit_put(1, "v3");
+
+  // Three versions of key 1: each snapshot sees its own.
+  EXPECT_EQ(table_.Get(s1.get(), 1).value(), "v1");
+  EXPECT_EQ(table_.Get(s2.get(), 1).value(), "v2");
+  {
+    auto fresh = manager_.Begin();
+    EXPECT_EQ(table_.Get(fresh.get(), 1).value(), "v3");
+    std::vector<std::string> seen;
+    table_.Scan(fresh.get(), 0, 10, [&](const int&, const std::string& v) {
+      seen.push_back(v);
+      return true;
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{"v3", "only"}));
+    manager_.Abort(fresh.get());
+  }
+
+  // GC drops the oldest version only once no snapshot can read it.
+  EXPECT_EQ(table_.GarbageCollect(manager_.GcHorizon()), 0u);
+  manager_.Abort(s1.get());
+  EXPECT_EQ(table_.GarbageCollect(manager_.GcHorizon()), 1u);
+  EXPECT_EQ(table_.Get(s2.get(), 1).value(), "v2");
+  manager_.Abort(s2.get());
+  EXPECT_EQ(table_.GarbageCollect(manager_.GcHorizon()), 1u);
+  EXPECT_EQ(table_.LiveKeyCount(manager_.last_commit_ts()), 2u);
+
+  // A single-version key still detects write-write conflicts.
+  auto a = manager_.Begin();
+  commit_put(2, "b wins");
+  table_.Put(a.get(), 2, "a loses");
+  EXPECT_TRUE(manager_.Commit(a.get()).IsAborted());
+
+  // Delete then GC erases the key; it can be written again.
+  {
+    auto txn = manager_.Begin();
+    table_.Delete(txn.get(), 1);
+    ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(table_.GarbageCollect(manager_.GcHorizon()), 3u);
+  EXPECT_EQ(table_.LiveKeyCount(manager_.last_commit_ts()), 1u);
+  commit_put(1, "again");
+  auto reader = manager_.Begin();
+  EXPECT_EQ(table_.Get(reader.get(), 1).value(), "again");
+  manager_.Abort(reader.get());
+}
+
 TEST_F(TxnTest, GcHorizonRespectsActiveSnapshots) {
   {
     auto txn = manager_.Begin();
