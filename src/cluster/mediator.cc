@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "cluster/remote_node.h"
+#include "common/fault.h"
 #include "common/governor.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -356,9 +357,10 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
         point_sink) {
   // A sub-query bounced with kWrongOwner means a cutover raced this
   // dispatch: the snapshot it was routed under predates an ownership
-  // change. Re-snapshot and re-scatter — but only while nothing has
-  // streamed to the sink yet (a partially consumed stream cannot be
-  // replayed without duplicating points).
+  // change. Wait for the registry to commit that change, then
+  // re-snapshot and re-scatter — but only while nothing has streamed to
+  // the sink yet (a partially consumed stream cannot be replayed without
+  // duplicating points).
   uint64_t points_sunk = 0;
   std::function<Status(int, std::vector<ThresholdPoint>)> counted_sink;
   if (point_sink != nullptr) {
@@ -369,7 +371,8 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
   }
   constexpr int kMaxAttempts = 3;
   for (int attempt = 1;; ++attempt) {
-    auto outcomes = DispatchOnce(node_query, budget, counted_sink);
+    const std::shared_ptr<const MembershipView> view = ViewSnapshot();
+    auto outcomes = DispatchOnce(node_query, view, budget, counted_sink);
     if (outcomes.ok() || attempt >= kMaxAttempts || points_sunk > 0 ||
         outcomes.status().code() != StatusCode::kWrongOwner) {
       return outcomes;
@@ -377,11 +380,38 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     TURBDB_LOG(Info) << "dispatch raced a membership cutover ("
                      << outcomes.status().message()
                      << "); retrying under a fresh view";
+    // The bouncing node already runs the newer view, and the cutover
+    // commits it to the registry right after: re-routing before that
+    // would pick the same stale generation again.
+    if (view != nullptr && !AwaitGenerationPast(view->generation, budget)) {
+      return outcomes;
+    }
   }
 }
 
+bool Mediator::AwaitGenerationPast(uint64_t generation,
+                                   const CallBudget& budget) const {
+  auto limit = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(config_.remote.subquery_deadline_ms);
+  if (budget.deadline != std::chrono::steady_clock::time_point{} &&
+      budget.deadline < limit) {
+    limit = budget.deadline;
+  }
+  while (membership_->generation() <= generation) {
+    if (std::chrono::steady_clock::now() >= limit ||
+        (budget.cancel != nullptr &&
+         budget.cancel->load(std::memory_order_relaxed))) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 Result<std::vector<NodeOutcome>> Mediator::DispatchOnce(
-    const NodeQuery& node_query, const CallBudget& budget,
+    const NodeQuery& node_query,
+    const std::shared_ptr<const MembershipView>& view,
+    const CallBudget& budget,
     const std::function<Status(int node_id,
                                std::vector<ThresholdPoint> points)>&
         point_sink) {
@@ -392,7 +422,6 @@ Result<std::vector<NodeOutcome>> Mediator::DispatchOnce(
   // how joined shards enter routing and moved ranges leave their donor.
   const Box3 cover =
       node_query.dataset->geometry.AtomCover(node_query.box);
-  const std::shared_ptr<const MembershipView> view = ViewSnapshot();
   std::vector<int> participants;
   for (int i = 0; i < num_nodes(); ++i) {
     const bool owns =
@@ -520,6 +549,20 @@ TimeBreakdown MergeNodeTimes(const std::vector<NodeOutcome>& outcomes) {
   return merged;
 }
 
+/// The modeled mediator terms: `sub_queries` dispatches and LAN round
+/// trips plus the LAN gather of `lan_bytes`, then the WAN delivery of
+/// `wan_bytes` to the user. A zero count or size adds exactly +0.0, so
+/// the paths that skip a term model the same seconds they always did.
+void ModelMediatorComm(const CostModelConfig& cost, uint64_t sub_queries,
+                       uint64_t lan_bytes, uint64_t wan_bytes,
+                       TimeBreakdown* time) {
+  time->mediator_db_comm_s =
+      static_cast<double>(sub_queries) *
+          (cost.mediator_dispatch_s + cost.lan.latency_s) +
+      static_cast<double>(lan_bytes) / cost.lan.bandwidth_bps;
+  time->mediator_user_comm_s = cost.wan.TransferCost(wan_bytes);
+}
+
 void FillNodeStats(const std::vector<NodeOutcome>& outcomes,
                    std::vector<NodeExecutionStats>* stats) {
   stats->reserve(outcomes.size());
@@ -571,8 +614,8 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
       result.result_bytes_xml = PointsXmlSize(result.points);
       // Modeled time: no node phase and no LAN scatter-gather — only the
       // WAN delivery of the answer remains.
-      result.time.mediator_user_comm_s =
-          config_.cost.wan.TransferCost(result.result_bytes_xml);
+      ModelMediatorComm(config_.cost, 0, 0, result.result_bytes_xml,
+                        &result.time);
       result.wall_seconds = watch.ElapsedSeconds();
       return result;
     }
@@ -581,17 +624,11 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
   TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
                           Dispatch(node_query, budget));
 
+  // Dispatch already failed the query if the points passed the cap.
   ThresholdResult result;
   uint64_t total_points = 0;
   for (const NodeOutcome& outcome : outcomes) {
     total_points += outcome.points.size();
-  }
-  if (total_points > options.max_result_points) {
-    return Status::ThresholdTooLow(
-        "threshold produced " + std::to_string(total_points) +
-        " points; the limit is " +
-        std::to_string(options.max_result_points) +
-        " (raise the threshold, or request the field values directly)");
   }
   result.points.reserve(total_points);
   for (NodeOutcome& outcome : outcomes) {
@@ -611,14 +648,8 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
   result.time = MergeNodeTimes(outcomes);
   result.result_bytes_binary = PointsBinarySize(result.points);
   result.result_bytes_xml = PointsXmlSize(result.points);
-  const auto& cost = config_.cost;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(result.result_bytes_binary) /
-          cost.lan.bandwidth_bps;
-  result.time.mediator_user_comm_s =
-      cost.wan.TransferCost(result.result_bytes_xml);
+  ModelMediatorComm(config_.cost, outcomes.size(), result.result_bytes_binary,
+                    result.result_bytes_xml, &result.time);
   FillNodeStats(outcomes, &result.node_stats);
   if (cacheable) {
     // Populate only on successful completion; the pre-dispatch epoch
@@ -685,8 +716,8 @@ Result<ThresholdResult> Mediator::GetThresholdStreaming(
       result.all_cache_hits = true;
       result.result_bytes_binary = binary_bytes;
       result.result_bytes_xml = xml_bytes;
-      result.time.mediator_user_comm_s =
-          config_.cost.wan.TransferCost(result.result_bytes_xml);
+      ModelMediatorComm(config_.cost, 0, 0, result.result_bytes_xml,
+                        &result.time);
       result.wall_seconds = watch.ElapsedSeconds();
       return result;
     }
@@ -753,14 +784,8 @@ Result<ThresholdResult> Mediator::GetThresholdStreaming(
   result.time = MergeNodeTimes(outcomes);
   result.result_bytes_binary = binary_bytes;
   result.result_bytes_xml = xml_bytes;
-  const auto& cost = config_.cost;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(result.result_bytes_binary) /
-          cost.lan.bandwidth_bps;
-  result.time.mediator_user_comm_s =
-      cost.wan.TransferCost(result.result_bytes_xml);
+  ModelMediatorComm(config_.cost, outcomes.size(), result.result_bytes_binary,
+                    result.result_bytes_xml, &result.time);
   FillNodeStats(outcomes, &result.node_stats);
   if (accumulate) {
     // The streamed union arrives in join order; canonicalize to z order
@@ -864,12 +889,8 @@ Result<DistributedFofSummary> Mediator::GetFof(
   // shard results (~6 bytes/point delta-varint encoded) and the WAN
   // delivery of the cluster records actually streamed.
   summary.time = MergeNodeTimes(outcomes);
-  const auto& cost = config_.cost;
-  summary.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(threshold_points * 6 + 16) / cost.lan.bandwidth_bps;
-  summary.time.mediator_user_comm_s = cost.wan.TransferCost(reply_bytes);
+  ModelMediatorComm(config_.cost, outcomes.size(), threshold_points * 6 + 16,
+                    reply_bytes, &summary.time);
   return summary;
 }
 
@@ -900,13 +921,9 @@ Result<PdfResult> Mediator::GetPdf(const PdfQuery& query,
   for (uint64_t count : result.counts) result.total_points += count;
   result.time = MergeNodeTimes(outcomes);
   const uint64_t result_bytes = result.counts.size() * 16;
-  const auto& cost = config_.cost;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(result_bytes) / cost.lan.bandwidth_bps;
-  result.time.mediator_user_comm_s =
-      cost.wan.TransferCost(result_bytes * 8);  // XML-wrapped bins.
+  // XML-wrapped bins cost the user eight times the binary bytes.
+  ModelMediatorComm(config_.cost, outcomes.size(), result_bytes,
+                    result_bytes * 8, &result.time);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -939,12 +956,8 @@ Result<TopKResult> Mediator::GetTopK(const TopKQuery& query,
   result.time = MergeNodeTimes(outcomes);
   const uint64_t bytes_binary = PointsBinarySize(result.points);
   const uint64_t bytes_xml = PointsXmlSize(result.points);
-  const auto& cost = config_.cost;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(bytes_binary) / cost.lan.bandwidth_bps;
-  result.time.mediator_user_comm_s = cost.wan.TransferCost(bytes_xml);
+  ModelMediatorComm(config_.cost, outcomes.size(), bytes_binary, bytes_xml,
+                    &result.time);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -985,11 +998,7 @@ Result<FieldStatsResult> Mediator::GetFieldStats(const FieldStatsQuery& query,
     result.rms = std::sqrt(sum_sq / static_cast<double>(result.count));
   }
   result.time = MergeNodeTimes(outcomes);
-  const auto& cost = config_.cost;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(outcomes.size()) *
-      (cost.mediator_dispatch_s + cost.lan.latency_s);
-  result.time.mediator_user_comm_s = cost.wan.TransferCost(256);
+  ModelMediatorComm(config_.cost, outcomes.size(), 0, 256, &result.time);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -1101,17 +1110,13 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
     return Status::Internal("some sample targets were not evaluated");
   }
   result.time = node_phase;
-  const auto& cost = config_.cost;
   const uint64_t request_bytes = query.positions.size() * 24;
   const uint64_t reply_bytes = query.positions.size() * 12;
-  result.time.mediator_db_comm_s =
-      static_cast<double>(per_node.size()) *
-          (cost.mediator_dispatch_s + cost.lan.latency_s) +
-      static_cast<double>(request_bytes + reply_bytes) /
-          cost.lan.bandwidth_bps;
   // XML-wrapped component values back to the user (~30 B per scalar).
-  result.time.mediator_user_comm_s = cost.wan.TransferCost(
-      query.positions.size() * static_cast<uint64_t>(ncomp) * 30);
+  ModelMediatorComm(config_.cost, per_node.size(),
+                    request_bytes + reply_bytes,
+                    query.positions.size() * static_cast<uint64_t>(ncomp) * 30,
+                    &result.time);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -1376,6 +1381,11 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     // The rest of the cluster is updated best-effort right after.
     TURBDB_RETURN_NOT_OK(donor->Cutover(request));
     TURBDB_RETURN_NOT_OK(recipient->Cutover(request));
+    // membership.commit: chaos hook holding the commit for `arg` ms, so a
+    // test can route a query while the two nodes already fence it.
+    if (auto injected = fault::Check("membership.commit")) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(injected.arg));
+    }
     TURBDB_ASSIGN_OR_RETURN(
         const uint64_t new_generation,
         membership_->ApplyOverride(m.begin, m.end, m.to_shard));

@@ -348,16 +348,25 @@ class Mediator {
                                  std::vector<ThresholdPoint> points)>&
           point_sink = nullptr);
 
-  /// One dispatch attempt under one membership snapshot. Dispatch wraps
-  /// it with the kWrongOwner retry: a sub-query bounced by a node whose
-  /// ownership moved re-runs the whole scatter under a fresh snapshot
-  /// (only while no points have streamed to the sink yet — a partially
-  /// consumed stream cannot be replayed without duplicates).
+  /// One dispatch attempt under the membership snapshot `view` (null
+  /// when !elastic()). Dispatch wraps it with the kWrongOwner retry: a
+  /// sub-query bounced by a node whose ownership moved re-runs the whole
+  /// scatter under a fresh snapshot, once the registry has committed the
+  /// move (only while no points have streamed to the sink yet — a
+  /// partially consumed stream cannot be replayed without duplicates).
   Result<std::vector<NodeOutcome>> DispatchOnce(
-      const NodeQuery& node_query, const CallBudget& budget,
+      const NodeQuery& node_query,
+      const std::shared_ptr<const MembershipView>& view,
+      const CallBudget& budget,
       const std::function<Status(int node_id,
                                  std::vector<ThresholdPoint> points)>&
           point_sink);
+
+  /// Waits until the registry's generation passes `generation`. False
+  /// when the caller's deadline, its cancel token or the sub-query
+  /// deadline came first.
+  bool AwaitGenerationPast(uint64_t generation,
+                           const CallBudget& budget) const;
 
   const Differentiator* GetDifferentiator(const std::string& dataset,
                                           const GridGeometry& geometry,

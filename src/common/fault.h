@@ -37,6 +37,15 @@
 //                               repair run against genuine media damage
 //   scrub.stall                 hold the next scrub pass at its start
 //                               for `arg` ms
+//
+// Elasticity sites (any armed action fires them):
+//   handoff.crash_before_cutover abort a range move after its copy,
+//                               before the cutover (simulated crash)
+//   membership.commit           hold the mediator's cutover for `arg` ms
+//                               after donor and recipient installed the
+//                               new view, before the registry commits it
+//                               (the window a query routed by the old
+//                               view bounces through with kWrongOwner)
 
 #include <cstdint>
 #include <string>

@@ -1,6 +1,8 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 
 #include "wire/serializer.h"
 
@@ -9,666 +11,1046 @@ namespace net {
 
 namespace {
 
-// -- Primitive put/get helpers on top of the wire varint ----------------
+using Bytes = std::vector<uint8_t>;
 
-void PutZigZag64(std::vector<uint8_t>* out, int64_t value) {
-  const uint64_t encoded =
-      (static_cast<uint64_t>(value) << 1) ^
-      static_cast<uint64_t>(value >> 63);
-  PutVarint64(out, encoded);
+// -- Archives ------------------------------------------------------------
+//
+// Every message's wire layout is one `template <class Ar> void
+// Fields(Ar&, Msg&)` below: the Writer runs it to encode, the Reader to
+// decode. Only the Reader checks; the Writer ignores the bounds and
+// messages passed for it. Integers are LEB128 varints (zigzag-coded when
+// signed), doubles and floats little-endian IEEE, bools one 0/1 byte,
+// strings and lists count-prefixed.
+
+/// The little-endian `Bits` at `data`, reinterpreted as a `Value`.
+template <class Bits, class Value>
+Value Load(const uint8_t* data) {
+  Bits bits = 0;
+  for (size_t i = 0; i < sizeof(Bits); ++i) {
+    bits |= static_cast<Bits>(data[i]) << (8 * i);
+  }
+  return std::bit_cast<Value>(bits);
 }
 
-Result<int64_t> GetZigZag64(const std::vector<uint8_t>& bytes, size_t* pos) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t encoded, GetVarint64(bytes, pos));
-  return static_cast<int64_t>((encoded >> 1) ^ (~(encoded & 1) + 1));
+/// Appends fields to a payload. It only reads them: Fields takes its
+/// message mutable so that one definition serves both archives.
+class Writer {
+ public:
+  explicit Writer(Bytes* out) : out_(out) {}
+
+  template <class T, class... ReaderBounds>
+  void Varint(const T& value, const ReaderBounds&...) {
+    PutVarint64(out_, static_cast<uint64_t>(value));
+  }
+
+  template <class T, class... ReaderBounds>
+  void ZigZag(const T& value, const ReaderBounds&...) {
+    const auto signed_value = static_cast<int64_t>(value);
+    Varint((static_cast<uint64_t>(signed_value) << 1) ^
+           static_cast<uint64_t>(signed_value >> 63));
+  }
+
+  /// A sorted code as its distance from `*previous`, which it becomes.
+  void Delta(uint64_t value, uint64_t* previous) {
+    Varint(value - *previous);
+    *previous = value;
+  }
+
+  void Double(double value) { Put<uint64_t>(value); }
+  void Float(float value) { Put<uint32_t>(value); }
+
+  /// `values` back to back with no count: the reader derives it.
+  void Floats(const std::vector<float>& values, size_t /*count*/,
+              const char* /*what*/) {
+    out_->reserve(out_->size() + values.size() * sizeof(float));
+    for (float value : values) Float(value);
+  }
+
+  void Bool(bool value) { out_->push_back(value ? 1 : 0); }
+
+  void String(const std::string& value) {
+    Varint(value.size());
+    out_->insert(out_->end(), value.begin(), value.end());
+  }
+
+  /// A length-prefixed EncodePointsBinary blob, encoded in place. Its
+  /// delta coding is mod-2^64, so it round-trips any order (top-k results
+  /// are norm-sorted, not z-sorted); sorted input just compresses best.
+  void Points(const std::vector<ThresholdPoint>& points) {
+    Varint(PointsBinarySize(points));
+    AppendPointsBinary(points, out_);
+  }
+
+  /// A count, then each item's fields.
+  template <class T, class ItemFields>
+  void List(std::vector<T>& items, const char* /*what*/,
+            ItemFields&& item_fields) {
+    Varint(items.size());
+    for (T& item : items) item_fields(item);
+  }
+
+  void Check(bool /*condition*/, const char* /*what*/) {}
+
+ private:
+  /// Appends `value`'s bits as a little-endian `Bits`.
+  template <class Bits, class Value>
+  void Put(Value value) {
+    const auto bits = std::bit_cast<Bits>(value);
+    for (size_t i = 0; i < sizeof(bits); ++i) {
+      out_->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+    }
+  }
+
+  Bytes* out_;
+};
+
+/// Reads fields off a payload. The first failure sticks: every later read
+/// is a no-op, and status() reports that failure.
+class Reader {
+ public:
+  explicit Reader(const Bytes& bytes) : bytes_(bytes) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  void Fail(Status status) {
+    if (ok()) status_ = std::move(status);
+  }
+  void Check(bool condition, const char* what) {
+    if (!condition) Fail(Status::Corruption(what));
+  }
+
+  /// The payload must end where the message does.
+  Status Finish() {
+    Check(pos_ == bytes_.size(), "trailing bytes in message");
+    return status_;
+  }
+
+  /// Fails with `what` above `max`, before narrowing the value.
+  template <class T>
+  void Varint(T& value, uint64_t max = UINT64_MAX, const char* what = "") {
+    const uint64_t raw = ReadVarint();
+    Check(raw <= max, what);
+    if (ok()) value = static_cast<T>(raw);
+  }
+
+  /// Fails with `what` outside [lo, hi], before narrowing the value.
+  template <class T>
+  void ZigZag(T& value, int64_t lo = INT64_MIN, int64_t hi = INT64_MAX,
+              const char* what = "") {
+    const int64_t raw = ReadZigZag();
+    Check(raw >= lo && raw <= hi, what);
+    if (ok()) value = static_cast<T>(raw);
+  }
+
+  void Delta(uint64_t& value, uint64_t* previous) {
+    value = *previous + ReadVarint();
+    *previous = value;
+  }
+
+  void Double(double& value) { Fixed<uint64_t>(value, "truncated double"); }
+  void Float(float& value) { Fixed<uint32_t>(value, "truncated float"); }
+
+  void Floats(std::vector<float>& values, size_t count, const char* what) {
+    const uint8_t* data = Take(count * sizeof(float), what);
+    if (!ok()) return;
+    values.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = Load<uint32_t, float>(data + i * sizeof(float));
+    }
+  }
+
+  void Bool(bool& value) {
+    const uint8_t* byte = Take(1, "truncated bool");
+    if (!ok()) return;
+    Check(*byte <= 1, "bad bool value");
+    value = *byte == 1;
+  }
+
+  void String(std::string& value) {
+    const uint64_t length = ReadVarint();
+    const uint8_t* data = Take(length, "truncated string");
+    if (ok()) value.assign(reinterpret_cast<const char*>(data), length);
+  }
+
+  /// Decoded where it lies: the blob's bounds, not the payload's, stop
+  /// every read inside it.
+  void Points(std::vector<ThresholdPoint>& points) {
+    const uint64_t length = ReadVarint();
+    const uint8_t* blob = Take(length, "truncated point blob");
+    if (!ok()) return;
+    auto decoded = DecodePointsBinary(blob, static_cast<size_t>(length));
+    if (!decoded.ok()) return Fail(decoded.status());
+    points = std::move(decoded).value();
+  }
+
+  /// A count, then each item's fields. Every item takes a byte or more:
+  /// a count past the payload end is corrupt (`what`), not a reservation.
+  template <class T, class ItemFields>
+  void List(std::vector<T>& items, const char* what,
+            ItemFields&& item_fields) {
+    const uint64_t count = ReadVarint();
+    Check(count <= remaining(), what);
+    if (!ok()) return;
+    items.reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count && ok(); ++i) {
+      item_fields(items.emplace_back());
+    }
+  }
+
+ private:
+  size_t remaining() const { return bytes_.size() - pos_; }
+
+  /// The next `length` bytes; null, failing with `truncated`, past the end.
+  const uint8_t* Take(uint64_t length, const char* truncated) {
+    Check(length <= remaining(), truncated);
+    if (!ok()) return nullptr;
+    const uint8_t* data = bytes_.data() + pos_;
+    pos_ += static_cast<size_t>(length);
+    return data;
+  }
+
+  template <class Bits, class Value>
+  void Fixed(Value& value, const char* truncated) {
+    const uint8_t* data = Take(sizeof(Bits), truncated);
+    if (ok()) value = Load<Bits, Value>(data);
+  }
+
+  uint64_t ReadVarint() {
+    if (!ok()) return 0;
+    auto value = GetVarint64(bytes_, &pos_);
+    if (!value.ok()) Fail(value.status());
+    return value.ValueOr(0);
+  }
+
+  int64_t ReadZigZag() {
+    const uint64_t encoded = ReadVarint();
+    return static_cast<int64_t>((encoded >> 1) ^ (~(encoded & 1) + 1));
+  }
+
+  const Bytes& bytes_;
+  size_t pos_ = 0;
+  Status status_;
+};
+
+/// True when T is one of Ts, so one Fields serves a shared layout.
+template <class T, class... Ts>
+constexpr bool kOneOf = (std::is_same_v<T, Ts> || ...);
+
+// -- Shared blocks -------------------------------------------------------
+
+// The request header, after the type. The deadline budget rides in the
+// frame header (v3); the tenant arrived in v5, the generation in v6.
+template <class Ar>
+void Fields(Ar& ar, RpcOptions& rpc) {
+  ar.Varint(rpc.query_id);
+  ar.String(rpc.tenant);
+  ar.Varint(rpc.generation);
 }
 
-void PutDouble(std::vector<uint8_t>* out, double value) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+template <class Ar>
+void Fields(Ar& ar, TimeBreakdown& time) {
+  ar.Double(time.cache_lookup_s);
+  ar.Double(time.io_s);
+  ar.Double(time.compute_s);
+  ar.Double(time.mediator_db_comm_s);
+  ar.Double(time.mediator_user_comm_s);
+}
+
+template <class Ar>
+void Fields(Ar& ar, IoCounters& io) {
+  ar.Varint(io.atoms_read_local);
+  ar.Varint(io.atoms_read_remote);
+  ar.Varint(io.bytes_read_local);
+  ar.Varint(io.bytes_read_remote);
+  ar.Varint(io.cache_records_scanned);
+  ar.Varint(io.cache_bytes_scanned);
+  ar.Varint(io.points_evaluated);
+  ar.Varint(io.points_returned);
+}
+
+/// What every query starts with: the user queries and NodeQuerySpec.
+template <class Ar, class Query>
+void QueryCommon(Ar& ar, Query& query) {
+  ar.String(query.dataset);
+  ar.String(query.raw_field);
+  ar.String(query.derived_field);
+  ar.ZigZag(query.timestep);
+  for (int64_t& lo : query.box.lo) ar.ZigZag(lo);
+  for (int64_t& hi : query.box.hi) ar.ZigZag(hi);
+  ar.ZigZag(query.fd_order);
+}
+
+template <class Ar>
+void Fields(Ar& ar, ThresholdQuery& query) {
+  QueryCommon(ar, query);
+  ar.Double(query.threshold);
+}
+
+template <class Ar>
+void Fields(Ar& ar, PdfQuery& query) {
+  QueryCommon(ar, query);
+  ar.Double(query.bin_width);
+  ar.ZigZag(query.num_bins);
+}
+
+template <class Ar>
+void Fields(Ar& ar, TopKQuery& query) {
+  QueryCommon(ar, query);
+  ar.Varint(query.k);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FieldStatsQuery& query) {
+  QueryCommon(ar, query);
+}
+
+template <class Ar>
+void Fields(Ar& ar, QueryOptions& options) {
+  ar.Bool(options.use_cache);
+  ar.Bool(options.io_only);
+  ar.ZigZag(options.processes_per_node);
+  ar.Varint(options.max_result_points);
+}
+
+/// Sample targets (and results): index, then position.
+using Targets = std::vector<std::pair<uint32_t, std::array<double, 3>>>;
+
+template <class Ar>
+void Fields(Ar& ar, Targets& targets) {
+  ar.List(targets, "implausible target count", [&](auto& target) {
+    ar.Varint(target.first);
+    for (double& x : target.second) ar.Double(x);
+  });
+}
+
+template <class Ar>
+void Fields(Ar& ar, Atom& atom) {
+  ar.ZigZag(atom.key.timestep);
+  ar.Varint(atom.key.zindex);
+  ar.ZigZag(atom.width, 1, 256, "implausible atom shape");
+  ar.ZigZag(atom.ncomp, 1, 64, "implausible atom shape");
+  const auto width = static_cast<size_t>(atom.width);
+  ar.Floats(atom.data, width * width * width * static_cast<size_t>(atom.ncomp),
+            "truncated atom data");
+}
+
+template <class Ar>
+void Fields(Ar& ar, std::vector<Atom>& atoms) {
+  ar.List(atoms, "implausible atom count",
+          [&](Atom& atom) { Fields(ar, atom); });
+}
+
+/// GridGeometry keeps its members private: they travel through its
+/// getters and FromParts, and the reader validates what it rebuilt.
+template <class Ar>
+void Fields(Ar& ar, GridGeometry& geometry) {
+  std::array<int64_t, 3> extent{};
+  std::array<double, 3> length{};
+  std::array<bool, 3> periodic{};
+  for (int d = 0; d < 3; ++d) {
+    extent[static_cast<size_t>(d)] = geometry.extent(d);
+    length[static_cast<size_t>(d)] = geometry.domain_length(d);
+    periodic[static_cast<size_t>(d)] = geometry.periodic(d);
+  }
+  int64_t atom_width = geometry.atom_width();
+  std::vector<double> stretched_y = geometry.stretched_y();
+  for (int64_t& e : extent) ar.ZigZag(e);
+  for (double& l : length) ar.Double(l);
+  for (bool& p : periodic) ar.Bool(p);
+  ar.ZigZag(atom_width);
+  ar.List(stretched_y, "implausible stretched-y size",
+          [&](double& y) { ar.Double(y); });
+  if constexpr (std::is_same_v<Ar, Reader>) {
+    if (!ar.ok()) return;
+    geometry = GridGeometry::FromParts(extent, length, periodic, atom_width,
+                                       std::move(stretched_y));
+    ar.Fail(geometry.Validate());
   }
 }
 
-Result<double> GetDouble(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos + 8 > bytes.size()) return Status::Corruption("truncated double");
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(bytes[*pos + static_cast<size_t>(i)])
-            << (8 * i);
-  }
-  *pos += 8;
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+template <class Ar>
+void Fields(Ar& ar, DatasetInfo& info) {
+  ar.String(info.name);
+  Fields(ar, info.geometry);
+  ar.List(info.raw_fields, "implausible raw-field count",
+          [&](RawFieldSpec& spec) {
+            ar.String(spec.name);
+            ar.ZigZag(spec.ncomp);
+          });
+  ar.ZigZag(info.num_timesteps);
 }
 
-void PutString(std::vector<uint8_t>* out, const std::string& str) {
-  PutVarint64(out, str.size());
-  out->insert(out->end(), str.begin(), str.end());
+template <class Ar>
+void Fields(Ar& ar, NodeRecord& record) {
+  ar.ZigZag(record.node_id);
+  ar.String(record.uuid);
+  ar.String(record.host);
+  ar.Varint(record.port);
+  ar.ZigZag(record.shard);
+  ar.ZigZag(record.role, 0, static_cast<int64_t>(NodeRole::kDraining),
+            "implausible node role");
+  ar.Varint(record.joined_generation);
 }
 
-Result<std::string> GetString(const std::vector<uint8_t>& bytes,
-                              size_t* pos) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t length, GetVarint64(bytes, pos));
-  if (length > bytes.size() - *pos) {
-    return Status::Corruption("truncated string");
-  }
-  std::string out(reinterpret_cast<const char*>(bytes.data() + *pos),
-                  static_cast<size_t>(length));
-  *pos += static_cast<size_t>(length);
+template <class Ar>
+void Fields(Ar& ar, RangeOverride& range) {
+  ar.Varint(range.begin);
+  ar.Varint(range.end);
+  ar.ZigZag(range.shard);
+}
+
+template <class Ar>
+void Fields(Ar& ar, MembershipView& view) {
+  ar.Varint(view.generation);
+  ar.ZigZag(view.replication);
+  ar.ZigZag(view.base_shards);
+  ar.List(view.nodes, "implausible node-record count",
+          [&](NodeRecord& record) { Fields(ar, record); });
+  ar.List(view.overrides, "implausible override count",
+          [&](RangeOverride& range) { Fields(ar, range); });
+}
+
+/// A reply with no body: the acks and the ping reply.
+struct Ack {};
+
+template <class Ar>
+void Fields(Ar& /*ar*/, Ack& /*ack*/) {}
+
+/// The body of an error frame: the failed request's Status.
+struct ErrorBody {
+  uint64_t code = 0;
+  std::string message;
+};
+
+template <class Ar>
+void Fields(Ar& ar, ErrorBody& error) {
+  ar.Varint(error.code);
+  ar.String(error.message);
+  ar.Check(error.code != 0 &&
+               error.code <= static_cast<uint64_t>(StatusCode::kWrongOwner),
+           "error frame with bad status code");
+}
+
+// -- User-facing messages ------------------------------------------------
+
+template <class Ar>
+void Fields(Ar& ar, ThresholdRequest& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.query);
+  Fields(ar, request.options);
+  ar.Bool(request.stream);
+}
+
+/// Requests whose body is their query.
+template <class Ar, class Request>
+  requires kOneOf<Request, PdfRequest, TopKRequest, FieldStatsRequest,
+                  CacheWarmRequest>
+void Fields(Ar& ar, Request& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.query);
+}
+
+template <class Ar>
+void Fields(Ar& ar, PingRequest& request) {
+  Fields(ar, request.rpc);
+  ar.Varint(request.delay_ms);
+}
+
+/// Requests whose body is the header alone.
+template <class Ar, class Request>
+  requires kOneOf<Request, ServerStatsRequest, CacheStatsRequest, HelloRequest,
+                  CancelRequest, NodeListStoresRequest, MembershipGetRequest>
+void Fields(Ar& ar, Request& request) {
+  Fields(ar, request.rpc);
+}
+
+/// DropCache, CachePin and CacheUnpin share one key-selector layout.
+template <class Ar, class Request>
+  requires kOneOf<Request, DropCacheRequest, CachePinRequest,
+                  CacheUnpinRequest>
+void Fields(Ar& ar, Request& request) {
+  Fields(ar, request.rpc);
+  ar.String(request.dataset);
+  ar.String(request.raw_field);
+  ar.String(request.derived_field);
+  ar.ZigZag(request.timestep);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FofRequest& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.query);
+  Fields(ar, request.options);
+  ar.Double(request.linking_length);
+  ar.Varint(request.min_cluster_size);
+  ar.Bool(request.include_members);
+}
+
+template <class Ar>
+void Fields(Ar& ar, ThresholdResult& result) {
+  ar.Points(result.points);
+  ar.Bool(result.all_cache_hits);
+  ar.Varint(result.result_bytes_binary);
+  ar.Varint(result.result_bytes_xml);
+  Fields(ar, result.time);
+}
+
+template <class Ar>
+void Fields(Ar& ar, PdfResult& result) {
+  ar.List(result.counts, "implausible bin count",
+          [&](uint64_t& count) { ar.Varint(count); });
+  ar.Double(result.bin_width);
+  ar.Varint(result.total_points);
+  Fields(ar, result.time);
+}
+
+template <class Ar>
+void Fields(Ar& ar, TopKResult& result) {
+  ar.Points(result.points);
+  Fields(ar, result.time);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FieldStatsResult& result) {
+  ar.Varint(result.count);
+  ar.Double(result.mean);
+  ar.Double(result.rms);
+  ar.Double(result.max);
+  Fields(ar, result.time);
+}
+
+template <class Ar>
+void Fields(Ar& ar, ServerStatsReply& reply) {
+  ar.Varint(reply.requests_ok);
+  ar.Varint(reply.requests_error);
+  ar.Varint(reply.bytes_in);
+  ar.Varint(reply.bytes_out);
+  ar.Varint(reply.connections_accepted);
+  ar.Varint(reply.active_connections);
+  ar.Double(reply.p50_latency_ms);
+  ar.Double(reply.p99_latency_ms);
+  ar.Varint(reply.queries_in_flight);
+  ar.Varint(reply.queries_admitted);
+  ar.Varint(reply.queries_shed);
+  ar.Varint(reply.result_bytes_in_use);
+  ar.Varint(reply.result_bytes_peak);
+  ar.Varint(reply.cache_hits);
+  ar.Varint(reply.cache_misses);
+  ar.Varint(reply.cache_subsumption_hits);
+  ar.Varint(reply.cache_evictions);
+  ar.Varint(reply.cache_entries);
+  ar.Varint(reply.cache_bytes);
+  ar.Varint(reply.cache_pinned_bytes);
+  ar.List(reply.tenants, "implausible tenant count",
+          [&](ServerStatsReply::TenantStats& tenant) {
+            ar.String(tenant.name);
+            ar.Varint(tenant.in_flight);
+            ar.Varint(tenant.peak_in_flight);
+            ar.Varint(tenant.admitted);
+            ar.Varint(tenant.shed);
+            ar.Varint(tenant.cap);
+          });
+  ar.Varint(reply.membership_generation);
+  ar.Varint(reply.corruption_failovers);
+  ar.Varint(reply.read_repairs);
+}
+
+template <class Ar>
+void Fields(Ar& ar, HelloReply& reply) {
+  ar.Varint(reply.protocol_version);
+  ar.ZigZag(reply.server_id);
+  ar.Varint(reply.epoch);
+}
+
+template <class Ar>
+void Fields(Ar& ar, CancelReply& reply) {
+  ar.Bool(reply.found);
+}
+
+template <class Ar>
+void Fields(Ar& ar, DropCacheReply& reply) {
+  ar.Varint(reply.mediator_entries);
+  ar.Bool(reply.node_tier_cleared);
+}
+
+template <class Ar>
+void Fields(Ar& ar, CacheStatsReply& reply) {
+  ar.Bool(reply.enabled);
+  ar.Varint(reply.capacity_bytes);
+  ar.Varint(reply.entries);
+  ar.Varint(reply.bytes);
+  ar.Varint(reply.hits);
+  ar.Varint(reply.misses);
+  ar.Varint(reply.subsumption_hits);
+  ar.Varint(reply.insertions);
+  ar.Varint(reply.evictions);
+  ar.Varint(reply.invalidations);
+  ar.Varint(reply.stale_inserts);
+  ar.Varint(reply.pinned_entries);
+  ar.Varint(reply.pinned_bytes);
+  ar.Bool(reply.affinity_enabled);
+  ar.Varint(reply.affinity_routes);
+}
+
+template <class Ar>
+void Fields(Ar& ar, CacheWarmReply& reply) {
+  ar.Varint(reply.points);
+  ar.Bool(reply.already_cached);
+}
+
+template <class Ar>
+void Fields(Ar& ar, CachePinReply& reply) {
+  ar.Varint(reply.entries);
+}
+
+template <class Ar>
+void Fields(Ar& ar, ThresholdChunk& chunk) {
+  ar.Varint(chunk.seq);
+  ar.Points(chunk.points);
+  ar.Varint(chunk.total_points);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FofClusterRecord& cluster) {
+  ar.Varint(cluster.id);
+  ar.Varint(cluster.size);
+  for (uint64_t& lo : cluster.bbox_lo) ar.Varint(lo);
+  for (uint64_t& hi : cluster.bbox_hi) ar.Varint(hi);
+  for (double& c : cluster.centroid) ar.Double(c);
+  ar.Float(cluster.max_norm);
+  ar.Varint(cluster.peak_zindex);
+  ar.Points(cluster.members);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FofChunk& chunk) {
+  ar.Varint(chunk.seq);
+  ar.List(chunk.clusters, "implausible cluster count",
+          [&](FofClusterRecord& cluster) { Fields(ar, cluster); });
+  ar.Varint(chunk.total_clusters);
+}
+
+template <class Ar>
+void Fields(Ar& ar, FofReply& reply) {
+  ar.Varint(reply.clusters);
+  ar.Varint(reply.points);
+  ar.Varint(reply.largest_cluster);
+  Fields(ar, reply.time);
+}
+
+// -- Node-scoped messages ------------------------------------------------
+
+/// Node requests addressed to one store: the header, then the store's
+/// dataset and field.
+template <class Ar, class Request>
+void StoreHeader(Ar& ar, Request& request) {
+  Fields(ar, request.rpc);
+  ar.String(request.dataset);
+  ar.String(request.field);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeCreateDatasetRequest& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.info);
+  ar.ZigZag(request.num_nodes);
+  ar.ZigZag(request.node_id);
+  ar.ZigZag(request.strategy);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeIngestRequest& request) {
+  StoreHeader(ar, request);
+  Fields(ar, request.atoms);
+  ar.Bool(request.skip_existing);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeQuerySpec& spec) {
+  ar.ZigZag(spec.mode);
+  QueryCommon(ar, spec);
+  ar.Double(spec.threshold);
+  ar.Double(spec.bin_width);
+  ar.ZigZag(spec.num_bins);
+  ar.Varint(spec.k);
+  ar.ZigZag(spec.processes);
+  Fields(ar, spec.options);
+  ar.ZigZag(spec.sample_support);
+  Fields(ar, spec.targets);
+  ar.Double(spec.flops_per_process);
+  ar.Double(spec.effective_cores);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeExecuteRequest& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.spec);
+  ar.Bool(request.stream);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeFetchAtomsRequest& request) {
+  StoreHeader(ar, request);
+  ar.ZigZag(request.timestep);
+  ar.ZigZag(request.concurrent);
+  // Codes arrive sorted; delta coding keeps halo requests tiny.
+  uint64_t previous = 0;
+  ar.List(request.codes, "implausible code count",
+          [&](uint64_t& code) { ar.Delta(code, &previous); });
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeDropCacheRequest& request) {
+  StoreHeader(ar, request);
+  ar.ZigZag(request.timestep);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeStatsRequest& request) {
+  StoreHeader(ar, request);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeSyncRangeRequest& request) {
+  StoreHeader(ar, request);
+  ar.ZigZag(request.timestep);
+  ar.Varint(request.begin_code);
+  ar.Varint(request.end_code);
+  ar.Varint(request.max_atoms);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeResult& result) {
+  ar.Points(result.points);
+  ar.List(result.histogram, "implausible histogram size",
+          [&](uint64_t& count) { ar.Varint(count); });
+  ar.Double(result.norm_sum);
+  ar.Double(result.norm_sum_sq);
+  ar.Double(result.norm_max);
+  Fields(ar, result.samples);
+  ar.Bool(result.cache_hit);
+  Fields(ar, result.time);
+  Fields(ar, result.io);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeFetchAtomsReply& reply) {
+  Fields(ar, reply.atoms);
+  ar.Double(reply.cost_s);
+  ar.Varint(reply.bytes_out);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeStatsReply& reply) {
+  ar.ZigZag(reply.node_id);
+  ar.Varint(reply.stored_atoms);
+  ar.Varint(reply.epoch);
+  ar.Varint(reply.wal_pending_records);
+  ar.Varint(reply.wal_pending_bytes);
+  ar.Varint(reply.generation);
+  ar.Varint(reply.scrub_passes);
+  ar.Varint(reply.scrub_atoms_verified);
+  ar.Varint(reply.scrub_atoms_corrupt);
+  ar.Varint(reply.scrub_atoms_repaired);
+  ar.Varint(reply.atoms_quarantined);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeSyncRangeReply& reply) {
+  Fields(ar, reply.atoms);
+  ar.Varint(reply.next_code);
+  ar.Bool(reply.done);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeListStoresReply& reply) {
+  ar.List(reply.stores, "implausible store count", [&](NodeStoreInfo& store) {
+    ar.String(store.dataset);
+    ar.String(store.field);
+    ar.Varint(store.atoms);
+  });
+}
+
+// -- Self-healing messages (v7) ------------------------------------------
+
+template <class Ar>
+void Fields(Ar& ar, NodeMerkleRequest& request) {
+  StoreHeader(ar, request);
+  ar.Varint(request.leaf_shift, 63, "implausible leaf shift");
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeScrubRequest& request) {
+  Fields(ar, request.rpc);
+  ar.Bool(request.trigger);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeRepairRangeRequest& request) {
+  StoreHeader(ar, request);
+  ar.ZigZag(request.timestep);
+  ar.Varint(request.begin_code);
+  ar.Varint(request.end_code);
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeMerkleReply& reply) {
+  ar.ZigZag(reply.node_id);
+  ar.Varint(reply.leaf_shift, 63, "implausible leaf shift");
+  ar.Varint(reply.root);
+  ar.List(reply.leaves, "implausible leaf count", [&](WireMerkleLeaf& leaf) {
+    ar.ZigZag(leaf.timestep);
+    ar.Varint(leaf.leaf);
+    ar.Varint(leaf.digest);
+    ar.Varint(leaf.atoms);
+  });
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeScrubReply& reply) {
+  ar.ZigZag(reply.node_id);
+  ar.Varint(reply.passes);
+  ar.Varint(reply.atoms_verified);
+  ar.Varint(reply.atoms_corrupt);
+  ar.Varint(reply.atoms_repaired);
+  ar.Varint(reply.last_pass_unix_ms);
+  ar.List(reply.stores, "implausible store count", [&](ScrubStoreRow& store) {
+    ar.String(store.dataset);
+    ar.String(store.field);
+    ar.Varint(store.atoms_verified);
+    ar.Varint(store.atoms_corrupt);
+    ar.Varint(store.atoms_repaired);
+    ar.Varint(store.atoms_quarantined);
+    ar.Varint(store.bytes_verified);
+    ar.Varint(store.passes);
+    ar.Varint(store.merkle_root);
+  });
+}
+
+template <class Ar>
+void Fields(Ar& ar, NodeRepairRangeReply& reply) {
+  ar.ZigZag(reply.node_id);
+  ar.Varint(reply.ranges_diverged);
+  ar.Varint(reply.atoms_examined);
+  ar.Varint(reply.atoms_repaired);
+  ar.Varint(reply.root);
+}
+
+// -- Elasticity messages (v6) --------------------------------------------
+
+template <class Ar>
+void Fields(Ar& ar, JoinRequest& request) {
+  Fields(ar, request.rpc);
+  ar.String(request.uuid);
+  ar.String(request.host);
+  ar.Varint(request.port);
+  ar.Bool(request.activate);
+}
+
+template <class Ar>
+void Fields(Ar& ar, JoinReply& reply) {
+  Fields(ar, reply.record);
+  Fields(ar, reply.view);
+  ar.List(reply.registrations, "implausible registration count",
+          [&](WireDatasetRegistration& registration) {
+            Fields(ar, registration.info);
+            ar.ZigZag(registration.num_nodes);
+            ar.ZigZag(registration.strategy);
+          });
+}
+
+template <class Ar>
+void Fields(Ar& ar, LeaveRequest& request) {
+  Fields(ar, request.rpc);
+  ar.ZigZag(request.node_id);
+}
+
+template <class Ar>
+void Fields(Ar& ar, LeaveReply& reply) {
+  Fields(ar, reply.view);
+  ar.Varint(reply.ranges_moved);
+  ar.Varint(reply.atoms_copied);
+}
+
+template <class Ar>
+void Fields(Ar& ar, MembershipGetReply& reply) {
+  Fields(ar, reply.view);
+}
+
+template <class Ar>
+void Fields(Ar& ar, MembershipUpdateRequest& request) {
+  Fields(ar, request.rpc);
+  Fields(ar, request.view);
+}
+
+template <class Ar>
+void Fields(Ar& ar, BeginHandoffRequest& request) {
+  Fields(ar, request.rpc);
+  ar.Varint(request.begin);
+  ar.Varint(request.end);
+  ar.ZigZag(request.from_shard);
+  ar.ZigZag(request.to_shard);
+}
+
+template <class Ar>
+void Fields(Ar& ar, CutoverRequest& request) {
+  Fields(ar, request.rpc);
+  ar.Varint(request.begin);
+  ar.Varint(request.end);
+  ar.ZigZag(request.from_shard);
+  ar.ZigZag(request.to_shard);
+  Fields(ar, request.view);
+}
+
+template <class Ar>
+void Fields(Ar& ar, RebalanceRequest& request) {
+  Fields(ar, request.rpc);
+  ar.ZigZag(request.to_shard);
+  ar.Varint(request.max_ranges);
+}
+
+template <class Ar>
+void Fields(Ar& ar, RebalanceReply& reply) {
+  ar.Varint(reply.generation);
+  ar.List(reply.moved, "implausible moved-range count",
+          [&](RangeOverride& range) { Fields(ar, range); });
+  ar.Varint(reply.atoms_copied);
+}
+
+template <class Msg>
+Bytes Encode(MsgType type, const Msg& message) {
+  Bytes out;
+  Writer writer(&out);
+  writer.Varint(type);
+  Fields(writer, const_cast<Msg&>(message));
   return out;
 }
 
-void PutBool(std::vector<uint8_t>* out, bool value) {
-  out->push_back(value ? 1 : 0);
+/// The Status an error frame's body carries, or the reader's failure.
+Status ReadError(Reader& reader) {
+  ErrorBody error;
+  Fields(reader, error);
+  TURBDB_RETURN_NOT_OK(reader.status());
+  return Status(static_cast<StatusCode>(error.code), std::move(error.message));
 }
 
-Result<bool> GetBool(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos >= bytes.size()) return Status::Corruption("truncated bool");
-  const uint8_t byte = bytes[(*pos)++];
-  if (byte > 1) return Status::Corruption("bad bool value");
-  return byte == 1;
-}
-
-/// Point sets ride as a length-prefixed nested EncodePointsBinary blob,
-/// encoded straight into the message and decoded where it lies.
-/// The delta coding there is mod-2^64, so it round-trips any ordering
-/// (top-k results are norm-sorted, not z-sorted); sorted input just
-/// compresses best.
-void PutPoints(std::vector<uint8_t>* out,
-               const std::vector<ThresholdPoint>& points) {
-  PutVarint64(out, PointsBinarySize(points));
-  AppendPointsBinary(points, out);
-}
-
-Result<std::vector<ThresholdPoint>> GetPoints(
-    const std::vector<uint8_t>& bytes, size_t* pos) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t length, GetVarint64(bytes, pos));
-  if (length > bytes.size() - *pos) {
-    return Status::Corruption("truncated point blob");
+/// Reads the message type; an error frame in its place fails the reader
+/// with the Status it carries, any other type with Corruption.
+void ExpectType(Reader& reader, MsgType expected) {
+  uint64_t raw = 0;
+  reader.Varint(raw);
+  if (!reader.ok() || raw == static_cast<uint64_t>(expected)) return;
+  if (raw != static_cast<uint64_t>(MsgType::kErrorResponse)) {
+    return reader.Fail(
+        Status::Corruption("unexpected message type " + std::to_string(raw)));
   }
-  const uint8_t* blob = bytes.data() + *pos;
-  *pos += static_cast<size_t>(length);
-  return DecodePointsBinary(blob, static_cast<size_t>(length));
+  reader.Fail(ReadError(reader));
 }
 
-void PutTime(std::vector<uint8_t>* out, const TimeBreakdown& time) {
-  PutDouble(out, time.cache_lookup_s);
-  PutDouble(out, time.io_s);
-  PutDouble(out, time.compute_s);
-  PutDouble(out, time.mediator_db_comm_s);
-  PutDouble(out, time.mediator_user_comm_s);
+template <class Msg>
+Result<Msg> ReadBody(Reader& reader) {
+  Msg message;
+  Fields(reader, message);
+  TURBDB_RETURN_NOT_OK(reader.Finish());
+  return message;
 }
 
-Result<TimeBreakdown> GetTime(const std::vector<uint8_t>& bytes,
-                              size_t* pos) {
-  TimeBreakdown time;
-  TURBDB_ASSIGN_OR_RETURN(time.cache_lookup_s, GetDouble(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(time.io_s, GetDouble(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(time.compute_s, GetDouble(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(time.mediator_db_comm_s, GetDouble(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(time.mediator_user_comm_s, GetDouble(bytes, pos));
-  return time;
+template <class Msg>
+Result<Msg> Decode(const Bytes& payload, MsgType type) {
+  Reader reader(payload);
+  ExpectType(reader, type);
+  return ReadBody<Msg>(reader);
 }
 
-// -- Shared query-field layout ------------------------------------------
-
-void PutQueryCommon(std::vector<uint8_t>* out, const std::string& dataset,
-                    const std::string& raw_field,
-                    const std::string& derived_field, int32_t timestep,
-                    const Box3& box, int fd_order) {
-  PutString(out, dataset);
-  PutString(out, raw_field);
-  PutString(out, derived_field);
-  PutZigZag64(out, timestep);
-  for (int d = 0; d < 3; ++d) PutZigZag64(out, box.lo[static_cast<size_t>(d)]);
-  for (int d = 0; d < 3; ++d) PutZigZag64(out, box.hi[static_cast<size_t>(d)]);
-  PutZigZag64(out, fd_order);
-}
-
-template <typename Q>
-Status GetQueryCommon(const std::vector<uint8_t>& bytes, size_t* pos,
-                      Q* query) {
-  TURBDB_ASSIGN_OR_RETURN(query->dataset, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(query->raw_field, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(query->derived_field, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(bytes, pos));
-  query->timestep = static_cast<int32_t>(timestep);
-  for (int d = 0; d < 3; ++d) {
-    TURBDB_ASSIGN_OR_RETURN(query->box.lo[static_cast<size_t>(d)],
-                            GetZigZag64(bytes, pos));
-  }
-  for (int d = 0; d < 3; ++d) {
-    TURBDB_ASSIGN_OR_RETURN(query->box.hi[static_cast<size_t>(d)],
-                            GetZigZag64(bytes, pos));
-  }
-  TURBDB_ASSIGN_OR_RETURN(int64_t fd_order, GetZigZag64(bytes, pos));
-  query->fd_order = static_cast<int>(fd_order);
-  return Status::OK();
-}
-
-// The deadline budget travels in the frame header (v3), so the payload
-// header carries the type, the cancellation query id, (v5) the tenant
-// the request is billed to, and (v6) the sender's membership generation
-// for stale-routing detection.
-void PutHeader(std::vector<uint8_t>* out, MsgType type,
-               const RpcOptions& rpc) {
-  PutVarint64(out, static_cast<uint64_t>(type));
-  PutVarint64(out, rpc.query_id);
-  PutString(out, rpc.tenant);
-  PutVarint64(out, rpc.generation);
-}
-
-/// Reads the post-type portion of the shared request header (the inverse
-/// of PutHeader minus the type varint, which callers consume first).
-Status GetRpc(const std::vector<uint8_t>& bytes, size_t* pos,
-              RpcOptions* rpc) {
-  TURBDB_ASSIGN_OR_RETURN(rpc->query_id, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(rpc->tenant, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(rpc->generation, GetVarint64(bytes, pos));
-  return Status::OK();
-}
-
-/// Reads the message type and, when it is an error frame, the carried
-/// Status; any other unexpected type is Corruption.
-Status ExpectType(const std::vector<uint8_t>& bytes, size_t* pos,
-                  MsgType expected) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(bytes, pos));
-  if (raw == static_cast<uint64_t>(expected)) return Status::OK();
-  if (raw == static_cast<uint64_t>(MsgType::kErrorResponse)) {
-    TURBDB_ASSIGN_OR_RETURN(uint64_t code, GetVarint64(bytes, pos));
-    TURBDB_ASSIGN_OR_RETURN(std::string message, GetString(bytes, pos));
-    if (code == 0 || code > static_cast<uint64_t>(StatusCode::kWrongOwner)) {
-      return Status::Corruption("error frame with bad status code");
-    }
-    return Status(static_cast<StatusCode>(code), std::move(message));
-  }
-  return Status::Corruption("unexpected message type " +
-                            std::to_string(raw));
-}
-
-Status CheckConsumed(const std::vector<uint8_t>& bytes, size_t pos) {
-  if (pos != bytes.size()) {
-    return Status::Corruption("trailing bytes in message");
-  }
-  return Status::OK();
-}
-
-// -- Node-message building blocks ---------------------------------------
-
-void PutFloat(std::vector<uint8_t>* out, float value) {
-  uint32_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
-  }
-}
-
-Result<float> GetFloat(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos + 4 > bytes.size()) return Status::Corruption("truncated float");
-  uint32_t bits = 0;
-  for (int i = 0; i < 4; ++i) {
-    bits |= static_cast<uint32_t>(bytes[*pos + static_cast<size_t>(i)])
-            << (8 * i);
-  }
-  *pos += 4;
-  float value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-void PutAtom(std::vector<uint8_t>* out, const Atom& atom) {
-  PutZigZag64(out, atom.key.timestep);
-  PutVarint64(out, atom.key.zindex);
-  PutZigZag64(out, atom.width);
-  PutZigZag64(out, atom.ncomp);
-  for (float f : atom.data) PutFloat(out, f);
-}
-
-Result<Atom> GetAtom(const std::vector<uint8_t>& bytes, size_t* pos) {
-  Atom atom;
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(bytes, pos));
-  atom.key.timestep = static_cast<int32_t>(timestep);
-  TURBDB_ASSIGN_OR_RETURN(atom.key.zindex, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t width, GetZigZag64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t ncomp, GetZigZag64(bytes, pos));
-  if (width <= 0 || width > 256 || ncomp <= 0 || ncomp > 64) {
-    return Status::Corruption("implausible atom shape");
-  }
-  atom.width = static_cast<int32_t>(width);
-  atom.ncomp = static_cast<int32_t>(ncomp);
-  const size_t values = static_cast<size_t>(width) * static_cast<size_t>(width) *
-                        static_cast<size_t>(width) * static_cast<size_t>(ncomp);
-  if (values * 4 > bytes.size() - *pos) {
-    return Status::Corruption("truncated atom data");
-  }
-  atom.data.resize(values);
-  for (size_t i = 0; i < values; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(atom.data[i], GetFloat(bytes, pos));
-  }
-  return atom;
-}
-
-void PutAtoms(std::vector<uint8_t>* out, const std::vector<Atom>& atoms) {
-  PutVarint64(out, atoms.size());
-  for (const Atom& atom : atoms) PutAtom(out, atom);
-}
-
-Result<std::vector<Atom>> GetAtoms(const std::vector<uint8_t>& bytes,
-                                   size_t* pos) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(bytes, pos));
-  if (count > bytes.size() - *pos) {
-    return Status::Corruption("implausible atom count");
-  }
-  std::vector<Atom> atoms;
-  atoms.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(Atom atom, GetAtom(bytes, pos));
-    atoms.push_back(std::move(atom));
-  }
-  return atoms;
-}
-
-void PutGeometry(std::vector<uint8_t>* out, const GridGeometry& geometry) {
-  for (int d = 0; d < 3; ++d) PutZigZag64(out, geometry.extent(d));
-  for (int d = 0; d < 3; ++d) PutDouble(out, geometry.domain_length(d));
-  for (int d = 0; d < 3; ++d) PutBool(out, geometry.periodic(d));
-  PutZigZag64(out, geometry.atom_width());
-  PutVarint64(out, geometry.stretched_y().size());
-  for (double y : geometry.stretched_y()) PutDouble(out, y);
-}
-
-Result<GridGeometry> GetGeometry(const std::vector<uint8_t>& bytes,
-                                 size_t* pos) {
-  std::array<int64_t, 3> extent;
-  std::array<double, 3> length;
-  std::array<bool, 3> periodic;
-  for (int d = 0; d < 3; ++d) {
-    TURBDB_ASSIGN_OR_RETURN(extent[static_cast<size_t>(d)],
-                            GetZigZag64(bytes, pos));
-  }
-  for (int d = 0; d < 3; ++d) {
-    TURBDB_ASSIGN_OR_RETURN(length[static_cast<size_t>(d)],
-                            GetDouble(bytes, pos));
-  }
-  for (int d = 0; d < 3; ++d) {
-    TURBDB_ASSIGN_OR_RETURN(periodic[static_cast<size_t>(d)],
-                            GetBool(bytes, pos));
-  }
-  TURBDB_ASSIGN_OR_RETURN(int64_t atom_width, GetZigZag64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t stretched, GetVarint64(bytes, pos));
-  if (stretched > bytes.size() - *pos) {
-    return Status::Corruption("implausible stretched-y size");
-  }
-  std::vector<double> stretched_y;
-  stretched_y.reserve(static_cast<size_t>(stretched));
-  for (uint64_t i = 0; i < stretched; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(double y, GetDouble(bytes, pos));
-    stretched_y.push_back(y);
-  }
-  GridGeometry geometry = GridGeometry::FromParts(
-      extent, length, periodic, atom_width, std::move(stretched_y));
-  TURBDB_RETURN_NOT_OK(geometry.Validate());
-  return geometry;
-}
-
-void PutDatasetInfo(std::vector<uint8_t>* out, const DatasetInfo& info) {
-  PutString(out, info.name);
-  PutGeometry(out, info.geometry);
-  PutVarint64(out, info.raw_fields.size());
-  for (const RawFieldSpec& spec : info.raw_fields) {
-    PutString(out, spec.name);
-    PutZigZag64(out, spec.ncomp);
-  }
-  PutZigZag64(out, info.num_timesteps);
-}
-
-Result<DatasetInfo> GetDatasetInfo(const std::vector<uint8_t>& bytes,
-                                   size_t* pos) {
-  DatasetInfo info;
-  TURBDB_ASSIGN_OR_RETURN(info.name, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(info.geometry, GetGeometry(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t fields, GetVarint64(bytes, pos));
-  if (fields > bytes.size() - *pos) {
-    return Status::Corruption("implausible raw-field count");
-  }
-  info.raw_fields.reserve(static_cast<size_t>(fields));
-  for (uint64_t i = 0; i < fields; ++i) {
-    RawFieldSpec spec;
-    TURBDB_ASSIGN_OR_RETURN(spec.name, GetString(bytes, pos));
-    TURBDB_ASSIGN_OR_RETURN(int64_t ncomp, GetZigZag64(bytes, pos));
-    spec.ncomp = static_cast<int>(ncomp);
-    info.raw_fields.push_back(std::move(spec));
-  }
-  TURBDB_ASSIGN_OR_RETURN(int64_t timesteps, GetZigZag64(bytes, pos));
-  info.num_timesteps = static_cast<int32_t>(timesteps);
-  return info;
-}
-
-void PutTargets(
-    std::vector<uint8_t>* out,
-    const std::vector<std::pair<uint32_t, std::array<double, 3>>>& targets) {
-  PutVarint64(out, targets.size());
-  for (const auto& [index, position] : targets) {
-    PutVarint64(out, index);
-    for (int d = 0; d < 3; ++d) PutDouble(out, position[static_cast<size_t>(d)]);
-  }
-}
-
-Result<std::vector<std::pair<uint32_t, std::array<double, 3>>>> GetTargets(
-    const std::vector<uint8_t>& bytes, size_t* pos) {
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(bytes, pos));
-  if (count > bytes.size() - *pos) {
-    return Status::Corruption("implausible target count");
-  }
-  std::vector<std::pair<uint32_t, std::array<double, 3>>> targets;
-  targets.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(uint64_t index, GetVarint64(bytes, pos));
-    std::array<double, 3> position;
-    for (int d = 0; d < 3; ++d) {
-      TURBDB_ASSIGN_OR_RETURN(position[static_cast<size_t>(d)],
-                              GetDouble(bytes, pos));
-    }
-    targets.push_back({static_cast<uint32_t>(index), position});
-  }
-  return targets;
-}
-
-void PutIo(std::vector<uint8_t>* out, const IoCounters& io) {
-  PutVarint64(out, io.atoms_read_local);
-  PutVarint64(out, io.atoms_read_remote);
-  PutVarint64(out, io.bytes_read_local);
-  PutVarint64(out, io.bytes_read_remote);
-  PutVarint64(out, io.cache_records_scanned);
-  PutVarint64(out, io.cache_bytes_scanned);
-  PutVarint64(out, io.points_evaluated);
-  PutVarint64(out, io.points_returned);
-}
-
-Result<IoCounters> GetIo(const std::vector<uint8_t>& bytes, size_t* pos) {
-  IoCounters io;
-  TURBDB_ASSIGN_OR_RETURN(io.atoms_read_local, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.atoms_read_remote, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.bytes_read_local, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.bytes_read_remote, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.cache_records_scanned, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.cache_bytes_scanned, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.points_evaluated, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(io.points_returned, GetVarint64(bytes, pos));
-  return io;
+template <class Msg>
+Result<Request> ReadRequest(Reader& reader) {
+  TURBDB_ASSIGN_OR_RETURN(Msg request, ReadBody<Msg>(reader));
+  return Request(std::move(request));
 }
 
 }  // namespace
 
 // -- Requests ------------------------------------------------------------
 
-std::vector<uint8_t> EncodeRequest(const ThresholdRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kThresholdRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  PutDouble(&out, request.query.threshold);
-  PutBool(&out, request.options.use_cache);
-  PutBool(&out, request.options.io_only);
-  PutZigZag64(&out, request.options.processes_per_node);
-  PutVarint64(&out, request.options.max_result_points);
-  PutBool(&out, request.stream);
-  return out;
+Bytes EncodeRequest(const ThresholdRequest& request) {
+  return Encode(MsgType::kThresholdRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const PdfRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kPdfRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  PutDouble(&out, request.query.bin_width);
-  PutZigZag64(&out, request.query.num_bins);
-  return out;
+Bytes EncodeRequest(const PdfRequest& request) {
+  return Encode(MsgType::kPdfRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const TopKRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kTopKRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  PutVarint64(&out, request.query.k);
-  return out;
+Bytes EncodeRequest(const TopKRequest& request) {
+  return Encode(MsgType::kTopKRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const FieldStatsRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kFieldStatsRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  return out;
+Bytes EncodeRequest(const FieldStatsRequest& request) {
+  return Encode(MsgType::kFieldStatsRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const ServerStatsRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kServerStatsRequest, request.rpc);
-  return out;
+Bytes EncodeRequest(const ServerStatsRequest& request) {
+  return Encode(MsgType::kServerStatsRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const PingRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kPingRequest, request.rpc);
-  PutVarint64(&out, request.delay_ms);
-  return out;
+Bytes EncodeRequest(const PingRequest& request) {
+  return Encode(MsgType::kPingRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const DropCacheRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kDropCacheRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.raw_field);
-  PutString(&out, request.derived_field);
-  PutZigZag64(&out, request.timestep);
-  return out;
+Bytes EncodeRequest(const DropCacheRequest& request) {
+  return Encode(MsgType::kDropCacheRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const CacheStatsRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kCacheStatsRequest, request.rpc);
-  return out;
+Bytes EncodeRequest(const CacheStatsRequest& request) {
+  return Encode(MsgType::kCacheStatsRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const CacheWarmRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kCacheWarmRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  PutDouble(&out, request.query.threshold);
-  return out;
+Bytes EncodeRequest(const CacheWarmRequest& request) {
+  return Encode(MsgType::kCacheWarmRequest, request);
 }
 
-namespace {
-
-/// Pin and Unpin share one field layout; only the type differs.
-template <typename R>
-std::vector<uint8_t> EncodeCacheKeyRequest(const R& request, MsgType type) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, type, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.raw_field);
-  PutString(&out, request.derived_field);
-  PutZigZag64(&out, request.timestep);
-  return out;
+Bytes EncodeRequest(const CachePinRequest& request) {
+  return Encode(MsgType::kCachePinRequest, request);
 }
 
-template <typename R>
-Status GetCacheKeyRequestBody(const std::vector<uint8_t>& payload,
-                              size_t* pos, R* request) {
-  TURBDB_ASSIGN_OR_RETURN(request->dataset, GetString(payload, pos));
-  TURBDB_ASSIGN_OR_RETURN(request->raw_field, GetString(payload, pos));
-  TURBDB_ASSIGN_OR_RETURN(request->derived_field, GetString(payload, pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, pos));
-  request->timestep = static_cast<int32_t>(timestep);
-  return Status::OK();
+Bytes EncodeRequest(const CacheUnpinRequest& request) {
+  return Encode(MsgType::kCacheUnpinRequest, request);
 }
 
-}  // namespace
-
-std::vector<uint8_t> EncodeRequest(const CachePinRequest& request) {
-  return EncodeCacheKeyRequest(request, MsgType::kCachePinRequest);
+Bytes EncodeRequest(const FofRequest& request) {
+  return Encode(MsgType::kFofRequest, request);
 }
 
-std::vector<uint8_t> EncodeRequest(const CacheUnpinRequest& request) {
-  return EncodeCacheKeyRequest(request, MsgType::kCacheUnpinRequest);
-}
-
-std::vector<uint8_t> EncodeRequest(const FofRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kFofRequest, request.rpc);
-  PutQueryCommon(&out, request.query.dataset, request.query.raw_field,
-                 request.query.derived_field, request.query.timestep,
-                 request.query.box, request.query.fd_order);
-  PutDouble(&out, request.query.threshold);
-  PutBool(&out, request.options.use_cache);
-  PutBool(&out, request.options.io_only);
-  PutZigZag64(&out, request.options.processes_per_node);
-  PutVarint64(&out, request.options.max_result_points);
-  PutDouble(&out, request.linking_length);
-  PutVarint64(&out, request.min_cluster_size);
-  PutBool(&out, request.include_members);
-  return out;
-}
-
-Result<Request> DecodeRequest(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(payload, &pos));
-  RpcOptions rpc;
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &rpc));
+Result<Request> DecodeRequest(const Bytes& payload) {
+  Reader reader(payload);
+  uint64_t raw = 0;
+  reader.Varint(raw);
+  TURBDB_RETURN_NOT_OK(reader.status());
   switch (static_cast<MsgType>(raw)) {
-    case MsgType::kThresholdRequest: {
-      ThresholdRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(
-          GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_ASSIGN_OR_RETURN(request.query.threshold,
-                              GetDouble(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.options.use_cache,
-                              GetBool(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.options.io_only,
-                              GetBool(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(int64_t processes, GetZigZag64(payload, &pos));
-      request.options.processes_per_node = static_cast<int>(processes);
-      TURBDB_ASSIGN_OR_RETURN(request.options.max_result_points,
-                              GetVarint64(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.stream, GetBool(payload, &pos));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kPdfRequest: {
-      PdfRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(
-          GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_ASSIGN_OR_RETURN(request.query.bin_width,
-                              GetDouble(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(int64_t num_bins, GetZigZag64(payload, &pos));
-      request.query.num_bins = static_cast<int>(num_bins);
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kTopKRequest: {
-      TopKRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(
-          GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_ASSIGN_OR_RETURN(request.query.k, GetVarint64(payload, &pos));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kFieldStatsRequest: {
-      FieldStatsRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(
-          GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kServerStatsRequest: {
-      ServerStatsRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(request);
-    }
-    case MsgType::kPingRequest: {
-      PingRequest request;
-      request.rpc = rpc;
-      TURBDB_ASSIGN_OR_RETURN(request.delay_ms, GetVarint64(payload, &pos));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(request);
-    }
-    case MsgType::kDropCacheRequest: {
-      DropCacheRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(GetCacheKeyRequestBody(payload, &pos, &request));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kCacheStatsRequest: {
-      CacheStatsRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(request);
-    }
-    case MsgType::kCacheWarmRequest: {
-      CacheWarmRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_ASSIGN_OR_RETURN(request.query.threshold,
-                              GetDouble(payload, &pos));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kCachePinRequest: {
-      CachePinRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(GetCacheKeyRequestBody(payload, &pos, &request));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kCacheUnpinRequest: {
-      CacheUnpinRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(GetCacheKeyRequestBody(payload, &pos, &request));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
-    case MsgType::kFofRequest: {
-      FofRequest request;
-      request.rpc = rpc;
-      TURBDB_RETURN_NOT_OK(GetQueryCommon(payload, &pos, &request.query));
-      TURBDB_ASSIGN_OR_RETURN(request.query.threshold,
-                              GetDouble(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.options.use_cache,
-                              GetBool(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.options.io_only,
-                              GetBool(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(int64_t processes, GetZigZag64(payload, &pos));
-      request.options.processes_per_node = static_cast<int>(processes);
-      TURBDB_ASSIGN_OR_RETURN(request.options.max_result_points,
-                              GetVarint64(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.linking_length,
-                              GetDouble(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.min_cluster_size,
-                              GetVarint64(payload, &pos));
-      TURBDB_ASSIGN_OR_RETURN(request.include_members,
-                              GetBool(payload, &pos));
-      TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-      return Request(std::move(request));
-    }
+    case MsgType::kThresholdRequest:
+      return ReadRequest<ThresholdRequest>(reader);
+    case MsgType::kPdfRequest:
+      return ReadRequest<PdfRequest>(reader);
+    case MsgType::kTopKRequest:
+      return ReadRequest<TopKRequest>(reader);
+    case MsgType::kFieldStatsRequest:
+      return ReadRequest<FieldStatsRequest>(reader);
+    case MsgType::kServerStatsRequest:
+      return ReadRequest<ServerStatsRequest>(reader);
+    case MsgType::kPingRequest:
+      return ReadRequest<PingRequest>(reader);
+    case MsgType::kDropCacheRequest:
+      return ReadRequest<DropCacheRequest>(reader);
+    case MsgType::kCacheStatsRequest:
+      return ReadRequest<CacheStatsRequest>(reader);
+    case MsgType::kCacheWarmRequest:
+      return ReadRequest<CacheWarmRequest>(reader);
+    case MsgType::kCachePinRequest:
+      return ReadRequest<CachePinRequest>(reader);
+    case MsgType::kCacheUnpinRequest:
+      return ReadRequest<CacheUnpinRequest>(reader);
+    case MsgType::kFofRequest:
+      return ReadRequest<FofRequest>(reader);
     default:
       return Status::Corruption("unknown request type " +
                                 std::to_string(raw));
@@ -677,1520 +1059,442 @@ Result<Request> DecodeRequest(const std::vector<uint8_t>& payload) {
 
 // -- Responses -----------------------------------------------------------
 
-std::vector<uint8_t> EncodeErrorResponse(const Status& status) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kErrorResponse));
-  PutVarint64(&out, static_cast<uint64_t>(status.code()));
-  PutString(&out, status.message());
-  return out;
+Bytes EncodeErrorResponse(const Status& status) {
+  ErrorBody error{static_cast<uint64_t>(status.code()), status.message()};
+  return Encode(MsgType::kErrorResponse, error);
 }
 
-std::vector<uint8_t> EncodeResponse(const ThresholdResult& result) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kThresholdResponse));
-  PutPoints(&out, result.points);
-  PutBool(&out, result.all_cache_hits);
-  PutVarint64(&out, result.result_bytes_binary);
-  PutVarint64(&out, result.result_bytes_xml);
-  PutTime(&out, result.time);
-  return out;
+Bytes EncodeResponse(const ThresholdResult& result) {
+  return Encode(MsgType::kThresholdResponse, result);
 }
 
-std::vector<uint8_t> EncodeResponse(const PdfResult& result) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kPdfResponse));
-  PutVarint64(&out, result.counts.size());
-  for (uint64_t count : result.counts) PutVarint64(&out, count);
-  PutDouble(&out, result.bin_width);
-  PutVarint64(&out, result.total_points);
-  PutTime(&out, result.time);
-  return out;
+Bytes EncodeResponse(const PdfResult& result) {
+  return Encode(MsgType::kPdfResponse, result);
 }
 
-std::vector<uint8_t> EncodeResponse(const TopKResult& result) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kTopKResponse));
-  PutPoints(&out, result.points);
-  PutTime(&out, result.time);
-  return out;
+Bytes EncodeResponse(const TopKResult& result) {
+  return Encode(MsgType::kTopKResponse, result);
 }
 
-std::vector<uint8_t> EncodeResponse(const FieldStatsResult& result) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kFieldStatsResponse));
-  PutVarint64(&out, result.count);
-  PutDouble(&out, result.mean);
-  PutDouble(&out, result.rms);
-  PutDouble(&out, result.max);
-  PutTime(&out, result.time);
-  return out;
+Bytes EncodeResponse(const FieldStatsResult& result) {
+  return Encode(MsgType::kFieldStatsResponse, result);
 }
 
-std::vector<uint8_t> EncodeResponse(const ServerStatsReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kServerStatsResponse));
-  PutVarint64(&out, reply.requests_ok);
-  PutVarint64(&out, reply.requests_error);
-  PutVarint64(&out, reply.bytes_in);
-  PutVarint64(&out, reply.bytes_out);
-  PutVarint64(&out, reply.connections_accepted);
-  PutVarint64(&out, reply.active_connections);
-  PutDouble(&out, reply.p50_latency_ms);
-  PutDouble(&out, reply.p99_latency_ms);
-  PutVarint64(&out, reply.queries_in_flight);
-  PutVarint64(&out, reply.queries_admitted);
-  PutVarint64(&out, reply.queries_shed);
-  PutVarint64(&out, reply.result_bytes_in_use);
-  PutVarint64(&out, reply.result_bytes_peak);
-  PutVarint64(&out, reply.cache_hits);
-  PutVarint64(&out, reply.cache_misses);
-  PutVarint64(&out, reply.cache_subsumption_hits);
-  PutVarint64(&out, reply.cache_evictions);
-  PutVarint64(&out, reply.cache_entries);
-  PutVarint64(&out, reply.cache_bytes);
-  PutVarint64(&out, reply.cache_pinned_bytes);
-  PutVarint64(&out, reply.tenants.size());
-  for (const ServerStatsReply::TenantStats& tenant : reply.tenants) {
-    PutString(&out, tenant.name);
-    PutVarint64(&out, tenant.in_flight);
-    PutVarint64(&out, tenant.peak_in_flight);
-    PutVarint64(&out, tenant.admitted);
-    PutVarint64(&out, tenant.shed);
-    PutVarint64(&out, tenant.cap);
-  }
-  PutVarint64(&out, reply.membership_generation);
-  PutVarint64(&out, reply.corruption_failovers);
-  PutVarint64(&out, reply.read_repairs);
-  return out;
+Bytes EncodeResponse(const ServerStatsReply& reply) {
+  return Encode(MsgType::kServerStatsResponse, reply);
 }
 
-std::vector<uint8_t> EncodePingResponse() {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kPingResponse));
-  return out;
+Bytes EncodePingResponse() {
+  return Encode(MsgType::kPingResponse, Ack{});
 }
 
-Result<ThresholdResult> DecodeThresholdResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kThresholdResponse));
-  ThresholdResult result;
-  TURBDB_ASSIGN_OR_RETURN(result.points, GetPoints(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.all_cache_hits, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.result_bytes_binary,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.result_bytes_xml,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.time, GetTime(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return result;
+Result<ThresholdResult> DecodeThresholdResponse(const Bytes& payload) {
+  return Decode<ThresholdResult>(payload, MsgType::kThresholdResponse);
 }
 
-Result<PdfResult> DecodePdfResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kPdfResponse));
-  PdfResult result;
-  TURBDB_ASSIGN_OR_RETURN(uint64_t bins, GetVarint64(payload, &pos));
-  if (bins > payload.size() - pos) {
-    return Status::Corruption("implausible bin count");
-  }
-  result.counts.reserve(static_cast<size_t>(bins));
-  for (uint64_t i = 0; i < bins; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-    result.counts.push_back(count);
-  }
-  TURBDB_ASSIGN_OR_RETURN(result.bin_width, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.total_points, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.time, GetTime(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return result;
+Result<PdfResult> DecodePdfResponse(const Bytes& payload) {
+  return Decode<PdfResult>(payload, MsgType::kPdfResponse);
 }
 
-Result<TopKResult> DecodeTopKResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kTopKResponse));
-  TopKResult result;
-  TURBDB_ASSIGN_OR_RETURN(result.points, GetPoints(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.time, GetTime(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return result;
+Result<TopKResult> DecodeTopKResponse(const Bytes& payload) {
+  return Decode<TopKResult>(payload, MsgType::kTopKResponse);
 }
 
-Result<FieldStatsResult> DecodeFieldStatsResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kFieldStatsResponse));
-  FieldStatsResult result;
-  TURBDB_ASSIGN_OR_RETURN(result.count, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.mean, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.rms, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.max, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.time, GetTime(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return result;
+Result<FieldStatsResult> DecodeFieldStatsResponse(const Bytes& payload) {
+  return Decode<FieldStatsResult>(payload, MsgType::kFieldStatsResponse);
 }
 
-Result<ServerStatsReply> DecodeServerStatsResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kServerStatsResponse));
-  ServerStatsReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.requests_ok, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.requests_error, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.bytes_in, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.bytes_out, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.connections_accepted,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.active_connections,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.p50_latency_ms, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.p99_latency_ms, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.queries_in_flight, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.queries_admitted, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.queries_shed, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.result_bytes_in_use,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.result_bytes_peak,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_hits, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_misses, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_subsumption_hits,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_evictions, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_entries, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_bytes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cache_pinned_bytes,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t tenants, GetVarint64(payload, &pos));
-  if (tenants > payload.size() - pos) {
-    return Status::Corruption("implausible tenant count");
-  }
-  reply.tenants.reserve(static_cast<size_t>(tenants));
-  for (uint64_t i = 0; i < tenants; ++i) {
-    ServerStatsReply::TenantStats tenant;
-    TURBDB_ASSIGN_OR_RETURN(tenant.name, GetString(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(tenant.in_flight, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(tenant.peak_in_flight,
-                            GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(tenant.admitted, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(tenant.shed, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(tenant.cap, GetVarint64(payload, &pos));
-    reply.tenants.push_back(std::move(tenant));
-  }
-  TURBDB_ASSIGN_OR_RETURN(reply.membership_generation,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.corruption_failovers,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.read_repairs, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<ServerStatsReply> DecodeServerStatsResponse(const Bytes& payload) {
+  return Decode<ServerStatsReply>(payload, MsgType::kServerStatsResponse);
 }
 
-Status DecodePingResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kPingResponse));
-  return CheckConsumed(payload, pos);
+Status DecodePingResponse(const Bytes& payload) {
+  return Decode<Ack>(payload, MsgType::kPingResponse).status();
 }
 
-// -- Mediator cache-control responses ------------------------------------
-
-std::vector<uint8_t> EncodeDropCacheResponse(const DropCacheReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kDropCacheResponse));
-  PutVarint64(&out, reply.mediator_entries);
-  PutBool(&out, reply.node_tier_cleared);
-  return out;
+Bytes EncodeDropCacheResponse(const DropCacheReply& reply) {
+  return Encode(MsgType::kDropCacheResponse, reply);
 }
 
-Result<DropCacheReply> DecodeDropCacheResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kDropCacheResponse));
-  DropCacheReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.mediator_entries, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.node_tier_cleared, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<DropCacheReply> DecodeDropCacheResponse(const Bytes& payload) {
+  return Decode<DropCacheReply>(payload, MsgType::kDropCacheResponse);
 }
 
-std::vector<uint8_t> EncodeCacheStatsResponse(const CacheStatsReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kCacheStatsResponse));
-  PutBool(&out, reply.enabled);
-  PutVarint64(&out, reply.capacity_bytes);
-  PutVarint64(&out, reply.entries);
-  PutVarint64(&out, reply.bytes);
-  PutVarint64(&out, reply.hits);
-  PutVarint64(&out, reply.misses);
-  PutVarint64(&out, reply.subsumption_hits);
-  PutVarint64(&out, reply.insertions);
-  PutVarint64(&out, reply.evictions);
-  PutVarint64(&out, reply.invalidations);
-  PutVarint64(&out, reply.stale_inserts);
-  PutVarint64(&out, reply.pinned_entries);
-  PutVarint64(&out, reply.pinned_bytes);
-  PutBool(&out, reply.affinity_enabled);
-  PutVarint64(&out, reply.affinity_routes);
-  return out;
+Bytes EncodeCacheStatsResponse(const CacheStatsReply& reply) {
+  return Encode(MsgType::kCacheStatsResponse, reply);
 }
 
-Result<CacheStatsReply> DecodeCacheStatsResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kCacheStatsResponse));
-  CacheStatsReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.enabled, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.capacity_bytes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.entries, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.bytes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.hits, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.misses, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.subsumption_hits, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.insertions, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.evictions, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.invalidations, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.stale_inserts, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.pinned_entries, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.pinned_bytes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.affinity_enabled, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.affinity_routes, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<CacheStatsReply> DecodeCacheStatsResponse(const Bytes& payload) {
+  return Decode<CacheStatsReply>(payload, MsgType::kCacheStatsResponse);
 }
 
-std::vector<uint8_t> EncodeCacheWarmResponse(const CacheWarmReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kCacheWarmResponse));
-  PutVarint64(&out, reply.points);
-  PutBool(&out, reply.already_cached);
-  return out;
+Bytes EncodeCacheWarmResponse(const CacheWarmReply& reply) {
+  return Encode(MsgType::kCacheWarmResponse, reply);
 }
 
-Result<CacheWarmReply> DecodeCacheWarmResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kCacheWarmResponse));
-  CacheWarmReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.points, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.already_cached, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<CacheWarmReply> DecodeCacheWarmResponse(const Bytes& payload) {
+  return Decode<CacheWarmReply>(payload, MsgType::kCacheWarmResponse);
 }
 
-std::vector<uint8_t> EncodeCachePinResponse(const CachePinReply& reply,
-                                            MsgType type) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(type));
-  PutVarint64(&out, reply.entries);
-  return out;
+Bytes EncodeCachePinResponse(const CachePinReply& reply, MsgType type) {
+  return Encode(type, reply);
 }
 
 Result<CachePinReply> DecodeCachePinResponse(
-    const std::vector<uint8_t>& payload, MsgType type) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, type));
-  CachePinReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.entries, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+    const Bytes& payload, MsgType type) {
+  return Decode<CachePinReply>(payload, type);
 }
 
-// -- Streamed threshold replies ------------------------------------------
+// -- Streamed replies ----------------------------------------------------
 
-std::vector<uint8_t> EncodeThresholdChunk(const ThresholdChunk& chunk) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kThresholdChunk));
-  PutVarint64(&out, chunk.seq);
-  PutPoints(&out, chunk.points);
-  PutVarint64(&out, chunk.total_points);
-  return out;
+Bytes EncodeThresholdChunk(const ThresholdChunk& chunk) {
+  return Encode(MsgType::kThresholdChunk, chunk);
 }
 
-Result<ThresholdChunk> DecodeThresholdChunk(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kThresholdChunk));
-  ThresholdChunk chunk;
-  TURBDB_ASSIGN_OR_RETURN(chunk.seq, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(chunk.points, GetPoints(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(chunk.total_points, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return chunk;
+Result<ThresholdChunk> DecodeThresholdChunk(const Bytes& payload) {
+  return Decode<ThresholdChunk>(payload, MsgType::kThresholdChunk);
 }
 
-// -- Streamed friends-of-friends replies ---------------------------------
-
-std::vector<uint8_t> EncodeFofChunk(const FofChunk& chunk) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kFofChunk));
-  PutVarint64(&out, chunk.seq);
-  PutVarint64(&out, chunk.clusters.size());
-  for (const FofClusterRecord& cluster : chunk.clusters) {
-    PutVarint64(&out, cluster.id);
-    PutVarint64(&out, cluster.size);
-    for (int d = 0; d < 3; ++d) {
-      PutVarint64(&out, cluster.bbox_lo[static_cast<size_t>(d)]);
-    }
-    for (int d = 0; d < 3; ++d) {
-      PutVarint64(&out, cluster.bbox_hi[static_cast<size_t>(d)]);
-    }
-    for (int d = 0; d < 3; ++d) {
-      PutDouble(&out, cluster.centroid[static_cast<size_t>(d)]);
-    }
-    PutFloat(&out, cluster.max_norm);
-    PutVarint64(&out, cluster.peak_zindex);
-    PutPoints(&out, cluster.members);
-  }
-  PutVarint64(&out, chunk.total_clusters);
-  return out;
+Bytes EncodeFofChunk(const FofChunk& chunk) {
+  return Encode(MsgType::kFofChunk, chunk);
 }
 
-Result<FofChunk> DecodeFofChunk(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kFofChunk));
-  FofChunk chunk;
-  TURBDB_ASSIGN_OR_RETURN(chunk.seq, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible cluster count");
-  }
-  chunk.clusters.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    FofClusterRecord cluster;
-    TURBDB_ASSIGN_OR_RETURN(cluster.id, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(cluster.size, GetVarint64(payload, &pos));
-    for (int d = 0; d < 3; ++d) {
-      TURBDB_ASSIGN_OR_RETURN(cluster.bbox_lo[static_cast<size_t>(d)],
-                              GetVarint64(payload, &pos));
-    }
-    for (int d = 0; d < 3; ++d) {
-      TURBDB_ASSIGN_OR_RETURN(cluster.bbox_hi[static_cast<size_t>(d)],
-                              GetVarint64(payload, &pos));
-    }
-    for (int d = 0; d < 3; ++d) {
-      TURBDB_ASSIGN_OR_RETURN(cluster.centroid[static_cast<size_t>(d)],
-                              GetDouble(payload, &pos));
-    }
-    TURBDB_ASSIGN_OR_RETURN(cluster.max_norm, GetFloat(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(cluster.peak_zindex, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(cluster.members, GetPoints(payload, &pos));
-    chunk.clusters.push_back(std::move(cluster));
-  }
-  TURBDB_ASSIGN_OR_RETURN(chunk.total_clusters, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return chunk;
+Result<FofChunk> DecodeFofChunk(const Bytes& payload) {
+  return Decode<FofChunk>(payload, MsgType::kFofChunk);
 }
 
-std::vector<uint8_t> EncodeFofResponse(const FofReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kFofResponse));
-  PutVarint64(&out, reply.clusters);
-  PutVarint64(&out, reply.points);
-  PutVarint64(&out, reply.largest_cluster);
-  PutTime(&out, reply.time);
-  return out;
+Bytes EncodeFofResponse(const FofReply& reply) {
+  return Encode(MsgType::kFofResponse, reply);
 }
 
-Result<FofReply> DecodeFofResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kFofResponse));
-  FofReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.clusters, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.points, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.largest_cluster, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.time, GetTime(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<FofReply> DecodeFofResponse(const Bytes& payload) {
+  return Decode<FofReply>(payload, MsgType::kFofResponse);
 }
 
-Result<MsgType> PeekResponseType(const std::vector<uint8_t>& payload) {
+// -- Peeks ---------------------------------------------------------------
+
+Result<MsgType> PeekResponseType(const Bytes& payload) {
   size_t pos = 0;
   TURBDB_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(payload, &pos));
   return static_cast<MsgType>(raw);
 }
 
-Status PeekErrorStatus(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  auto raw = GetVarint64(payload, &pos);
-  if (!raw.ok() || *raw != static_cast<uint64_t>(MsgType::kErrorResponse)) {
+Status PeekErrorStatus(const Bytes& payload) {
+  Reader reader(payload);
+  uint64_t raw = 0;
+  reader.Varint(raw);
+  if (!reader.ok() || raw != static_cast<uint64_t>(MsgType::kErrorResponse)) {
     return Status::OK();
   }
-  TURBDB_ASSIGN_OR_RETURN(uint64_t code, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(std::string message, GetString(payload, &pos));
-  if (code == 0 || code > static_cast<uint64_t>(StatusCode::kWrongOwner)) {
-    return Status::Corruption("error frame with bad status code");
-  }
-  return Status(static_cast<StatusCode>(code), std::move(message));
+  return ReadError(reader);
 }
 
-// -- Request header peek -------------------------------------------------
-
-Result<RequestHeader> PeekRequestHeader(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(payload, &pos));
+Result<RequestHeader> PeekRequestHeader(const Bytes& payload) {
+  Reader reader(payload);
+  uint64_t raw = 0;
+  reader.Varint(raw);
+  TURBDB_RETURN_NOT_OK(reader.status());
   if (raw == 0 || raw >= static_cast<uint64_t>(MsgType::kThresholdResponse)) {
     return Status::Corruption("payload is not a request (type " +
                               std::to_string(raw) + ")");
   }
   RequestHeader header;
   header.type = static_cast<MsgType>(raw);
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &header.rpc));
+  Fields(reader, header.rpc);
+  TURBDB_RETURN_NOT_OK(reader.status());
   return header;
 }
 
-// -- Handshake -----------------------------------------------------------
+// -- Handshake and cancellation ------------------------------------------
 
-std::vector<uint8_t> EncodeRequest(const HelloRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kHelloRequest, request.rpc);
-  return out;
+Bytes EncodeRequest(const HelloRequest& request) {
+  return Encode(MsgType::kHelloRequest, request);
 }
 
-std::vector<uint8_t> EncodeHelloResponse(const HelloReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kHelloResponse));
-  PutVarint64(&out, reply.protocol_version);
-  PutZigZag64(&out, reply.server_id);
-  PutVarint64(&out, reply.epoch);
-  return out;
+Bytes EncodeHelloResponse(const HelloReply& reply) {
+  return Encode(MsgType::kHelloResponse, reply);
 }
 
-Result<HelloReply> DecodeHelloResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kHelloResponse));
-  HelloReply reply;
-  TURBDB_ASSIGN_OR_RETURN(uint64_t version, GetVarint64(payload, &pos));
-  reply.protocol_version = static_cast<uint32_t>(version);
-  TURBDB_ASSIGN_OR_RETURN(int64_t id, GetZigZag64(payload, &pos));
-  reply.server_id = static_cast<int32_t>(id);
-  TURBDB_ASSIGN_OR_RETURN(reply.epoch, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<HelloReply> DecodeHelloResponse(const Bytes& payload) {
+  return Decode<HelloReply>(payload, MsgType::kHelloResponse);
 }
 
-// -- Cancellation --------------------------------------------------------
-
-std::vector<uint8_t> EncodeRequest(const CancelRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kCancelRequest, request.rpc);
-  return out;
+Bytes EncodeRequest(const CancelRequest& request) {
+  return Encode(MsgType::kCancelRequest, request);
 }
 
-std::vector<uint8_t> EncodeCancelResponse(const CancelReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kCancelResponse));
-  PutBool(&out, reply.found);
-  return out;
+Bytes EncodeCancelResponse(const CancelReply& reply) {
+  return Encode(MsgType::kCancelResponse, reply);
 }
 
-Result<CancelReply> DecodeCancelResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kCancelResponse));
-  CancelReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.found, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<CancelReply> DecodeCancelResponse(const Bytes& payload) {
+  return Decode<CancelReply>(payload, MsgType::kCancelResponse);
 }
 
-// -- Node-scoped requests ------------------------------------------------
+// -- Node-scoped messages ------------------------------------------------
 
-std::vector<uint8_t> EncodeRequest(const NodeCreateDatasetRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeCreateDatasetRequest, request.rpc);
-  PutDatasetInfo(&out, request.info);
-  PutZigZag64(&out, request.num_nodes);
-  PutZigZag64(&out, request.node_id);
-  PutZigZag64(&out, request.strategy);
-  return out;
+Bytes EncodeRequest(const NodeCreateDatasetRequest& request) {
+  return Encode(MsgType::kNodeCreateDatasetRequest, request);
 }
 
 Result<NodeCreateDatasetRequest> DecodeNodeCreateDatasetRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeCreateDatasetRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeCreateDatasetRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.info, GetDatasetInfo(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t num_nodes, GetZigZag64(payload, &pos));
-  request.num_nodes = static_cast<int32_t>(num_nodes);
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  request.node_id = static_cast<int32_t>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(int64_t strategy, GetZigZag64(payload, &pos));
-  request.strategy = static_cast<int32_t>(strategy);
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+    const Bytes& payload) {
+  return Decode<NodeCreateDatasetRequest>(payload,
+                                          MsgType::kNodeCreateDatasetRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeIngestRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeIngestRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutAtoms(&out, request.atoms);
-  PutBool(&out, request.skip_existing);
-  return out;
+Bytes EncodeRequest(const NodeIngestRequest& request) {
+  return Encode(MsgType::kNodeIngestRequest, request);
 }
 
-Result<NodeIngestRequest> DecodeNodeIngestRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeIngestRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeIngestRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.atoms, GetAtoms(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.skip_existing, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeIngestRequest> DecodeNodeIngestRequest(const Bytes& payload) {
+  return Decode<NodeIngestRequest>(payload, MsgType::kNodeIngestRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeExecuteRequest& request) {
-  const NodeQuerySpec& spec = request.spec;
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeExecuteRequest, request.rpc);
-  PutZigZag64(&out, spec.mode);
-  PutQueryCommon(&out, spec.dataset, spec.raw_field, spec.derived_field,
-                 spec.timestep, spec.box, spec.fd_order);
-  PutDouble(&out, spec.threshold);
-  PutDouble(&out, spec.bin_width);
-  PutZigZag64(&out, spec.num_bins);
-  PutVarint64(&out, spec.k);
-  PutZigZag64(&out, spec.processes);
-  PutBool(&out, spec.options.use_cache);
-  PutBool(&out, spec.options.io_only);
-  PutZigZag64(&out, spec.options.processes_per_node);
-  PutVarint64(&out, spec.options.max_result_points);
-  PutZigZag64(&out, spec.sample_support);
-  PutTargets(&out, spec.targets);
-  PutDouble(&out, spec.flops_per_process);
-  PutDouble(&out, spec.effective_cores);
-  PutBool(&out, request.stream);
-  return out;
+Bytes EncodeRequest(const NodeExecuteRequest& request) {
+  return Encode(MsgType::kNodeExecuteRequest, request);
 }
 
-Result<NodeExecuteRequest> DecodeNodeExecuteRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeExecuteRequest request;
-  NodeQuerySpec& spec = request.spec;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeExecuteRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(int64_t mode, GetZigZag64(payload, &pos));
-  spec.mode = static_cast<int32_t>(mode);
-  struct CommonView {
-    std::string dataset, raw_field, derived_field;
-    int32_t timestep;
-    Box3 box;
-    int fd_order;
-  } common;
-  TURBDB_RETURN_NOT_OK(GetQueryCommon(payload, &pos, &common));
-  spec.dataset = std::move(common.dataset);
-  spec.raw_field = std::move(common.raw_field);
-  spec.derived_field = std::move(common.derived_field);
-  spec.timestep = common.timestep;
-  spec.box = common.box;
-  spec.fd_order = common.fd_order;
-  TURBDB_ASSIGN_OR_RETURN(spec.threshold, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(spec.bin_width, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t num_bins, GetZigZag64(payload, &pos));
-  spec.num_bins = static_cast<int32_t>(num_bins);
-  TURBDB_ASSIGN_OR_RETURN(spec.k, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t processes, GetZigZag64(payload, &pos));
-  spec.processes = static_cast<int32_t>(processes);
-  TURBDB_ASSIGN_OR_RETURN(spec.options.use_cache, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(spec.options.io_only, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t opt_processes, GetZigZag64(payload, &pos));
-  spec.options.processes_per_node = static_cast<int>(opt_processes);
-  TURBDB_ASSIGN_OR_RETURN(spec.options.max_result_points,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t support, GetZigZag64(payload, &pos));
-  spec.sample_support = static_cast<int32_t>(support);
-  TURBDB_ASSIGN_OR_RETURN(spec.targets, GetTargets(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(spec.flops_per_process, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(spec.effective_cores, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.stream, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeExecuteRequest> DecodeNodeExecuteRequest(const Bytes& payload) {
+  return Decode<NodeExecuteRequest>(payload, MsgType::kNodeExecuteRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeFetchAtomsRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeFetchAtomsRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutZigZag64(&out, request.timestep);
-  PutZigZag64(&out, request.concurrent);
-  PutVarint64(&out, request.codes.size());
-  // Codes arrive sorted; delta coding keeps halo requests tiny.
-  uint64_t previous = 0;
-  for (uint64_t code : request.codes) {
-    PutVarint64(&out, code - previous);
-    previous = code;
-  }
-  return out;
+Bytes EncodeRequest(const NodeFetchAtomsRequest& request) {
+  return Encode(MsgType::kNodeFetchAtomsRequest, request);
 }
 
 Result<NodeFetchAtomsRequest> DecodeNodeFetchAtomsRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeFetchAtomsRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeFetchAtomsRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, &pos));
-  request.timestep = static_cast<int32_t>(timestep);
-  TURBDB_ASSIGN_OR_RETURN(int64_t concurrent, GetZigZag64(payload, &pos));
-  request.concurrent = static_cast<int32_t>(concurrent);
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible code count");
-  }
-  request.codes.reserve(static_cast<size_t>(count));
-  uint64_t previous = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(uint64_t delta, GetVarint64(payload, &pos));
-    previous += delta;
-    request.codes.push_back(previous);
-  }
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+    const Bytes& payload) {
+  return Decode<NodeFetchAtomsRequest>(payload,
+                                       MsgType::kNodeFetchAtomsRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeDropCacheRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeDropCacheRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutZigZag64(&out, request.timestep);
-  return out;
+Bytes EncodeRequest(const NodeDropCacheRequest& request) {
+  return Encode(MsgType::kNodeDropCacheRequest, request);
 }
 
-Result<NodeDropCacheRequest> DecodeNodeDropCacheRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeDropCacheRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeDropCacheRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, &pos));
-  request.timestep = static_cast<int32_t>(timestep);
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeDropCacheRequest> DecodeNodeDropCacheRequest(const Bytes& payload) {
+  return Decode<NodeDropCacheRequest>(payload, MsgType::kNodeDropCacheRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeStatsRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeStatsRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  return out;
+Bytes EncodeRequest(const NodeStatsRequest& request) {
+  return Encode(MsgType::kNodeStatsRequest, request);
 }
 
-Result<NodeStatsRequest> DecodeNodeStatsRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeStatsRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeStatsRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeStatsRequest> DecodeNodeStatsRequest(const Bytes& payload) {
+  return Decode<NodeStatsRequest>(payload, MsgType::kNodeStatsRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeSyncRangeRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeSyncRangeRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutZigZag64(&out, request.timestep);
-  PutVarint64(&out, request.begin_code);
-  PutVarint64(&out, request.end_code);
-  PutVarint64(&out, request.max_atoms);
-  return out;
+Bytes EncodeRequest(const NodeSyncRangeRequest& request) {
+  return Encode(MsgType::kNodeSyncRangeRequest, request);
 }
 
-Result<NodeSyncRangeRequest> DecodeNodeSyncRangeRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeSyncRangeRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeSyncRangeRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, &pos));
-  request.timestep = static_cast<int32_t>(timestep);
-  TURBDB_ASSIGN_OR_RETURN(request.begin_code, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.end_code, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.max_atoms, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeSyncRangeRequest> DecodeNodeSyncRangeRequest(const Bytes& payload) {
+  return Decode<NodeSyncRangeRequest>(payload, MsgType::kNodeSyncRangeRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeListStoresRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeListStoresRequest, request.rpc);
-  return out;
+Bytes EncodeRequest(const NodeListStoresRequest& request) {
+  return Encode(MsgType::kNodeListStoresRequest, request);
 }
 
 Result<NodeListStoresRequest> DecodeNodeListStoresRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeListStoresRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeListStoresRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+    const Bytes& payload) {
+  return Decode<NodeListStoresRequest>(payload,
+                                       MsgType::kNodeListStoresRequest);
 }
 
-// -- Node-scoped responses -----------------------------------------------
-
-std::vector<uint8_t> EncodeAckResponse(MsgType type) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(type));
-  return out;
+Bytes EncodeAckResponse(MsgType type) {
+  return Encode(type, Ack{});
 }
 
-Status DecodeAckResponse(const std::vector<uint8_t>& payload, MsgType type) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, type));
-  return CheckConsumed(payload, pos);
+Status DecodeAckResponse(const Bytes& payload, MsgType type) {
+  return Decode<Ack>(payload, type).status();
 }
 
-std::vector<uint8_t> EncodeNodeExecuteResponse(const NodeResult& result) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeExecuteResponse));
-  PutPoints(&out, result.points);
-  PutVarint64(&out, result.histogram.size());
-  for (uint64_t count : result.histogram) PutVarint64(&out, count);
-  PutDouble(&out, result.norm_sum);
-  PutDouble(&out, result.norm_sum_sq);
-  PutDouble(&out, result.norm_max);
-  PutTargets(&out, result.samples);
-  PutBool(&out, result.cache_hit);
-  PutTime(&out, result.time);
-  PutIo(&out, result.io);
-  return out;
+Bytes EncodeNodeExecuteResponse(const NodeResult& result) {
+  return Encode(MsgType::kNodeExecuteResponse, result);
 }
 
-Result<NodeResult> DecodeNodeExecuteResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeExecuteResponse));
-  NodeResult result;
-  TURBDB_ASSIGN_OR_RETURN(result.points, GetPoints(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t bins, GetVarint64(payload, &pos));
-  if (bins > payload.size() - pos) {
-    return Status::Corruption("implausible histogram size");
-  }
-  result.histogram.reserve(static_cast<size_t>(bins));
-  for (uint64_t i = 0; i < bins; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-    result.histogram.push_back(count);
-  }
-  TURBDB_ASSIGN_OR_RETURN(result.norm_sum, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.norm_sum_sq, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.norm_max, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.samples, GetTargets(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.cache_hit, GetBool(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.time, GetTime(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(result.io, GetIo(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return result;
+Result<NodeResult> DecodeNodeExecuteResponse(const Bytes& payload) {
+  return Decode<NodeResult>(payload, MsgType::kNodeExecuteResponse);
 }
 
-std::vector<uint8_t> EncodeNodeFetchAtomsResponse(
-    const NodeFetchAtomsReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeFetchAtomsResponse));
-  PutAtoms(&out, reply.atoms);
-  PutDouble(&out, reply.cost_s);
-  PutVarint64(&out, reply.bytes_out);
-  return out;
+Bytes EncodeNodeFetchAtomsResponse(const NodeFetchAtomsReply& reply) {
+  return Encode(MsgType::kNodeFetchAtomsResponse, reply);
 }
 
-Result<NodeFetchAtomsReply> DecodeNodeFetchAtomsResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeFetchAtomsResponse));
-  NodeFetchAtomsReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms, GetAtoms(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.cost_s, GetDouble(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.bytes_out, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeFetchAtomsReply> DecodeNodeFetchAtomsResponse(const Bytes& payload) {
+  return Decode<NodeFetchAtomsReply>(payload, MsgType::kNodeFetchAtomsResponse);
 }
 
-std::vector<uint8_t> EncodeNodeStatsResponse(const NodeStatsReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeStatsResponse));
-  PutZigZag64(&out, reply.node_id);
-  PutVarint64(&out, reply.stored_atoms);
-  PutVarint64(&out, reply.epoch);
-  PutVarint64(&out, reply.wal_pending_records);
-  PutVarint64(&out, reply.wal_pending_bytes);
-  PutVarint64(&out, reply.generation);
-  PutVarint64(&out, reply.scrub_passes);
-  PutVarint64(&out, reply.scrub_atoms_verified);
-  PutVarint64(&out, reply.scrub_atoms_corrupt);
-  PutVarint64(&out, reply.scrub_atoms_repaired);
-  PutVarint64(&out, reply.atoms_quarantined);
-  return out;
+Bytes EncodeNodeStatsResponse(const NodeStatsReply& reply) {
+  return Encode(MsgType::kNodeStatsResponse, reply);
 }
 
-Result<NodeStatsReply> DecodeNodeStatsResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeStatsResponse));
-  NodeStatsReply reply;
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  reply.node_id = static_cast<int32_t>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(reply.stored_atoms, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.epoch, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.wal_pending_records, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.wal_pending_bytes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.generation, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.scrub_passes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.scrub_atoms_verified,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.scrub_atoms_corrupt,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.scrub_atoms_repaired,
-                          GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_quarantined, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeStatsReply> DecodeNodeStatsResponse(const Bytes& payload) {
+  return Decode<NodeStatsReply>(payload, MsgType::kNodeStatsResponse);
 }
 
-std::vector<uint8_t> EncodeNodeSyncRangeResponse(
-    const NodeSyncRangeReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeSyncRangeResponse));
-  PutAtoms(&out, reply.atoms);
-  PutVarint64(&out, reply.next_code);
-  PutBool(&out, reply.done);
-  return out;
+Bytes EncodeNodeSyncRangeResponse(const NodeSyncRangeReply& reply) {
+  return Encode(MsgType::kNodeSyncRangeResponse, reply);
 }
 
-Result<NodeSyncRangeReply> DecodeNodeSyncRangeResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeSyncRangeResponse));
-  NodeSyncRangeReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms, GetAtoms(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.next_code, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.done, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeSyncRangeReply> DecodeNodeSyncRangeResponse(const Bytes& payload) {
+  return Decode<NodeSyncRangeReply>(payload, MsgType::kNodeSyncRangeResponse);
 }
 
-std::vector<uint8_t> EncodeNodeListStoresResponse(
-    const NodeListStoresReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeListStoresResponse));
-  PutVarint64(&out, reply.stores.size());
-  for (const NodeStoreInfo& store : reply.stores) {
-    PutString(&out, store.dataset);
-    PutString(&out, store.field);
-    PutVarint64(&out, store.atoms);
-  }
-  return out;
+Bytes EncodeNodeListStoresResponse(const NodeListStoresReply& reply) {
+  return Encode(MsgType::kNodeListStoresResponse, reply);
 }
 
-Result<NodeListStoresReply> DecodeNodeListStoresResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeListStoresResponse));
-  NodeListStoresReply reply;
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible store count");
-  }
-  reply.stores.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    NodeStoreInfo store;
-    TURBDB_ASSIGN_OR_RETURN(store.dataset, GetString(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.field, GetString(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.atoms, GetVarint64(payload, &pos));
-    reply.stores.push_back(std::move(store));
-  }
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeListStoresReply> DecodeNodeListStoresResponse(const Bytes& payload) {
+  return Decode<NodeListStoresReply>(payload, MsgType::kNodeListStoresResponse);
 }
 
 // -- Self-healing messages (v7) ------------------------------------------
 
-std::vector<uint8_t> EncodeRequest(const NodeMerkleRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeMerkleRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutVarint64(&out, request.leaf_shift);
-  return out;
+Bytes EncodeRequest(const NodeMerkleRequest& request) {
+  return Encode(MsgType::kNodeMerkleRequest, request);
 }
 
-Result<NodeMerkleRequest> DecodeNodeMerkleRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeMerkleRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeMerkleRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t shift, GetVarint64(payload, &pos));
-  if (shift > 63) return Status::Corruption("implausible leaf shift");
-  request.leaf_shift = static_cast<uint32_t>(shift);
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeMerkleRequest> DecodeNodeMerkleRequest(const Bytes& payload) {
+  return Decode<NodeMerkleRequest>(payload, MsgType::kNodeMerkleRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeScrubRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeScrubRequest, request.rpc);
-  PutBool(&out, request.trigger);
-  return out;
+Bytes EncodeRequest(const NodeScrubRequest& request) {
+  return Encode(MsgType::kNodeScrubRequest, request);
 }
 
-Result<NodeScrubRequest> DecodeNodeScrubRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeScrubRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeScrubRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.trigger, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<NodeScrubRequest> DecodeNodeScrubRequest(const Bytes& payload) {
+  return Decode<NodeScrubRequest>(payload, MsgType::kNodeScrubRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const NodeRepairRangeRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kNodeRepairRangeRequest, request.rpc);
-  PutString(&out, request.dataset);
-  PutString(&out, request.field);
-  PutZigZag64(&out, request.timestep);
-  PutVarint64(&out, request.begin_code);
-  PutVarint64(&out, request.end_code);
-  return out;
+Bytes EncodeRequest(const NodeRepairRangeRequest& request) {
+  return Encode(MsgType::kNodeRepairRangeRequest, request);
 }
 
 Result<NodeRepairRangeRequest> DecodeNodeRepairRangeRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  NodeRepairRangeRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeRepairRangeRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.dataset, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.field, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, &pos));
-  request.timestep = static_cast<int32_t>(timestep);
-  TURBDB_ASSIGN_OR_RETURN(request.begin_code, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.end_code, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+    const Bytes& payload) {
+  return Decode<NodeRepairRangeRequest>(payload,
+                                        MsgType::kNodeRepairRangeRequest);
 }
 
-std::vector<uint8_t> EncodeNodeMerkleResponse(const NodeMerkleReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeMerkleResponse));
-  PutZigZag64(&out, reply.node_id);
-  PutVarint64(&out, reply.leaf_shift);
-  PutVarint64(&out, reply.root);
-  PutVarint64(&out, reply.leaves.size());
-  for (const WireMerkleLeaf& leaf : reply.leaves) {
-    PutZigZag64(&out, leaf.timestep);
-    PutVarint64(&out, leaf.leaf);
-    PutVarint64(&out, leaf.digest);
-    PutVarint64(&out, leaf.atoms);
-  }
-  return out;
+Bytes EncodeNodeMerkleResponse(const NodeMerkleReply& reply) {
+  return Encode(MsgType::kNodeMerkleResponse, reply);
 }
 
-Result<NodeMerkleReply> DecodeNodeMerkleResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeMerkleResponse));
-  NodeMerkleReply reply;
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  reply.node_id = static_cast<int32_t>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(uint64_t shift, GetVarint64(payload, &pos));
-  if (shift > 63) return Status::Corruption("implausible leaf shift");
-  reply.leaf_shift = static_cast<uint32_t>(shift);
-  TURBDB_ASSIGN_OR_RETURN(reply.root, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible leaf count");
-  }
-  reply.leaves.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    WireMerkleLeaf leaf;
-    TURBDB_ASSIGN_OR_RETURN(int64_t timestep, GetZigZag64(payload, &pos));
-    leaf.timestep = static_cast<int32_t>(timestep);
-    TURBDB_ASSIGN_OR_RETURN(leaf.leaf, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(leaf.digest, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(leaf.atoms, GetVarint64(payload, &pos));
-    reply.leaves.push_back(leaf);
-  }
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeMerkleReply> DecodeNodeMerkleResponse(const Bytes& payload) {
+  return Decode<NodeMerkleReply>(payload, MsgType::kNodeMerkleResponse);
 }
 
-std::vector<uint8_t> EncodeNodeScrubResponse(const NodeScrubReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeScrubResponse));
-  PutZigZag64(&out, reply.node_id);
-  PutVarint64(&out, reply.passes);
-  PutVarint64(&out, reply.atoms_verified);
-  PutVarint64(&out, reply.atoms_corrupt);
-  PutVarint64(&out, reply.atoms_repaired);
-  PutVarint64(&out, reply.last_pass_unix_ms);
-  PutVarint64(&out, reply.stores.size());
-  for (const ScrubStoreRow& store : reply.stores) {
-    PutString(&out, store.dataset);
-    PutString(&out, store.field);
-    PutVarint64(&out, store.atoms_verified);
-    PutVarint64(&out, store.atoms_corrupt);
-    PutVarint64(&out, store.atoms_repaired);
-    PutVarint64(&out, store.atoms_quarantined);
-    PutVarint64(&out, store.bytes_verified);
-    PutVarint64(&out, store.passes);
-    PutVarint64(&out, store.merkle_root);
-  }
-  return out;
+Bytes EncodeNodeScrubResponse(const NodeScrubReply& reply) {
+  return Encode(MsgType::kNodeScrubResponse, reply);
 }
 
-Result<NodeScrubReply> DecodeNodeScrubResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kNodeScrubResponse));
-  NodeScrubReply reply;
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  reply.node_id = static_cast<int32_t>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(reply.passes, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_verified, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_corrupt, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_repaired, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.last_pass_unix_ms, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible store count");
-  }
-  reply.stores.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    ScrubStoreRow store;
-    TURBDB_ASSIGN_OR_RETURN(store.dataset, GetString(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.field, GetString(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.atoms_verified, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.atoms_corrupt, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.atoms_repaired, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.atoms_quarantined,
-                            GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.bytes_verified, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.passes, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(store.merkle_root, GetVarint64(payload, &pos));
-    reply.stores.push_back(std::move(store));
-  }
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<NodeScrubReply> DecodeNodeScrubResponse(const Bytes& payload) {
+  return Decode<NodeScrubReply>(payload, MsgType::kNodeScrubResponse);
 }
 
-std::vector<uint8_t> EncodeNodeRepairRangeResponse(
-    const NodeRepairRangeReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kNodeRepairRangeResponse));
-  PutZigZag64(&out, reply.node_id);
-  PutVarint64(&out, reply.ranges_diverged);
-  PutVarint64(&out, reply.atoms_examined);
-  PutVarint64(&out, reply.atoms_repaired);
-  PutVarint64(&out, reply.root);
-  return out;
+Bytes EncodeNodeRepairRangeResponse(const NodeRepairRangeReply& reply) {
+  return Encode(MsgType::kNodeRepairRangeResponse, reply);
 }
 
 Result<NodeRepairRangeReply> DecodeNodeRepairRangeResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kNodeRepairRangeResponse));
-  NodeRepairRangeReply reply;
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  reply.node_id = static_cast<int32_t>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(reply.ranges_diverged, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_examined, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_repaired, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.root, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+    const Bytes& payload) {
+  return Decode<NodeRepairRangeReply>(payload,
+                                      MsgType::kNodeRepairRangeResponse);
 }
 
 // -- Elasticity messages (v6) --------------------------------------------
 
-namespace {
-
-void PutNodeRecord(std::vector<uint8_t>* out, const NodeRecord& record) {
-  PutZigZag64(out, record.node_id);
-  PutString(out, record.uuid);
-  PutString(out, record.host);
-  PutVarint64(out, record.port);
-  PutZigZag64(out, record.shard);
-  PutZigZag64(out, static_cast<int64_t>(record.role));
-  PutVarint64(out, record.joined_generation);
+Bytes EncodeRequest(const JoinRequest& request) {
+  return Encode(MsgType::kJoinRequest, request);
 }
 
-Result<NodeRecord> GetNodeRecord(const std::vector<uint8_t>& bytes,
-                                 size_t* pos) {
-  NodeRecord record;
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(bytes, pos));
-  record.node_id = static_cast<int>(node_id);
-  TURBDB_ASSIGN_OR_RETURN(record.uuid, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(record.host, GetString(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t port, GetVarint64(bytes, pos));
-  record.port = static_cast<uint16_t>(port);
-  TURBDB_ASSIGN_OR_RETURN(int64_t shard, GetZigZag64(bytes, pos));
-  record.shard = static_cast<int>(shard);
-  TURBDB_ASSIGN_OR_RETURN(int64_t role, GetZigZag64(bytes, pos));
-  if (role < 0 || role > static_cast<int64_t>(NodeRole::kDraining)) {
-    return Status::Corruption("implausible node role");
-  }
-  record.role = static_cast<NodeRole>(role);
-  TURBDB_ASSIGN_OR_RETURN(record.joined_generation, GetVarint64(bytes, pos));
-  return record;
+Result<JoinRequest> DecodeJoinRequest(const Bytes& payload) {
+  return Decode<JoinRequest>(payload, MsgType::kJoinRequest);
 }
 
-void PutView(std::vector<uint8_t>* out, const MembershipView& view) {
-  PutVarint64(out, view.generation);
-  PutZigZag64(out, view.replication);
-  PutZigZag64(out, view.base_shards);
-  PutVarint64(out, view.nodes.size());
-  for (const NodeRecord& record : view.nodes) PutNodeRecord(out, record);
-  PutVarint64(out, view.overrides.size());
-  for (const RangeOverride& o : view.overrides) {
-    PutVarint64(out, o.begin);
-    PutVarint64(out, o.end);
-    PutZigZag64(out, o.shard);
-  }
+Bytes EncodeJoinResponse(const JoinReply& reply) {
+  return Encode(MsgType::kJoinResponse, reply);
 }
 
-Result<MembershipView> GetView(const std::vector<uint8_t>& bytes,
-                               size_t* pos) {
-  MembershipView view;
-  TURBDB_ASSIGN_OR_RETURN(view.generation, GetVarint64(bytes, pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t replication, GetZigZag64(bytes, pos));
-  view.replication = static_cast<int>(replication);
-  TURBDB_ASSIGN_OR_RETURN(int64_t base_shards, GetZigZag64(bytes, pos));
-  view.base_shards = static_cast<int>(base_shards);
-  TURBDB_ASSIGN_OR_RETURN(uint64_t node_count, GetVarint64(bytes, pos));
-  if (node_count > bytes.size() - *pos) {
-    return Status::Corruption("implausible node-record count");
-  }
-  view.nodes.reserve(static_cast<size_t>(node_count));
-  for (uint64_t i = 0; i < node_count; ++i) {
-    TURBDB_ASSIGN_OR_RETURN(NodeRecord record, GetNodeRecord(bytes, pos));
-    view.nodes.push_back(std::move(record));
-  }
-  TURBDB_ASSIGN_OR_RETURN(uint64_t override_count, GetVarint64(bytes, pos));
-  if (override_count > bytes.size() - *pos) {
-    return Status::Corruption("implausible override count");
-  }
-  view.overrides.reserve(static_cast<size_t>(override_count));
-  for (uint64_t i = 0; i < override_count; ++i) {
-    RangeOverride o;
-    TURBDB_ASSIGN_OR_RETURN(o.begin, GetVarint64(bytes, pos));
-    TURBDB_ASSIGN_OR_RETURN(o.end, GetVarint64(bytes, pos));
-    TURBDB_ASSIGN_OR_RETURN(int64_t shard, GetZigZag64(bytes, pos));
-    o.shard = static_cast<int>(shard);
-    view.overrides.push_back(o);
-  }
-  return view;
+Result<JoinReply> DecodeJoinResponse(const Bytes& payload) {
+  return Decode<JoinReply>(payload, MsgType::kJoinResponse);
 }
 
-}  // namespace
-
-std::vector<uint8_t> EncodeRequest(const JoinRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kJoinRequest, request.rpc);
-  PutString(&out, request.uuid);
-  PutString(&out, request.host);
-  PutVarint64(&out, request.port);
-  PutBool(&out, request.activate);
-  return out;
+Bytes EncodeRequest(const LeaveRequest& request) {
+  return Encode(MsgType::kLeaveRequest, request);
 }
 
-Result<JoinRequest> DecodeJoinRequest(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  JoinRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kJoinRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.uuid, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.host, GetString(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t port, GetVarint64(payload, &pos));
-  request.port = static_cast<uint16_t>(port);
-  TURBDB_ASSIGN_OR_RETURN(request.activate, GetBool(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<LeaveRequest> DecodeLeaveRequest(const Bytes& payload) {
+  return Decode<LeaveRequest>(payload, MsgType::kLeaveRequest);
 }
 
-std::vector<uint8_t> EncodeJoinResponse(const JoinReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kJoinResponse));
-  PutNodeRecord(&out, reply.record);
-  PutView(&out, reply.view);
-  PutVarint64(&out, reply.registrations.size());
-  for (const WireDatasetRegistration& reg : reply.registrations) {
-    PutDatasetInfo(&out, reg.info);
-    PutZigZag64(&out, reg.num_nodes);
-    PutZigZag64(&out, reg.strategy);
-  }
-  return out;
+Bytes EncodeLeaveResponse(const LeaveReply& reply) {
+  return Encode(MsgType::kLeaveResponse, reply);
 }
 
-Result<JoinReply> DecodeJoinResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kJoinResponse));
-  JoinReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.record, GetNodeRecord(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.view, GetView(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible registration count");
-  }
-  reply.registrations.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    WireDatasetRegistration reg;
-    TURBDB_ASSIGN_OR_RETURN(reg.info, GetDatasetInfo(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(int64_t num_nodes, GetZigZag64(payload, &pos));
-    reg.num_nodes = static_cast<int32_t>(num_nodes);
-    TURBDB_ASSIGN_OR_RETURN(int64_t strategy, GetZigZag64(payload, &pos));
-    reg.strategy = static_cast<int32_t>(strategy);
-    reply.registrations.push_back(std::move(reg));
-  }
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<LeaveReply> DecodeLeaveResponse(const Bytes& payload) {
+  return Decode<LeaveReply>(payload, MsgType::kLeaveResponse);
 }
 
-std::vector<uint8_t> EncodeRequest(const LeaveRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kLeaveRequest, request.rpc);
-  PutZigZag64(&out, request.node_id);
-  return out;
+Bytes EncodeRequest(const MembershipGetRequest& request) {
+  return Encode(MsgType::kMembershipGetRequest, request);
 }
 
-Result<LeaveRequest> DecodeLeaveRequest(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  LeaveRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kLeaveRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(int64_t node_id, GetZigZag64(payload, &pos));
-  request.node_id = static_cast<int32_t>(node_id);
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<MembershipGetRequest> DecodeMembershipGetRequest(const Bytes& payload) {
+  return Decode<MembershipGetRequest>(payload, MsgType::kMembershipGetRequest);
 }
 
-std::vector<uint8_t> EncodeLeaveResponse(const LeaveReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kLeaveResponse));
-  PutView(&out, reply.view);
-  PutVarint64(&out, reply.ranges_moved);
-  PutVarint64(&out, reply.atoms_copied);
-  return out;
+Bytes EncodeMembershipGetResponse(const MembershipGetReply& reply) {
+  return Encode(MsgType::kMembershipGetResponse, reply);
 }
 
-Result<LeaveReply> DecodeLeaveResponse(const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kLeaveResponse));
-  LeaveReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.view, GetView(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.ranges_moved, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_copied, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<MembershipGetReply> DecodeMembershipGetResponse(const Bytes& payload) {
+  return Decode<MembershipGetReply>(payload, MsgType::kMembershipGetResponse);
 }
 
-std::vector<uint8_t> EncodeRequest(const MembershipGetRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kMembershipGetRequest, request.rpc);
-  return out;
-}
-
-Result<MembershipGetRequest> DecodeMembershipGetRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  MembershipGetRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kMembershipGetRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
-}
-
-std::vector<uint8_t> EncodeMembershipGetResponse(
-    const MembershipGetReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kMembershipGetResponse));
-  PutView(&out, reply.view);
-  return out;
-}
-
-Result<MembershipGetReply> DecodeMembershipGetResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kMembershipGetResponse));
-  MembershipGetReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.view, GetView(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
-}
-
-std::vector<uint8_t> EncodeRequest(const MembershipUpdateRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kMembershipUpdateRequest, request.rpc);
-  PutView(&out, request.view);
-  return out;
+Bytes EncodeRequest(const MembershipUpdateRequest& request) {
+  return Encode(MsgType::kMembershipUpdateRequest, request);
 }
 
 Result<MembershipUpdateRequest> DecodeMembershipUpdateRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  MembershipUpdateRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kMembershipUpdateRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.view, GetView(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+    const Bytes& payload) {
+  return Decode<MembershipUpdateRequest>(payload,
+                                         MsgType::kMembershipUpdateRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const BeginHandoffRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kBeginHandoffRequest, request.rpc);
-  PutVarint64(&out, request.begin);
-  PutVarint64(&out, request.end);
-  PutZigZag64(&out, request.from_shard);
-  PutZigZag64(&out, request.to_shard);
-  return out;
+Bytes EncodeRequest(const BeginHandoffRequest& request) {
+  return Encode(MsgType::kBeginHandoffRequest, request);
 }
 
-Result<BeginHandoffRequest> DecodeBeginHandoffRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  BeginHandoffRequest request;
-  TURBDB_RETURN_NOT_OK(
-      ExpectType(payload, &pos, MsgType::kBeginHandoffRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.begin, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.end, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t from_shard, GetZigZag64(payload, &pos));
-  request.from_shard = static_cast<int32_t>(from_shard);
-  TURBDB_ASSIGN_OR_RETURN(int64_t to_shard, GetZigZag64(payload, &pos));
-  request.to_shard = static_cast<int32_t>(to_shard);
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<BeginHandoffRequest> DecodeBeginHandoffRequest(const Bytes& payload) {
+  return Decode<BeginHandoffRequest>(payload, MsgType::kBeginHandoffRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const CutoverRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kCutoverRequest, request.rpc);
-  PutVarint64(&out, request.begin);
-  PutVarint64(&out, request.end);
-  PutZigZag64(&out, request.from_shard);
-  PutZigZag64(&out, request.to_shard);
-  PutView(&out, request.view);
-  return out;
+Bytes EncodeRequest(const CutoverRequest& request) {
+  return Encode(MsgType::kCutoverRequest, request);
 }
 
-Result<CutoverRequest> DecodeCutoverRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  CutoverRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kCutoverRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(request.begin, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(request.end, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(int64_t from_shard, GetZigZag64(payload, &pos));
-  request.from_shard = static_cast<int32_t>(from_shard);
-  TURBDB_ASSIGN_OR_RETURN(int64_t to_shard, GetZigZag64(payload, &pos));
-  request.to_shard = static_cast<int32_t>(to_shard);
-  TURBDB_ASSIGN_OR_RETURN(request.view, GetView(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<CutoverRequest> DecodeCutoverRequest(const Bytes& payload) {
+  return Decode<CutoverRequest>(payload, MsgType::kCutoverRequest);
 }
 
-std::vector<uint8_t> EncodeRequest(const RebalanceRequest& request) {
-  std::vector<uint8_t> out;
-  PutHeader(&out, MsgType::kRebalanceRequest, request.rpc);
-  PutZigZag64(&out, request.to_shard);
-  PutVarint64(&out, request.max_ranges);
-  return out;
+Bytes EncodeRequest(const RebalanceRequest& request) {
+  return Encode(MsgType::kRebalanceRequest, request);
 }
 
-Result<RebalanceRequest> DecodeRebalanceRequest(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  RebalanceRequest request;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kRebalanceRequest));
-  TURBDB_RETURN_NOT_OK(GetRpc(payload, &pos, &request.rpc));
-  TURBDB_ASSIGN_OR_RETURN(int64_t to_shard, GetZigZag64(payload, &pos));
-  request.to_shard = static_cast<int32_t>(to_shard);
-  TURBDB_ASSIGN_OR_RETURN(request.max_ranges, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return request;
+Result<RebalanceRequest> DecodeRebalanceRequest(const Bytes& payload) {
+  return Decode<RebalanceRequest>(payload, MsgType::kRebalanceRequest);
 }
 
-std::vector<uint8_t> EncodeRebalanceResponse(const RebalanceReply& reply) {
-  std::vector<uint8_t> out;
-  PutVarint64(&out, static_cast<uint64_t>(MsgType::kRebalanceResponse));
-  PutVarint64(&out, reply.generation);
-  PutVarint64(&out, reply.moved.size());
-  for (const RangeOverride& o : reply.moved) {
-    PutVarint64(&out, o.begin);
-    PutVarint64(&out, o.end);
-    PutZigZag64(&out, o.shard);
-  }
-  PutVarint64(&out, reply.atoms_copied);
-  return out;
+Bytes EncodeRebalanceResponse(const RebalanceReply& reply) {
+  return Encode(MsgType::kRebalanceResponse, reply);
 }
 
-Result<RebalanceReply> DecodeRebalanceResponse(
-    const std::vector<uint8_t>& payload) {
-  size_t pos = 0;
-  TURBDB_RETURN_NOT_OK(ExpectType(payload, &pos, MsgType::kRebalanceResponse));
-  RebalanceReply reply;
-  TURBDB_ASSIGN_OR_RETURN(reply.generation, GetVarint64(payload, &pos));
-  TURBDB_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(payload, &pos));
-  if (count > payload.size() - pos) {
-    return Status::Corruption("implausible moved-range count");
-  }
-  reply.moved.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    RangeOverride o;
-    TURBDB_ASSIGN_OR_RETURN(o.begin, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(o.end, GetVarint64(payload, &pos));
-    TURBDB_ASSIGN_OR_RETURN(int64_t shard, GetZigZag64(payload, &pos));
-    o.shard = static_cast<int>(shard);
-    reply.moved.push_back(o);
-  }
-  TURBDB_ASSIGN_OR_RETURN(reply.atoms_copied, GetVarint64(payload, &pos));
-  TURBDB_RETURN_NOT_OK(CheckConsumed(payload, pos));
-  return reply;
+Result<RebalanceReply> DecodeRebalanceResponse(const Bytes& payload) {
+  return Decode<RebalanceReply>(payload, MsgType::kRebalanceResponse);
 }
 
 }  // namespace net

@@ -128,20 +128,17 @@ enum class MsgType : uint8_t {
 /// `query_id` names the query for cooperative cancellation: a server
 /// registers every in-flight request with a non-zero id, and a later
 /// CancelRequest for the same id flips that request's cancel token. 0
-/// means "not cancellable". It rides in the payload header (second
-/// varint, after the type).
+/// means "not cancellable".
 ///
 /// `tenant` (v5) names the principal the request is billed to, so the
 /// server's ResourceGovernor can admit fairly across tenants instead of
-/// letting one flood starve everyone. It rides in the payload header
-/// (string, after the query id); empty means the default bucket.
+/// letting one flood starve everyone; empty means the default bucket.
 ///
 /// `generation` (v6) is the sender's membership generation — the version
 /// of the cluster ownership view the request was routed with. A node
 /// whose ownership of the addressed range changed after that generation
 /// answers kWrongOwner (retryable) instead of serving stale data. 0
 /// means "not generation-checked" (single-node deployments, admin RPCs).
-/// It rides in the payload header (varint, after the tenant).
 struct RpcOptions {
   uint64_t deadline_ms = 0;
   uint64_t query_id = 0;
@@ -854,9 +851,8 @@ Status PeekErrorStatus(const std::vector<uint8_t>& payload);
 
 // -- Request header peek -------------------------------------------------
 
-/// The shared prefix of every request payload: type varint + query-id
-/// varint + tenant string (v5). (The deadline budget is not here — it
-/// rides in the frame header.)
+/// The shared prefix of every request payload: its type and RpcOptions
+/// (whose deadline budget rides in the frame header instead).
 struct RequestHeader {
   MsgType type;
   RpcOptions rpc;

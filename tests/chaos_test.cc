@@ -20,7 +20,11 @@
 //       joined and every reserved result byte is returned to the budget;
 //   (e) a chunk frame truncated mid-stream (server crash signature) is a
 //       transport failure the client retries from scratch — chunks of
-//       the torn attempt never leak into the retried one.
+//       the torn attempt never leak into the retried one;
+//   (f) a query routed while a rebalance cutover is half committed —
+//       donor and recipient already fence the moved range, the registry
+//       still routes by the old view — waits for the commit and answers
+//       byte-identically instead of surfacing kWrongOwner.
 //
 // The node services are hosted in this process over real TCP sockets
 // (one net::Server each, with per-server fault scopes "n0.", "n1.", ...)
@@ -31,7 +35,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,6 +128,50 @@ class InProcessNodeCluster {
 
   /// The fault-site prefix of node `i` ("n0.", "n1.", ...).
   static std::string Scope(int i) { return "n" + std::to_string(i) + "."; }
+
+  /// Adds one more node service the way `turbdb_node --join` does: admit
+  /// through the mediator, register the catalog, serve, then activate.
+  /// Returns the joiner's shard.
+  Result<int> Join(Mediator& mediator) {
+    net::JoinRequest admit;
+    admit.uuid = "chaos-joiner";
+    admit.host = "127.0.0.1";
+    TURBDB_ASSIGN_OR_RETURN(net::JoinReply admitted, mediator.Join(admit));
+    NodeServiceConfig config;
+    config.node_id = admitted.record.node_id;
+    config.shard_override = admitted.record.shard;
+    config.epoch = static_cast<uint64_t>(config.node_id) + 1;
+    for (const NodeRecord& record : admitted.view.nodes) {
+      config.peers.nodes.resize(
+          std::max(config.peers.nodes.size(),
+                   static_cast<size_t>(record.node_id) + 1));
+      config.peers.nodes[static_cast<size_t>(record.node_id)] =
+          NodeAddress{record.host, record.port};
+    }
+    auto node = std::make_unique<Node>();
+    node->service = std::make_unique<NodeService>(config);
+    for (const auto& registration : admitted.registrations) {
+      TURBDB_RETURN_NOT_OK(node->service->RegisterDatasetSpec(registration));
+    }
+    TURBDB_RETURN_NOT_OK(node->service->ApplyView(admitted.view));
+
+    net::ServerOptions options;
+    options.bind_address = "127.0.0.1";
+    options.num_workers = 4;
+    options.server_id = config.node_id;
+    options.server_epoch = config.epoch;
+    options.fault_scope = Scope(config.node_id);
+    TURBDB_ASSIGN_OR_RETURN(
+        node->server,
+        net::Server::Start(node->service->AsHandler(), options));
+    net::JoinRequest activate = admit;
+    activate.port = node->server->port();
+    activate.activate = true;
+    TURBDB_ASSIGN_OR_RETURN(net::JoinReply active, mediator.Join(activate));
+    TURBDB_RETURN_NOT_OK(node->service->ApplyView(active.view));
+    nodes_.push_back(std::move(node));
+    return active.record.shard;
+  }
 
   const ClusterTopology& topology() const { return topology_; }
 
@@ -449,6 +499,55 @@ TEST_F(ChaosTest, TruncatedChunkIsRetriedFromScratchByteIdentically) {
   ASSERT_EQ(streamed->points.size(), expected->points.size());
   EXPECT_EQ(EncodePointsBinary(streamed->points),
             EncodePointsBinary(expected->points));
+}
+
+// (f) A cutover installs the new view on donor and recipient, then
+// commits it to the registry that Dispatch routes by. The
+// membership.commit site holds that commit for 300 ms: a query routed in
+// the window bounces off the fenced nodes with kWrongOwner. Dispatch
+// must wait for the commit and re-route, answering exactly as before the
+// rebalance, however fast its retries would otherwise run.
+TEST_F(ChaosTest, QueryDuringACutoverWaitsForTheRegistryCommit) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+
+  const ThresholdQuery query = VorticityQuery(4.0);
+  auto before = mediator.GetThreshold(query, NoCacheOptions());
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_GT(before->points.size(), 0u);
+
+  auto joined = (*procs)->Join(mediator);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+
+  const std::string site = "membership.commit";
+  fault::Arm(site, fault::Action::kDelay, /*arg=*/300, /*count=*/1);
+  net::RebalanceRequest rebalance;
+  rebalance.to_shard = *joined;
+  rebalance.max_ranges = 1;
+  auto moved = std::async(std::launch::async,
+                          [&] { return mediator.Rebalance(rebalance); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (fault::Fired(site) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fault::Fired(site), 1u);
+
+  // Routed by the old view while both nodes fence it.
+  const uint64_t generation = mediator.generation();
+  auto during = mediator.GetThreshold(query, NoCacheOptions());
+  auto reply = moved.get();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->moved.size(), 1u);
+  EXPECT_GT(reply->generation, generation);
+  ASSERT_TRUE(during.ok()) << during.status();
+  EXPECT_EQ(EncodePointsBinary(during->points),
+            EncodePointsBinary(before->points));
 }
 
 }  // namespace
