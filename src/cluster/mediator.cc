@@ -88,7 +88,6 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
       }
       auto group = std::make_unique<ReplicaGroup>(g, std::move(members),
                                                   effective.remote);
-      group->set_cache_affinity(effective.cache_affinity);
       TURBDB_RETURN_NOT_OK(group->BringUp());
       mediator->backends_.push_back(std::move(group));
     }
@@ -106,7 +105,6 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
           effective.remote, record.shard));
       auto group = std::make_unique<ReplicaGroup>(
           record.shard, std::move(members), effective.remote);
-      group->set_cache_affinity(effective.cache_affinity);
       TURBDB_RETURN_NOT_OK(group->BringUp());
       mediator->backends_.push_back(std::move(group));
     }
@@ -354,7 +352,8 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     const NodeQuery& node_query, const CallBudget& budget,
     const std::function<Status(int node_id,
                                std::vector<ThresholdPoint> points)>&
-        point_sink) {
+        point_sink,
+    std::shared_ptr<const MembershipView>* routed_view) {
   // A sub-query bounced with kWrongOwner means a cutover raced this
   // dispatch: the snapshot it was routed under predates an ownership
   // change. Wait for the registry to commit that change, then
@@ -375,6 +374,7 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     auto outcomes = DispatchOnce(node_query, view, budget, counted_sink);
     if (outcomes.ok() || attempt >= kMaxAttempts || points_sunk > 0 ||
         outcomes.status().code() != StatusCode::kWrongOwner) {
+      if (routed_view != nullptr) *routed_view = view;
       return outcomes;
     }
     TURBDB_LOG(Info) << "dispatch raced a membership cutover ("
@@ -578,10 +578,8 @@ void FillNodeStats(const std::vector<NodeOutcome>& outcomes,
 
 }  // namespace
 
-Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
-                                               const QueryOptions& options,
-                                               const CallBudget& budget) {
-  Stopwatch watch;
+Result<NodeQuery> Mediator::BuildThresholdQuery(const ThresholdQuery& query,
+                                                const QueryOptions& options) {
   TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
   TURBDB_ASSIGN_OR_RETURN(
       NodeQuery node_query,
@@ -589,216 +587,171 @@ Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
                      query.raw_field, query.derived_field, query.timestep,
                      query.box, query.fd_order, options));
   node_query.threshold = query.threshold;
+  return node_query;
+}
 
-  // Mediator-tier cache: a resident entry subsuming this query answers
-  // it here, with zero node RPCs. The epoch is snapshotted *before*
-  // dispatch so a concurrent ingest poisons the later insert, never the
-  // served data.
-  const bool cacheable = options.use_cache && result_cache_->enabled();
-  if (cacheable) {
-    MediatorCacheLookup cached = result_cache_->Lookup(
-        query.dataset, node_query.cache_field_key, query.fd_order,
-        query.timestep, node_query.box, query.threshold);
-    if (cached.hit) {
-      if (cached.points.size() > options.max_result_points) {
-        return Status::ThresholdTooLow(
-            "threshold produced " + std::to_string(cached.points.size()) +
-            " points; the limit is " +
-            std::to_string(options.max_result_points) +
-            " (raise the threshold, or request the field values directly)");
-      }
-      ThresholdResult result;
-      result.points = std::move(cached.points);
-      result.all_cache_hits = true;
-      result.result_bytes_binary = PointsBinarySize(result.points);
-      result.result_bytes_xml = PointsXmlSize(result.points);
-      // Modeled time: no node phase and no LAN scatter-gather — only the
-      // WAN delivery of the answer remains.
-      ModelMediatorComm(config_.cost, 0, 0, result.result_bytes_xml,
-                        &result.time);
-      result.wall_seconds = watch.ElapsedSeconds();
-      return result;
-    }
-  }
-  const uint64_t cache_epoch = cacheable ? result_cache_->epoch() : 0;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
-                          Dispatch(node_query, budget));
-
-  // Dispatch already failed the query if the points passed the cap.
-  ThresholdResult result;
-  uint64_t total_points = 0;
-  for (const NodeOutcome& outcome : outcomes) {
-    total_points += outcome.points.size();
-  }
-  result.points.reserve(total_points);
-  for (NodeOutcome& outcome : outcomes) {
-    result.points.insert(result.points.end(), outcome.points.begin(),
-                         outcome.points.end());
-  }
-  std::sort(result.points.begin(), result.points.end(),
-            [](const ThresholdPoint& a, const ThresholdPoint& b) {
-              return a.zindex < b.zindex;
-            });
-  result.all_cache_hits =
-      !outcomes.empty() &&
-      std::all_of(outcomes.begin(), outcomes.end(),
-                  [](const NodeOutcome& o) { return o.cache_hit; });
-
-  // Modeled time: concurrent node phases, then the serial mediator work.
-  result.time = MergeNodeTimes(outcomes);
-  result.result_bytes_binary = PointsBinarySize(result.points);
-  result.result_bytes_xml = PointsXmlSize(result.points);
-  ModelMediatorComm(config_.cost, outcomes.size(), result.result_bytes_binary,
-                    result.result_bytes_xml, &result.time);
-  FillNodeStats(outcomes, &result.node_stats);
-  if (cacheable) {
-    // Populate only on successful completion; the pre-dispatch epoch
-    // makes the insert a no-op if an ingest raced the query.
-    result_cache_->Insert(query.dataset, node_query.cache_field_key,
-                          query.fd_order, query.timestep, node_query.box,
-                          query.threshold, result.points, cache_epoch);
-  }
-  result.wall_seconds = watch.ElapsedSeconds();
-  return result;
+Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
+                                               const QueryOptions& options,
+                                               const CallBudget& budget) {
+  return RunThreshold(query, options, budget, /*chunk_points=*/0,
+                      /*sink=*/nullptr);
 }
 
 Result<ThresholdResult> Mediator::GetThresholdStreaming(
     const ThresholdQuery& query, const QueryOptions& options,
     const CallBudget& budget, uint64_t chunk_points,
     const ThresholdChunkSink& sink) {
+  return RunThreshold(query, options, budget, chunk_points, &sink);
+}
+
+Result<ThresholdResult> Mediator::RunThreshold(
+    const ThresholdQuery& query, const QueryOptions& options,
+    const CallBudget& budget, uint64_t chunk_points,
+    const ThresholdChunkSink* sink) {
   Stopwatch watch;
-  TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kThreshold, query.dataset,
-                     query.raw_field, query.derived_field, query.timestep,
-                     query.box, query.fd_order, options));
-  node_query.threshold = query.threshold;
-
-  const uint64_t slice = chunk_points == 0 ? 32768 : chunk_points;
-  uint64_t streamed_points = 0;
-  uint64_t binary_bytes = 0;
-  uint64_t xml_bytes = 0;
-
-  // Mediator-tier cache hit: re-chunk the cached (already z-sorted)
-  // answer through the existing sink — the consumer sees the same chunk
-  // protocol as a computed reply, with zero node RPCs behind it.
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
+                          BuildThresholdQuery(query, options));
   const bool cacheable = options.use_cache && result_cache_->enabled();
-  if (cacheable) {
-    MediatorCacheLookup cached = result_cache_->Lookup(
-        query.dataset, node_query.cache_field_key, query.fd_order,
-        query.timestep, node_query.box, query.threshold);
-    if (cached.hit) {
-      if (cached.points.size() > options.max_result_points) {
-        return Status::ThresholdTooLow(
-            "threshold produced " + std::to_string(cached.points.size()) +
-            " points; the limit is " +
-            std::to_string(options.max_result_points) +
-            " (raise the threshold, or request the field values directly)");
-      }
-      size_t begin = 0;
-      while (begin < cached.points.size()) {
-        const size_t end = std::min(cached.points.size(),
-                                    begin + static_cast<size_t>(slice));
-        std::vector<ThresholdPoint> part(
-            std::make_move_iterator(cached.points.begin() +
-                                    static_cast<ptrdiff_t>(begin)),
-            std::make_move_iterator(cached.points.begin() +
-                                    static_cast<ptrdiff_t>(end)));
-        begin = end;
-        streamed_points += part.size();
-        xml_bytes += PointsXmlSize(part);
-        TURBDB_ASSIGN_OR_RETURN(uint64_t chunk_bytes,
-                                sink(std::move(part), streamed_points));
-        binary_bytes += chunk_bytes;
-      }
-      ThresholdResult result;  // Summary only: points already streamed.
-      result.all_cache_hits = true;
-      result.result_bytes_binary = binary_bytes;
-      result.result_bytes_xml = xml_bytes;
-      ModelMediatorComm(config_.cost, 0, 0, result.result_bytes_xml,
-                        &result.time);
-      result.wall_seconds = watch.ElapsedSeconds();
-      return result;
-    }
-  }
-  const uint64_t cache_epoch = cacheable ? result_cache_->epoch() : 0;
 
-  // Cache-population accumulator for the miss path. Bounded by the cache
-  // capacity alone — deliberately NOT charged to the server governor
-  // while accumulating: the chunk emitter may block on that same budget
-  // in this very thread, and a cache-side ReserveBlocking here would
-  // deadlock it. The governor charge happens at insert time, fail-fast.
-  std::vector<ThresholdPoint> accumulated;
-  bool accumulate = cacheable;
+  // The points held on the mediator. Buffered: the whole answer.
+  // Streamed: a miss's cache-population accumulator only, bounded by the
+  // cache capacity alone — deliberately NOT charged to the server
+  // governor while accumulating: the chunk emitter may block on that same
+  // budget in this very thread, and a cache-side ReserveBlocking here
+  // would deadlock it. The governor charge happens at insert time,
+  // fail-fast.
+  std::vector<ThresholdPoint> gathered;
+  bool accumulate = false;
   const uint64_t accumulate_cap =
       result_cache_->capacity_bytes() > MediatorCache::kEntryOverhead
           ? (result_cache_->capacity_bytes() - MediatorCache::kEntryOverhead) /
                 MediatorCache::kBytesPerPoint
           : 0;
 
-  // Slice each joined outcome into bounded chunks and push them through
-  // the sink as the outcome arrives: the mediator holds at most one
-  // outcome's points, never the union. The point cap is enforced inside
-  // Dispatch (a streamed reply must fail *before* the client has seen
-  // points it would have to throw away, so the cap trips at join time).
-  auto outcome_sink = [&](int /*node_id*/,
-                          std::vector<ThresholdPoint> points) -> Status {
+  // How a piece of the answer (a joined shard's points, or a
+  // mediator-cache hit) reaches the caller. Buffered: gathered; a piece
+  // meeting an unreserved vector (the cache hit) is moved in whole.
+  // Streamed: cut into chunks of at most `chunk_points` points and pushed
+  // through the sink as it arrives, so the mediator never holds the
+  // union; the byte counters are the sums over the chunks.
+  ThresholdResult result;
+  const uint64_t slice = chunk_points == 0 ? 32768 : chunk_points;
+  uint64_t streamed_points = 0;
+  auto deliver = [&](std::vector<ThresholdPoint> points) -> Status {
+    if (sink == nullptr) {
+      if (gathered.capacity() == 0) {
+        gathered = std::move(points);
+      } else {
+        gathered.insert(gathered.end(), points.begin(), points.end());
+      }
+      return Status::OK();
+    }
     if (accumulate) {
-      if (accumulated.size() + points.size() > accumulate_cap) {
+      if (gathered.size() + points.size() > accumulate_cap) {
         // The would-be entry cannot fit the cache; stop paying for it.
         accumulate = false;
-        accumulated.clear();
-        accumulated.shrink_to_fit();
+        gathered.clear();
+        gathered.shrink_to_fit();
       } else {
-        accumulated.insert(accumulated.end(), points.begin(), points.end());
+        gathered.insert(gathered.end(), points.begin(), points.end());
       }
     }
-    size_t begin = 0;
-    while (begin < points.size()) {
-      const size_t end =
-          std::min(points.size(), begin + static_cast<size_t>(slice));
+    for (size_t begin = 0; begin < points.size(); begin += slice) {
       std::vector<ThresholdPoint> part(
-          std::make_move_iterator(points.begin() + begin),
-          std::make_move_iterator(points.begin() + end));
-      begin = end;
+          points.begin() + begin,
+          points.begin() + std::min<size_t>(points.size(), begin + slice));
       streamed_points += part.size();
       // The user-facing XML rendering happens on the consumer; account
       // its modeled transfer size here so the summary's WAN term matches
-      // the non-streamed path.
-      xml_bytes += PointsXmlSize(part);
-      TURBDB_ASSIGN_OR_RETURN(uint64_t chunk_bytes,
-                              sink(std::move(part), streamed_points));
-      binary_bytes += chunk_bytes;
+      // the buffered path.
+      result.result_bytes_xml += PointsXmlSize(part);
+      TURBDB_ASSIGN_OR_RETURN(const uint64_t chunk_bytes,
+                              (*sink)(std::move(part), streamed_points));
+      result.result_bytes_binary += chunk_bytes;
     }
     return Status::OK();
   };
-  TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
-                          Dispatch(node_query, budget, outcome_sink));
 
-  ThresholdResult result;  // Summary only: points already streamed.
-  result.all_cache_hits =
-      !outcomes.empty() &&
-      std::all_of(outcomes.begin(), outcomes.end(),
-                  [](const NodeOutcome& o) { return o.cache_hit; });
-  result.time = MergeNodeTimes(outcomes);
-  result.result_bytes_binary = binary_bytes;
-  result.result_bytes_xml = xml_bytes;
-  ModelMediatorComm(config_.cost, outcomes.size(), result.result_bytes_binary,
-                    result.result_bytes_xml, &result.time);
-  FillNodeStats(outcomes, &result.node_stats);
-  if (accumulate) {
-    // The streamed union arrives in join order; canonicalize to z order
-    // so a later lookup returns the same byte sequence as the buffered
-    // path.
-    std::sort(accumulated.begin(), accumulated.end(),
+  // Mediator-tier cache: a resident entry subsuming this query answers
+  // it here, with zero node RPCs (entries are stored z-sorted). The
+  // epoch is snapshotted *before* dispatch so a concurrent ingest
+  // poisons the later insert, never the served data.
+  MediatorCacheLookup cached;
+  if (cacheable) {
+    cached = result_cache_->Lookup(query.dataset, node_query.cache_field_key,
+                                   query.fd_order, query.timestep,
+                                   node_query.box, query.threshold);
+  }
+  std::vector<NodeOutcome> outcomes;  // None on a cache hit.
+  if (cached.hit) {
+    if (cached.points.size() > options.max_result_points) {
+      return Status::ThresholdTooLow(
+          "threshold produced " + std::to_string(cached.points.size()) +
+          " points; the limit is " +
+          std::to_string(options.max_result_points) +
+          " (raise the threshold, or request the field values directly)");
+    }
+    TURBDB_RETURN_NOT_OK(deliver(std::move(cached.points)));
+  } else {
+    const uint64_t cache_epoch = cacheable ? result_cache_->epoch() : 0;
+    accumulate = cacheable && sink != nullptr;
+    // Buffered mode passes no point sink: every outcome keeps its points
+    // until the whole scatter joined, so Dispatch may still re-route
+    // after a kWrongOwner bounce from any shard. Streamed mode delivers
+    // each outcome as it joins; the point cap is enforced inside Dispatch
+    // (a streamed reply must fail *before* the client has seen points it
+    // would have to throw away, so the cap trips at join time).
+    std::function<Status(int, std::vector<ThresholdPoint>)> outcome_sink;
+    if (sink != nullptr) {
+      outcome_sink = [&](int /*node_id*/, std::vector<ThresholdPoint> points) {
+        return deliver(std::move(points));
+      };
+    }
+    TURBDB_ASSIGN_OR_RETURN(outcomes,
+                            Dispatch(node_query, budget, outcome_sink));
+    if (sink == nullptr) {
+      uint64_t total_points = 0;
+      for (const NodeOutcome& outcome : outcomes) {
+        total_points += outcome.points.size();
+      }
+      gathered.reserve(total_points);
+      for (NodeOutcome& outcome : outcomes) {
+        TURBDB_RETURN_NOT_OK(deliver(std::move(outcome.points)));
+      }
+    }
+    // Shards join in any order; z order is the answer's canonical order
+    // (and a later lookup then returns the buffered answer's bytes).
+    std::sort(gathered.begin(), gathered.end(),
               [](const ThresholdPoint& a, const ThresholdPoint& b) {
                 return a.zindex < b.zindex;
               });
-    result_cache_->Insert(query.dataset, node_query.cache_field_key,
-                          query.fd_order, query.timestep, node_query.box,
-                          query.threshold, accumulated, cache_epoch);
+    if (cacheable && (sink == nullptr || accumulate)) {
+      // Populate only on successful completion; the pre-dispatch epoch
+      // makes the insert a no-op if an ingest raced the query.
+      result_cache_->Insert(query.dataset, node_query.cache_field_key,
+                            query.fd_order, query.timestep, node_query.box,
+                            query.threshold, gathered, cache_epoch);
+    }
   }
+
+  result.all_cache_hits =
+      cached.hit ||
+      (!outcomes.empty() &&
+       std::all_of(outcomes.begin(), outcomes.end(),
+                   [](const NodeOutcome& o) { return o.cache_hit; }));
+  if (sink == nullptr) {
+    result.points = std::move(gathered);
+    result.result_bytes_binary = PointsBinarySize(result.points);
+    result.result_bytes_xml = PointsXmlSize(result.points);
+  }
+  // Modeled time: concurrent node phases, then the serial mediator work.
+  // A cache hit has no node phase and no LAN scatter-gather: only the
+  // WAN delivery of the answer remains.
+  result.time = MergeNodeTimes(outcomes);
+  ModelMediatorComm(config_.cost, outcomes.size(),
+                    cached.hit ? 0 : result.result_bytes_binary,
+                    result.result_bytes_xml, &result.time);
+  FillNodeStats(outcomes, &result.node_stats);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -808,10 +761,9 @@ Result<DistributedFofSummary> Mediator::GetFof(
     double linking_length, uint64_t min_cluster_size,
     const CallBudget& budget, uint64_t chunk_points,
     const FofClusterSink& sink) {
-  TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state,
-                          GetDatasetState(query.dataset));
-  const GridGeometry& geometry = state->info.geometry;
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
+                          BuildThresholdQuery(query, options));
+  const GridGeometry& geometry = node_query.dataset->geometry;
 
   DistributedFofParams params;
   params.linking_length = linking_length;
@@ -822,22 +774,20 @@ Result<DistributedFofSummary> Mediator::GetFof(
     params.periodic_extent[d] =
         geometry.periodic(d) ? static_cast<double>(geometry.extent(d)) : 0.0;
   }
-  const MortonPartitioner* partitioner = &state->partitioner;
+  // The halo pass must judge ownership the way Dispatch attributed the
+  // points: by the view the successful attempt routed under, overrides
+  // included (the base partitioning alone when the cluster is static).
+  std::shared_ptr<const MembershipView> routed_view;
   TURBDB_ASSIGN_OR_RETURN(
       FofStitcher stitcher,
-      FofStitcher::Create(
-          params, [partitioner](int64_t ax, int64_t ay, int64_t az) {
-            return partitioner->OwnerOfAtom(MortonEncode3(
-                static_cast<uint32_t>(ax), static_cast<uint32_t>(ay),
-                static_cast<uint32_t>(az)));
-          }));
-
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kThreshold, query.dataset,
-                     query.raw_field, query.derived_field, query.timestep,
-                     query.box, query.fd_order, options));
-  node_query.threshold = query.threshold;
+      FofStitcher::Create(params, [&](int64_t ax, int64_t ay, int64_t az) {
+        const uint64_t code = MortonEncode3(static_cast<uint32_t>(ax),
+                                            static_cast<uint32_t>(ay),
+                                            static_cast<uint32_t>(az));
+        const int base = node_query.partitioner->OwnerOfAtom(code);
+        return routed_view != nullptr ? routed_view->OwnerOf(code, base)
+                                      : base;
+      }));
 
   // Fan the threshold sub-queries out; each shard's points feed the
   // stitcher as that shard joins, with the shard id attached so the
@@ -849,8 +799,9 @@ Result<DistributedFofSummary> Mediator::GetFof(
     stitcher.AddShard(node_id, std::move(points));
     return Status::OK();
   };
-  TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
-                          Dispatch(node_query, budget, outcome_sink));
+  TURBDB_ASSIGN_OR_RETURN(
+      std::vector<NodeOutcome> outcomes,
+      Dispatch(node_query, budget, outcome_sink, &routed_view));
   const uint64_t threshold_points = stitcher.num_points();
   TURBDB_ASSIGN_OR_RETURN(std::vector<DistributedFofCluster> clusters,
                           stitcher.Finish());
@@ -1144,12 +1095,8 @@ Result<Mediator::CacheWarmOutcome> Mediator::WarmThresholdCache(
     return Status::InvalidArgument(
         "mediator cache is disabled (--mediator-cache-mb 0)");
   }
-  TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kThreshold, query.dataset,
-                     query.raw_field, query.derived_field, query.timestep,
-                     query.box, query.fd_order, QueryOptions{}));
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
+                          BuildThresholdQuery(query, QueryOptions{}));
   MediatorCacheLookup cached = result_cache_->Lookup(
       query.dataset, node_query.cache_field_key, query.fd_order,
       query.timestep, node_query.box, query.threshold);
@@ -1170,15 +1117,6 @@ Result<uint64_t> Mediator::StoredAtomCount(const std::string& dataset,
                                            const std::string& field) {
   if (backends_.empty()) return Status::Internal("cluster has no nodes");
   return backends_.front()->StoredAtomCount(dataset, field);
-}
-
-uint64_t Mediator::affinity_routes() const {
-  uint64_t total = 0;
-  for (const auto& backend : backends_) {
-    const auto* group = dynamic_cast<const ReplicaGroup*>(backend.get());
-    if (group != nullptr) total += group->affinity_routes();
-  }
-  return total;
 }
 
 uint64_t Mediator::corruption_failovers() const {
@@ -1448,7 +1386,6 @@ Result<net::JoinReply> Mediator::Join(const net::JoinRequest& request) {
         config_.remote, reply.record.shard));
     auto group = std::make_unique<ReplicaGroup>(
         reply.record.shard, std::move(members), config_.remote);
-    group->set_cache_affinity(config_.cache_affinity);
     TURBDB_RETURN_NOT_OK(group->BringUp());
     backends_.push_back(std::move(group));
     backend_count_.store(backends_.size(), std::memory_order_release);

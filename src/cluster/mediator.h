@@ -71,11 +71,6 @@ struct ClusterConfig {
   /// cluster entry point and repeat (or subsumed) queries are answered
   /// with zero node RPCs. 0 (the default) disables the tier.
   uint64_t mediator_cache_bytes = 0;
-  /// Cache-affinity replica routing: prefer the replica that most
-  /// recently answered a subsuming threshold query for the same cache
-  /// key (its node-local cache likely still holds the entry) over the
-  /// default primary-preferred order. Off by default.
-  bool cache_affinity = false;
 };
 
 /// Execution budget a transport front-end (cluster/service.h) attaches
@@ -128,10 +123,11 @@ class Mediator {
       const std::string& dataset, const std::string& field, int32_t timestep,
       const std::function<Result<Atom>(int32_t, uint64_t)>& generate);
 
-  /// Evaluates a threshold query (the paper's GetThreshold entry point).
-  /// `budget` (optional, default unbounded) carries the caller's
-  /// deadline and cancellation token; likewise for the other Get*
-  /// entry points below.
+  /// Evaluates a threshold query (the paper's GetThreshold entry point):
+  /// the buffered delivery of the one threshold pipeline, which returns
+  /// the whole answer z-sorted in `points`. `budget` (optional, default
+  /// unbounded) carries the caller's deadline and cancellation token;
+  /// likewise for the other Get* entry points below.
   Result<ThresholdResult> GetThreshold(const ThresholdQuery& query,
                                        const QueryOptions& options = {},
                                        const CallBudget& budget = {});
@@ -144,15 +140,16 @@ class Mediator {
   using ThresholdChunkSink = std::function<Result<uint64_t>(
       std::vector<ThresholdPoint> points, uint64_t total_points)>;
 
-  /// Bounded-memory variant of GetThreshold: each joined sub-query
-  /// outcome is sliced into chunks of at most `chunk_points` points and
-  /// handed to `sink` *as it arrives*, instead of being accumulated and
-  /// globally sorted on the mediator. The returned result carries the
-  /// summary (cache hits, modeled times, per-node stats, byte counters
-  /// summed over the streamed chunks) with an *empty* point set; the
-  /// consumer reassembles the points (z-order sort of the union) and
-  /// gets a byte-identical set to the non-streamed path. A sink failure
-  /// (client hung up) propagates out after the cancel fan-out.
+  /// The streamed delivery of the same pipeline, with bounded memory:
+  /// each joined sub-query outcome (or a mediator-cache hit) is sliced
+  /// into chunks of at most `chunk_points` points and handed to `sink`
+  /// *as it arrives*, instead of being gathered and globally sorted on
+  /// the mediator. The returned result carries the summary (cache hits,
+  /// modeled times, per-node stats, byte counters summed over the
+  /// streamed chunks) with an *empty* point set; the consumer
+  /// reassembles the points (z-order sort of the union) and gets a
+  /// byte-identical set to the buffered delivery. A sink failure (client
+  /// hung up) propagates out after the cancel fan-out.
   Result<ThresholdResult> GetThresholdStreaming(
       const ThresholdQuery& query, const QueryOptions& options,
       const CallBudget& budget, uint64_t chunk_points,
@@ -300,10 +297,6 @@ class Mediator {
   /// hook for tests and benches.
   uint64_t node_executes() const { return node_executes_.load(); }
 
-  /// Total affinity-preferred replica routing decisions, summed over the
-  /// replica groups (always 0 in-process or with affinity off).
-  uint64_t affinity_routes() const;
-
   /// Reads that failed over off a member answering kCorruption, and
   /// background read-repairs completed — summed over the replica groups
   /// (always 0 in-process). Surfaced through the ServerStats RPC (v7).
@@ -329,12 +322,26 @@ class Mediator {
       int32_t timestep, const Box3& box, int fd_order,
       const QueryOptions& options);
 
+  /// Validates a threshold query and builds its node query; shared by
+  /// the threshold pipeline, GetFof and WarmThresholdCache.
+  Result<NodeQuery> BuildThresholdQuery(const ThresholdQuery& query,
+                                        const QueryOptions& options);
+
+  /// The one threshold pipeline (the paper's Algorithm 1) behind
+  /// GetThreshold (`sink` null: buffered delivery) and
+  /// GetThresholdStreaming (streamed in `chunk_points` chunks).
+  Result<ThresholdResult> RunThreshold(const ThresholdQuery& query,
+                                       const QueryOptions& options,
+                                       const CallBudget& budget,
+                                       uint64_t chunk_points,
+                                       const ThresholdChunkSink* sink);
+
   /// Dispatches `node_query` to every node owning data in its box and
-  /// merges the outcomes; fills the modeled time breakdown. Assigns the
-  /// query a cluster-unique id and a cancel token: when one shard fails
-  /// hard, the point cap trips, or `budget.cancel` flips, the token is
-  /// set and the remaining in-flight sub-queries are cancelled instead
-  /// of running to completion for a result nobody will merge.
+  /// joins the outcomes. Assigns the query a cluster-unique id and a
+  /// cancel token: when one shard fails hard, the point cap trips, or
+  /// `budget.cancel` flips, the token is set and the remaining in-flight
+  /// sub-queries are cancelled instead of running to completion for a
+  /// result nobody will merge.
   ///
   /// When `point_sink` is set, each outcome's points are *moved* into it
   /// as that outcome joins (the returned outcomes keep their metadata but
@@ -342,11 +349,15 @@ class Mediator {
   /// outcome's points. The sink also receives the owning shard's node
   /// id — the FoF stitcher needs the attribution; plain streaming
   /// ignores it. A sink error aborts like a hard shard failure.
+  /// `routed_view`, when set, receives the membership snapshot the last
+  /// attempt routed under (null when !elastic()): the ownership by which
+  /// the outcomes' points were attributed to shards.
   Result<std::vector<NodeOutcome>> Dispatch(
       const NodeQuery& node_query, const CallBudget& budget,
       const std::function<Status(int node_id,
                                  std::vector<ThresholdPoint> points)>&
-          point_sink = nullptr);
+          point_sink = nullptr,
+      std::shared_ptr<const MembershipView>* routed_view = nullptr);
 
   /// One dispatch attempt under the membership snapshot `view` (null
   /// when !elastic()). Dispatch wraps it with the kWrongOwner retry: a

@@ -822,8 +822,12 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
             break;
           case NodeQuery::Mode::kPdf:
             for (int64_t i = 0; i < nx; ++i) {
-              int bin = static_cast<int>(norms[i] / query.bin_width);
-              bin = std::min(bin, query.num_bins);
+              // Clamp in double: a tiny width puts norm / width past
+              // INT_MAX, where the conversion alone is undefined.
+              const double scaled = norms[i] / query.bin_width;
+              const int bin = scaled < query.num_bins
+                                  ? static_cast<int>(scaled)
+                                  : query.num_bins;
               ++out.histogram[static_cast<size_t>(bin)];
             }
             break;

@@ -146,6 +146,15 @@ Result<NodeQuery> NodeService::BuildQuery(const net::NodeQuerySpec& spec) {
                               " outside [0, " +
                               std::to_string(state->info.num_timesteps) + ")");
   }
+  // The node listens on TCP: a decoded spec gets the mediator's bounds
+  // on the inputs that size memory or index it.
+  if (spec.mode == static_cast<int32_t>(NodeQuery::Mode::kPdf)) {
+    TURBDB_RETURN_NOT_OK(ValidatePdfBins(spec.bin_width, spec.num_bins));
+  }
+  if (spec.mode == static_cast<int32_t>(NodeQuery::Mode::kThreshold) &&
+      !(spec.threshold >= 0.0)) {
+    return Status::InvalidArgument("threshold must be non-negative");
+  }
   NodeQuery query;
   query.mode = static_cast<NodeQuery::Mode>(spec.mode);
   query.dataset = &state->info;

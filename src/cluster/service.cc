@@ -218,8 +218,6 @@ net::Server::Handler MediatorHandler(Mediator* mediator) {
       reply.stale_inserts = stats.stale_inserts;
       reply.pinned_entries = stats.pinned_entries;
       reply.pinned_bytes = stats.pinned_bytes;
-      reply.affinity_enabled = mediator->config().cache_affinity;
-      reply.affinity_routes = mediator->affinity_routes();
       response = net::EncodeCacheStatsResponse(reply);
     } else if (std::holds_alternative<net::CacheWarmRequest>(request)) {
       const auto& req = std::get<net::CacheWarmRequest>(request);

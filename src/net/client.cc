@@ -187,6 +187,32 @@ Result<std::vector<uint8_t>> Client::Call(
       std::to_string(attempts) + " attempts)");
 }
 
+Result<std::vector<uint8_t>> Client::CallThresholdStream(
+    const std::vector<uint8_t>& request, uint64_t budget_ms,
+    std::vector<ThresholdPoint>* points) {
+  uint64_t next_seq = 0;
+  StreamHooks hooks;
+  hooks.restart = [&]() {
+    points->clear();
+    next_seq = 0;
+  };
+  hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
+    TURBDB_ASSIGN_OR_RETURN(ThresholdChunk chunk,
+                            DecodeThresholdChunk(payload));
+    if (chunk.seq != next_seq) {
+      return Status::Corruption(
+          "streamed reply chunk gap: expected seq " +
+          std::to_string(next_seq) + ", got " + std::to_string(chunk.seq));
+    }
+    ++next_seq;
+    points->insert(points->end(),
+                   std::make_move_iterator(chunk.points.begin()),
+                   std::make_move_iterator(chunk.points.end()));
+    return Status::OK();
+  };
+  return Call(request, budget_ms, &hooks);
+}
+
 Result<ThresholdResult> Client::Threshold(const ThresholdQuery& query,
                                           const QueryOptions& options) {
   WallTimer timer;
@@ -212,30 +238,10 @@ Result<ThresholdResult> Client::ThresholdStreamed(
   request.rpc.tenant = options_.tenant;
 
   std::vector<ThresholdPoint> points;
-  uint64_t next_seq = 0;
-  StreamHooks hooks;
-  hooks.restart = [&]() {
-    points.clear();
-    next_seq = 0;
-  };
-  hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
-    TURBDB_ASSIGN_OR_RETURN(ThresholdChunk chunk,
-                            DecodeThresholdChunk(payload));
-    if (chunk.seq != next_seq) {
-      return Status::Corruption(
-          "streamed reply chunk gap: expected seq " +
-          std::to_string(next_seq) + ", got " + std::to_string(chunk.seq));
-    }
-    ++next_seq;
-    points.insert(points.end(),
-                  std::make_move_iterator(chunk.points.begin()),
-                  std::make_move_iterator(chunk.points.end()));
-    return Status::OK();
-  };
-
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      Call(EncodeRequest(request), options_.deadline_ms, &hooks));
+      CallThresholdStream(EncodeRequest(request), options_.deadline_ms,
+                          &points));
   TURBDB_ASSIGN_OR_RETURN(ThresholdResult result,
                           DecodeThresholdResponse(payload));
   // The terminating summary carries no points; reassemble the streamed
@@ -436,28 +442,9 @@ Result<NodeResult> Client::NodeExecute(const NodeExecuteRequest& request) {
   // terminating NodeResult. Chunk order is the node's point order, so no
   // re-sort here — the mediator orders the merged set.
   std::vector<ThresholdPoint> points;
-  uint64_t next_seq = 0;
-  StreamHooks hooks;
-  hooks.restart = [&]() {
-    points.clear();
-    next_seq = 0;
-  };
-  hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
-    TURBDB_ASSIGN_OR_RETURN(ThresholdChunk chunk,
-                            DecodeThresholdChunk(payload));
-    if (chunk.seq != next_seq) {
-      return Status::Corruption(
-          "streamed sub-reply chunk gap: expected seq " +
-          std::to_string(next_seq) + ", got " + std::to_string(chunk.seq));
-    }
-    ++next_seq;
-    points.insert(points.end(),
-                  std::make_move_iterator(chunk.points.begin()),
-                  std::make_move_iterator(chunk.points.end()));
-    return Status::OK();
-  };
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget, &hooks));
+  TURBDB_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> payload,
+      CallThresholdStream(EncodeRequest(request), budget, &points));
   TURBDB_ASSIGN_OR_RETURN(NodeResult result,
                           DecodeNodeExecuteResponse(payload));
   result.points = std::move(points);

@@ -182,6 +182,15 @@ class Client {
                                     uint64_t budget_ms,
                                     const StreamHooks* stream = nullptr);
 
+  /// A streamed threshold call (a ThresholdRequest or NodeExecuteRequest
+  /// with `stream` set): the kThresholdChunk frames are checked for seq
+  /// gaps (kCorruption) and their points appended to `points` in arrival
+  /// order, starting over on every retried attempt. Returns the
+  /// terminating frame's payload.
+  Result<std::vector<uint8_t>> CallThresholdStream(
+      const std::vector<uint8_t>& request, uint64_t budget_ms,
+      std::vector<ThresholdPoint>* points);
+
   /// One attempt on the current (or a fresh) connection, bounded by both
   /// the per-operation timeouts and the overall query budget.
   Result<std::vector<uint8_t>> CallOnce(const std::vector<uint8_t>& request,

@@ -71,7 +71,7 @@ namespace net {
 /// read-repair counters. A v6 peer would reject the new message types,
 /// so the version byte refuses it at the first frame.
 constexpr uint32_t kFrameMagic = 0x46424454u;  // "TDBF" read little-endian
-constexpr uint8_t kProtocolVersion = 7;
+constexpr uint8_t kProtocolVersion = 8;
 constexpr size_t kFrameHeaderBytes = 17;
 
 /// Default cap on a frame payload (64 MiB). A peer announcing more than

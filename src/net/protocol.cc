@@ -589,8 +589,6 @@ void Fields(Ar& ar, CacheStatsReply& reply) {
   ar.Varint(reply.stale_inserts);
   ar.Varint(reply.pinned_entries);
   ar.Varint(reply.pinned_bytes);
-  ar.Bool(reply.affinity_enabled);
-  ar.Varint(reply.affinity_routes);
 }
 
 template <class Ar>

@@ -218,7 +218,7 @@ struct CacheStatsRequest {
   RpcOptions rpc;
 };
 
-/// Wire mirror of MediatorCacheStats plus the affinity-routing gauges.
+/// Wire mirror of MediatorCacheStats.
 struct CacheStatsReply {
   bool enabled = false;
   uint64_t capacity_bytes = 0;
@@ -233,8 +233,6 @@ struct CacheStatsReply {
   uint64_t stale_inserts = 0;
   uint64_t pinned_entries = 0;
   uint64_t pinned_bytes = 0;
-  bool affinity_enabled = false;
-  uint64_t affinity_routes = 0;  ///< Executes routed by cache affinity.
 };
 
 /// Runs a threshold query solely to populate the mediator cache; the

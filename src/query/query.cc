@@ -30,7 +30,9 @@ Status ValidateThresholdQuery(const ThresholdQuery& query) {
   TURBDB_RETURN_NOT_OK(ValidateCommon(query.dataset, query.raw_field,
                                       query.derived_field, query.box,
                                       query.fd_order));
-  if (query.threshold < 0.0) {
+  // Written so NaN fails too: a NaN threshold passes no comparison, and
+  // its empty answer would poison the mediator cache for every query.
+  if (!(query.threshold >= 0.0)) {
     return Status::InvalidArgument("threshold must be non-negative");
   }
   if (query.timestep < 0) {
@@ -43,11 +45,19 @@ Status ValidatePdfQuery(const PdfQuery& query) {
   TURBDB_RETURN_NOT_OK(ValidateCommon(query.dataset, query.raw_field,
                                       query.derived_field, query.box,
                                       query.fd_order));
-  if (query.bin_width <= 0.0) {
+  return ValidatePdfBins(query.bin_width, query.num_bins);
+}
+
+Status ValidatePdfBins(double bin_width, int num_bins) {
+  if (!(bin_width > 0.0)) {
     return Status::InvalidArgument("bin width must be positive");
   }
-  if (query.num_bins <= 0) {
+  if (num_bins <= 0) {
     return Status::InvalidArgument("need at least one bin");
+  }
+  if (num_bins > kMaxPdfBins) {
+    return Status::InvalidArgument("more than " + std::to_string(kMaxPdfBins) +
+                                   " bins");
   }
   return Status::OK();
 }

@@ -17,6 +17,11 @@ namespace turbdb {
 /// whose threshold is set too low (Sec. 4).
 constexpr uint64_t kDefaultMaxResultPoints = 1000000;
 
+/// Most bins a PDF query may ask for: every evaluating chunk holds one
+/// 8-byte counter per bin, so the bound keeps a request from sizing
+/// that memory.
+constexpr int kMaxPdfBins = 1 << 16;
+
 /// A threshold query: report every grid location in `box` (at `timestep`)
 /// where the norm (or absolute value) of `derived_field`, computed
 /// on-demand from `raw_field` with an FD stencil of order `fd_order`,
@@ -148,6 +153,10 @@ struct FieldStatsResult {
 /// Validates the parts of a query that do not require catalog access.
 Status ValidateThresholdQuery(const ThresholdQuery& query);
 Status ValidatePdfQuery(const PdfQuery& query);
+/// The bin bounds of ValidatePdfQuery, also applied by a node to a
+/// decoded sub-query: a positive width (NaN fails) and 1..kMaxPdfBins
+/// bins.
+Status ValidatePdfBins(double bin_width, int num_bins);
 Status ValidateTopKQuery(const TopKQuery& query);
 Status ValidateSampleQuery(const SampleQuery& query);
 

@@ -323,69 +323,14 @@ Status ReplicaGroup::DropCacheEntries(const std::string& dataset,
   return Status::OK();
 }
 
-std::vector<size_t> ReplicaGroup::PreferredOrder(const NodeQuery& query) {
-  std::vector<size_t> order(members_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (!cache_affinity_ || members_.size() < 2 ||
-      query.mode != NodeQuery::Mode::kThreshold || !query.options.use_cache) {
-    return order;
-  }
-  const AffinityKey key{query.dataset->name, query.cache_field_key,
-                        query.fd_order, query.timestep};
-  size_t preferred = 0;
-  bool found = false;
-  {
-    std::lock_guard<std::mutex> lock(affinity_mutex_);
-    auto it = affinity_.find(key);
-    // Only a *subsuming* recorded answer promises a node-local cache hit;
-    // an overlapping-but-smaller one would miss and recompute anyway.
-    if (it != affinity_.end() && it->second.threshold <= query.threshold &&
-        it->second.region.ContainsBox(query.box)) {
-      preferred = it->second.member;
-      found = true;
-    }
-  }
-  if (found && preferred < order.size()) {
-    order.erase(order.begin() + static_cast<long>(preferred));
-    order.insert(order.begin(), preferred);
-    affinity_routes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return order;
-}
-
-void ReplicaGroup::RecordAffinity(const NodeQuery& query, size_t index) {
-  if (!cache_affinity_ || members_.size() < 2 ||
-      query.mode != NodeQuery::Mode::kThreshold || !query.options.use_cache) {
-    return;
-  }
-  const AffinityKey key{query.dataset->name, query.cache_field_key,
-                        query.fd_order, query.timestep};
-  std::lock_guard<std::mutex> lock(affinity_mutex_);
-  // The key space is tiny (datasets × fields × timesteps), but bound it
-  // anyway so a hostile workload degrades to no-affinity, never to OOM.
-  if (affinity_.size() >= 4096 && affinity_.find(key) == affinity_.end()) {
-    affinity_.clear();
-  }
-  AffinityEntry& entry = affinity_[key];
-  if (entry.member == index && !entry.region.Empty() &&
-      entry.region.ContainsBox(query.box) &&
-      entry.threshold <= query.threshold) {
-    return;  // The recorded answer already subsumes this one.
-  }
-  entry.member = index;
-  entry.region = query.box;
-  entry.threshold = query.threshold;
-}
-
 Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
   Status last = Status::Unreachable(DebugName() + ": all replicas down");
-  for (size_t index : PreferredOrder(query)) {
+  for (size_t index = 0; index < members_.size(); ++index) {
     Member* member = members_[index].get();
     if (!EnsureUsable(member)) continue;
     auto outcome = member->node->Execute(query);
     if (outcome.ok()) {
       outcome->node_id = group_id_;
-      RecordAffinity(query, index);
       return outcome;
     }
     last = outcome.status();
@@ -419,7 +364,6 @@ Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
       auto retry = member->node->Execute(query);
       if (retry.ok()) {
         retry->node_id = group_id_;
-        RecordAffinity(query, index);
         return retry;
       }
       last = retry.status();

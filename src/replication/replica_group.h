@@ -3,12 +3,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "cluster/node_backend.h"
@@ -100,21 +98,6 @@ class ReplicaGroup : public NodeBackend {
     return read_repairs_.load(std::memory_order_relaxed);
   }
 
-  /// Cache-affinity routing: when on, a threshold read is first sent to
-  /// the member that most recently served a *subsuming* threshold query
-  /// for the same (dataset, field, fd-order, timestep) — its node-local
-  /// semantic cache most likely still holds the entry — instead of
-  /// always preferring the primary. Unusable members and failover still
-  /// follow the health-ordered default. Off by default.
-  void set_cache_affinity(bool on) { cache_affinity_ = on; }
-  bool cache_affinity() const { return cache_affinity_; }
-
-  /// Reads routed by affinity preference rather than default member
-  /// order (observability; surfaced in the CacheStats RPC).
-  uint64_t affinity_routes() const {
-    return affinity_routes_.load(std::memory_order_relaxed);
-  }
-
   /// Per-member snapshot for cluster-status style reporting.
   std::vector<MemberStatus> Snapshot() const;
 
@@ -172,26 +155,6 @@ class ReplicaGroup : public NodeBackend {
   /// caller retries.
   bool TryRecoverStale(Member* member);
 
-  /// What a member most recently answered for one semantic cache key.
-  struct AffinityEntry {
-    size_t member = 0;     ///< Index into members_.
-    Box3 region;           ///< Region of the answered query.
-    double threshold = 0;  ///< Its threshold.
-  };
-  using AffinityKey =
-      std::tuple<std::string /*dataset*/, std::string /*field key*/,
-                 int /*fd_order*/, int32_t /*timestep*/>;
-
-  /// The member order Execute should try for `query`: default member
-  /// order, except that with affinity on, a member holding a subsuming
-  /// node-local entry is moved to the front (and `affinity_routes_` is
-  /// counted).
-  std::vector<size_t> PreferredOrder(const NodeQuery& query);
-
-  /// Records that member `index` just served `query` with use_cache on
-  /// (so its node-local cache now holds a subsuming entry).
-  void RecordAffinity(const NodeQuery& query, size_t index);
-
   /// One queued read-repair: member `member` served kCorruption for
   /// (dataset, field) and should heal itself from a sibling.
   struct RepairTask {
@@ -213,11 +176,6 @@ class ReplicaGroup : public NodeBackend {
   std::vector<DatasetRegistration> registrations_;
 
   std::mutex recovery_mutex_;
-
-  bool cache_affinity_ = false;
-  std::atomic<uint64_t> affinity_routes_{0};
-  std::mutex affinity_mutex_;
-  std::map<AffinityKey, AffinityEntry> affinity_;
 
   std::atomic<uint64_t> corruption_failovers_{0};
   std::atomic<uint64_t> read_repairs_{0};

@@ -550,5 +550,60 @@ TEST_F(ChaosTest, QueryDuringACutoverWaitsForTheRegistryCommit) {
             EncodePointsBinary(before->points));
 }
 
+// (g) As (f), but the bounce comes from a shard joined *after* another
+// shard already answered: the second cutover's donor is shard 1, while
+// shard 0 still owns its ranges. A buffered query keeps every shard's
+// points until the whole scatter succeeded, so it may still re-route
+// once the registry commits, and must answer exactly as before.
+TEST_F(ChaosTest, BufferedQueryDuringACutoverRetriesAfterAnEarlierShardAnswered) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+
+  const ThresholdQuery query = VorticityQuery(4.0);
+  auto before = mediator.GetThreshold(query, NoCacheOptions());
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_GT(before->points.size(), 0u);
+
+  auto joined = (*procs)->Join(mediator);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  net::RebalanceRequest rebalance;
+  rebalance.to_shard = *joined;
+  rebalance.max_ranges = 1;
+  // First move: both base shards are equally loaded, so the donor is
+  // shard 0 (the planner's tie rule).
+  auto first = mediator.Rebalance(rebalance);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->moved.size(), 1u);
+
+  const std::string site = "membership.commit";
+  fault::Arm(site, fault::Action::kDelay, /*arg=*/300, /*count=*/1);
+  auto second = std::async(std::launch::async,
+                           [&] { return mediator.Rebalance(rebalance); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (fault::Fired(site) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fault::Fired(site), 1u);
+
+  // Routed by the old view: shard 0 answers, shard 1 bounces.
+  auto during = mediator.GetThreshold(query, NoCacheOptions());
+  auto reply = second.get();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->moved.size(), 1u);
+  // At 32^3 (64 atoms, 32 per base shard) the donor is shard 1, which
+  // gives up the top of its range.
+  EXPECT_EQ(reply->moved[0].begin, 56u);
+  EXPECT_EQ(reply->moved[0].end, 64u);
+  ASSERT_TRUE(during.ok()) << during.status();
+  EXPECT_EQ(EncodePointsBinary(during->points),
+            EncodePointsBinary(before->points));
+}
+
 }  // namespace
 }  // namespace turbdb

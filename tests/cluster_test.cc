@@ -336,6 +336,31 @@ TEST(ClusterTest, PdfOverSubBoxCountsOnlyThatBox) {
             static_cast<uint64_t>(query.box.Volume()));
 }
 
+// A bin width so small that norm / width passes INT_MAX: the bin is
+// clamped to the overflow bin in double, so the run neither crashes nor
+// loses a point (the int conversion used to index outside the
+// histogram).
+TEST(ClusterTest, PdfWithATinyBinWidthKeepsEveryPoint) {
+  auto db = MakeTestDb(kN, 2, 2, 1);
+  ASSERT_NE(db, nullptr);
+  PdfQuery query;
+  query.dataset = "iso";
+  query.raw_field = "velocity";
+  query.derived_field = "vorticity";
+  query.timestep = 0;
+  query.box = Box3::WholeGrid(kN, kN, kN);
+  query.bin_width = 1e-12;
+  query.num_bins = 9;
+  auto pdf = db->Pdf(query);
+  ASSERT_TRUE(pdf.ok()) << pdf.status();
+  ASSERT_EQ(pdf->counts.size(), 10u);
+  uint64_t total = 0;
+  for (uint64_t count : pdf->counts) total += count;
+  EXPECT_EQ(total, static_cast<uint64_t>(kN * kN * kN));
+  EXPECT_EQ(pdf->total_points, total);
+  EXPECT_GT(pdf->counts.back(), 0u);
+}
+
 TEST(ClusterTest, WallTimeIsMeasured) {
   auto db = MakeTestDb(kN, 2, 2, 1);
   ASSERT_NE(db, nullptr);

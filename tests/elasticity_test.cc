@@ -6,7 +6,7 @@
 // joins a running 2-shard cluster through `turbdb_node --join`, a live
 // rebalance moves ranges onto it under concurrent queries with zero
 // failures, and a decommission drains it again — results byte-identical
-// throughout.
+// throughout, friends-of-friends clusters included.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/turbdb.h"
@@ -134,6 +135,46 @@ Result<std::unique_ptr<TurbDB>> OpenInProcess() {
   TURBDB_RETURN_NOT_OK(
       EnsureMhdDemoData(db.get(), "mhd", kGrid, kTimesteps, kSeed));
   return db;
+}
+
+/// (id, size) of every friends-of-friends cluster, in reply order.
+using ClusterSizes = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// Thresholds whose FoF clusters touch the ranges the rebalance moves:
+/// a halo pass that judged ownership by the base partitioning alone
+/// split some of them.
+constexpr double kFofThresholds[] = {6.0, 8.0, 10.0};
+constexpr double kLinkingLength = 2.0;
+
+ClusterSizes InProcessFof(Mediator& mediator, const ThresholdQuery& query) {
+  ClusterSizes sizes;
+  auto summary = mediator.GetFof(
+      query, QueryOptions{}, kLinkingLength, /*min_cluster_size=*/1,
+      CallBudget{}, /*chunk_points=*/0,
+      [&](std::vector<DistributedFofCluster> clusters,
+          uint64_t) -> Result<uint64_t> {
+        for (const DistributedFofCluster& cluster : clusters) {
+          sizes.emplace_back(cluster.id, cluster.size());
+        }
+        return 0;
+      });
+  EXPECT_TRUE(summary.ok()) << summary.status();
+  return sizes;
+}
+
+ClusterSizes RemoteFof(net::Client& client, const ThresholdQuery& query) {
+  net::FofRequest request;
+  request.query = query;
+  request.linking_length = kLinkingLength;
+  request.min_cluster_size = 1;
+  auto fof = client.Fof(request);
+  EXPECT_TRUE(fof.ok()) << fof.status();
+  ClusterSizes sizes;
+  if (!fof.ok()) return sizes;
+  for (const net::FofClusterRecord& record : fof->clusters) {
+    sizes.emplace_back(record.id, record.size);
+  }
+  return sizes;
 }
 
 Result<net::NodeStatsReply> NodeWideStats(const NodeAddress& address) {
@@ -262,6 +303,12 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   ASSERT_TRUE(local.ok()) << local.status();
   ASSERT_GT(local->points.size(), 0u);
   const std::vector<uint8_t> expected = EncodePointsBinary(local->points);
+  std::vector<ClusterSizes> expected_fof;
+  for (const double threshold : kFofThresholds) {
+    expected_fof.push_back(
+        InProcessFof((*local_db)->mediator(), VorticityQuery(threshold)));
+    ASSERT_GT(expected_fof.back().size(), 1u);
+  }
 
   // The open-loop query thread: in-flight queries across join, cutover
   // and decommission must all succeed with byte-identical results.
@@ -299,6 +346,15 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
       << "joining turbdb_node did not start";
 
   net::Client admin("127.0.0.1", server_port);
+  // Distributed FoF must cluster exactly as the in-process reference,
+  // whichever shard owns which range.
+  auto expect_same_fof = [&](const char* phase) {
+    for (size_t i = 0; i < std::size(kFofThresholds); ++i) {
+      EXPECT_EQ(RemoteFof(admin, VorticityQuery(kFofThresholds[i])),
+                expected_fof[i])
+          << phase << ", vorticity >= " << kFofThresholds[i];
+    }
+  };
   // Wait for the activation to land in the membership.
   int joiner_node_id = -1;
   int joiner_shard = -1;
@@ -338,6 +394,7 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   ASSERT_TRUE(joiner_stats.ok()) << joiner_stats.status();
   EXPECT_GT(joiner_stats->stored_atoms, 0u);
   EXPECT_GE(joiner_stats->generation, moved->generation);
+  expect_same_fof("after the rebalance");
 
   // Let queries run against the 3-shard layout for a while.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -352,6 +409,7 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   const NodeRecord* drained = left->view.FindByUuid("joiner-1");
   ASSERT_NE(drained, nullptr);
   EXPECT_EQ(drained->role, NodeRole::kDraining);
+  expect_same_fof("after the decommission");
 
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   stop.store(true, std::memory_order_release);

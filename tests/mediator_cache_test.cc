@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -518,6 +519,30 @@ TEST(MediatorCacheIntegrationTest, StreamedMissPopulatesCache) {
 // reject it, but some atoms may already have landed, so serving the old
 // cached answer would be wrong). The next query recomputes (node
 // executes grow) instead of serving a possibly-stale entry.
+// A NaN threshold is refused before it runs. Accepted, it cached an
+// empty answer that no threshold comparison rules out, and that entry
+// then answered every later query on its key with zero points.
+TEST(MediatorCacheIntegrationTest, NanThresholdCannotPoisonTheCache) {
+  auto db = MakeCachedDb(2);
+  ASSERT_NE(db, nullptr);
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+  auto reference = db->Threshold(Vorticity(0, 1.0), no_cache);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference->points.empty());
+
+  auto nan = db->Threshold(
+      Vorticity(0, std::numeric_limits<double>::quiet_NaN()));
+  ASSERT_FALSE(nan.ok());
+  EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument)
+      << nan.status();
+
+  auto after = db->Threshold(Vorticity(0, 1.0));
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(after->all_cache_hits);
+  ExpectSamePoints(after->points, reference->points);
+}
+
 TEST(MediatorCacheIntegrationTest, IngestInvalidatesCachedResults) {
   auto db = MakeCachedDb(2);
   ASSERT_NE(db, nullptr);

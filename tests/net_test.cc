@@ -904,6 +904,55 @@ TEST_F(ServerEndToEndTest, StreamedThresholdExactlyAtPointCap) {
       << over.status();
 }
 
+TEST(StreamedThresholdTest, ChunkSeqGapIsCorruptionOnBothReassemblers) {
+  // A server whose threshold stream skips seq 1. The user-facing
+  // streamed query and the mediator's streamed node sub-reply share one
+  // reassembler, and both must refuse the stream, not merge around the
+  // hole.
+  std::atomic<int> streams{0};
+  net::Server::Handler handler = [&](const std::vector<uint8_t>&,
+                                     const net::CallContext& ctx) {
+    ++streams;
+    for (uint64_t seq : {0u, 2u}) {
+      net::ThresholdChunk chunk;
+      chunk.seq = seq;
+      chunk.points = {ThresholdPoint{100 + seq, 1.5f}};
+      chunk.total_points = seq + 1;
+      if (!ctx.emit(net::EncodeThresholdChunk(chunk)).ok()) break;
+    }
+    return net::EncodeErrorResponse(
+        Status::Internal("the reader should have stopped at the gap"));
+  };
+  net::ServerOptions options;
+  options.num_workers = 2;
+  auto server = net::Server::Start(handler, options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  net::Client client("127.0.0.1", (*server)->port());
+
+  ThresholdQuery query;
+  query.dataset = "mhd";
+  query.raw_field = "velocity";
+  query.derived_field = "vorticity";
+  query.box = Box3::WholeGrid(8, 8, 8);
+  auto streamed = client.ThresholdStreamed(query);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().code(), StatusCode::kCorruption)
+      << streamed.status();
+
+  net::NodeExecuteRequest request;
+  request.spec.dataset = "mhd";
+  request.spec.raw_field = "velocity";
+  request.spec.derived_field = "vorticity";
+  request.spec.box = Box3::WholeGrid(8, 8, 8);
+  request.stream = true;
+  auto sub_reply = client.NodeExecute(request);
+  ASSERT_FALSE(sub_reply.ok());
+  EXPECT_EQ(sub_reply.status().code(), StatusCode::kCorruption)
+      << sub_reply.status();
+  // A corrupt stream is final: neither call retried.
+  EXPECT_EQ(streams.load(), 2);
+}
+
 // -- Admission control ---------------------------------------------------
 
 TEST(AdmissionControlTest, OverBudgetQueriesShedFastWithTypedError) {

@@ -573,8 +573,6 @@ net::CacheStatsReply GoldenCacheStatsReply() {
   reply.stale_inserts = 209;
   reply.pinned_entries = 210;
   reply.pinned_bytes = 211;
-  reply.affinity_enabled = true;
-  reply.affinity_routes = 212;
   return reply;
 }
 
@@ -936,7 +934,7 @@ std::vector<GoldenFrame> GoldenFrames() {
       {"CacheStatsResponse",
        net::EncodeCacheStatsResponse(GoldenCacheStatsReply()),
        Via(net::DecodeCacheStatsResponse, net::EncodeCacheStatsResponse),
-       "4b018080808004c901ca01cb01cc01cd01ce01cf01d001d101d201d30101d401"},
+       "4b018080808004c901ca01cb01cc01cd01ce01cf01d001d101d201d301"},
       {"CacheWarmResponse",
        net::EncodeCacheWarmResponse(net::CacheWarmReply{4242, true}),
        Via(net::DecodeCacheWarmResponse, net::EncodeCacheWarmResponse),

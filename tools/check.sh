@@ -87,13 +87,13 @@ echo "streaming smoke: peak reply bytes $PEAK within the" \
 # CacheWarm RPC, pin it, and run the TCP cache bench (cold / warm /
 # subsumed cycle) — it fails unless the server reports cache hits, and
 # must leave a machine-readable BENCH_cache.json behind. Exercises
-# --mediator-cache-mb / --cache-affinity plus the DropCache / CacheStats
-# / CacheWarm / CachePin RPC handlers end to end.
+# --mediator-cache-mb plus the DropCache / CacheStats / CacheWarm /
+# CachePin RPC handlers end to end.
 CACHE_SMOKE_PORT="${CACHE_SMOKE_PORT:-7981}"
 CACHE_JSON="$BUILD_DIR/BENCH_cache_smoke.json"
 rm -f "$CACHE_JSON"
 "$BUILD_DIR/tools/turbdb_server" --port "$CACHE_SMOKE_PORT" --n 32 \
-  --nodes 2 --mediator-cache-mb 64 --cache-affinity &
+  --nodes 2 --mediator-cache-mb 64 &
 CACHE_SMOKE_PID=$!
 trap 'kill "$CACHE_SMOKE_PID" 2>/dev/null || true' EXIT
 CLI="$BUILD_DIR/tools/turbdb_cli"

@@ -1114,8 +1114,7 @@ int RunRemote(const CliOptions& options) {
         "misses            %llu\n"
         "insertions        %llu (%llu stale discarded)\n"
         "evictions         %llu\n"
-        "invalidations     %llu\n"
-        "affinity          %s (%llu affinity-routed reads)\n",
+        "invalidations     %llu\n",
         stats->enabled ? "yes" : "no",
         static_cast<unsigned long long>(stats->capacity_bytes),
         static_cast<unsigned long long>(stats->entries),
@@ -1128,9 +1127,7 @@ int RunRemote(const CliOptions& options) {
         static_cast<unsigned long long>(stats->insertions),
         static_cast<unsigned long long>(stats->stale_inserts),
         static_cast<unsigned long long>(stats->evictions),
-        static_cast<unsigned long long>(stats->invalidations),
-        stats->affinity_enabled ? "on" : "off",
-        static_cast<unsigned long long>(stats->affinity_routes));
+        static_cast<unsigned long long>(stats->invalidations));
     return 0;
   }
   if (options.command == "cache-warm") {

@@ -67,8 +67,6 @@ struct ServerCliOptions {
   std::map<std::string, double> tenant_weights;
   /// Mediator-tier semantic result cache capacity in MiB (0 disables).
   int64_t mediator_cache_mb = 64;
-  /// Cache-affinity replica routing (needs replication factor > 1).
-  bool cache_affinity = false;
   bool help = false;
 };
 
@@ -124,11 +122,6 @@ void PrintUsage() {
       "                   threshold results are kept at the mediator and\n"
       "                   repeat or subsumed queries answer with zero\n"
       "                   node RPCs (default 64; 0 disables the tier)\n"
-      "  --cache-affinity route threshold reads to the replica that most\n"
-      "                   recently served a subsuming query for the same\n"
-      "                   cache key (its node-local cache is warm) instead\n"
-      "                   of always preferring the primary; only matters\n"
-      "                   with --replication-factor > 1\n"
       "  --no-fsync       skip the per-batch fsync of durable ingest\n"
       "  --faults SPEC    arm deterministic fault injection, e.g.\n"
       "                   server.reply.delay=delay:5000:1 (needs a build\n"
@@ -278,8 +271,6 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* options,
         return false;
       }
       options->mediator_cache_mb = value;
-    } else if (arg == "--cache-affinity") {
-      options->cache_affinity = true;
     } else if (arg == "--no-fsync") {
       options->fsync_ingest = false;
     } else if (arg == "--faults") {
@@ -332,7 +323,6 @@ int main(int argc, char** argv) {
   config.cluster.fsync_ingest = options.fsync_ingest;
   config.cluster.mediator_cache_bytes =
       static_cast<uint64_t>(options.mediator_cache_mb) << 20;
-  config.cluster.cache_affinity = options.cache_affinity;
   if (!options.topology.empty() || !options.topology_file.empty()) {
     if (!options.topology.empty() && !options.topology_file.empty()) {
       std::fprintf(stderr,
