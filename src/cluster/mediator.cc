@@ -354,67 +354,12 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
                                std::vector<ThresholdPoint> points)>&
         point_sink,
     std::shared_ptr<const MembershipView>* routed_view) {
-  // A sub-query bounced with kWrongOwner means a cutover raced this
-  // dispatch: the snapshot it was routed under predates an ownership
-  // change. Wait for the registry to commit that change, then
-  // re-snapshot and re-scatter — but only while nothing has streamed to
-  // the sink yet (a partially consumed stream cannot be replayed without
-  // duplicating points).
-  uint64_t points_sunk = 0;
-  std::function<Status(int, std::vector<ThresholdPoint>)> counted_sink;
-  if (point_sink != nullptr) {
-    counted_sink = [&](int node_id, std::vector<ThresholdPoint> points) {
-      points_sunk += points.size();
-      return point_sink(node_id, std::move(points));
-    };
-  }
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 1;; ++attempt) {
-    const std::shared_ptr<const MembershipView> view = ViewSnapshot();
-    auto outcomes = DispatchOnce(node_query, view, budget, counted_sink);
-    if (outcomes.ok() || attempt >= kMaxAttempts || points_sunk > 0 ||
-        outcomes.status().code() != StatusCode::kWrongOwner) {
-      if (routed_view != nullptr) *routed_view = view;
-      return outcomes;
-    }
-    TURBDB_LOG(Info) << "dispatch raced a membership cutover ("
-                     << outcomes.status().message()
-                     << "); retrying under a fresh view";
-    // The bouncing node already runs the newer view, and the cutover
-    // commits it to the registry right after: re-routing before that
-    // would pick the same stale generation again.
-    if (view != nullptr && !AwaitGenerationPast(view->generation, budget)) {
-      return outcomes;
-    }
-  }
-}
-
-bool Mediator::AwaitGenerationPast(uint64_t generation,
-                                   const CallBudget& budget) const {
-  auto limit = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(config_.remote.subquery_deadline_ms);
-  if (budget.deadline != std::chrono::steady_clock::time_point{} &&
-      budget.deadline < limit) {
-    limit = budget.deadline;
-  }
-  while (membership_->generation() <= generation) {
-    if (std::chrono::steady_clock::now() >= limit ||
-        (budget.cancel != nullptr &&
-         budget.cancel->load(std::memory_order_relaxed))) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-Result<std::vector<NodeOutcome>> Mediator::DispatchOnce(
-    const NodeQuery& node_query,
-    const std::shared_ptr<const MembershipView>& view,
-    const CallBudget& budget,
-    const std::function<Status(int node_id,
-                               std::vector<ThresholdPoint> points)>&
-        point_sink) {
+  // One ownership decision per query: the membership snapshot taken here.
+  // Every sub-query carries it, and each node evaluates and reads by
+  // exactly this view, so a cutover racing the scatter cannot change the
+  // answer.
+  const std::shared_ptr<const MembershipView> view = ViewSnapshot();
+  if (routed_view != nullptr) *routed_view = view;
   // Split the query along the spatial layout and submit each part
   // asynchronously to the node storing the data (Fig. 1). Under a
   // membership view, the split follows *effective* ownership: a shard
@@ -629,20 +574,23 @@ Result<ThresholdResult> Mediator::RunThreshold(
           : 0;
 
   // How a piece of the answer (a joined shard's points, or a
-  // mediator-cache hit) reaches the caller. Buffered: gathered; a piece
-  // meeting an unreserved vector (the cache hit) is moved in whole.
-  // Streamed: cut into chunks of at most `chunk_points` points and pushed
-  // through the sink as it arrives, so the mediator never holds the
-  // union; the byte counters are the sums over the chunks.
+  // mediator-cache hit) reaches the caller. Buffered: the first piece is
+  // moved in whole and later ones are kept aside, to be appended once
+  // the scatter joined into an exactly sized vector (every point is
+  // copied once). Streamed: cut into chunks of at most `chunk_points`
+  // points and pushed through the sink as it arrives, so the mediator
+  // never holds the union; the byte counters are the sums over the
+  // chunks.
   ThresholdResult result;
   const uint64_t slice = chunk_points == 0 ? 32768 : chunk_points;
   uint64_t streamed_points = 0;
+  std::vector<std::vector<ThresholdPoint>> later_pieces;
   auto deliver = [&](std::vector<ThresholdPoint> points) -> Status {
     if (sink == nullptr) {
-      if (gathered.capacity() == 0) {
+      if (gathered.empty()) {
         gathered = std::move(points);
       } else {
-        gathered.insert(gathered.end(), points.begin(), points.end());
+        later_pieces.push_back(std::move(points));
       }
       return Status::OK();
     }
@@ -695,28 +643,22 @@ Result<ThresholdResult> Mediator::RunThreshold(
   } else {
     const uint64_t cache_epoch = cacheable ? result_cache_->epoch() : 0;
     accumulate = cacheable && sink != nullptr;
-    // Buffered mode passes no point sink: every outcome keeps its points
-    // until the whole scatter joined, so Dispatch may still re-route
-    // after a kWrongOwner bounce from any shard. Streamed mode delivers
-    // each outcome as it joins; the point cap is enforced inside Dispatch
-    // (a streamed reply must fail *before* the client has seen points it
-    // would have to throw away, so the cap trips at join time).
-    std::function<Status(int, std::vector<ThresholdPoint>)> outcome_sink;
-    if (sink != nullptr) {
-      outcome_sink = [&](int /*node_id*/, std::vector<ThresholdPoint> points) {
-        return deliver(std::move(points));
-      };
-    }
-    TURBDB_ASSIGN_OR_RETURN(outcomes,
-                            Dispatch(node_query, budget, outcome_sink));
-    if (sink == nullptr) {
-      uint64_t total_points = 0;
-      for (const NodeOutcome& outcome : outcomes) {
-        total_points += outcome.points.size();
-      }
-      gathered.reserve(total_points);
-      for (NodeOutcome& outcome : outcomes) {
-        TURBDB_RETURN_NOT_OK(deliver(std::move(outcome.points)));
+    // Each outcome is delivered as its shard joins; the point cap trips
+    // inside Dispatch at join time, before a streamed client has seen
+    // points it would have to throw away.
+    TURBDB_ASSIGN_OR_RETURN(
+        outcomes,
+        Dispatch(node_query, budget,
+                 [&](int /*node_id*/, std::vector<ThresholdPoint> points) {
+                   return deliver(std::move(points));
+                 }));
+    if (!later_pieces.empty()) {
+      size_t total = gathered.size();
+      for (const auto& piece : later_pieces) total += piece.size();
+      gathered.reserve(total);
+      for (std::vector<ThresholdPoint>& piece : later_pieces) {
+        gathered.insert(gathered.end(), piece.begin(), piece.end());
+        std::vector<ThresholdPoint>().swap(piece);
       }
     }
     // Shards join in any order; z order is the answer's canonical order
@@ -775,8 +717,8 @@ Result<DistributedFofSummary> Mediator::GetFof(
         geometry.periodic(d) ? static_cast<double>(geometry.extent(d)) : 0.0;
   }
   // The halo pass must judge ownership the way Dispatch attributed the
-  // points: by the view the successful attempt routed under, overrides
-  // included (the base partitioning alone when the cluster is static).
+  // points: by the view the scatter routed under, overrides included
+  // (the base partitioning alone when the cluster is static).
   std::shared_ptr<const MembershipView> routed_view;
   TURBDB_ASSIGN_OR_RETURN(
       FofStitcher stitcher,
@@ -985,7 +927,9 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
   }
 
   // Route each target to the node owning the atom of its containing grid
-  // cell (the bulk of its stencil data lives there).
+  // cell (the bulk of its stencil data lives there), under one membership
+  // snapshot that every part also carries for its reads.
+  const std::shared_ptr<const MembershipView> view = ViewSnapshot();
   const GridGeometry& geometry = state->info.geometry;
   std::map<int, std::vector<std::pair<uint32_t, std::array<double, 3>>>>
       per_node;
@@ -996,8 +940,9 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
     const int64_t bz = interpolator->BaseNode(2, position[2]);
     const AtomKey key = AtomKeyForPoint(query.timestep, bx, by, bz,
                                         geometry.atom_width());
-    const int owner = state->partitioner.OwnerOfAtom(key.zindex);
-    if (owner < 0) {
+    const int base = state->partitioner.OwnerOfAtom(key.zindex);
+    const int owner = view != nullptr ? view->OwnerOf(key.zindex, base) : base;
+    if (owner < 0 || owner >= num_nodes()) {
       return Status::Internal("target outside the partitioned domain");
     }
     per_node[owner].push_back({static_cast<uint32_t>(i), position});
@@ -1020,6 +965,7 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
   node_query.effective_cores = config_.cost.effective_cores_per_node;
   node_query.deadline = budget.deadline;
   node_query.cancel = budget.cancel;
+  node_query.view = view;
 
   std::vector<NodeQuery> parts;
   parts.reserve(per_node.size());
@@ -1240,8 +1186,11 @@ Status Mediator::PushMembershipLocked() {
     if (!status.ok() && first.ok()) first = status;
   }
   // Best effort: a down member misses the push and installs the current
-  // view when its restart resync probes it; the generation fence covers
-  // the window either way.
+  // view when its restart resync probes it. Its answers do not depend on
+  // the push: every sub-query carries the ownership and the joined
+  // shards' addresses of the view it was routed under. Only the two ends
+  // of a move hold cache entries the move invalidates, and Cutover
+  // reaches them synchronously.
   if (!first.ok()) {
     TURBDB_LOG(Warning) << "membership push (generation " << view.generation
                         << ") incomplete: " << first.ToString();
@@ -1254,15 +1203,6 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
   TURBDB_ASSIGN_OR_RETURN(ReplicaGroup * donor, Group(move.from_shard));
   TURBDB_ASSIGN_OR_RETURN(ReplicaGroup * recipient, Group(move.to_shard));
   RangeMoverHooks hooks;
-  hooks.begin_handoff = [&](const RangeMove& m) -> Status {
-    net::BeginHandoffRequest request;
-    request.begin = m.begin;
-    request.end = m.end;
-    request.from_shard = m.from_shard;
-    request.to_shard = m.to_shard;
-    TURBDB_RETURN_NOT_OK(donor->BeginHandoff(request));
-    return recipient->BeginHandoff(request);
-  };
   hooks.copy_range = [&](const RangeMove& m) -> Result<uint64_t> {
     // Page every (dataset, field, timestep) slice of the range from the
     // donor group into every replica of the recipient, skip-existing so
@@ -1309,18 +1249,18 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     request.view = membership_->Snapshot();
     request.view.ApplyOverride(m.begin, m.end, m.to_shard);
     ++request.view.generation;
-    // Donor and recipient must fence: their ownership changed. Both
-    // install the new view before the registry commits it, because
-    // Dispatch routes by the registry: a sub-query routed at the new
-    // generation must never reach a shard still evaluating the old
-    // ownership (the recipient would skip the moved range, the donor
-    // would serve it twice). Until the commit, sub-queries routed at the
-    // old generation bounce off both with kWrongOwner and are retried.
+    // Donor and recipient install the new view before the registry
+    // commits it, because Dispatch routes by the registry. A sub-query
+    // is evaluated under the view it carries either way; the order keeps
+    // their semantic caches right: by the time a sub-query is routed at
+    // the new generation, both dropped the answers of their old
+    // ownership, and sub-queries routed at the old one bypass the cache.
     // The rest of the cluster is updated best-effort right after.
     TURBDB_RETURN_NOT_OK(donor->Cutover(request));
     TURBDB_RETURN_NOT_OK(recipient->Cutover(request));
     // membership.commit: chaos hook holding the commit for `arg` ms, so a
-    // test can route a query while the two nodes already fence it.
+    // test can route a query by the old view while the two nodes already
+    // run the new one.
     if (auto injected = fault::Check("membership.commit")) {
       std::this_thread::sleep_for(std::chrono::milliseconds(injected.arg));
     }

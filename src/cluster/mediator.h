@@ -269,16 +269,17 @@ class Mediator {
   /// Decommissions `node_id`: every range its shard effectively owns is
   /// live-moved to the least-loaded remaining shard (copy, then
   /// cutover), the record flips to kDraining, and the new view is
-  /// pushed. The drained node keeps its bytes (lazy drop) so in-flight
-  /// halo reads keep succeeding; it can be shut down afterwards.
+  /// pushed. The drained node keeps its bytes (lazy drop), so queries
+  /// routed before the drain still read them; it can be shut down
+  /// afterwards.
   Result<net::LeaveReply> Leave(int node_id);
 
   /// Plans and executes up to `request.max_ranges` live range moves
   /// toward `request.to_shard` (-1 = least-loaded). Each move copies via
   /// SyncRange paging with skip-existing ingest, then cuts ownership
-  /// over on a generation bump pushed to every node; queries in flight
-  /// across the cutover either finish under their pinned view or retry
-  /// under the new one via kWrongOwner.
+  /// over on a generation bump pushed to every node. A query is answered
+  /// under the view it was routed by, whichever side of a cutover its
+  /// sub-queries land on: the donor keeps the moved range's bytes.
   Result<net::RebalanceReply> Rebalance(const net::RebalanceRequest& request);
 
   /// How many CancelQuery fan-outs Dispatch has issued to not-yet-joined
@@ -329,7 +330,8 @@ class Mediator {
 
   /// The one threshold pipeline (the paper's Algorithm 1) behind
   /// GetThreshold (`sink` null: buffered delivery) and
-  /// GetThresholdStreaming (streamed in `chunk_points` chunks).
+  /// GetThresholdStreaming (streamed in `chunk_points` chunks). Both
+  /// deliveries take each shard's points as that shard joins.
   Result<ThresholdResult> RunThreshold(const ThresholdQuery& query,
                                        const QueryOptions& options,
                                        const CallBudget& budget,
@@ -349,35 +351,19 @@ class Mediator {
   /// outcome's points. The sink also receives the owning shard's node
   /// id — the FoF stitcher needs the attribution; plain streaming
   /// ignores it. A sink error aborts like a hard shard failure.
-  /// `routed_view`, when set, receives the membership snapshot the last
-  /// attempt routed under (null when !elastic()): the ownership by which
-  /// the outcomes' points were attributed to shards.
+  ///
+  /// The scatter is routed once, under one membership snapshot (null
+  /// when !elastic()) that every sub-query carries: each node evaluates
+  /// and reads by that view, so no sub-query can be routed stale and
+  /// nothing is re-scattered. `routed_view`, when set, receives the
+  /// snapshot: the ownership by which the outcomes' points were
+  /// attributed to shards.
   Result<std::vector<NodeOutcome>> Dispatch(
       const NodeQuery& node_query, const CallBudget& budget,
       const std::function<Status(int node_id,
                                  std::vector<ThresholdPoint> points)>&
           point_sink = nullptr,
       std::shared_ptr<const MembershipView>* routed_view = nullptr);
-
-  /// One dispatch attempt under the membership snapshot `view` (null
-  /// when !elastic()). Dispatch wraps it with the kWrongOwner retry: a
-  /// sub-query bounced by a node whose ownership moved re-runs the whole
-  /// scatter under a fresh snapshot, once the registry has committed the
-  /// move (only while no points have streamed to the sink yet — a
-  /// partially consumed stream cannot be replayed without duplicates).
-  Result<std::vector<NodeOutcome>> DispatchOnce(
-      const NodeQuery& node_query,
-      const std::shared_ptr<const MembershipView>& view,
-      const CallBudget& budget,
-      const std::function<Status(int node_id,
-                                 std::vector<ThresholdPoint> points)>&
-          point_sink);
-
-  /// Waits until the registry's generation passes `generation`. False
-  /// when the caller's deadline, its cancel token or the sub-query
-  /// deadline came first.
-  bool AwaitGenerationPast(uint64_t generation,
-                           const CallBudget& budget) const;
 
   const Differentiator* GetDifferentiator(const std::string& dataset,
                                           const GridGeometry& geometry,

@@ -590,13 +590,15 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
   };
 
   // Fetch plan: unique codes, split into local reads and per-peer
-  // batches.
+  // batches by their owner under the query's view.
   std::vector<uint64_t> local_codes;
   std::map<int, std::vector<uint64_t>> remote_codes;
   for (size_t i = 0; i < by_code.size(); ++i) {
     const uint64_t code = by_code[i].first;
     if (i > 0 && by_code[i - 1].first == code) continue;
-    const int owner = query.partitioner->OwnerOfAtom(code);
+    const int base = query.partitioner->OwnerOfAtom(code);
+    const int owner =
+        query.view != nullptr ? query.view->OwnerOf(code, base) : base;
     if (owner == shard_id_) {
       local_codes.push_back(code);
     } else {

@@ -89,13 +89,14 @@ struct NodeQuery {
   /// CancelQuery; 0 = unregistered. Carried so error messages and remote
   /// sub-queries can name the query being cancelled.
   uint64_t query_id = 0;
-  /// Membership view pinned for this query (v6). When set, the atoms the
-  /// node evaluates are the view's *effective* ownership of its shard
+  /// The membership view the mediator routed this query under. When set,
+  /// the node evaluates the view's *effective* ownership of its shard
   /// (base partitioner assignment re-homed by the view's range
-  /// overrides) instead of the static assignment — this is what makes a
-  /// live range move change query routing without rebuilding
-  /// partitioners. Null keeps the static behavior (in-process
-  /// deployments, pre-v6 peers).
+  /// overrides) and reads every atom from its owner under the same view
+  /// — this is what makes a live range move change query routing without
+  /// rebuilding partitioners, and keeps a query racing a cutover
+  /// consistent. Null keeps the static assignment (in-process
+  /// deployments).
   std::shared_ptr<const MembershipView> view;
 };
 

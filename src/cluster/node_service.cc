@@ -31,6 +31,21 @@ bool SameDataset(const DatasetInfo& a, const DatasetInfo& b) {
   return true;
 }
 
+/// The routed view's overrides arrive off the network; ownership lookups
+/// binary-search them, so each range must be non-empty and the list
+/// sorted and disjoint.
+Status ValidateOverrides(const std::vector<RangeOverride>& overrides) {
+  for (size_t i = 0; i < overrides.size(); ++i) {
+    if (overrides[i].begin >= overrides[i].end ||
+        (i > 0 && overrides[i].begin < overrides[i - 1].end)) {
+      return Status::InvalidArgument(
+          "routed view's range overrides are not sorted, disjoint and "
+          "non-empty");
+    }
+  }
+  return Status::OK();
+}
+
 net::ClientOptions PeerClientOptions(const RemoteNodeOptions& remote) {
   net::ClientOptions client;
   client.connect_timeout_ms = remote.connect_timeout_ms;
@@ -206,18 +221,17 @@ Result<NodeQuery> NodeService::BuildQuery(const net::NodeQuerySpec& spec) {
   return query;
 }
 
-NodeService::PeerChannel* NodeService::GetPeerChannel(int physical) {
+std::shared_ptr<NodeService::PeerChannel> NodeService::GetPeerChannel(
+    int physical, const NodeAddress& address) {
   std::lock_guard<std::mutex> lock(peers_mutex_);
-  auto it = peers_.find(physical);
-  if (it == peers_.end()) {
-    auto created = std::make_unique<PeerChannel>();
-    const NodeAddress& address =
-        config_.peers.nodes[static_cast<size_t>(physical)];
-    created->client = std::make_unique<net::Client>(
+  std::shared_ptr<PeerChannel>& channel = peers_[physical];
+  if (channel == nullptr || !(channel->address == address)) {
+    channel = std::make_shared<PeerChannel>();
+    channel->address = address;
+    channel->client = std::make_unique<net::Client>(
         address.host, address.port, PeerClientOptions(config_.remote));
-    it = peers_.emplace(physical, std::move(created)).first;
   }
-  return it->second.get();
+  return channel;
 }
 
 Result<std::vector<Atom>> NodeService::FetchFromPeer(
@@ -225,14 +239,34 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
     const std::string& field, int32_t timestep,
     const std::vector<uint64_t>& codes, int concurrent, double* cost_s) {
   // `owner` is a shard id; any replica of that shard can serve its halo
-  // atoms, so a dead primary is a failover, not an error.
-  const int replication = std::max(1, config_.replication_factor);
-  const int num_shards = static_cast<int>(config_.peers.size()) / replication;
-  if (owner < 0 || owner >= num_shards) {
-    return Status::InvalidArgument("no such shard " + std::to_string(owner));
-  }
+  // atoms, so a dead primary is a failover, not an error. A base shard's
+  // replicas are peers [owner*R, (owner+1)*R); a shard joined later is
+  // dialed at the addresses of its records in the routed view. Both come
+  // from outside this node (the peer list from its flags, the shard ids
+  // from the request), so neither is trusted to name a known shard.
   if (owner == shard()) {
     return Status::Internal("halo fetch routed to the local node");
+  }
+  std::vector<std::pair<int, NodeAddress>> replicas;
+  if (owner >= 0 && owner < query.partitioner->num_nodes()) {
+    const int replication = std::max(1, config_.replication_factor);
+    for (int physical = owner * replication;
+         physical < (owner + 1) * replication &&
+         physical < static_cast<int>(config_.peers.size());
+         ++physical) {
+      replicas.emplace_back(physical,
+                            config_.peers.nodes[static_cast<size_t>(physical)]);
+    }
+  } else if (query.view != nullptr) {
+    for (const NodeRecord& record : query.view->nodes) {
+      if (record.shard == owner) {
+        replicas.emplace_back(record.node_id,
+                              NodeAddress{record.host, record.port});
+      }
+    }
+  }
+  if (replicas.empty()) {
+    return Status::InvalidArgument("no such shard " + std::to_string(owner));
   }
   net::NodeFetchAtomsRequest request;
   request.dataset = dataset;
@@ -254,10 +288,10 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
     request.rpc.deadline_ms = static_cast<uint64_t>(remaining.count());
   }
   Status last;
-  for (int r = 0; r < replication; ++r) {
-    const int physical = owner * replication + r;
-    if (physical == config_.node_id) continue;
-    PeerChannel* channel = GetPeerChannel(physical);
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    const int physical = replicas[r].first;
+    std::shared_ptr<PeerChannel> channel =
+        GetPeerChannel(physical, replicas[r].second);
     Result<net::NodeFetchAtomsReply> reply = Status::OK();
     {
       std::lock_guard<std::mutex> lock(channel->mutex);
@@ -280,7 +314,7 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
         last.code() != StatusCode::kCorruption) {
       return last;
     }
-    if (r + 1 < replication) {
+    if (r + 1 < replicas.size()) {
       TURBDB_LOG(Warning) << "node " << config_.node_id
                           << ": halo fetch failing over off node " << physical
                           << ": " << last.ToString();
@@ -321,9 +355,6 @@ std::vector<uint8_t> NodeService::Handle(const std::vector<uint8_t>& payload,
       break;
     case net::MsgType::kMembershipUpdateRequest:
       response = HandleMembershipUpdate(payload);
-      break;
-    case net::MsgType::kBeginHandoffRequest:
-      response = HandleBeginHandoff(payload);
       break;
     case net::MsgType::kCutoverRequest:
       response = HandleCutover(payload);
@@ -523,24 +554,25 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
     const std::vector<uint8_t>& payload, const net::CallContext& ctx) {
   TURBDB_ASSIGN_OR_RETURN(net::NodeExecuteRequest request,
                           net::DecodeNodeExecuteRequest(payload));
+  TURBDB_RETURN_NOT_OK(ValidateOverrides(request.overrides));
   TURBDB_ASSIGN_OR_RETURN(NodeQuery query, BuildQuery(request.spec));
+  // The sub-query is evaluated and read under the view the mediator
+  // routed it by, whichever view this node has installed.
+  auto routed = std::make_shared<MembershipView>();
+  routed->generation = request.rpc.generation;
+  routed->overrides = std::move(request.overrides);
+  routed->nodes = std::move(request.joined);
+  query.view = std::move(routed);
   {
-    // Generation fence: a request routed under a view older than the one
-    // that last changed this shard's ownership of the dataset would
-    // evaluate the wrong atoms — fail typed so the mediator refreshes
-    // its view and re-routes. Requests without a generation (v6 clients
-    // that have not seen a view, in-process paths) pass unfenced.
+    // The semantic cache holds answers for this shard's current
+    // ownership only: a sub-query routed before that ownership took
+    // effect neither reads nor fills it.
     std::lock_guard<std::mutex> lock(state_mutex_);
     auto it = ownership_changed_gen_.find(request.spec.dataset);
-    if (request.rpc.generation != 0 && it != ownership_changed_gen_.end() &&
+    if (it != ownership_changed_gen_.end() &&
         request.rpc.generation < it->second) {
-      return Status::WrongOwner(
-          "node " + std::to_string(config_.node_id) + ": ownership of '" +
-          request.spec.dataset + "' changed at generation " +
-          std::to_string(it->second) + "; request was routed at generation " +
-          std::to_string(request.rpc.generation));
+      query.options.use_cache = false;
     }
-    query.view = view_;
   }
   // Thread the transport-level budget into the evaluation: the workers
   // poll the deadline and the cancellation token between atoms, and the
@@ -658,21 +690,6 @@ Result<std::vector<uint8_t>> NodeService::HandleMembershipUpdate(
                           net::DecodeMembershipUpdateRequest(payload));
   TURBDB_RETURN_NOT_OK(ApplyView(request.view));
   return net::EncodeAckResponse(net::MsgType::kMembershipUpdateResponse);
-}
-
-Result<std::vector<uint8_t>> NodeService::HandleBeginHandoff(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::BeginHandoffRequest request,
-                          net::DecodeBeginHandoffRequest(payload));
-  // The double-read window opens: the donor keeps serving [begin, end)
-  // while the copy runs; the recipient accepts skip-existing ingests for
-  // it. Neither needs new state for that — the announcement exists so
-  // both ends log the window and operators can correlate.
-  TURBDB_LOG(Info) << "node " << config_.node_id << ": handoff of ["
-                   << request.begin << ", " << request.end << ") from shard "
-                   << request.from_shard << " to shard " << request.to_shard
-                   << " beginning";
-  return net::EncodeAckResponse(net::MsgType::kBeginHandoffResponse);
 }
 
 Result<std::vector<uint8_t>> NodeService::HandleCutover(
@@ -807,7 +824,8 @@ Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
     if (physical < 0 || physical >= static_cast<int>(config_.peers.size())) {
       continue;
     }
-    PeerChannel* channel = GetPeerChannel(physical);
+    std::shared_ptr<PeerChannel> channel = GetPeerChannel(
+        physical, config_.peers.nodes[static_cast<size_t>(physical)]);
 
     net::NodeMerkleRequest merkle_request;
     merkle_request.dataset = dataset;

@@ -112,9 +112,11 @@ class NodeService {
 
   /// Installs a membership view: datasets whose effective ownership of
   /// this shard changed are re-registered against the view and their
-  /// semantic-cache entries dropped, and subsequent executes carrying an
-  /// older generation for those datasets fail typed with kWrongOwner.
-  /// Stale views (generation below the installed one) are ignored.
+  /// semantic-cache entries dropped, and later executes routed at an
+  /// older generation for those datasets bypass the cache (they are
+  /// still evaluated and read under the view they carry, which the
+  /// installed one never replaces). Stale views (generation below the
+  /// installed one) are ignored.
   Status ApplyView(const MembershipView& view);
 
   /// Registers a dataset from its wire form without the node_id check of
@@ -138,6 +140,7 @@ class NodeService {
   /// One serialized channel per peer (net::Client is not thread-safe;
   /// worker chunks of one sub-query may fetch concurrently).
   struct PeerChannel {
+    NodeAddress address;  ///< What `client` dials.
     std::mutex mutex;
     std::unique_ptr<net::Client> client;
   };
@@ -159,17 +162,22 @@ class NodeService {
                                           const GridGeometry& geometry,
                                           int order);
 
-  /// Batched halo fetch from a replica of shard `owner`, bounded by
-  /// whatever remains of `query`'s deadline budget (a fetch for an
-  /// already-expired query fails typed without dialing).
+  /// Batched halo fetch from a replica of shard `owner` (a base shard's
+  /// replicas by the peer list, a joined shard by its records in the
+  /// view `query` was routed under), bounded by whatever remains of
+  /// `query`'s deadline budget (a fetch for an already-expired query
+  /// fails typed without dialing).
   Result<std::vector<Atom>> FetchFromPeer(
       const NodeQuery& query, int owner, const std::string& dataset,
       const std::string& field, int32_t timestep,
       const std::vector<uint64_t>& codes, int concurrent, double* cost_s);
 
-  /// The serialized channel to physical peer node `physical` (created on
-  /// first use).
-  PeerChannel* GetPeerChannel(int physical);
+  /// The serialized channel to physical peer node `physical` at
+  /// `address`: created on first use, and replaced when the peer's
+  /// address changed (a joined shard re-admitted on a new port). A call
+  /// still running on a replaced channel keeps it alive until it returns.
+  std::shared_ptr<PeerChannel> GetPeerChannel(int physical,
+                                              const NodeAddress& address);
 
   Result<std::vector<uint8_t>> HandleCreateDataset(
       const std::vector<uint8_t>& payload);
@@ -188,8 +196,6 @@ class NodeService {
   Result<std::vector<uint8_t>> HandleListStores(
       const std::vector<uint8_t>& payload);
   Result<std::vector<uint8_t>> HandleMembershipUpdate(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleBeginHandoff(
       const std::vector<uint8_t>& payload);
   Result<std::vector<uint8_t>> HandleCutover(
       const std::vector<uint8_t>& payload);
@@ -228,10 +234,8 @@ class NodeService {
   std::map<std::string, std::unique_ptr<DatasetState>> datasets_;
   /// Installed membership view (null = static ownership) and, per
   /// dataset, the generation at which this shard's effective ownership
-  /// last changed — the fence HandleExecute checks stale-routed requests
-  /// against. Both guarded by state_mutex_; the view is handed to
-  /// queries as a shared_ptr so a cutover mid-query cannot invalidate
-  /// the atoms an executing query already selected.
+  /// last changed — sub-queries routed below it bypass the semantic
+  /// cache. Both guarded by state_mutex_.
   std::shared_ptr<const MembershipView> view_;
   std::map<std::string, uint64_t> ownership_changed_gen_;
   std::map<std::pair<std::string, int>, std::unique_ptr<Differentiator>>
@@ -240,7 +244,7 @@ class NodeService {
            std::shared_ptr<const LagrangeInterpolator>>
       interpolators_;
 
-  std::map<int, std::unique_ptr<PeerChannel>> peers_;
+  std::map<int, std::shared_ptr<PeerChannel>> peers_;
   std::mutex peers_mutex_;
 
   /// Declared last so its thread stops before any state it scrubs or

@@ -158,11 +158,18 @@ Result<NodeOutcome> RemoteNode::Execute(const NodeQuery& query) {
   }
   request.rpc.deadline_ms = budget_ms;
   request.rpc.query_id = query.query_id;
-  // The routing generation rides in the header: a node whose ownership
-  // of the dataset changed past it answers kWrongOwner instead of
-  // evaluating stale ranges, and the mediator re-routes.
-  request.rpc.generation =
-      query.view != nullptr ? query.view->generation : 0;
+  // The routed view rides along: the node evaluates and reads by it,
+  // and dials the shards joined since the datasets were created at the
+  // addresses it names.
+  if (query.view != nullptr) {
+    request.rpc.generation = query.view->generation;
+    request.overrides = query.view->overrides;
+    for (const NodeRecord& record : query.view->nodes) {
+      if (record.shard >= query.partitioner->num_nodes()) {
+        request.joined.push_back(record);
+      }
+    }
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   auto result = client_.NodeExecute(request);
   lock.unlock();
@@ -258,11 +265,6 @@ Status RemoteNode::PushMembership(const MembershipView& view) {
   request.view = view;
   std::lock_guard<std::mutex> lock(mutex_);
   return Named(client_.MembershipUpdate(request));
-}
-
-Status RemoteNode::BeginHandoff(const net::BeginHandoffRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Named(client_.BeginHandoff(request));
 }
 
 Status RemoteNode::Cutover(const net::CutoverRequest& request) {

@@ -88,10 +88,9 @@ class RemoteNode : public NodeBackend {
   Result<net::NodeRepairRangeReply> RepairRange(
       const net::NodeRepairRangeRequest& request);
 
-  /// Membership pushes (v6): install a view, announce a handoff window,
-  /// apply a cutover. Mediator-to-node control plane.
+  /// Membership pushes (v6): install a view, apply a cutover.
+  /// Mediator-to-node control plane.
   Status PushMembership(const MembershipView& view);
-  Status BeginHandoff(const net::BeginHandoffRequest& request);
   Status Cutover(const net::CutoverRequest& request);
 
  private:

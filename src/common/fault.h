@@ -44,8 +44,8 @@
 //   membership.commit           hold the mediator's cutover for `arg` ms
 //                               after donor and recipient installed the
 //                               new view, before the registry commits it
-//                               (the window a query routed by the old
-//                               view bounces through with kWrongOwner)
+//                               (a query routed in the window carries
+//                               the old view to every shard)
 
 #include <cstdint>
 #include <string>

@@ -33,9 +33,10 @@ enum class StatusCode : int {
   kDeadlineExceeded = 15,
   kCancelled = 16,
   kResourceExhausted = 17,
-  /// The request was routed with a stale membership view: the receiving
-  /// node no longer (or does not yet) own the addressed Morton range.
-  /// Retryable — refresh the membership view and re-route.
+  /// v6-v8 nodes answered a sub-query routed with a stale membership
+  /// view with this code. Nothing produces it since v9 (a sub-query
+  /// carries its routed view); it stays the highest code an error frame
+  /// may carry.
   kWrongOwner = 18,
 };
 
@@ -105,9 +106,6 @@ class Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status WrongOwner(std::string msg) {
-    return Status(StatusCode::kWrongOwner, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -131,7 +129,6 @@ class Status {
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }
-  bool IsWrongOwner() const { return code_ == StatusCode::kWrongOwner; }
 
   /// "OK" or "<Code>: <message>".
   std::string ToString() const;

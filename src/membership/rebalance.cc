@@ -80,7 +80,6 @@ Result<RangeMover::Outcome> RangeMover::Execute(const RangeMove& move,
       move.from_shard < 0 || move.to_shard < 0) {
     return Status::InvalidArgument("malformed range move");
   }
-  TURBDB_RETURN_NOT_OK(hooks.begin_handoff(move));
   TURBDB_ASSIGN_OR_RETURN(uint64_t copied, hooks.copy_range(move));
   if (fault::Check("handoff.crash_before_cutover")) {
     // The simulated crash window: the copy landed but ownership did not

@@ -41,9 +41,6 @@ class RebalancePlanner {
 /// keeps this library free of transport types and lets tests drive the
 /// mover with in-memory hooks.
 struct RangeMoverHooks {
-  /// Announce the handoff to donor and recipient (double-read window
-  /// opens: the donor keeps serving the range while the copy runs).
-  std::function<Status(const RangeMove&)> begin_handoff;
   /// Page the range's atoms from the donor to the recipient (SyncRange
   /// paging + skip-existing ingest). Returns atoms copied.
   std::function<Result<uint64_t>(const RangeMove&)> copy_range;
@@ -52,7 +49,8 @@ struct RangeMoverHooks {
   std::function<Result<uint64_t>(const RangeMove&)> cutover;
 };
 
-/// Sequences one live range move: BeginHandoff -> copy -> cutover.
+/// Sequences one live range move: copy, then cutover. The donor keeps
+/// serving the range while the copy runs.
 /// The `handoff.crash_before_cutover` fault site fires after the copy
 /// and before the cutover, aborting the move there — the cluster is left
 /// with the range double-stored but ownership unchanged, which is the

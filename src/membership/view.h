@@ -65,8 +65,11 @@ struct RangeOverride {
 
 /// A consistent snapshot of cluster membership, versioned by a monotonic
 /// generation. The mediator owns the authoritative copy (persisted to
-/// disk); nodes and clients hold pushed copies and stamp the generation
-/// into request headers so stale routing is detected (`kWrongOwner`).
+/// disk) and routes each query by one snapshot of it; every node
+/// sub-query carries that snapshot's generation, range overrides and
+/// records of joined shards, and the node evaluates and reads by exactly
+/// them. Nodes hold pushed copies to know when their own ownership
+/// changed.
 ///
 /// Ownership of a Morton code is resolved in two steps: the static
 /// MortonPartitioner (built for `base_shards` shards at dataset-creation

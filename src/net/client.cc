@@ -146,26 +146,12 @@ Result<std::vector<uint8_t>> Client::Call(
     // must never mix, so partial state from a failed attempt is dropped.
     if (stream != nullptr && stream->restart) stream->restart();
     auto response = CallOnce(request, budget, stream);
-    if (response.ok()) {
-      // kWrongOwner is the one *typed* error worth retrying: the node a
-      // query landed on lost the range to a live rebalance after the
-      // query was planned. The server re-plans each attempt under its
-      // current membership view, so a fresh attempt lands on the new
-      // owner. The connection itself is healthy — keep it.
-      last = PeekErrorStatus(*response);
-      if (!last.IsWrongOwner()) return response;
-      continue;
-    }
+    if (response.ok()) return response;
     last = response.status();
     // The connection's stream state is unknown after any failure; drop
     // it so the next attempt starts clean.
     conn_.Close();
     if (!IsTransportFailure(last)) return last;
-  }
-  if (last.IsWrongOwner()) {
-    // Ownership kept moving for the whole retry budget; surface the
-    // typed error, not "unreachable" — the peer answered every time.
-    return last;
   }
   const std::string endpoint = host_ + ":" + std::to_string(port_);
   if (!budget.infinite() && budget.Expired()) {
@@ -544,12 +530,6 @@ Status Client::MembershipUpdate(const MembershipUpdateRequest& request) {
   auto payload = Call(EncodeRequest(request), options_.deadline_ms);
   if (!payload.ok()) return payload.status();
   return DecodeAckResponse(*payload, MsgType::kMembershipUpdateResponse);
-}
-
-Status Client::BeginHandoff(const BeginHandoffRequest& request) {
-  auto payload = Call(EncodeRequest(request), options_.deadline_ms);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kBeginHandoffResponse);
 }
 
 Status Client::Cutover(const CutoverRequest& request) {

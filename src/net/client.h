@@ -140,13 +140,12 @@ class Client {
       const NodeRepairRangeRequest& request);
 
   // Elasticity RPCs (v6). Join/Leave/MembershipGet/Rebalance target the
-  // mediator-fronting server; MembershipUpdate/BeginHandoff/Cutover are
-  // mediator -> turbdb_node pushes.
+  // mediator-fronting server; MembershipUpdate/Cutover are mediator ->
+  // turbdb_node pushes.
   Result<JoinReply> Join(const JoinRequest& request);
   Result<LeaveReply> Leave(const LeaveRequest& request);
   Result<MembershipGetReply> MembershipGet();
   Status MembershipUpdate(const MembershipUpdateRequest& request);
-  Status BeginHandoff(const BeginHandoffRequest& request);
   Status Cutover(const CutoverRequest& request);
   Result<RebalanceReply> Rebalance(const RebalanceRequest& request);
 

@@ -54,12 +54,11 @@ namespace net {
 ///
 /// v6 (header layout still unchanged) appends the sender's membership
 /// generation varint to the shared request-payload header (after the
-/// tenant) so a node can detect requests routed with a stale ownership
-/// view (typed retryable kWrongOwner), and adds the elasticity RPCs:
-/// Join/Leave, MembershipGet/MembershipUpdate, BeginHandoff/Cutover and
-/// Rebalance. The node-stats reply gains WAL-lag counters. A v5 peer
-/// would misparse the generation varint, so the version byte refuses it
-/// at the first frame.
+/// tenant), and adds the elasticity RPCs: Join/Leave,
+/// MembershipGet/MembershipUpdate, BeginHandoff/Cutover and Rebalance.
+/// The node-stats reply gains WAL-lag counters. A v5 peer would misparse
+/// the generation varint, so the version byte refuses it at the first
+/// frame.
 ///
 /// v7 (header layout still unchanged) adds the self-healing RPCs:
 /// NodeMerkle (Morton-range Merkle digest of a store, for anti-entropy
@@ -70,8 +69,19 @@ namespace net {
 /// counters and the server-stats reply appends corruption-failover and
 /// read-repair counters. A v6 peer would reject the new message types,
 /// so the version byte refuses it at the first frame.
+///
+/// v8 (header layout still unchanged) drops the cache-affinity fields
+/// from the cache-stats reply.
+///
+/// v9 (header layout still unchanged) appends the range overrides of the
+/// routed membership view, and that view's records of joined shards, to
+/// NodeExecuteRequest: a node evaluates and reads each sub-query by the
+/// view the mediator routed it under, so no sub-query is bounced as
+/// stale. The BeginHandoff RPC (types 29/93), an announcement nodes only
+/// logged, is gone. A v8 peer would misparse the sub-query, so the
+/// version byte refuses it at the first frame.
 constexpr uint32_t kFrameMagic = 0x46424454u;  // "TDBF" read little-endian
-constexpr uint8_t kProtocolVersion = 8;
+constexpr uint8_t kProtocolVersion = 9;
 constexpr size_t kFrameHeaderBytes = 17;
 
 /// Default cap on a frame payload (64 MiB). A peer announcing more than

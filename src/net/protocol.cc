@@ -685,6 +685,10 @@ void Fields(Ar& ar, NodeExecuteRequest& request) {
   Fields(ar, request.rpc);
   Fields(ar, request.spec);
   ar.Bool(request.stream);
+  ar.List(request.overrides, "implausible override count",
+          [&](RangeOverride& range) { Fields(ar, range); });
+  ar.List(request.joined, "implausible node-record count",
+          [&](NodeRecord& record) { Fields(ar, record); });
 }
 
 template <class Ar>
@@ -880,15 +884,6 @@ template <class Ar>
 void Fields(Ar& ar, MembershipUpdateRequest& request) {
   Fields(ar, request.rpc);
   Fields(ar, request.view);
-}
-
-template <class Ar>
-void Fields(Ar& ar, BeginHandoffRequest& request) {
-  Fields(ar, request.rpc);
-  ar.Varint(request.begin);
-  ar.Varint(request.end);
-  ar.ZigZag(request.from_shard);
-  ar.ZigZag(request.to_shard);
 }
 
 template <class Ar>
@@ -1177,16 +1172,6 @@ Result<MsgType> PeekResponseType(const Bytes& payload) {
   return static_cast<MsgType>(raw);
 }
 
-Status PeekErrorStatus(const Bytes& payload) {
-  Reader reader(payload);
-  uint64_t raw = 0;
-  reader.Varint(raw);
-  if (!reader.ok() || raw != static_cast<uint64_t>(MsgType::kErrorResponse)) {
-    return Status::OK();
-  }
-  return ReadError(reader);
-}
-
 Result<RequestHeader> PeekRequestHeader(const Bytes& payload) {
   Reader reader(payload);
   uint64_t raw = 0;
@@ -1461,14 +1446,6 @@ Result<MembershipUpdateRequest> DecodeMembershipUpdateRequest(
     const Bytes& payload) {
   return Decode<MembershipUpdateRequest>(payload,
                                          MsgType::kMembershipUpdateRequest);
-}
-
-Bytes EncodeRequest(const BeginHandoffRequest& request) {
-  return Encode(MsgType::kBeginHandoffRequest, request);
-}
-
-Result<BeginHandoffRequest> DecodeBeginHandoffRequest(const Bytes& payload) {
-  return Decode<BeginHandoffRequest>(payload, MsgType::kBeginHandoffRequest);
 }
 
 Bytes EncodeRequest(const CutoverRequest& request) {

@@ -56,7 +56,7 @@ enum class MsgType : uint8_t {
   kLeaveRequest = 26,
   kMembershipGetRequest = 27,
   kMembershipUpdateRequest = 28,
-  kBeginHandoffRequest = 29,
+  // 29 (and 93) carried BeginHandoff in v6-v8.
   kCutoverRequest = 30,
   kRebalanceRequest = 31,
 
@@ -104,7 +104,6 @@ enum class MsgType : uint8_t {
   kLeaveResponse = 90,
   kMembershipGetResponse = 91,
   kMembershipUpdateResponse = 92,
-  kBeginHandoffResponse = 93,
   kCutoverResponse = 94,
   kRebalanceResponse = 95,
 
@@ -136,9 +135,11 @@ enum class MsgType : uint8_t {
 ///
 /// `generation` (v6) is the sender's membership generation — the version
 /// of the cluster ownership view the request was routed with. A node
-/// whose ownership of the addressed range changed after that generation
-/// answers kWrongOwner (retryable) instead of serving stale data. 0
-/// means "not generation-checked" (single-node deployments, admin RPCs).
+/// sub-query carries that view's range overrides beside it (v9,
+/// NodeExecuteRequest::overrides) and is evaluated under exactly that
+/// view; the node only uses the generation to tell whether the view
+/// predates its last ownership change, and then bypasses its semantic
+/// cache. 0 means "no view" (in-process paths, admin RPCs).
 struct RpcOptions {
   uint64_t deadline_ms = 0;
   uint64_t query_id = 0;
@@ -424,6 +425,17 @@ struct NodeExecuteRequest {
   /// sub-reply size from the frame cap and keeps the node's encoded
   /// reply bounded.
   bool stream = false;
+  /// v9: the range overrides of the membership view the mediator routed
+  /// this sub-query under (generation in `rpc`). The node evaluates and
+  /// reads by exactly this view, whatever view it has installed itself,
+  /// and rejects a list that is not sorted, disjoint and non-empty per
+  /// range (kInvalidArgument).
+  std::vector<RangeOverride> overrides;
+  /// v9: that view's records of the shards joined after the datasets
+  /// were created (shard ids at or above the base partitioning's): the
+  /// addresses the node dials for halo atoms the overrides re-homed to
+  /// them. Base shards are dialed through the node's peer list.
+  std::vector<NodeRecord> joined;
 };
 
 /// Wire mirror of `NodeOutcome` (minus node_id, which the mediator
@@ -651,8 +663,8 @@ struct LeaveReply {
   uint64_t atoms_copied = 0;
 };
 
-/// Fetches the mediator's current membership view (clients use it to
-/// refresh after kWrongOwner; `turbdb_cli membership` prints it).
+/// Fetches the mediator's current membership view (`turbdb_cli
+/// membership` prints it).
 struct MembershipGetRequest {
   RpcOptions rpc;
 };
@@ -669,21 +681,11 @@ struct MembershipUpdateRequest {
   RpcOptions rpc;
 };
 
-/// Mediator -> node: a live range move of [begin, end) from `from_shard`
-/// to `to_shard` is starting. The donor keeps serving the range
-/// (double-read window); the recipient starts accepting its atoms.
-struct BeginHandoffRequest {
-  uint64_t begin = 0;
-  uint64_t end = 0;  ///< Half-open Morton range.
-  int32_t from_shard = -1;
-  int32_t to_shard = -1;
-  RpcOptions rpc;
-};
-
-/// Mediator -> node: the copy caught up; `view` (with the range's new
-/// override and a bumped generation) takes effect now. The donor stops
-/// owning the range — later queries routed with an older generation get
-/// kWrongOwner — but keeps its bytes for halo point-reads until dropped.
+/// Mediator -> node: the copy of the half-open Morton range [begin, end)
+/// from `from_shard` to `to_shard` caught up; `view` (with the range's
+/// new override and a bumped generation) is installed now. The donor
+/// stops owning the range — its semantic cache is dropped — but keeps
+/// its bytes, so sub-queries routed under an older view still read them.
 struct CutoverRequest {
   uint64_t begin = 0;
   uint64_t end = 0;
@@ -839,14 +841,6 @@ Result<FofReply> DecodeFofResponse(const std::vector<uint8_t>& payload);
 /// well-formedness.
 Result<MsgType> PeekResponseType(const std::vector<uint8_t>& payload);
 
-/// When `payload` is an error frame, decodes and returns the Status it
-/// carries; returns OK for any other frame type (including malformed
-/// leading varints — those surface later in the real decoder). The
-/// client's retry loop uses this to recognise typed-but-retryable
-/// failures (kWrongOwner from a node whose ownership moved mid-query)
-/// before the response-specific decoder runs.
-Status PeekErrorStatus(const std::vector<uint8_t>& payload);
-
 // -- Request header peek -------------------------------------------------
 
 /// The shared prefix of every request payload: its type and RpcOptions
@@ -964,7 +958,6 @@ std::vector<uint8_t> EncodeRequest(const JoinRequest& request);
 std::vector<uint8_t> EncodeRequest(const LeaveRequest& request);
 std::vector<uint8_t> EncodeRequest(const MembershipGetRequest& request);
 std::vector<uint8_t> EncodeRequest(const MembershipUpdateRequest& request);
-std::vector<uint8_t> EncodeRequest(const BeginHandoffRequest& request);
 std::vector<uint8_t> EncodeRequest(const CutoverRequest& request);
 std::vector<uint8_t> EncodeRequest(const RebalanceRequest& request);
 
@@ -973,8 +966,6 @@ Result<LeaveRequest> DecodeLeaveRequest(const std::vector<uint8_t>& payload);
 Result<MembershipGetRequest> DecodeMembershipGetRequest(
     const std::vector<uint8_t>& payload);
 Result<MembershipUpdateRequest> DecodeMembershipUpdateRequest(
-    const std::vector<uint8_t>& payload);
-Result<BeginHandoffRequest> DecodeBeginHandoffRequest(
     const std::vector<uint8_t>& payload);
 Result<CutoverRequest> DecodeCutoverRequest(
     const std::vector<uint8_t>& payload);
@@ -995,7 +986,7 @@ Result<MembershipGetReply> DecodeMembershipGetResponse(
 std::vector<uint8_t> EncodeRebalanceResponse(const RebalanceReply& reply);
 Result<RebalanceReply> DecodeRebalanceResponse(
     const std::vector<uint8_t>& payload);
-// MembershipUpdate, BeginHandoff and Cutover succeed with a bare
+// MembershipUpdate and Cutover succeed with a bare
 // EncodeAckResponse of their response type.
 
 }  // namespace net

@@ -219,6 +219,32 @@ bool ReplicaGroup::TryRecoverStale(Member* member) {
   return true;
 }
 
+Status ReplicaGroup::FanOutWrite(
+    const std::function<Status(RemoteNode*)>& write) {
+  Status last;
+  int accepted = 0;
+  for (auto& member : members_) {
+    if (!EnsureUsable(member.get())) {
+      member->health.NoteMissedWrite();
+      continue;
+    }
+    Status status = write(member->node.get());
+    if (status.ok()) {
+      ++accepted;
+      continue;
+    }
+    if (!IsTransportFailure(status)) return status;
+    FailMember(member.get(), status);
+    member->health.NoteMissedWrite();
+    last = status;
+  }
+  if (accepted == 0) {
+    return last.ok() ? Status::Unreachable(DebugName() + ": all replicas down")
+                     : last;
+  }
+  return Status::OK();
+}
+
 Status ReplicaGroup::CreateDataset(const DatasetInfo& info,
                                    const MortonPartitioner& partitioner,
                                    PartitionStrategy strategy) {
@@ -236,91 +262,25 @@ Status ReplicaGroup::CreateDataset(const DatasetInfo& info,
       registrations_.push_back({info, partitioner.num_nodes(), strategy});
     }
   }
-  Status last;
-  int accepted = 0;
-  for (auto& member : members_) {
-    if (!EnsureUsable(member.get())) {
-      member->health.NoteMissedWrite();
-      continue;
-    }
-    Status status = member->node->CreateDataset(info, partitioner, strategy);
-    if (status.ok()) {
-      ++accepted;
-      continue;
-    }
-    if (IsTransportFailure(status)) {
-      FailMember(member.get(), status);
-      member->health.NoteMissedWrite();
-      last = status;
-      continue;
-    }
-    return status;
-  }
-  if (accepted == 0) {
-    return last.ok() ? Status::Unreachable(DebugName() + ": all replicas down")
-                     : last;
-  }
-  return Status::OK();
+  return FanOutWrite([&](RemoteNode* node) {
+    return node->CreateDataset(info, partitioner, strategy);
+  });
 }
 
 Status ReplicaGroup::IngestAtoms(const std::string& dataset,
                                  const std::string& field,
                                  const std::vector<Atom>& atoms) {
-  Status last;
-  int accepted = 0;
-  for (auto& member : members_) {
-    if (!EnsureUsable(member.get())) {
-      member->health.NoteMissedWrite();
-      continue;
-    }
-    Status status = member->node->IngestAtoms(dataset, field, atoms);
-    if (status.ok()) {
-      ++accepted;
-      continue;
-    }
-    if (IsTransportFailure(status)) {
-      FailMember(member.get(), status);
-      member->health.NoteMissedWrite();
-      last = status;
-      continue;
-    }
-    return status;
-  }
-  if (accepted == 0) {
-    return last.ok() ? Status::Unreachable(DebugName() + ": all replicas down")
-                     : last;
-  }
-  return Status::OK();
+  return FanOutWrite([&](RemoteNode* node) {
+    return node->IngestAtoms(dataset, field, atoms);
+  });
 }
 
 Status ReplicaGroup::DropCacheEntries(const std::string& dataset,
                                       const std::string& field,
                                       int32_t timestep) {
-  Status last;
-  int accepted = 0;
-  for (auto& member : members_) {
-    if (!EnsureUsable(member.get())) {
-      member->health.NoteMissedWrite();
-      continue;
-    }
-    Status status = member->node->DropCacheEntries(dataset, field, timestep);
-    if (status.ok()) {
-      ++accepted;
-      continue;
-    }
-    if (IsTransportFailure(status)) {
-      FailMember(member.get(), status);
-      member->health.NoteMissedWrite();
-      last = status;
-      continue;
-    }
-    return status;
-  }
-  if (accepted == 0) {
-    return last.ok() ? Status::Unreachable(DebugName() + ": all replicas down")
-                     : last;
-  }
-  return Status::OK();
+  return FanOutWrite([&](RemoteNode* node) {
+    return node->DropCacheEntries(dataset, field, timestep);
+  });
 }
 
 Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
@@ -448,13 +408,6 @@ Status ReplicaGroup::PushMembership(const MembershipView& view) {
     if (!status.ok() && first.ok()) first = status;
   }
   return first;
-}
-
-Status ReplicaGroup::BeginHandoff(const net::BeginHandoffRequest& request) {
-  for (auto& member : members_) {
-    TURBDB_RETURN_NOT_OK(member->node->BeginHandoff(request));
-  }
-  return Status::OK();
 }
 
 Status ReplicaGroup::Cutover(const net::CutoverRequest& request) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -128,8 +129,7 @@ class ReplicaGroup : public NodeBackend {
   /// the view from its post-restart resync instead).
   Status PushMembership(const MembershipView& view);
 
-  /// Handoff control fan-outs to every member.
-  Status BeginHandoff(const net::BeginHandoffRequest& request);
+  /// Cutover fan-out to every member.
   Status Cutover(const net::CutoverRequest& request);
 
  private:
@@ -142,6 +142,12 @@ class ReplicaGroup : public NodeBackend {
   /// probed back to life (re-synced first if its epoch moved or it
   /// missed writes).
   bool EnsureUsable(Member* member);
+
+  /// One write to every member (CreateDataset, IngestAtoms,
+  /// DropCacheEntries): a member that is down, or fails with a transport
+  /// error, is skipped with its missed-writes flag set; a typed failure
+  /// is returned as is. OK once one member accepted the write.
+  Status FanOutWrite(const std::function<Status(RemoteNode*)>& write);
 
   /// Marks the member down after `failure` and counts the failover.
   void FailMember(Member* member, const Status& failure);

@@ -22,16 +22,25 @@
 //       transport failure the client retries from scratch — chunks of
 //       the torn attempt never leak into the retried one;
 //   (f) a query routed while a rebalance cutover is half committed —
-//       donor and recipient already fence the moved range, the registry
-//       still routes by the old view — waits for the commit and answers
-//       byte-identically instead of surfacing kWrongOwner.
+//       donor and recipient already installed the new view, the registry
+//       still routes by the old one — is evaluated and read by the view
+//       it was routed under, and answers byte-identically at once;
+//   (g) the same holds for a buffered query whose scatter spans a shard
+//       untouched by the move and the move's donor, (h) for a streamed
+//       threshold and a distributed friends-of-friends query in that
+//       window, and (i) for a repeat after the commit with the node
+//       cache on: the donor never caches an answer routed before it;
+//   (j) a base node that missed every membership push naming a joined
+//       shard still reads a range moved onto that shard from there: the
+//       sub-query names the joined shard's address, and reads never
+//       consult the node's own view.
 //
 // The node services are hosted in this process over real TCP sockets
-// (one net::Server each, with per-server fault scopes "n0.", "n1.", ...)
-// so a test can arm a fault at the exact moment it wants, on the exact
-// server it means, and reset between scenarios. The same sites are
-// reachable in the real binaries via `turbdb_node --faults` / the
-// TURBDB_FAULTS environment variable.
+// (in_process_cluster.h: one net::Server each, with per-server fault
+// scopes "n0.", "n1.", ...) so a test can arm a fault at the exact
+// moment it wants, on the exact server it means, and reset between
+// scenarios. The same sites are reachable in the real binaries via
+// `turbdb_node --faults` / the TURBDB_FAULTS environment variable.
 
 #include <gtest/gtest.h>
 
@@ -43,22 +52,22 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/node_service.h"
 #include "cluster/service.h"
 #include "common/fault.h"
 #include "core/turbdb.h"
 #include "net/client.h"
-#include "net/server.h"
-#include "net/socket.h"
 #include "replication/replica_group.h"
 #include "wire/serializer.h"
+
+#include "in_process_cluster.h"
 
 namespace turbdb {
 namespace {
 
-constexpr int64_t kGrid = 32;
-constexpr int32_t kTimesteps = 1;
-constexpr uint64_t kSeed = 2015;
+using testcluster::InProcessNodeCluster;
+using testcluster::kGrid;
+using testcluster::kSeed;
+using testcluster::OpenDistributed;
 
 ThresholdQuery VorticityQuery(double threshold) {
   ThresholdQuery query;
@@ -79,130 +88,6 @@ QueryOptions NoCacheOptions() {
   return options;
 }
 
-/// `num_nodes` real node services served over loopback TCP from this
-/// process, each with fault scope "n<i>." so tests can arm failures on
-/// one specific node.
-class InProcessNodeCluster {
- public:
-  static Result<std::unique_ptr<InProcessNodeCluster>> Launch(
-      int num_nodes, int replication_factor) {
-    auto cluster =
-        std::unique_ptr<InProcessNodeCluster>(new InProcessNodeCluster());
-    // Reserve one ephemeral port per node, then release them for the
-    // servers to bind (the peer list must be complete before the first
-    // service is constructed).
-    {
-      std::vector<net::Socket> listeners;
-      for (int i = 0; i < num_nodes; ++i) {
-        TURBDB_ASSIGN_OR_RETURN(net::Socket listener,
-                                net::TcpListen("127.0.0.1", 0));
-        TURBDB_ASSIGN_OR_RETURN(const uint16_t port,
-                                net::LocalPort(listener));
-        cluster->topology_.nodes.push_back(NodeAddress{"127.0.0.1", port});
-        listeners.push_back(std::move(listener));
-      }
-      for (net::Socket& listener : listeners) listener.Close();
-    }
-    for (int i = 0; i < num_nodes; ++i) {
-      NodeServiceConfig config;
-      config.node_id = i;
-      config.peers = cluster->topology_;
-      config.replication_factor = replication_factor;
-      config.epoch = static_cast<uint64_t>(i) + 1;
-      auto node = std::make_unique<Node>();
-      node->service = std::make_unique<NodeService>(config);
-
-      net::ServerOptions options;
-      options.bind_address = "127.0.0.1";
-      options.port = cluster->topology_.nodes[static_cast<size_t>(i)].port;
-      options.num_workers = 4;
-      options.server_id = i;
-      options.server_epoch = config.epoch;
-      options.fault_scope = Scope(i);
-      TURBDB_ASSIGN_OR_RETURN(node->server, net::Server::Start(
-                                  node->service->AsHandler(), options));
-      cluster->nodes_.push_back(std::move(node));
-    }
-    return cluster;
-  }
-
-  /// The fault-site prefix of node `i` ("n0.", "n1.", ...).
-  static std::string Scope(int i) { return "n" + std::to_string(i) + "."; }
-
-  /// Adds one more node service the way `turbdb_node --join` does: admit
-  /// through the mediator, register the catalog, serve, then activate.
-  /// Returns the joiner's shard.
-  Result<int> Join(Mediator& mediator) {
-    net::JoinRequest admit;
-    admit.uuid = "chaos-joiner";
-    admit.host = "127.0.0.1";
-    TURBDB_ASSIGN_OR_RETURN(net::JoinReply admitted, mediator.Join(admit));
-    NodeServiceConfig config;
-    config.node_id = admitted.record.node_id;
-    config.shard_override = admitted.record.shard;
-    config.epoch = static_cast<uint64_t>(config.node_id) + 1;
-    for (const NodeRecord& record : admitted.view.nodes) {
-      config.peers.nodes.resize(
-          std::max(config.peers.nodes.size(),
-                   static_cast<size_t>(record.node_id) + 1));
-      config.peers.nodes[static_cast<size_t>(record.node_id)] =
-          NodeAddress{record.host, record.port};
-    }
-    auto node = std::make_unique<Node>();
-    node->service = std::make_unique<NodeService>(config);
-    for (const auto& registration : admitted.registrations) {
-      TURBDB_RETURN_NOT_OK(node->service->RegisterDatasetSpec(registration));
-    }
-    TURBDB_RETURN_NOT_OK(node->service->ApplyView(admitted.view));
-
-    net::ServerOptions options;
-    options.bind_address = "127.0.0.1";
-    options.num_workers = 4;
-    options.server_id = config.node_id;
-    options.server_epoch = config.epoch;
-    options.fault_scope = Scope(config.node_id);
-    TURBDB_ASSIGN_OR_RETURN(
-        node->server,
-        net::Server::Start(node->service->AsHandler(), options));
-    net::JoinRequest activate = admit;
-    activate.port = node->server->port();
-    activate.activate = true;
-    TURBDB_ASSIGN_OR_RETURN(net::JoinReply active, mediator.Join(activate));
-    TURBDB_RETURN_NOT_OK(node->service->ApplyView(active.view));
-    nodes_.push_back(std::move(node));
-    return active.record.shard;
-  }
-
-  const ClusterTopology& topology() const { return topology_; }
-
- private:
-  struct Node {
-    std::unique_ptr<NodeService> service;
-    std::unique_ptr<net::Server> server;  // Stopped before the service dies.
-  };
-
-  InProcessNodeCluster() = default;
-
-  ClusterTopology topology_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-};
-
-Result<std::unique_ptr<TurbDB>> OpenDistributed(ClusterTopology topology,
-                                                int replication_factor) {
-  topology.replication_factor = replication_factor;
-  TurbDBConfig config;
-  config.cluster.topology = std::move(topology);
-  config.cluster.processes_per_node = 2;
-  config.cluster.remote.subquery_deadline_ms = 30000;
-  config.cluster.remote.max_retries = 1;
-  config.cluster.remote.backoff_initial_ms = 20;
-  config.cluster.remote.probe_interval_ms = 0;
-  TURBDB_ASSIGN_OR_RETURN(std::unique_ptr<TurbDB> db, TurbDB::Open(config));
-  TURBDB_RETURN_NOT_OK(
-      EnsureMhdDemoData(db.get(), "mhd", kGrid, kTimesteps, kSeed));
-  return db;
-}
-
 /// Ground truth: the in-process cluster with one node per shard.
 Result<std::unique_ptr<TurbDB>> OpenInProcess(int num_shards) {
   TurbDBConfig config;
@@ -210,7 +95,7 @@ Result<std::unique_ptr<TurbDB>> OpenInProcess(int num_shards) {
   config.cluster.processes_per_node = 2;
   TURBDB_ASSIGN_OR_RETURN(std::unique_ptr<TurbDB> db, TurbDB::Open(config));
   TURBDB_RETURN_NOT_OK(
-      EnsureMhdDemoData(db.get(), "mhd", kGrid, kTimesteps, kSeed));
+      EnsureMhdDemoData(db.get(), "mhd", kGrid, /*timesteps=*/1, kSeed));
   return db;
 }
 
@@ -503,10 +388,10 @@ TEST_F(ChaosTest, TruncatedChunkIsRetriedFromScratchByteIdentically) {
 
 // (f) A cutover installs the new view on donor and recipient, then
 // commits it to the registry that Dispatch routes by. The
-// membership.commit site holds that commit for 300 ms: a query routed in
-// the window bounces off the fenced nodes with kWrongOwner. Dispatch
-// must wait for the commit and re-route, answering exactly as before the
-// rebalance, however fast its retries would otherwise run.
+// membership.commit site holds that commit for 300 ms. A query routed in
+// the window carries the old view to every shard, and donor and
+// recipient evaluate and read by it, so it answers exactly as before the
+// rebalance.
 TEST_F(ChaosTest, QueryDuringACutoverWaitsForTheRegistryCommit) {
   auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
                                             /*replication_factor=*/1);
@@ -538,7 +423,7 @@ TEST_F(ChaosTest, QueryDuringACutoverWaitsForTheRegistryCommit) {
   }
   ASSERT_EQ(fault::Fired(site), 1u);
 
-  // Routed by the old view while both nodes fence it.
+  // Routed by the old view while both nodes already run the new one.
   const uint64_t generation = mediator.generation();
   auto during = mediator.GetThreshold(query, NoCacheOptions());
   auto reply = moved.get();
@@ -550,11 +435,79 @@ TEST_F(ChaosTest, QueryDuringACutoverWaitsForTheRegistryCommit) {
             EncodePointsBinary(before->points));
 }
 
-// (g) As (f), but the bounce comes from a shard joined *after* another
-// shard already answered: the second cutover's donor is shard 1, while
-// shard 0 still owns its ranges. A buffered query keeps every shard's
-// points until the whole scatter succeeded, so it may still re-route
-// once the registry commits, and must answer exactly as before.
+/// The window of (g)-(i). Joins a third shard and moves one range of
+/// shard 0 onto it (both base shards are equally loaded, so the planner's
+/// tie rule picks shard 0), then starts a second move whose cutover holds
+/// the registry commit for `hold_ms` at the membership.commit site.
+/// Returns that second Rebalance once the hold has begun: donor and
+/// recipient already run the new view, the registry still routes by the
+/// old one.
+Result<std::future<Result<net::RebalanceReply>>> HoldSecondCutover(
+    Mediator& mediator, InProcessNodeCluster& procs, uint64_t hold_ms) {
+  TURBDB_ASSIGN_OR_RETURN(const int joined, procs.Join(mediator));
+  net::RebalanceRequest rebalance;
+  rebalance.to_shard = joined;
+  rebalance.max_ranges = 1;
+  TURBDB_ASSIGN_OR_RETURN(const net::RebalanceReply first,
+                          mediator.Rebalance(rebalance));
+  if (first.moved.size() != 1) {
+    return Status::Internal("the first rebalance moved " +
+                            std::to_string(first.moved.size()) + " ranges");
+  }
+  const std::string site = "membership.commit";
+  fault::Arm(site, fault::Action::kDelay, hold_ms, /*count=*/1);
+  auto second = std::async(std::launch::async, [&mediator, rebalance] {
+    return mediator.Rebalance(rebalance);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (fault::Fired(site) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (fault::Fired(site) != 1) {
+    return Status::Internal("the second cutover never reached its commit");
+  }
+  return second;
+}
+
+/// Checks the second move of HoldSecondCutover: at 32^3 (64 atoms, 32 per
+/// base shard) the donor is shard 1, which gives up the top of its range.
+void ExpectSecondMove(Result<net::RebalanceReply> reply) {
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->moved.size(), 1u);
+  EXPECT_EQ(reply->moved[0].begin, 56u);
+  EXPECT_EQ(reply->moved[0].end, 64u);
+}
+
+/// Every friends-of-friends cluster of `query`'s points at linking length
+/// 2, in reply order: the cluster id followed by its member z-indices.
+Result<std::vector<std::vector<uint64_t>>> FofClusters(
+    Mediator& mediator, const ThresholdQuery& query) {
+  std::vector<std::vector<uint64_t>> clusters;
+  TURBDB_RETURN_NOT_OK(
+      mediator
+          .GetFof(query, NoCacheOptions(), /*linking_length=*/2.0,
+                  /*min_cluster_size=*/1, CallBudget{}, /*chunk_points=*/0,
+                  [&](std::vector<DistributedFofCluster> batch,
+                      uint64_t /*total_clusters*/) -> Result<uint64_t> {
+                    for (const DistributedFofCluster& cluster : batch) {
+                      std::vector<uint64_t> row{cluster.id};
+                      for (const ThresholdPoint& member : cluster.members) {
+                        row.push_back(member.zindex);
+                      }
+                      clusters.push_back(std::move(row));
+                    }
+                    return uint64_t{0};
+                  })
+          .status());
+  return clusters;
+}
+
+// (g) As (f), but the scatter spans a shard the move leaves alone: the
+// second cutover's donor is shard 1, while shard 0 still owns its
+// ranges. Every shard evaluates the view the query was routed under, so
+// the buffered answer is exactly the one from before the join.
 TEST_F(ChaosTest, BufferedQueryDuringACutoverRetriesAfterAnEarlierShardAnswered) {
   auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
                                             /*replication_factor=*/1);
@@ -568,41 +521,149 @@ TEST_F(ChaosTest, BufferedQueryDuringACutoverRetriesAfterAnEarlierShardAnswered)
   ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_GT(before->points.size(), 0u);
 
+  auto second = HoldSecondCutover(mediator, **procs, /*hold_ms=*/300);
+  ASSERT_TRUE(second.ok()) << second.status();
+  auto during = mediator.GetThreshold(query, NoCacheOptions());
+  ExpectSecondMove(second->get());
+  ASSERT_TRUE(during.ok()) << during.status();
+  EXPECT_EQ(EncodePointsBinary(during->points),
+            EncodePointsBinary(before->points));
+}
+
+// (h) In the window of (g), a streamed threshold query and a distributed
+// friends-of-friends query hand shard 0's points on before shard 1 (the
+// donor) answers. Both carry the old view to every shard, answer exactly
+// as before the join, and return while the commit is still held.
+TEST_F(ChaosTest,
+       StreamedAndFofQueriesDuringACutoverAnswerUnderTheRoutedView) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+
+  const ThresholdQuery query = VorticityQuery(4.0);
+  auto before = mediator.GetThreshold(query, NoCacheOptions());
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_GT(before->points.size(), 0u);
+  const ThresholdQuery fof_query = VorticityQuery(8.0);
+  auto fof_before = FofClusters(mediator, fof_query);
+  ASSERT_TRUE(fof_before.ok()) << fof_before.status();
+  ASSERT_FALSE(fof_before->empty());
+
+  auto second = HoldSecondCutover(mediator, **procs, /*hold_ms=*/1000);
+  ASSERT_TRUE(second.ok()) << second.status();
+  const uint64_t generation = mediator.generation();
+  std::vector<ThresholdPoint> streamed;
+  auto summary = mediator.GetThresholdStreaming(
+      query, NoCacheOptions(), CallBudget{}, /*chunk_points=*/512,
+      [&](std::vector<ThresholdPoint> points,
+          uint64_t /*total_points*/) -> Result<uint64_t> {
+        streamed.insert(streamed.end(), points.begin(), points.end());
+        return uint64_t{0};
+      });
+  auto fof_during = FofClusters(mediator, fof_query);
+  // Neither query waited for the commit.
+  EXPECT_EQ(mediator.generation(), generation);
+  ExpectSecondMove(second->get());
+
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  std::sort(streamed.begin(), streamed.end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return a.zindex < b.zindex;
+            });
+  EXPECT_EQ(EncodePointsBinary(streamed), EncodePointsBinary(before->points));
+  ASSERT_TRUE(fof_during.ok()) << fof_during.status();
+  EXPECT_EQ(*fof_during, *fof_before);
+}
+
+// (i) The node cache is on. In the window of (g), the donor evaluates a
+// query routed under the old view over the atoms it is giving up. That
+// answer must not enter its cache, which holds answers for the
+// ownership it runs now: a repeat after the commit, when the recipient
+// answers for atoms 56-63, would otherwise get those points twice. The
+// box [0,32)x[16,32)x[16,32) covers atoms 48-63, which the move splits.
+TEST_F(ChaosTest, NodeCacheIgnoresAnswersRoutedBeforeACutover) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+
+  ThresholdQuery query = VorticityQuery(4.0);
+  query.box = Box3(0, 16, 16, 32, 32, 32);
+  QueryOptions cached;
+  cached.max_result_points = 10u << 20;
+  ASSERT_TRUE(cached.use_cache);
+  auto before = mediator.GetThreshold(query, cached);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_GT(before->points.size(), 0u);
+
+  auto second = HoldSecondCutover(mediator, **procs, /*hold_ms=*/1000);
+  ASSERT_TRUE(second.ok()) << second.status();
+  auto during = mediator.GetThreshold(query, cached);
+  ExpectSecondMove(second->get());
+  auto after = mediator.GetThreshold(query, cached);
+
+  ASSERT_TRUE(during.ok()) << during.status();
+  EXPECT_EQ(EncodePointsBinary(during->points),
+            EncodePointsBinary(before->points));
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->points.size(), before->points.size());
+  EXPECT_EQ(EncodePointsBinary(after->points),
+            EncodePointsBinary(before->points));
+}
+
+// (j) Node 1 refuses every handler request while the cluster grows, so
+// the membership pushes of the join and of the cutover both miss it
+// (pushes are best effort; the move's donor is shard 0, see
+// HoldSecondCutover). A step ingested afterwards lies in the moved range
+// on the joined shard only, and shard 1's halo needs some of it.
+TEST_F(ChaosTest, BaseNodeThatMissedThePushReadsAJoinedShardByTheRoutedView) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1,
+                            /*timesteps=*/2);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+
+  const uint64_t before_join = mediator.generation();
+  const std::string site =
+      InProcessNodeCluster::Scope(1) + "server.handler.error";
+  fault::Arm(site, fault::Action::kError,
+             static_cast<uint64_t>(StatusCode::kInternal), /*count=*/1000);
   auto joined = (*procs)->Join(mediator);
   ASSERT_TRUE(joined.ok()) << joined.status();
   net::RebalanceRequest rebalance;
   rebalance.to_shard = *joined;
   rebalance.max_ranges = 1;
-  // First move: both base shards are equally loaded, so the donor is
-  // shard 0 (the planner's tie rule).
-  auto first = mediator.Rebalance(rebalance);
-  ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_EQ(first->moved.size(), 1u);
+  auto moved = mediator.Rebalance(rebalance);
+  fault::Disarm(site);
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ASSERT_EQ(moved->moved.size(), 1u);
+  EXPECT_GE(fault::Fired(site), 2u);
+  EXPECT_LE((*procs)->service(1).generation(), before_join);
+  ASSERT_TRUE(testcluster::IngestMhdStep(db->get(), 1).ok());
 
-  const std::string site = "membership.commit";
-  fault::Arm(site, fault::Action::kDelay, /*arg=*/300, /*count=*/1);
-  auto second = std::async(std::launch::async,
-                           [&] { return mediator.Rebalance(rebalance); });
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (fault::Fired(site) == 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(fault::Fired(site), 1u);
-
-  // Routed by the old view: shard 0 answers, shard 1 bounces.
-  auto during = mediator.GetThreshold(query, NoCacheOptions());
-  auto reply = second.get();
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  ASSERT_EQ(reply->moved.size(), 1u);
-  // At 32^3 (64 atoms, 32 per base shard) the donor is shard 1, which
-  // gives up the top of its range.
-  EXPECT_EQ(reply->moved[0].begin, 56u);
-  EXPECT_EQ(reply->moved[0].end, 64u);
-  ASSERT_TRUE(during.ok()) << during.status();
-  EXPECT_EQ(EncodePointsBinary(during->points),
-            EncodePointsBinary(before->points));
+  TurbDBConfig reference_config;
+  reference_config.cluster.num_nodes = 1;
+  reference_config.cluster.processes_per_node = 2;
+  auto reference = TurbDB::Open(reference_config);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(EnsureMhdDemoData(reference->get(), "mhd", kGrid,
+                                /*timesteps=*/2, kSeed)
+                  .ok());
+  ThresholdQuery query = VorticityQuery(4.0);
+  query.timestep = 1;
+  auto expected = (*reference)->Threshold(query, NoCacheOptions());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto actual = mediator.GetThreshold(query, NoCacheOptions());
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  EXPECT_EQ(EncodePointsBinary(actual->points),
+            EncodePointsBinary(expected->points));
 }
 
 }  // namespace

@@ -101,12 +101,16 @@ RoundTrip ViaPing() {
   };
 }
 
-/// An error frame decodes to the status it carries.
+/// An error frame decodes, through any response decoder, to the status
+/// it carries.
 RoundTrip ViaErrorStatus() {
   return [](const Bytes& payload) -> Result<Bytes> {
-    const Status carried = net::PeekErrorStatus(payload);
-    if (carried.ok()) return Status::Corruption("not an error frame");
-    return net::EncodeErrorResponse(carried);
+    TURBDB_ASSIGN_OR_RETURN(const net::MsgType type,
+                            net::PeekResponseType(payload));
+    if (type != net::MsgType::kErrorResponse) {
+      return Status::Corruption("not an error frame");
+    }
+    return net::EncodeErrorResponse(net::DecodePingResponse(payload));
   };
 }
 
@@ -350,6 +354,8 @@ net::NodeExecuteRequest GoldenNodeExecuteRequest() {
   spec.effective_cores = 6.5;
   request.rpc = GoldenRpc();
   request.stream = true;
+  request.overrides = GoldenView().overrides;
+  request.joined = GoldenView().nodes;
   return request;
 }
 
@@ -440,16 +446,6 @@ net::LeaveRequest GoldenLeaveRequest() {
 net::MembershipUpdateRequest GoldenMembershipUpdateRequest() {
   net::MembershipUpdateRequest request;
   request.view = GoldenView();
-  request.rpc = GoldenRpc();
-  return request;
-}
-
-net::BeginHandoffRequest GoldenBeginHandoffRequest() {
-  net::BeginHandoffRequest request;
-  request.begin = 4096;
-  request.end = 8192;
-  request.from_shard = -25;
-  request.to_shard = -26;
   request.rpc = GoldenRpc();
   return request;
 }
@@ -824,7 +820,10 @@ std::vector<GoldenFrame> GoldenFrames() {
        "6369747909766f72746963697479050104070a0b0e0f00000000000012400000"
        "00000000e43f212123000111c0c407250207000000000000f03f000000000000"
        "00c0000000000000e03f09000000000000d0bf00000000000008400000000000"
-       "0013400000000065cdad410000000000001a4001"},
+       "0013400000000065cdad410000000000001a40010264c80101ac029003030313"
+       "06757569642d300831302e302e302e30d9362700321506757569642d31083130"
+       "2e302e302e31da362902331706757569642d320831302e302e302e32db362b04"
+       "34"},
       {"NodeFetchAtomsRequest",
        net::EncodeRequest(GoldenNodeFetchAtomsRequest()),
        Via(net::DecodeNodeFetchAtomsRequest, net::EncodeRequest),
@@ -866,9 +865,6 @@ std::vector<GoldenFrame> GoldenFrames() {
        "2d300831302e302e302e30d9362700321506757569642d310831302e302e302e"
        "31da362902331706757569642d320831302e302e302e32db362b04340264c801"
        "01ac02900303"},
-      {"BeginHandoffRequest", net::EncodeRequest(GoldenBeginHandoffRequest()),
-       Via(net::DecodeBeginHandoffRequest, net::EncodeRequest),
-       "1deffdfad7ecd9fef6fe010874656e616e742d37ac02802080403133"},
       {"CutoverRequest", net::EncodeRequest(GoldenCutoverRequest()),
        Via(net::DecodeCutoverRequest, net::EncodeRequest),
        "1eeffdfad7ecd9fef6fe010874656e616e742d37ac028020804031332a030503"
@@ -1026,10 +1022,6 @@ std::vector<GoldenFrame> GoldenFrames() {
        net::EncodeAckResponse(MsgType::kMembershipUpdateResponse),
        ViaAck(MsgType::kMembershipUpdateResponse),
        "5c"},
-      {"BeginHandoffResponse",
-       net::EncodeAckResponse(MsgType::kBeginHandoffResponse),
-       ViaAck(MsgType::kBeginHandoffResponse),
-       "5d"},
       {"CutoverResponse", net::EncodeAckResponse(MsgType::kCutoverResponse),
        ViaAck(MsgType::kCutoverResponse),
        "5e"},
@@ -1062,13 +1054,15 @@ std::vector<GoldenFrame> GoldenFrames() {
   };
 }
 
-/// Every MsgType value: 32 requests, 34 responses and the error frame.
+/// Every MsgType value: 31 requests, 33 responses and the error frame.
 std::set<uint64_t> AllMessageTypes() {
   std::set<uint64_t> types;
   for (uint64_t t = 1; t <= 34; ++t) {
-    if (t != 9 && t != 24) types.insert(t);
+    if (t != 9 && t != 24 && t != 29) types.insert(t);
   }
-  for (uint64_t t = 65; t <= 98; ++t) types.insert(t);
+  for (uint64_t t = 65; t <= 98; ++t) {
+    if (t != 93) types.insert(t);
+  }
   types.insert(127);
   return types;
 }
@@ -1138,7 +1132,6 @@ TEST(ProtocolFuzzTest, MutatedPayloadsNeverCrashAnyDecoder) {
         (void)net::DecodeRequest(mutant);
         (void)net::PeekRequestHeader(mutant);
         (void)net::PeekResponseType(mutant);
-        (void)net::PeekErrorStatus(mutant);
         auto decoded = frame.round_trip(mutant);
         if (decoded.ok()) {
           auto again = frame.round_trip(*decoded);

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -281,6 +282,14 @@ int Run(const LoadgenOptions& options) {
   std::vector<std::mutex> result_mu(options.tenants.size());
   // Next open-loop arrival slot per tenant, raced by its workers.
   std::vector<std::atomic<uint64_t>> next_slot(options.tenants.size());
+  // The first status of each failing bucket, printed after the run so a
+  // failed drill names its cause.
+  std::mutex failure_mu;
+  std::map<std::string, std::string> first_failure;
+  auto note_failure = [&](const char* bucket, const Status& status) {
+    std::lock_guard<std::mutex> lock(failure_mu);
+    first_failure.emplace(bucket, status.ToString());
+  };
 
   std::vector<std::thread> workers;
   workers.reserve(options.tenants.size() *
@@ -375,15 +384,19 @@ int Run(const LoadgenOptions& options) {
             ++local.deadline;
           } else if (status.IsUnreachable()) {
             ++local.unreachable;
+            note_failure("unreachable", status);
           } else if (status.IsCorruption()) {
             // A corrupt atom reached a client read: replication-level
             // read-repair should have failed the query over to a clean
             // replica, so any count here is a self-healing gap.
             ++local.corruption_errors;
+            note_failure("corruption", status);
           } else if (status.IsVersionMismatch()) {
             ++local.protocol_errors;
+            note_failure("protocol", status);
           } else {
             ++local.other_errors;
+            note_failure("other", status);
           }
         }
 
@@ -405,6 +418,10 @@ int Run(const LoadgenOptions& options) {
     }
   }
   for (std::thread& worker : workers) worker.join();
+  for (const auto& [bucket, message] : first_failure) {
+    std::fprintf(stderr, "turbdb_loadgen: first %s error: %s\n",
+                 bucket.c_str(), message.c_str());
+  }
   const double elapsed_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
