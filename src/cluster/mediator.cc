@@ -215,10 +215,9 @@ Status Mediator::IngestTimestep(
   // it. (A shard beyond the base partitioning owns atoms only through
   // overrides; OwnedAtoms handles both.)
   const std::shared_ptr<const MembershipView> view = ViewSnapshot();
-  const MembershipView empty_view;
   for (int node_id = 0; node_id < num_nodes(); ++node_id) {
-    const std::vector<uint64_t> codes = OwnedAtoms(
-        state->partitioner, view != nullptr ? *view : empty_view, node_id);
+    const std::vector<uint64_t> codes =
+        OwnedAtoms(state->partitioner, *view, node_id);
     // Slice each node's shard so ingestion saturates the worker pool.
     for (size_t s = 0; s < slices; ++s) {
       const size_t begin = codes.size() * s / slices;
@@ -350,9 +349,7 @@ Result<NodeQuery> Mediator::BuildNodeQuery(
 
 Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     const NodeQuery& node_query, const CallBudget& budget,
-    const std::function<Status(int node_id,
-                               std::vector<ThresholdPoint> points)>&
-        point_sink,
+    const OutcomeSink& point_sink,
     std::shared_ptr<const MembershipView>* routed_view) {
   // One ownership decision per query: the membership snapshot taken here.
   // Every sub-query carries it, and each node evaluates and reads by
@@ -361,52 +358,56 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
   const std::shared_ptr<const MembershipView> view = ViewSnapshot();
   if (routed_view != nullptr) *routed_view = view;
   // Split the query along the spatial layout and submit each part
-  // asynchronously to the node storing the data (Fig. 1). Under a
-  // membership view, the split follows *effective* ownership: a shard
-  // participates iff the view assigns it atoms inside the box, which is
-  // how joined shards enter routing and moved ranges leave their donor.
+  // asynchronously to the node storing the data (Fig. 1). The split
+  // follows *effective* ownership: a shard participates iff the view
+  // assigns it atoms inside the box, which is how joined shards enter
+  // routing and moved ranges leave their donor.
   const Box3 cover =
       node_query.dataset->geometry.AtomCover(node_query.box);
-  std::vector<int> participants;
+  std::vector<Part> parts;
   for (int i = 0; i < num_nodes(); ++i) {
-    const bool owns =
-        view != nullptr
-            ? !OwnedAtomsInBox(*node_query.partitioner, *view, i, cover)
-                   .empty()
-            : !node_query.partitioner->NodeAtomsInBox(i, cover).empty();
-    if (owns) participants.push_back(i);
+    if (!OwnedAtomsInBox(*node_query.partitioner, *view, i, cover).empty()) {
+      parts.push_back({i, node_query});
+    }
   }
+  return Scatter(std::move(parts), view, budget, point_sink);
+}
 
+Result<std::vector<NodeOutcome>> Mediator::Scatter(
+    std::vector<Part> parts, const std::shared_ptr<const MembershipView>& view,
+    const CallBudget& budget, const OutcomeSink& point_sink) {
   // Interruption plumbing: one cancel token shared by every sub-query
   // (an external cancellation cascades into it), a cluster-unique id
   // under which remote nodes register the sub-queries, and the tighter
   // of the caller's deadline and the per-sub-query budget.
-  NodeQuery query = node_query;
-  query.view = view;
-  query.query_id = MixSeed(reinterpret_cast<uintptr_t>(this),
-                           query_counter_.fetch_add(1));
-  if (query.query_id == 0) query.query_id = 1;
+  uint64_t query_id = MixSeed(reinterpret_cast<uintptr_t>(this),
+                              query_counter_.fetch_add(1));
+  if (query_id == 0) query_id = 1;
   auto token = std::make_shared<std::atomic<bool>>(false);
-  query.cancel = token.get();
-  query.deadline = budget.deadline;
+  std::chrono::steady_clock::time_point deadline = budget.deadline;
   if (distributed()) {
     const auto sub_deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(config_.remote.subquery_deadline_ms);
-    if (query.deadline == std::chrono::steady_clock::time_point{} ||
-        sub_deadline < query.deadline) {
-      query.deadline = sub_deadline;
+    if (deadline == std::chrono::steady_clock::time_point{} ||
+        sub_deadline < deadline) {
+      deadline = sub_deadline;
     }
   }
 
   std::vector<std::future<Result<NodeOutcome>>> futures;
-  futures.reserve(participants.size());
-  node_executes_.fetch_add(participants.size(), std::memory_order_relaxed);
-  for (int node_id : participants) {
-    NodeBackend* backend = backends_[static_cast<size_t>(node_id)].get();
+  futures.reserve(parts.size());
+  node_executes_.fetch_add(parts.size(), std::memory_order_relaxed);
+  for (Part& part : parts) {
+    part.query.view = view;
+    part.query.query_id = query_id;
+    part.query.cancel = token.get();
+    part.query.deadline = deadline;
+    NodeBackend* backend = backends_[static_cast<size_t>(part.node_id)].get();
+    const NodeQuery* query = &part.query;
     futures.push_back(scheduler_->Submit(
-        [backend, &query]() -> Result<NodeOutcome> {
-          return backend->Execute(query);
+        [backend, query]() -> Result<NodeOutcome> {
+          return backend->Execute(*query);
         }));
   }
 
@@ -417,24 +418,24 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     if (cancel_sent) return;
     cancel_sent = true;
     token->store(true, std::memory_order_relaxed);
-    for (size_t j = next; j < participants.size(); ++j) {
-      backends_[static_cast<size_t>(participants[j])]->Cancel(query.query_id);
+    for (size_t j = next; j < parts.size(); ++j) {
+      backends_[static_cast<size_t>(parts[j].node_id)]->Cancel(query_id);
       cancels_issued_.fetch_add(1);
     }
   };
 
   // Join in submit order; every future must be joined before returning
-  // (the sub-queries reference `query`). The first *hard* failure — or a
+  // (the sub-queries reference `parts`). The first *hard* failure — or a
   // tripped point cap, or an external cancellation — aborts the rest.
   std::vector<NodeOutcome> outcomes;
-  outcomes.reserve(participants.size());
+  outcomes.reserve(parts.size());
   Status failure;
   uint64_t total_points = 0;
   for (size_t i = 0; i < futures.size(); ++i) {
     if (budget.cancel != nullptr &&
         budget.cancel->load(std::memory_order_relaxed) && !cancel_sent) {
       if (failure.ok()) {
-        failure = Status::Cancelled("query " + std::to_string(query.query_id) +
+        failure = Status::Cancelled("query " + std::to_string(query_id) +
                                     " cancelled");
       }
       cancel_rest(i);
@@ -449,6 +450,7 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
       cancel_rest(i + 1);
       continue;
     }
+    const NodeQuery& query = parts[i].query;
     NodeOutcome value = std::move(outcome).value();
     value.io.points_returned = value.points.size();
     total_points += value.points.size();
@@ -463,14 +465,14 @@ Result<std::vector<NodeOutcome>> Mediator::Dispatch(
       continue;
     }
     outcomes.push_back(std::move(value));
-    outcomes.back().node_id = participants[i];
+    outcomes.back().node_id = parts[i].node_id;
     if (point_sink != nullptr && failure.ok()) {
       // Streamed consumption: hand this outcome's points off while the
       // other shards are still running, keeping at most one outcome's
       // points resident. A sink failure (the client hung up) aborts the
       // tail exactly like a hard shard failure.
       Status sunk =
-          point_sink(participants[i], std::move(outcomes.back().points));
+          point_sink(parts[i].node_id, std::move(outcomes.back().points));
       outcomes.back().points.clear();
       if (!sunk.ok()) {
         failure = sunk;
@@ -717,8 +719,7 @@ Result<DistributedFofSummary> Mediator::GetFof(
         geometry.periodic(d) ? static_cast<double>(geometry.extent(d)) : 0.0;
   }
   // The halo pass must judge ownership the way Dispatch attributed the
-  // points: by the view the scatter routed under, overrides included
-  // (the base partitioning alone when the cluster is static).
+  // points: by the view the scatter routed under, overrides included.
   std::shared_ptr<const MembershipView> routed_view;
   TURBDB_ASSIGN_OR_RETURN(
       FofStitcher stitcher,
@@ -726,9 +727,8 @@ Result<DistributedFofSummary> Mediator::GetFof(
         const uint64_t code = MortonEncode3(static_cast<uint32_t>(ax),
                                             static_cast<uint32_t>(ay),
                                             static_cast<uint32_t>(az));
-        const int base = node_query.partitioner->OwnerOfAtom(code);
-        return routed_view != nullptr ? routed_view->OwnerOf(code, base)
-                                      : base;
+        return routed_view->OwnerOf(
+            code, node_query.partitioner->OwnerOfAtom(code));
       }));
 
   // Fan the threshold sub-queries out; each shard's points feed the
@@ -940,15 +940,15 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
     const int64_t bz = interpolator->BaseNode(2, position[2]);
     const AtomKey key = AtomKeyForPoint(query.timestep, bx, by, bz,
                                         geometry.atom_width());
-    const int base = state->partitioner.OwnerOfAtom(key.zindex);
-    const int owner = view != nullptr ? view->OwnerOf(key.zindex, base) : base;
+    const int owner = view->OwnerOf(
+        key.zindex, state->partitioner.OwnerOfAtom(key.zindex));
     if (owner < 0 || owner >= num_nodes()) {
       return Status::Internal("target outside the partitioned domain");
     }
     per_node[owner].push_back({static_cast<uint32_t>(i), position});
   }
 
-  // Base node query shared by all parts.
+  // One part per owning shard, each with its share of the targets.
   NodeQuery node_query;
   node_query.mode = NodeQuery::Mode::kSample;
   node_query.dataset = &state->info;
@@ -963,54 +963,33 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
   node_query.options.use_cache = false;
   node_query.flops_per_process = config_.cost.flops_per_process;
   node_query.effective_cores = config_.cost.effective_cores_per_node;
-  node_query.deadline = budget.deadline;
-  node_query.cancel = budget.cancel;
-  node_query.view = view;
-
-  std::vector<NodeQuery> parts;
+  std::vector<Part> parts;
   parts.reserve(per_node.size());
-  std::vector<std::future<Result<NodeOutcome>>> futures;
   for (auto& [node_id, targets] : per_node) {
-    parts.push_back(node_query);
-    parts.back().targets = std::move(targets);
+    parts.push_back({node_id, node_query});
+    parts.back().query.targets = std::move(targets);
   }
-  size_t part = 0;
-  for (auto& [node_id, targets] : per_node) {
-    NodeBackend* backend = backends_[static_cast<size_t>(node_id)].get();
-    const NodeQuery* query_ptr = &parts[part++];
-    futures.push_back(scheduler_->Submit(
-        [backend, query_ptr]() -> Result<NodeOutcome> {
-          return backend->Execute(*query_ptr);
-        }));
-  }
+  TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
+                          Scatter(std::move(parts), view, budget));
 
   SampleResult result;
   result.ncomp = ncomp;
   result.values.assign(query.positions.size(), {0.0, 0.0, 0.0});
-  Status failure;
-  TimeBreakdown node_phase;
   size_t filled = 0;
-  for (auto& future : futures) {
-    auto outcome = future.get();
-    if (!outcome.ok()) {
-      if (failure.ok()) failure = outcome.status();
-      continue;
-    }
-    node_phase = node_phase.MaxWith(outcome->time);
-    for (const auto& [index, value] : outcome->samples) {
+  for (const NodeOutcome& outcome : outcomes) {
+    for (const auto& [index, value] : outcome.samples) {
       result.values[index] = value;
       ++filled;
     }
   }
-  TURBDB_RETURN_NOT_OK(failure);
   if (filled != query.positions.size()) {
     return Status::Internal("some sample targets were not evaluated");
   }
-  result.time = node_phase;
+  result.time = MergeNodeTimes(outcomes);
   const uint64_t request_bytes = query.positions.size() * 24;
   const uint64_t reply_bytes = query.positions.size() * 12;
   // XML-wrapped component values back to the user (~30 B per scalar).
-  ModelMediatorComm(config_.cost, per_node.size(),
+  ModelMediatorComm(config_.cost, outcomes.size(),
                     request_bytes + reply_bytes,
                     query.positions.size() * static_cast<uint64_t>(ncomp) * 30,
                     &result.time);
@@ -1135,7 +1114,7 @@ uint64_t Mediator::generation() const {
 }
 
 std::shared_ptr<const MembershipView> Mediator::ViewSnapshot() const {
-  if (membership_ == nullptr) return nullptr;
+  if (membership_ == nullptr) return StaticView();
   return std::make_shared<const MembershipView>(membership_->Snapshot());
 }
 
@@ -1174,30 +1153,6 @@ std::vector<std::vector<uint64_t>> Mediator::ComputeShardAtoms(
   return shard_atoms;
 }
 
-Status Mediator::PushMembershipLocked() {
-  const MembershipView view = membership_->Snapshot();
-  Status first;
-  const int total = num_nodes();
-  for (int g = 0; g < total; ++g) {
-    auto* group = dynamic_cast<ReplicaGroup*>(
-        backends_[static_cast<size_t>(g)].get());
-    if (group == nullptr) continue;
-    Status status = group->PushMembership(view);
-    if (!status.ok() && first.ok()) first = status;
-  }
-  // Best effort: a down member misses the push and installs the current
-  // view when its restart resync probes it. Its answers do not depend on
-  // the push: every sub-query carries the ownership and the joined
-  // shards' addresses of the view it was routed under. Only the two ends
-  // of a move hold cache entries the move invalidates, and Cutover
-  // reaches them synchronously.
-  if (!first.ok()) {
-    TURBDB_LOG(Warning) << "membership push (generation " << view.generation
-                        << ") incomplete: " << first.ToString();
-  }
-  return Status::OK();
-}
-
 Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     const RangeMove& move) {
   TURBDB_ASSIGN_OR_RETURN(ReplicaGroup * donor, Group(move.from_shard));
@@ -1219,22 +1174,24 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
           request.begin_code = m.begin;
           request.end_code = m.end;
           request.max_atoms = 256;
-          while (true) {
-            auto page = donor->SyncRange(request);
-            if (!page.ok()) {
-              // The donor never opened this (dataset, field) store:
-              // nothing of it to move.
-              if (page.status().code() == StatusCode::kNotFound) break;
-              return page.status();
-            }
-            if (!page->atoms.empty()) {
-              TURBDB_RETURN_NOT_OK(recipient->IngestSkippingExisting(
-                  info.name, field.name, page->atoms));
-              copied += page->atoms.size();
-            }
-            if (page->done) break;
-            request.begin_code = page->next_code;
-          }
+          uint64_t pages = 0;
+          Status paged = PageSyncRange(
+              request,
+              [donor](const net::NodeSyncRangeRequest& page) {
+                return donor->SyncRange(page);
+              },
+              [&](std::vector<Atom>& atoms) -> Status {
+                ++pages;
+                if (atoms.empty()) return Status::OK();
+                TURBDB_RETURN_NOT_OK(recipient->IngestSkippingExisting(
+                    info.name, field.name, atoms));
+                copied += atoms.size();
+                return Status::OK();
+              });
+          // A first page that is kNotFound: the donor never opened this
+          // (dataset, field) store, so nothing of it to move.
+          if (paged.code() == StatusCode::kNotFound && pages == 0) continue;
+          TURBDB_RETURN_NOT_OK(paged);
         }
       }
     }
@@ -1246,28 +1203,28 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     request.end = m.end;
     request.from_shard = m.from_shard;
     request.to_shard = m.to_shard;
-    request.view = membership_->Snapshot();
-    request.view.ApplyOverride(m.begin, m.end, m.to_shard);
-    ++request.view.generation;
-    // Donor and recipient install the new view before the registry
-    // commits it, because Dispatch routes by the registry. A sub-query
-    // is evaluated under the view it carries either way; the order keeps
-    // their semantic caches right: by the time a sub-query is routed at
-    // the new generation, both dropped the answers of their old
-    // ownership, and sub-queries routed at the old one bypass the cache.
-    // The rest of the cluster is updated best-effort right after.
+    // The generation the move commits at: the registry's ApplyOverride
+    // bumps it by one, and admin mutations serialize on
+    // membership_mutex_, which the caller holds.
+    request.generation = membership_->generation() + 1;
+    // A move changes the ownership of its donor and recipient only, and
+    // both hear of it before the registry commits it, because Dispatch
+    // routes by the registry. A sub-query is evaluated under the view it
+    // carries either way; the order keeps their semantic caches right: by
+    // the time a sub-query is routed at the new generation, both dropped
+    // the answers of their old ownership, and sub-queries routed at the
+    // old one bypass the cache. No other node holds ownership state.
     TURBDB_RETURN_NOT_OK(donor->Cutover(request));
     TURBDB_RETURN_NOT_OK(recipient->Cutover(request));
     // membership.commit: chaos hook holding the commit for `arg` ms, so a
-    // test can route a query by the old view while the two nodes already
-    // run the new one.
+    // test can route a query by the old view after the two nodes already
+    // took the cutover.
     if (auto injected = fault::Check("membership.commit")) {
       std::this_thread::sleep_for(std::chrono::milliseconds(injected.arg));
     }
     TURBDB_ASSIGN_OR_RETURN(
         const uint64_t new_generation,
         membership_->ApplyOverride(m.begin, m.end, m.to_shard));
-    TURBDB_RETURN_NOT_OK(PushMembershipLocked());
     TURBDB_LOG(Info) << "range [" << m.begin << ", " << m.end
                      << ") cut over from shard " << m.from_shard
                      << " to shard " << m.to_shard << " at generation "
@@ -1330,7 +1287,6 @@ Result<net::JoinReply> Mediator::Join(const net::JoinRequest& request) {
     backends_.push_back(std::move(group));
     backend_count_.store(backends_.size(), std::memory_order_release);
   }
-  TURBDB_RETURN_NOT_OK(PushMembershipLocked());
   reply.view = membership_->Snapshot();
   TURBDB_LOG(Info) << "node " << reply.record.node_id << " ("
                    << request.host << ":" << request.port
@@ -1355,7 +1311,7 @@ Result<net::LeaveReply> Mediator::Leave(int node_id) {
   net::LeaveReply reply;
   // Drain the shard: move every contiguous run of codes it effectively
   // owns to the least-loaded remaining active shard, one live move per
-  // run (copy, cutover, push).
+  // run (copy, then cutover).
   while (true) {
     view = membership_->Snapshot();
     const std::vector<std::vector<uint64_t>> shard_atoms =
@@ -1410,7 +1366,6 @@ Result<net::LeaveReply> Mediator::Leave(int node_id) {
     reply.atoms_copied += outcome.atoms_copied;
   }
   TURBDB_RETURN_NOT_OK(membership_->Decommission(node_id).status());
-  TURBDB_RETURN_NOT_OK(PushMembershipLocked());
   reply.view = membership_->Snapshot();
   TURBDB_LOG(Info) << "node " << node_id << " (shard " << shard
                    << ") decommissioned at generation "

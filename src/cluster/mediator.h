@@ -96,7 +96,7 @@ struct ClusterNodeStatus {
   std::string address;
   // v6 elasticity/durability columns (append-only: earlier fields keep
   // their meaning and order for JSON consumers).
-  uint64_t generation = 0;  ///< Membership generation the node serves at.
+  uint64_t generation = 0;  ///< Generation of the node's last cutover.
   uint64_t wal_pending_records = 0;  ///< WAL records not yet checkpointed.
   uint64_t wal_pending_bytes = 0;    ///< WAL payload bytes pending.
   // v7 self-healing columns (append-only).
@@ -194,7 +194,8 @@ class Mediator {
 
   /// Interpolates a stored field at arbitrary physical positions
   /// (Lag4/6/8), each evaluated on the node owning its grid cell — the
-  /// GetVelocity-style service calls of Sec. 2.
+  /// GetVelocity-style service calls of Sec. 2. The per-shard parts go
+  /// through the same scatter as every other query.
   Result<SampleResult> GetSamples(const SampleQuery& query,
                                   const CallBudget& budget = {});
 
@@ -260,26 +261,26 @@ class Mediator {
   /// (activate=false) admits the uuid: assigns node id and a fresh
   /// single-replica shard, returns the view plus the dataset catalog the
   /// joiner self-registers from. Phase 2 (activate=true) flips it to
-  /// kShard, dials it as a new replica group, and pushes the new view to
-  /// the whole cluster. The joined shard owns no ranges until
+  /// kShard and dials it as a new replica group; queries routed from then
+  /// on carry its address. The joined shard owns no ranges until
   /// Rebalance() re-homes some to it — it serves immediately, with an
   /// empty slice.
   Result<net::JoinReply> Join(const net::JoinRequest& request);
 
   /// Decommissions `node_id`: every range its shard effectively owns is
   /// live-moved to the least-loaded remaining shard (copy, then
-  /// cutover), the record flips to kDraining, and the new view is
-  /// pushed. The drained node keeps its bytes (lazy drop), so queries
-  /// routed before the drain still read them; it can be shut down
-  /// afterwards.
+  /// cutover), and the record flips to kDraining. The drained node keeps
+  /// its bytes (lazy drop), so queries routed before the drain still read
+  /// them; it can be shut down afterwards.
   Result<net::LeaveReply> Leave(int node_id);
 
   /// Plans and executes up to `request.max_ranges` live range moves
   /// toward `request.to_shard` (-1 = least-loaded). Each move copies via
-  /// SyncRange paging with skip-existing ingest, then cuts ownership
-  /// over on a generation bump pushed to every node. A query is answered
-  /// under the view it was routed by, whichever side of a cutover its
-  /// sub-queries land on: the donor keeps the moved range's bytes.
+  /// SyncRange paging with skip-existing ingest, tells donor and
+  /// recipient (Cutover), then commits on a registry generation bump. A
+  /// query is answered under the view it was routed by, whichever side
+  /// of a cutover its sub-queries land on: the donor keeps the moved
+  /// range's bytes.
   Result<net::RebalanceReply> Rebalance(const net::RebalanceRequest& request);
 
   /// How many CancelQuery fan-outs Dispatch has issued to not-yet-joined
@@ -292,10 +293,11 @@ class Mediator {
   /// server's governor ledger and reads stats through this.
   MediatorCache& result_cache() { return *result_cache_; }
 
-  /// How many node Execute sub-queries Dispatch has submitted over this
-  /// mediator's lifetime. A repeat threshold query answered by the
-  /// mediator cache leaves this unchanged — the zero-node-RPC assertion
-  /// hook for tests and benches.
+  /// How many node Execute sub-queries the scatter has submitted over
+  /// this mediator's lifetime: every query's parts, point-sample parts
+  /// included. A repeat threshold query answered by the mediator cache
+  /// leaves this unchanged — the zero-node-RPC assertion hook for tests
+  /// and benches.
   uint64_t node_executes() const { return node_executes_.load(); }
 
   /// Reads that failed over off a member answering kCorruption, and
@@ -338,9 +340,31 @@ class Mediator {
                                        uint64_t chunk_points,
                                        const ThresholdChunkSink* sink);
 
-  /// Dispatches `node_query` to every node owning data in its box and
-  /// joins the outcomes. Assigns the query a cluster-unique id and a
-  /// cancel token: when one shard fails hard, the point cap trips, or
+  /// Receives a joined outcome's points with the node id of its shard.
+  using OutcomeSink =
+      std::function<Status(int node_id, std::vector<ThresholdPoint> points)>;
+
+  /// One node sub-query of a scatter.
+  struct Part {
+    int node_id = 0;
+    NodeQuery query;
+  };
+
+  /// Routes `node_query` and scatters it: one part per node owning data
+  /// in its box. The routing is done once, under one membership snapshot
+  /// that every sub-query carries: each node evaluates and reads by that
+  /// view, so no sub-query can be routed stale and nothing is
+  /// re-scattered. `routed_view`, when set, receives the snapshot: the
+  /// ownership by which the outcomes' points were attributed to shards.
+  Result<std::vector<NodeOutcome>> Dispatch(
+      const NodeQuery& node_query, const CallBudget& budget,
+      const OutcomeSink& point_sink = nullptr,
+      std::shared_ptr<const MembershipView>* routed_view = nullptr);
+
+  /// Submits `parts` asynchronously, each carrying `view`, and joins the
+  /// outcomes in order. Assigns the query a cluster-unique id, a cancel
+  /// token and the tighter of the caller's deadline and the sub-query
+  /// budget: when one part fails hard, the point cap trips, or
   /// `budget.cancel` flips, the token is set and the remaining in-flight
   /// sub-queries are cancelled instead of running to completion for a
   /// result nobody will merge.
@@ -351,25 +375,17 @@ class Mediator {
   /// outcome's points. The sink also receives the owning shard's node
   /// id — the FoF stitcher needs the attribution; plain streaming
   /// ignores it. A sink error aborts like a hard shard failure.
-  ///
-  /// The scatter is routed once, under one membership snapshot (null
-  /// when !elastic()) that every sub-query carries: each node evaluates
-  /// and reads by that view, so no sub-query can be routed stale and
-  /// nothing is re-scattered. `routed_view`, when set, receives the
-  /// snapshot: the ownership by which the outcomes' points were
-  /// attributed to shards.
-  Result<std::vector<NodeOutcome>> Dispatch(
-      const NodeQuery& node_query, const CallBudget& budget,
-      const std::function<Status(int node_id,
-                                 std::vector<ThresholdPoint> points)>&
-          point_sink = nullptr,
-      std::shared_ptr<const MembershipView>* routed_view = nullptr);
+  Result<std::vector<NodeOutcome>> Scatter(
+      std::vector<Part> parts,
+      const std::shared_ptr<const MembershipView>& view,
+      const CallBudget& budget, const OutcomeSink& point_sink = nullptr);
 
   const Differentiator* GetDifferentiator(const std::string& dataset,
                                           const GridGeometry& geometry,
                                           int order);
 
-  /// Fresh shared snapshot of the membership view; null when !elastic().
+  /// Fresh shared snapshot of the membership view; StaticView() when
+  /// !elastic(). Never null.
   std::shared_ptr<const MembershipView> ViewSnapshot() const;
 
   /// The replica group serving `shard`, or an error naming it.
@@ -381,13 +397,9 @@ class Mediator {
       const MembershipView& view) const;
 
   /// Copy + cutover of one planned move (caller holds
-  /// membership_mutex_). Pushes the post-cutover view to every group.
+  /// membership_mutex_): donor and recipient take the cutover, then the
+  /// registry commits it.
   Result<RangeMover::Outcome> ExecuteMoveLocked(const RangeMove& move);
-
-  /// Pushes the registry's current view to every replica group (caller
-  /// holds membership_mutex_). Down members miss the push and resync on
-  /// probe instead.
-  Status PushMembershipLocked();
 
   ClusterConfig config_;
   FieldRegistry registry_;

@@ -65,20 +65,6 @@ DatabaseNode::DatabaseNode(int id, const CostModelConfig& cost,
       hdd_(cost.hdd),
       cache_(&txn_manager_, cost.ssd, cost.cache_capacity_bytes) {}
 
-void DatabaseNode::RegisterDataset(const std::string& dataset,
-                                   std::vector<uint64_t> shard_atoms) {
-  std::lock_guard<std::mutex> lock(stores_mutex_);
-  shards_[dataset] = std::move(shard_atoms);
-}
-
-std::vector<uint64_t> DatabaseNode::RegisteredCodes(
-    const std::string& dataset) const {
-  std::lock_guard<std::mutex> lock(stores_mutex_);
-  auto it = shards_.find(dataset);
-  if (it == shards_.end()) return {};
-  return it->second;
-}
-
 AtomStore* DatabaseNode::FindStore(const std::string& dataset,
                                    const std::string& field) const {
   {
@@ -290,24 +276,13 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
   NodeOutcome outcome;
   outcome.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
 
-  {
-    std::lock_guard<std::mutex> lock(stores_mutex_);
-    if (shards_.find(query.dataset->name) == shards_.end()) {
-      return Status::NotFound("node " + std::to_string(id_) +
-                              " has no shard of dataset '" +
-                              query.dataset->name + "'");
-    }
-  }
   const GridGeometry& geometry = query.dataset->geometry;
   const Box3 atom_cover = geometry.AtomCover(query.box);
-  // With a pinned membership view the evaluated atoms are the view's
-  // effective ownership (range overrides re-homing live-moved ranges);
-  // without one, the static partitioner assignment.
-  const std::vector<uint64_t> atoms =
-      query.view != nullptr
-          ? OwnedAtomsInBox(*query.partitioner, *query.view, shard_id_,
-                            atom_cover)
-          : query.partitioner->NodeAtomsInBox(shard_id_, atom_cover);
+  // The evaluated atoms are this shard's effective ownership under the
+  // routed view: the partitioner's assignment, re-homed by the view's
+  // range overrides.
+  const std::vector<uint64_t> atoms = OwnedAtomsInBox(
+      *query.partitioner, *query.view, shard_id_, atom_cover);
   if (atoms.empty()) return outcome;
 
   // Data-parallel evaluation: split this node's atoms into one contiguous
@@ -596,9 +571,8 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
   for (size_t i = 0; i < by_code.size(); ++i) {
     const uint64_t code = by_code[i].first;
     if (i > 0 && by_code[i - 1].first == code) continue;
-    const int base = query.partitioner->OwnerOfAtom(code);
     const int owner =
-        query.view != nullptr ? query.view->OwnerOf(code, base) : base;
+        query.view->OwnerOf(code, query.partitioner->OwnerOfAtom(code));
     if (owner == shard_id_) {
       local_codes.push_back(code);
     } else {

@@ -89,15 +89,14 @@ struct NodeQuery {
   /// CancelQuery; 0 = unregistered. Carried so error messages and remote
   /// sub-queries can name the query being cancelled.
   uint64_t query_id = 0;
-  /// The membership view the mediator routed this query under. When set,
-  /// the node evaluates the view's *effective* ownership of its shard
-  /// (base partitioner assignment re-homed by the view's range
+  /// The membership view the mediator routed this query under; never
+  /// null. The node evaluates the view's *effective* ownership of its
+  /// shard (base partitioner assignment re-homed by the view's range
   /// overrides) and reads every atom from its owner under the same view
   /// — this is what makes a live range move change query routing without
   /// rebuilding partitioners, and keeps a query racing a cutover
-  /// consistent. Null keeps the static assignment (in-process
-  /// deployments).
-  std::shared_ptr<const MembershipView> view;
+  /// consistent. In-process deployments route by StaticView().
+  std::shared_ptr<const MembershipView> view = StaticView();
 };
 
 /// A node's answer to its part of a query.
@@ -153,16 +152,6 @@ class DatabaseNode {
   /// Whether FinishIngest() fsyncs durable stores (default true). Benches
   /// that measure modeled — not physical — I/O turn it off (--no-fsync).
   void set_fsync_on_ingest(bool value) { fsync_on_ingest_ = value; }
-
-  /// Registers this node's shard of `dataset` (sorted atom codes).
-  /// Re-registration replaces the codes — the ownership-update hook a
-  /// live range move uses after cutover.
-  void RegisterDataset(const std::string& dataset,
-                       std::vector<uint64_t> shard_atoms);
-
-  /// The codes currently registered for `dataset` (empty if none) — a
-  /// snapshot copy, safe against concurrent re-registration.
-  std::vector<uint64_t> RegisteredCodes(const std::string& dataset) const;
 
   /// Stores one atom of (dataset, field). Creation path; not timed.
   Status IngestAtom(const std::string& dataset, const std::string& field,
@@ -313,7 +302,6 @@ class DatabaseNode {
   mutable std::mutex stores_mutex_;
   std::map<std::pair<std::string, std::string>, std::unique_ptr<AtomStore>>
       stores_;
-  std::map<std::string, std::vector<uint64_t>> shards_;
 };
 
 }  // namespace turbdb

@@ -23,9 +23,10 @@ class NodeBackend {
   /// or "node 2 (127.0.0.1:4242)".
   virtual std::string DebugName() const = 0;
 
-  /// Registers a dataset and the shard of it this node owns. The
-  /// partitioner is the mediator's; a remote backend ships the recipe
-  /// (geometry, node count, strategy) and lets the node re-derive it.
+  /// Registers a dataset with the node. The partitioner is the
+  /// mediator's; a remote backend ships the recipe (geometry, node
+  /// count, strategy) and lets the node re-derive it. Which atoms the
+  /// node owns is not registered: each query carries its routed view.
   virtual Status CreateDataset(const DatasetInfo& info,
                                const MortonPartitioner& partitioner,
                                PartitionStrategy strategy) = 0;
@@ -70,10 +71,11 @@ class LocalNode : public NodeBackend {
     return "node " + std::to_string(node_->id()) + " (in-process)";
   }
 
-  Status CreateDataset(const DatasetInfo& info,
-                       const MortonPartitioner& partitioner,
+  /// Nothing to register: the node reads the catalog through each
+  /// query's pointers.
+  Status CreateDataset(const DatasetInfo& /*info*/,
+                       const MortonPartitioner& /*partitioner*/,
                        PartitionStrategy /*strategy*/) override {
-    node_->RegisterDataset(info.name, partitioner.NodeAtoms(node_->id()));
     return Status::OK();
   }
 

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "net/protocol.h"
+#include "replication/sync.h"
 #include "storage/merkle.h"
 
 namespace turbdb {
@@ -29,41 +30,6 @@ bool SameDataset(const DatasetInfo& a, const DatasetInfo& b) {
     }
   }
   return true;
-}
-
-/// The routed view's overrides arrive off the network; ownership lookups
-/// binary-search them, so each range must be non-empty and the list
-/// sorted and disjoint.
-Status ValidateOverrides(const std::vector<RangeOverride>& overrides) {
-  for (size_t i = 0; i < overrides.size(); ++i) {
-    if (overrides[i].begin >= overrides[i].end ||
-        (i > 0 && overrides[i].begin < overrides[i - 1].end)) {
-      return Status::InvalidArgument(
-          "routed view's range overrides are not sorted, disjoint and "
-          "non-empty");
-    }
-  }
-  return Status::OK();
-}
-
-net::ClientOptions PeerClientOptions(const RemoteNodeOptions& remote) {
-  net::ClientOptions client;
-  client.connect_timeout_ms = remote.connect_timeout_ms;
-  client.write_timeout_ms = remote.connect_timeout_ms;
-  client.read_timeout_ms =
-      static_cast<int>(remote.subquery_deadline_ms) + 5000;
-  client.max_retries = remote.max_retries;
-  client.backoff_initial_ms = remote.backoff_initial_ms;
-  client.deadline_ms = remote.subquery_deadline_ms;
-  return client;
-}
-
-/// Failures of the pipe rather than the request: worth trying the next
-/// replica of the owning shard. Typed errors reproduce everywhere.
-bool IsTransportFailure(const Status& status) {
-  return status.code() == StatusCode::kUnreachable ||
-         status.code() == StatusCode::kIOError ||
-         status.code() == StatusCode::kUnavailable;
 }
 
 }  // namespace
@@ -229,7 +195,7 @@ std::shared_ptr<NodeService::PeerChannel> NodeService::GetPeerChannel(
     channel = std::make_shared<PeerChannel>();
     channel->address = address;
     channel->client = std::make_unique<net::Client>(
-        address.host, address.port, PeerClientOptions(config_.remote));
+        address.host, address.port, NodeClientOptions(config_.remote));
   }
   return channel;
 }
@@ -257,7 +223,7 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
       replicas.emplace_back(physical,
                             config_.peers.nodes[static_cast<size_t>(physical)]);
     }
-  } else if (query.view != nullptr) {
+  } else {
     for (const NodeRecord& record : query.view->nodes) {
       if (record.shard == owner) {
         replicas.emplace_back(record.node_id,
@@ -353,9 +319,6 @@ std::vector<uint8_t> NodeService::Handle(const std::vector<uint8_t>& payload,
     case net::MsgType::kNodeListStoresRequest:
       response = HandleListStores(payload);
       break;
-    case net::MsgType::kMembershipUpdateRequest:
-      response = HandleMembershipUpdate(payload);
-      break;
     case net::MsgType::kCutoverRequest:
       response = HandleCutover(payload);
       break;
@@ -405,15 +368,6 @@ Status NodeService::RegisterDatasetInternal(const DatasetInfo& info,
   auto state = std::make_unique<DatasetState>(
       DatasetState{info, std::move(partitioner)});
   std::lock_guard<std::mutex> lock(state_mutex_);
-  // This shard's effective atoms under the installed view; the static
-  // assignment when none is installed. A joined shard (id beyond the
-  // base partitioning) owns nothing until a rebalance re-homes ranges
-  // to it — OwnedAtoms returns empty rather than indexing out of range
-  // the way MortonPartitioner::NodeAtoms would.
-  node_.RegisterDataset(
-      info.name, OwnedAtoms(state->partitioner,
-                            view_ != nullptr ? *view_ : MembershipView{},
-                            shard()));
   datasets_.emplace(info.name, std::move(state));
   return Status::OK();
 }
@@ -458,9 +412,9 @@ Result<std::vector<uint8_t>> NodeService::HandleIngest(
           wal_->Append(request.dataset, request.field, atom));
     }
   }
-  // Durability order: the log is synced before the batch is acknowledged
-  // (per the fsync policy), then the store flush runs. A crash between
-  // the two leaves acknowledged atoms recoverable from the log.
+  // Durability order: the log is synced before the batch is acknowledged,
+  // then the store flush runs. A crash between the two leaves
+  // acknowledged atoms recoverable from the log.
   if (wal_ != nullptr) TURBDB_RETURN_NOT_OK(wal_->Sync());
   TURBDB_RETURN_NOT_OK(node_.FinishIngest(request.dataset, request.field));
   TURBDB_RETURN_NOT_OK(WalBatchEnd());
@@ -485,11 +439,10 @@ Status NodeService::WalBatchEnd() {
 }
 
 Status NodeService::RecoverWal() {
-  if (config_.storage_dir.empty() || !config_.enable_wal) return Status::OK();
+  if (config_.storage_dir.empty()) return Status::OK();
   const std::string path = config_.storage_dir + "/node" +
                            std::to_string(config_.node_id) + ".wal";
-  TURBDB_ASSIGN_OR_RETURN(wal_,
-                          WriteAheadLog::Open(path, config_.wal_fsync));
+  TURBDB_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Open(path));
   if (wal_->pending_records() == 0) return Status::OK();
   TURBDB_LOG(Warning) << "node " << config_.node_id << ": replaying "
                       << wal_->pending_records()
@@ -514,40 +467,9 @@ Status NodeService::RecoverWal() {
   return wal_->Truncate();
 }
 
-Status NodeService::ApplyView(const MembershipView& view) {
-  auto installed = std::make_shared<const MembershipView>(view);
-  std::vector<std::string> evict;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (view_ != nullptr && view.generation <= view_->generation) {
-      return Status::OK();  // Stale or duplicate push; keep the newer view.
-    }
-    for (const auto& entry : datasets_) {
-      const MortonPartitioner& partitioner = entry.second->partitioner;
-      std::vector<uint64_t> owned = OwnedAtoms(partitioner, view, shard());
-      if (owned == node_.RegisteredCodes(entry.first)) continue;
-      node_.RegisterDataset(entry.first, std::move(owned));
-      ownership_changed_gen_[entry.first] = view.generation;
-      evict.push_back(entry.first);
-    }
-    view_ = installed;
-  }
-  // Cached point sets were computed under the old ownership; a query
-  // evaluated after cutover must not be answered from them.
-  for (const std::string& dataset : evict) {
-    TURBDB_RETURN_NOT_OK(node_.DropCacheEntries(dataset, "", -1));
-  }
-  if (!evict.empty()) {
-    TURBDB_LOG(Info) << "node " << config_.node_id << ": membership view g"
-                     << view.generation << " re-homed ownership of "
-                     << evict.size() << " dataset(s) on shard " << shard();
-  }
-  return Status::OK();
-}
-
 uint64_t NodeService::generation() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  return view_ != nullptr ? view_->generation : 0;
+  return cutover_generation_;
 }
 
 Result<std::vector<uint8_t>> NodeService::HandleExecute(
@@ -557,20 +479,18 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
   TURBDB_RETURN_NOT_OK(ValidateOverrides(request.overrides));
   TURBDB_ASSIGN_OR_RETURN(NodeQuery query, BuildQuery(request.spec));
   // The sub-query is evaluated and read under the view the mediator
-  // routed it by, whichever view this node has installed.
+  // routed it by; the node holds no view of its own.
   auto routed = std::make_shared<MembershipView>();
   routed->generation = request.rpc.generation;
   routed->overrides = std::move(request.overrides);
   routed->nodes = std::move(request.joined);
   query.view = std::move(routed);
   {
-    // The semantic cache holds answers for this shard's current
-    // ownership only: a sub-query routed before that ownership took
-    // effect neither reads nor fills it.
+    // The semantic cache holds answers for this node's ownership since
+    // its last cutover only: a sub-query routed before that cutover
+    // neither reads nor fills it.
     std::lock_guard<std::mutex> lock(state_mutex_);
-    auto it = ownership_changed_gen_.find(request.spec.dataset);
-    if (it != ownership_changed_gen_.end() &&
-        request.rpc.generation < it->second) {
+    if (request.rpc.generation < cutover_generation_) {
       query.options.use_cache = false;
     }
   }
@@ -684,23 +604,25 @@ Result<std::vector<uint8_t>> NodeService::HandleStats(
   return net::EncodeNodeStatsResponse(reply);
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleMembershipUpdate(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::MembershipUpdateRequest request,
-                          net::DecodeMembershipUpdateRequest(payload));
-  TURBDB_RETURN_NOT_OK(ApplyView(request.view));
-  return net::EncodeAckResponse(net::MsgType::kMembershipUpdateResponse);
-}
-
 Result<std::vector<uint8_t>> NodeService::HandleCutover(
     const std::vector<uint8_t>& payload) {
   TURBDB_ASSIGN_OR_RETURN(net::CutoverRequest request,
                           net::DecodeCutoverRequest(payload));
-  TURBDB_RETURN_NOT_OK(ApplyView(request.view));
+  std::vector<std::string> datasets;
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    cutover_generation_ = std::max(cutover_generation_, request.generation);
+    for (const auto& entry : datasets_) datasets.push_back(entry.first);
+  }
+  // Cached point sets were computed under the old ownership; a query
+  // routed at or after the move must not be answered from them.
+  for (const std::string& dataset : datasets) {
+    TURBDB_RETURN_NOT_OK(node_.DropCacheEntries(dataset, "", -1));
+  }
   TURBDB_LOG(Info) << "node " << config_.node_id << ": cutover of ["
-                   << request.begin << ", " << request.end << ") to shard "
-                   << request.to_shard << " applied at generation "
-                   << request.view.generation;
+                   << request.begin << ", " << request.end << ") from shard "
+                   << request.from_shard << " to shard " << request.to_shard
+                   << " at generation " << request.generation;
   return net::EncodeAckResponse(net::MsgType::kCutoverResponse);
 }
 
@@ -879,31 +801,29 @@ Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
       sync.begin_code = range.begin;
       sync.end_code = range.end;
       sync.max_atoms = 256;
-      bool done = false;
-      while (!done) {
-        Result<net::NodeSyncRangeReply> page = Status::OK();
-        {
-          std::lock_guard<std::mutex> lock(channel->mutex);
-          page = channel->client->NodeSyncRange(sync);
-        }
-        // Paging the sibling's copy failed mid-repair: surface it (what
-        // has been rewritten so far is already durable and re-verified
-        // by the next pass — repair is idempotent).
-        TURBDB_RETURN_NOT_OK(page.status());
-        for (const Atom& atom : page->atoms) {
-          ++reply.atoms_examined;
-          Result<Atom> local =
-              node_.ReadStoredAtom(dataset, field, atom.key);
-          const bool rewrite =
-              !local.ok() || local->width != atom.width ||
-              local->ncomp != atom.ncomp || local->data != atom.data;
-          if (!rewrite) continue;
-          TURBDB_RETURN_NOT_OK(node_.RepairAtom(dataset, field, atom));
-          ++reply.atoms_repaired;
-        }
-        done = page->done;
-        sync.begin_code = page->next_code;
-      }
+      // Paging the sibling's copy failed mid-repair: surface it (what has
+      // been rewritten so far is already durable and re-verified by the
+      // next pass — repair is idempotent).
+      TURBDB_RETURN_NOT_OK(PageSyncRange(
+          sync,
+          [&channel](const net::NodeSyncRangeRequest& page) {
+            std::lock_guard<std::mutex> lock(channel->mutex);
+            return channel->client->NodeSyncRange(page);
+          },
+          [&](std::vector<Atom>& atoms) -> Status {
+            for (const Atom& atom : atoms) {
+              ++reply.atoms_examined;
+              Result<Atom> local =
+                  node_.ReadStoredAtom(dataset, field, atom.key);
+              const bool rewrite =
+                  !local.ok() || local->width != atom.width ||
+                  local->ncomp != atom.ncomp || local->data != atom.data;
+              if (!rewrite) continue;
+              TURBDB_RETURN_NOT_OK(node_.RepairAtom(dataset, field, atom));
+              ++reply.atoms_repaired;
+            }
+            return Status::OK();
+          }));
     }
 
     if (reply.atoms_repaired > 0) {

@@ -50,13 +50,10 @@ struct NodeServiceConfig {
   /// nodes get a fresh shard id from the mediator that the static
   /// formula cannot produce.
   int shard_override = -1;
-  /// Per-node write-ahead log (durable mode only; ignored when
-  /// storage_dir is empty). Each acknowledged ingest batch is logged and
-  /// synced per `wal_fsync` before the ack, so a kill -9 mid-batch or a
-  /// torn store tail replays from the log on restart.
-  bool enable_wal = true;
-  WalFsyncPolicy wal_fsync = WalFsyncPolicy::kEveryBatch;
-  /// Checkpoint threshold: once the log holds this many payload bytes,
+  /// Checkpoint threshold of the per-node write-ahead log (durable mode
+  /// only): each acknowledged ingest batch is logged and synced before
+  /// the ack, so a kill -9 mid-batch or a torn store tail replays from
+  /// the log on restart. Once the log holds this many payload bytes,
   /// the batch-end path fsyncs every store and truncates the log.
   uint64_t wal_checkpoint_bytes = 64ull << 20;
   /// Background scrub cadence in seconds; 0 disables the thread (scrub
@@ -77,6 +74,11 @@ struct NodeServiceConfig {
 /// owned by a peer dials that peer's NodeFetchAtoms directly (no
 /// mediator round-trip), adding the modeled LAN cost locally just as the
 /// in-process fetch hook does.
+///
+/// Ownership is not node state: each sub-query carries the view it was
+/// routed under, and the node evaluates and reads by it. The node keeps
+/// one number, the generation of the last cutover it took part in,
+/// which guards its semantic cache.
 class NodeService {
  public:
   explicit NodeService(const NodeServiceConfig& config);
@@ -106,25 +108,17 @@ class NodeService {
   /// stores (idempotent: atoms already persisted are skipped), then
   /// truncates it. Call once after construction, before serving and
   /// before any epoch-driven re-sync — the log is the source of truth
-  /// for acknowledged-but-torn batches. No-op for in-memory or
-  /// WAL-disabled configs.
+  /// for acknowledged-but-torn batches. No-op for in-memory configs.
   Status RecoverWal();
-
-  /// Installs a membership view: datasets whose effective ownership of
-  /// this shard changed are re-registered against the view and their
-  /// semantic-cache entries dropped, and later executes routed at an
-  /// older generation for those datasets bypass the cache (they are
-  /// still evaluated and read under the view they carry, which the
-  /// installed one never replaces). Stale views (generation below the
-  /// installed one) are ignored.
-  Status ApplyView(const MembershipView& view);
 
   /// Registers a dataset from its wire form without the node_id check of
   /// the CreateDataset RPC — the self-registration path of a node that
   /// joined a running cluster and received the catalog in its JoinReply.
   Status RegisterDatasetSpec(const net::WireDatasetRegistration& reg);
 
-  /// Generation of the installed membership view (0 = none installed).
+  /// Generation of the last cutover this node took part in (0 = none):
+  /// sub-queries routed below it bypass the semantic cache, which holds
+  /// answers for the ownership since that cutover only.
   uint64_t generation() const;
 
   /// The node's background scrubber (always constructed; the thread only
@@ -149,14 +143,12 @@ class NodeService {
   Result<NodeQuery> BuildQuery(const net::NodeQuerySpec& spec);
 
   /// Shared by HandleCreateDataset and RegisterDatasetSpec: builds the
-  /// partitioner and registers this shard's effective atoms under the
-  /// installed view (static assignment when none is installed).
+  /// partitioner and adds the dataset to the catalog.
   Status RegisterDatasetInternal(const DatasetInfo& info, int32_t num_nodes,
                                  int32_t strategy);
 
-  /// Batch-end durability: syncs the WAL per policy, then — when the log
-  /// has outgrown the checkpoint threshold — fsyncs every store and
-  /// truncates it.
+  /// Batch-end durability: when the log has outgrown the checkpoint
+  /// threshold, fsyncs every store and truncates it.
   Status WalBatchEnd();
   const Differentiator* GetDifferentiator(const std::string& dataset,
                                           const GridGeometry& geometry,
@@ -195,8 +187,6 @@ class NodeService {
       const std::vector<uint8_t>& payload);
   Result<std::vector<uint8_t>> HandleListStores(
       const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleMembershipUpdate(
-      const std::vector<uint8_t>& payload);
   Result<std::vector<uint8_t>> HandleCutover(
       const std::vector<uint8_t>& payload);
   Result<std::vector<uint8_t>> HandleMerkle(
@@ -224,20 +214,16 @@ class NodeService {
   FieldRegistry registry_;
   ThreadPool workers_;
 
-  /// Write-ahead log (opened by RecoverWal; null until then or when
-  /// disabled). The log itself is internally synchronized; checkpointing
+  /// Write-ahead log (opened by RecoverWal; null until then or in
+  /// memory). The log itself is internally synchronized; checkpointing
   /// (store fsyncs + truncate) serializes on wal_mutex_.
   std::unique_ptr<WriteAheadLog> wal_;
   std::mutex wal_mutex_;
 
   mutable std::mutex state_mutex_;
   std::map<std::string, std::unique_ptr<DatasetState>> datasets_;
-  /// Installed membership view (null = static ownership) and, per
-  /// dataset, the generation at which this shard's effective ownership
-  /// last changed — sub-queries routed below it bypass the semantic
-  /// cache. Both guarded by state_mutex_.
-  std::shared_ptr<const MembershipView> view_;
-  std::map<std::string, uint64_t> ownership_changed_gen_;
+  /// See generation(). Guarded by state_mutex_.
+  uint64_t cutover_generation_ = 0;
   std::map<std::pair<std::string, int>, std::unique_ptr<Differentiator>>
       differentiators_;
   std::map<std::pair<std::string, int>,

@@ -7,24 +7,6 @@
 
 namespace turbdb {
 
-namespace {
-
-net::ClientOptions MakeClientOptions(const RemoteNodeOptions& options) {
-  net::ClientOptions client;
-  client.connect_timeout_ms = options.connect_timeout_ms;
-  client.write_timeout_ms = options.connect_timeout_ms;
-  // The read timeout must outlast the server-side budget, or the client
-  // gives up on sub-queries the node still considers live.
-  client.read_timeout_ms =
-      static_cast<int>(options.subquery_deadline_ms) + 5000;
-  client.max_retries = options.max_retries;
-  client.backoff_initial_ms = options.backoff_initial_ms;
-  client.deadline_ms = options.subquery_deadline_ms;
-  return client;
-}
-
-}  // namespace
-
 net::NodeQuerySpec ToSpec(const NodeQuery& query) {
   net::NodeQuerySpec spec;
   spec.mode = static_cast<int32_t>(query.mode);
@@ -51,7 +33,7 @@ RemoteNode::RemoteNode(int id, const NodeAddress& address,
                        const RemoteNodeOptions& options, int shard)
     : id_(id), shard_(shard >= 0 ? shard : id), address_(address),
       options_(options),
-      client_(address.host, address.port, MakeClientOptions(options)) {}
+      client_(address.host, address.port, NodeClientOptions(options)) {}
 
 Status RemoteNode::Named(const Status& status) const {
   if (status.ok()) return status;
@@ -161,13 +143,11 @@ Result<NodeOutcome> RemoteNode::Execute(const NodeQuery& query) {
   // The routed view rides along: the node evaluates and reads by it,
   // and dials the shards joined since the datasets were created at the
   // addresses it names.
-  if (query.view != nullptr) {
-    request.rpc.generation = query.view->generation;
-    request.overrides = query.view->overrides;
-    for (const NodeRecord& record : query.view->nodes) {
-      if (record.shard >= query.partitioner->num_nodes()) {
-        request.joined.push_back(record);
-      }
+  request.rpc.generation = query.view->generation;
+  request.overrides = query.view->overrides;
+  for (const NodeRecord& record : query.view->nodes) {
+    if (record.shard >= query.partitioner->num_nodes()) {
+      request.joined.push_back(record);
     }
   }
   std::unique_lock<std::mutex> lock(mutex_);
@@ -194,7 +174,7 @@ void RemoteNode::Cancel(uint64_t query_id) {
   // one-shot connection. No retries and a small budget: cancellation is
   // advisory, and a node too sick to take the RPC is not doing useful
   // work anyway.
-  net::ClientOptions options = MakeClientOptions(options_);
+  net::ClientOptions options = NodeClientOptions(options_);
   options.max_retries = 0;
   options.deadline_ms = std::min<uint64_t>(
       2000, std::max<uint64_t>(1, options_.subquery_deadline_ms));
@@ -258,13 +238,6 @@ Result<net::NodeRepairRangeReply> RemoteNode::RepairRange(
   auto reply = client_.NodeRepairRange(request);
   if (!reply.ok()) return Named(reply.status());
   return reply;
-}
-
-Status RemoteNode::PushMembership(const MembershipView& view) {
-  net::MembershipUpdateRequest request;
-  request.view = view;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Named(client_.MembershipUpdate(request));
 }
 
 Status RemoteNode::Cutover(const net::CutoverRequest& request) {

@@ -76,7 +76,7 @@ class RemoteNode : public NodeBackend {
   /// Every (dataset, field) store the node has open, with atom counts.
   Result<net::NodeListStoresReply> ListStores();
 
-  /// The node's full stats row (epoch, WAL lag, membership generation).
+  /// The node's full stats row (epoch, WAL lag, last cutover generation).
   Result<net::NodeStatsReply> Stats(const std::string& dataset,
                                     const std::string& field);
 
@@ -88,9 +88,8 @@ class RemoteNode : public NodeBackend {
   Result<net::NodeRepairRangeReply> RepairRange(
       const net::NodeRepairRangeRequest& request);
 
-  /// Membership pushes (v6): install a view, apply a cutover.
-  /// Mediator-to-node control plane.
-  Status PushMembership(const MembershipView& view);
+  /// Tells the node a range move it takes part in commits (v6
+  /// elasticity control plane; see net::CutoverRequest).
   Status Cutover(const net::CutoverRequest& request);
 
  private:

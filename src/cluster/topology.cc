@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "net/client.h"
 #include "net/socket.h"
 
 namespace turbdb {
@@ -17,6 +18,24 @@ std::string Trim(const std::string& text) {
 }
 
 }  // namespace
+
+net::ClientOptions NodeClientOptions(const RemoteNodeOptions& options) {
+  net::ClientOptions client;
+  client.connect_timeout_ms = options.connect_timeout_ms;
+  client.write_timeout_ms = options.connect_timeout_ms;
+  client.read_timeout_ms =
+      static_cast<int>(options.subquery_deadline_ms) + 5000;
+  client.max_retries = options.max_retries;
+  client.backoff_initial_ms = options.backoff_initial_ms;
+  client.deadline_ms = options.subquery_deadline_ms;
+  return client;
+}
+
+bool IsTransportFailure(const Status& status) {
+  return status.code() == StatusCode::kUnreachable ||
+         status.code() == StatusCode::kIOError ||
+         status.code() == StatusCode::kUnavailable;
+}
 
 std::string ClusterTopology::ToString() const {
   std::string out;

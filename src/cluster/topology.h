@@ -8,6 +8,10 @@
 
 namespace turbdb {
 
+namespace net {
+struct ClientOptions;
+}  // namespace net
+
 /// Network address of one turbdb_node process.
 struct NodeAddress {
   std::string host;
@@ -76,6 +80,18 @@ struct RemoteNodeOptions {
   int64_t breaker_failure_decay_ms = 30000;
   int64_t breaker_quarantine_ms = 5000;
 };
+
+/// The client policy of every channel toward a turbdb_node: the
+/// mediator's and a peer's halo fetches alike. The read timeout outlasts
+/// the sub-query budget, or the client would give up on sub-queries the
+/// node still considers live.
+net::ClientOptions NodeClientOptions(const RemoteNodeOptions& options);
+
+/// Failures of the pipe rather than the request, worth trying the next
+/// replica of the shard: the client's own kUnreachable once its retries
+/// ran out, a torn connection, a timeout. Typed failures would reproduce
+/// on every replica.
+bool IsTransportFailure(const Status& status);
 
 /// Parses "host:port,host:port,...". Whitespace around entries is
 /// ignored; an empty spec yields an empty topology.

@@ -44,8 +44,8 @@ struct RangeMoverHooks {
   /// Page the range's atoms from the donor to the recipient (SyncRange
   /// paging + skip-existing ingest). Returns atoms copied.
   std::function<Result<uint64_t>(const RangeMove&)> copy_range;
-  /// Apply the ownership override, bump the generation, push the new
-  /// view. Returns the new generation.
+  /// Tell donor and recipient, then apply the ownership override and
+  /// bump the generation. Returns the new generation.
   std::function<Result<uint64_t>(const RangeMove&)> cutover;
 };
 

@@ -21,10 +21,13 @@ Status Errno(const std::string& what, const std::string& path) {
 
 /// Parses the persisted registry file. Format, one directive per line:
 ///   generation <g>
-///   replication <r>
-///   base_shards <n>
+///   replication <r>        (>= 1)
+///   base_shards <n>        (>= 1)
 ///   node <id> <uuid> <host> <port> <shard> <role> <joined_gen>
 ///   override <begin> <end> <shard>
+/// A role outside NodeRole, and overrides ValidateOverrides refuses, are
+/// corruption like any unparsable line: the view would fail every query
+/// routed by it.
 Result<MembershipView> ParseFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Errno("open", path);
@@ -41,14 +44,16 @@ Result<MembershipView> ParseFile(const std::string& path) {
     if (directive == "generation") {
       ok = static_cast<bool>(fields >> view.generation);
     } else if (directive == "replication") {
-      ok = static_cast<bool>(fields >> view.replication);
+      ok = (fields >> view.replication) && view.replication >= 1;
     } else if (directive == "base_shards") {
-      ok = static_cast<bool>(fields >> view.base_shards);
+      ok = (fields >> view.base_shards) && view.base_shards >= 1;
     } else if (directive == "node") {
       NodeRecord n;
       int role = 0;
-      ok = static_cast<bool>(fields >> n.node_id >> n.uuid >> n.host >>
-                             n.port >> n.shard >> role >> n.joined_generation);
+      ok = (fields >> n.node_id >> n.uuid >> n.host >> n.port >> n.shard >>
+            role >> n.joined_generation) &&
+           role >= static_cast<int>(NodeRole::kShard) &&
+           role <= static_cast<int>(NodeRole::kDraining);
       n.role = static_cast<NodeRole>(role);
       if (ok) view.nodes.push_back(std::move(n));
     } else if (directive == "override") {
@@ -62,6 +67,15 @@ Result<MembershipView> ParseFile(const std::string& path) {
       return Status::Corruption("membership file " + path + " line " +
                                 std::to_string(lineno) + ": " + line);
     }
+  }
+  if (view.base_shards < 1) {
+    return Status::Corruption("membership file " + path +
+                              " has no base_shards line");
+  }
+  Status overrides = ValidateOverrides(view.overrides);
+  if (!overrides.ok()) {
+    return Status::Corruption("membership file " + path + ": " +
+                              overrides.message());
   }
   return view;
 }

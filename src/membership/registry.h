@@ -14,9 +14,11 @@ namespace turbdb {
 /// tarantool's `_cluster` space plus its replicaset config): node records
 /// and range overrides, versioned by a monotonic generation that every
 /// mutation bumps, persisted to `<dir>/membership.txt` with the usual
-/// write-temp + fsync + rename discipline. Nodes and clients receive
-/// snapshots (MembershipView) pushed on change; the registry itself never
-/// leaves the mediator process.
+/// write-temp + fsync + rename discipline. The mediator routes each
+/// query by a snapshot (MembershipView) that its sub-queries carry, and
+/// clients fetch one with MembershipGet; the registry itself never
+/// leaves the mediator process. A file that does not parse into a view
+/// every consumer accepts fails the open as kCorruption.
 ///
 /// Thread-safe; every method takes the internal mutex.
 class MembershipRegistry {

@@ -2,6 +2,27 @@
 
 namespace turbdb {
 
+const std::shared_ptr<const MembershipView>& StaticView() {
+  static const std::shared_ptr<const MembershipView> view =
+      std::make_shared<const MembershipView>();
+  return view;
+}
+
+Status ValidateOverrides(const std::vector<RangeOverride>& overrides) {
+  for (size_t i = 0; i < overrides.size(); ++i) {
+    const RangeOverride& range = overrides[i];
+    if (range.begin >= range.end ||
+        (i > 0 && range.begin < overrides[i - 1].end)) {
+      return Status::InvalidArgument(
+          "range override [" + std::to_string(range.begin) + ", " +
+          std::to_string(range.end) +
+          ") breaks the rule that overrides are non-empty, sorted and "
+          "disjoint");
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<uint64_t> OwnedAtomsInBox(const MortonPartitioner& partitioner,
                                       const MembershipView& view, int shard,
                                       const Box3& atom_box) {

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "array/box.h"
 #include "array/morton.h"
 #include "cluster/partitioner.h"
+#include "common/status.h"
 
 namespace turbdb {
 
@@ -68,8 +70,7 @@ struct RangeOverride {
 /// disk) and routes each query by one snapshot of it; every node
 /// sub-query carries that snapshot's generation, range overrides and
 /// records of joined shards, and the node evaluates and reads by exactly
-/// them. Nodes hold pushed copies to know when their own ownership
-/// changed.
+/// them. Nodes hold no copy of their own.
 ///
 /// Ownership of a Morton code is resolved in two steps: the static
 /// MortonPartitioner (built for `base_shards` shards at dataset-creation
@@ -164,6 +165,17 @@ struct MembershipView {
     return nullptr;
   }
 };
+
+/// The view of a cluster that never changes shape (the in-process
+/// deployment): generation 0, no records and no overrides, so ownership
+/// is the partitioner's. One shared instance, never null.
+const std::shared_ptr<const MembershipView>& StaticView();
+
+/// Ownership lookups binary-search `overrides`, so each range must be
+/// non-empty and the list sorted and disjoint. Overrides arrive off the
+/// network (a routed sub-query) and off disk (the registry file); both
+/// are checked here. kInvalidArgument names the first offending range.
+Status ValidateOverrides(const std::vector<RangeOverride>& overrides);
 
 /// Sorted z-indices of the atoms shard `shard` effectively owns under
 /// `view`, restricted to `atom_box`. Fast path: with no overrides this

@@ -23,7 +23,11 @@ namespace {
 /// (the budget is spent / the mediator gave up — a retry would only make
 /// it later), and in particular kVersionMismatch — retrying a peer that
 /// speaks the wrong protocol version burns the whole backoff budget to
-/// learn the same fact N times.
+/// learn the same fact N times. It decides a retry within one call, so
+/// unlike the replica-failover predicate beside RemoteNodeOptions
+/// (cluster/topology.h) it leaves out kUnreachable: that is this
+/// client's own verdict once its attempts ran out, and retrying it would
+/// multiply them.
 bool IsTransportFailure(const Status& status) {
   return status.code() == StatusCode::kIOError ||
          status.code() == StatusCode::kUnavailable;
@@ -524,12 +528,6 @@ Result<MembershipGetReply> Client::MembershipGet() {
   TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                           Call(EncodeRequest(request), options_.deadline_ms));
   return DecodeMembershipGetResponse(payload);
-}
-
-Status Client::MembershipUpdate(const MembershipUpdateRequest& request) {
-  auto payload = Call(EncodeRequest(request), options_.deadline_ms);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kMembershipUpdateResponse);
 }
 
 Status Client::Cutover(const CutoverRequest& request) {

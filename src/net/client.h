@@ -140,12 +140,11 @@ class Client {
       const NodeRepairRangeRequest& request);
 
   // Elasticity RPCs (v6). Join/Leave/MembershipGet/Rebalance target the
-  // mediator-fronting server; MembershipUpdate/Cutover are mediator ->
-  // turbdb_node pushes.
+  // mediator-fronting server; Cutover goes from the mediator to the two
+  // turbdb_nodes of a range move.
   Result<JoinReply> Join(const JoinRequest& request);
   Result<LeaveReply> Leave(const LeaveRequest& request);
   Result<MembershipGetReply> MembershipGet();
-  Status MembershipUpdate(const MembershipUpdateRequest& request);
   Status Cutover(const CutoverRequest& request);
   Result<RebalanceReply> Rebalance(const RebalanceRequest& request);
 

@@ -80,8 +80,15 @@ namespace net {
 /// stale. The BeginHandoff RPC (types 29/93), an announcement nodes only
 /// logged, is gone. A v8 peer would misparse the sub-query, so the
 /// version byte refuses it at the first frame.
+///
+/// v10 (header layout still unchanged) retires MembershipUpdate (types
+/// 28/92): nodes hold no membership view, so the mediator no longer
+/// broadcasts one. CutoverRequest carries the generation the move
+/// commits at in place of the whole view. Every other message is
+/// byte-identical to v9. A v9 peer would misparse a cutover, so the
+/// version byte refuses it at the first frame.
 constexpr uint32_t kFrameMagic = 0x46424454u;  // "TDBF" read little-endian
-constexpr uint8_t kProtocolVersion = 9;
+constexpr uint8_t kProtocolVersion = 10;
 constexpr size_t kFrameHeaderBytes = 17;
 
 /// Default cap on a frame payload (64 MiB). A peer announcing more than

@@ -881,19 +881,13 @@ void Fields(Ar& ar, MembershipGetReply& reply) {
 }
 
 template <class Ar>
-void Fields(Ar& ar, MembershipUpdateRequest& request) {
-  Fields(ar, request.rpc);
-  Fields(ar, request.view);
-}
-
-template <class Ar>
 void Fields(Ar& ar, CutoverRequest& request) {
   Fields(ar, request.rpc);
   ar.Varint(request.begin);
   ar.Varint(request.end);
   ar.ZigZag(request.from_shard);
   ar.ZigZag(request.to_shard);
-  Fields(ar, request.view);
+  ar.Varint(request.generation);
 }
 
 template <class Ar>
@@ -1436,16 +1430,6 @@ Bytes EncodeMembershipGetResponse(const MembershipGetReply& reply) {
 
 Result<MembershipGetReply> DecodeMembershipGetResponse(const Bytes& payload) {
   return Decode<MembershipGetReply>(payload, MsgType::kMembershipGetResponse);
-}
-
-Bytes EncodeRequest(const MembershipUpdateRequest& request) {
-  return Encode(MsgType::kMembershipUpdateRequest, request);
-}
-
-Result<MembershipUpdateRequest> DecodeMembershipUpdateRequest(
-    const Bytes& payload) {
-  return Decode<MembershipUpdateRequest>(payload,
-                                         MsgType::kMembershipUpdateRequest);
 }
 
 Bytes EncodeRequest(const CutoverRequest& request) {

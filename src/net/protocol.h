@@ -55,7 +55,7 @@ enum class MsgType : uint8_t {
   kJoinRequest = 25,
   kLeaveRequest = 26,
   kMembershipGetRequest = 27,
-  kMembershipUpdateRequest = 28,
+  // 28 (and 92) carried MembershipUpdate in v6-v9.
   // 29 (and 93) carried BeginHandoff in v6-v8.
   kCutoverRequest = 30,
   kRebalanceRequest = 31,
@@ -103,7 +103,6 @@ enum class MsgType : uint8_t {
   kJoinResponse = 89,
   kLeaveResponse = 90,
   kMembershipGetResponse = 91,
-  kMembershipUpdateResponse = 92,
   kCutoverResponse = 94,
   kRebalanceResponse = 95,
 
@@ -138,8 +137,9 @@ enum class MsgType : uint8_t {
 /// sub-query carries that view's range overrides beside it (v9,
 /// NodeExecuteRequest::overrides) and is evaluated under exactly that
 /// view; the node only uses the generation to tell whether the view
-/// predates its last ownership change, and then bypasses its semantic
-/// cache. 0 means "no view" (in-process paths, admin RPCs).
+/// predates the last cutover the node took part in, and then bypasses
+/// its semantic cache. 0 is the view of a cluster that never changed
+/// shape (and what admin RPCs send).
 struct RpcOptions {
   uint64_t deadline_ms = 0;
   uint64_t query_id = 0;
@@ -487,7 +487,8 @@ struct NodeStatsReply {
   uint64_t stored_atoms = 0;
   uint64_t epoch = 0;  ///< Same incarnation counter the Hello reply carries.
   // WAL lag (v6): ingest records not yet checkpointed into fsynced
-  // stores, and the membership generation of the node's current view.
+  // stores, and the generation of the last cutover the node took part
+  // in (0 if none; nodes hold no membership view).
   uint64_t wal_pending_records = 0;
   uint64_t wal_pending_bytes = 0;
   uint64_t generation = 0;
@@ -634,8 +635,8 @@ struct WireDatasetRegistration {
 /// id and a fresh shard id, records the node as kJoining, and returns
 /// the view plus every dataset registration so the joiner can start
 /// serving); once the joiner is listening it repeats the request with
-/// `activate == true` and the mediator dials it, flips it to kShard and
-/// pushes the new view to the whole cluster.
+/// `activate == true` and the mediator dials it and flips it to kShard.
+/// Queries routed from then on carry its address to the other nodes.
 struct JoinRequest {
   std::string uuid;
   std::string host;
@@ -673,25 +674,19 @@ struct MembershipGetReply {
   MembershipView view;
 };
 
-/// Mediator -> node push of a new membership view (generation bump).
-/// The node re-derives its ownership for every registered dataset from
-/// the view and acks. Also what the Cutover step sends under the hood.
-struct MembershipUpdateRequest {
-  MembershipView view;
-  RpcOptions rpc;
-};
-
-/// Mediator -> node: the copy of the half-open Morton range [begin, end)
-/// from `from_shard` to `to_shard` caught up; `view` (with the range's
-/// new override and a bumped generation) is installed now. The donor
-/// stops owning the range — its semantic cache is dropped — but keeps
-/// its bytes, so sub-queries routed under an older view still read them.
+/// Mediator -> the move's donor and recipient: the copy of the half-open
+/// Morton range [begin, end) from `from_shard` to `to_shard` caught up,
+/// and the move commits at membership `generation` (v10). Each drops
+/// its semantic cache, whose answers belong to the old ownership, and
+/// from then on bypasses it for sub-queries routed below `generation`.
+/// The donor keeps the range's bytes, so sub-queries routed under an
+/// older view still read them.
 struct CutoverRequest {
   uint64_t begin = 0;
   uint64_t end = 0;
   int32_t from_shard = -1;
   int32_t to_shard = -1;
-  MembershipView view;
+  uint64_t generation = 0;
   RpcOptions rpc;
 };
 
@@ -957,15 +952,12 @@ Result<NodeRepairRangeReply> DecodeNodeRepairRangeResponse(
 std::vector<uint8_t> EncodeRequest(const JoinRequest& request);
 std::vector<uint8_t> EncodeRequest(const LeaveRequest& request);
 std::vector<uint8_t> EncodeRequest(const MembershipGetRequest& request);
-std::vector<uint8_t> EncodeRequest(const MembershipUpdateRequest& request);
 std::vector<uint8_t> EncodeRequest(const CutoverRequest& request);
 std::vector<uint8_t> EncodeRequest(const RebalanceRequest& request);
 
 Result<JoinRequest> DecodeJoinRequest(const std::vector<uint8_t>& payload);
 Result<LeaveRequest> DecodeLeaveRequest(const std::vector<uint8_t>& payload);
 Result<MembershipGetRequest> DecodeMembershipGetRequest(
-    const std::vector<uint8_t>& payload);
-Result<MembershipUpdateRequest> DecodeMembershipUpdateRequest(
     const std::vector<uint8_t>& payload);
 Result<CutoverRequest> DecodeCutoverRequest(
     const std::vector<uint8_t>& payload);
@@ -986,8 +978,7 @@ Result<MembershipGetReply> DecodeMembershipGetResponse(
 std::vector<uint8_t> EncodeRebalanceResponse(const RebalanceReply& reply);
 Result<RebalanceReply> DecodeRebalanceResponse(
     const std::vector<uint8_t>& payload);
-// MembershipUpdate and Cutover succeed with a bare
-// EncodeAckResponse of their response type.
+// Cutover succeeds with a bare EncodeAckResponse of its response type.
 
 }  // namespace net
 }  // namespace turbdb

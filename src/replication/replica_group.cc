@@ -4,19 +4,6 @@
 
 namespace turbdb {
 
-namespace {
-
-/// Failures of the pipe rather than the request: worth failing over.
-/// Typed failures (NotFound, InvalidArgument, error frames in general)
-/// would reproduce on every replica and are returned as-is.
-bool IsTransportFailure(const Status& status) {
-  return status.code() == StatusCode::kUnreachable ||
-         status.code() == StatusCode::kIOError ||
-         status.code() == StatusCode::kUnavailable;
-}
-
-}  // namespace
-
 ReplicaGroup::ReplicaGroup(int group_id,
                            std::vector<std::unique_ptr<RemoteNode>> members,
                            const RemoteNodeOptions& options)
@@ -399,15 +386,6 @@ Status ReplicaGroup::IngestSkippingExisting(const std::string& dataset,
         member->node->IngestSkippingExisting(dataset, field, atoms));
   }
   return Status::OK();
-}
-
-Status ReplicaGroup::PushMembership(const MembershipView& view) {
-  Status first;
-  for (auto& member : members_) {
-    Status status = member->node->PushMembership(view);
-    if (!status.ok() && first.ok()) first = status;
-  }
-  return first;
 }
 
 Status ReplicaGroup::Cutover(const net::CutoverRequest& request) {

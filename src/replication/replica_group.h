@@ -102,8 +102,8 @@ class ReplicaGroup : public NodeBackend {
   /// Per-member snapshot for cluster-status style reporting.
   std::vector<MemberStatus> Snapshot() const;
 
-  /// Direct access to physical member `r` (elasticity control plane:
-  /// stats rows, membership pushes). The group keeps ownership.
+  /// Direct access to physical member `r` (stats rows). The group keeps
+  /// ownership.
   RemoteNode* member_node(int r) {
     return members_[static_cast<size_t>(r)]->node.get();
   }
@@ -123,11 +123,6 @@ class ReplicaGroup : public NodeBackend {
   Status IngestSkippingExisting(const std::string& dataset,
                                 const std::string& field,
                                 const std::vector<Atom>& atoms);
-
-  /// Fans a membership view to every member; first failure is returned
-  /// but the remaining members are still pushed (a down member learns
-  /// the view from its post-restart resync instead).
-  Status PushMembership(const MembershipView& view);
 
   /// Cutover fan-out to every member.
   Status Cutover(const net::CutoverRequest& request);

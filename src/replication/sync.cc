@@ -5,6 +5,25 @@
 
 namespace turbdb {
 
+Status PageSyncRange(net::NodeSyncRangeRequest request,
+                     const SyncPageFetch& fetch,
+                     const std::function<Status(std::vector<Atom>& atoms)>&
+                         consume) {
+  while (true) {
+    TURBDB_ASSIGN_OR_RETURN(net::NodeSyncRangeReply page, fetch(request));
+    if (!page.done && page.next_code <= request.begin_code) {
+      return Status::Internal(
+          "SyncRange of " + request.dataset + "/" + request.field +
+          " step " + std::to_string(request.timestep) +
+          " made no progress past code " +
+          std::to_string(request.begin_code));
+    }
+    TURBDB_RETURN_NOT_OK(consume(page.atoms));
+    if (page.done) return Status::OK();
+    request.begin_code = page.next_code;
+  }
+}
+
 Result<ResyncReport> ResyncReplica(
     RemoteNode* stale, RemoteNode* donor,
     const std::vector<DatasetRegistration>& registrations,
@@ -31,31 +50,24 @@ Result<ResyncReport> ResyncReplica(
       if (reg.info.name == store.dataset) timesteps = reg.info.num_timesteps;
     }
     for (int32_t t = 0; t < timesteps; ++t) {
-      uint64_t cursor = 0;
-      bool done = false;
-      while (!done) {
-        net::NodeSyncRangeRequest request;
-        request.dataset = store.dataset;
-        request.field = store.field;
-        request.timestep = t;
-        request.begin_code = cursor;
-        request.end_code = 0;  // To the end of the shard.
-        request.max_atoms = page_atoms;
-        TURBDB_ASSIGN_OR_RETURN(net::NodeSyncRangeReply page,
-                                donor->SyncRange(request));
-        if (!page.atoms.empty()) {
-          TURBDB_RETURN_NOT_OK(stale->IngestSkippingExisting(
-              store.dataset, store.field, page.atoms));
-          report.atoms_pushed += page.atoms.size();
-        }
-        if (!page.done && page.atoms.empty() && page.next_code <= cursor) {
-          return Status::Internal("sync of " + store.dataset + "/" +
-                                  store.field + " from " +
-                                  donor->DebugName() + " made no progress");
-        }
-        done = page.done;
-        cursor = page.next_code;
-      }
+      net::NodeSyncRangeRequest request;
+      request.dataset = store.dataset;
+      request.field = store.field;
+      request.timestep = t;
+      request.end_code = 0;  // To the end of the shard.
+      request.max_atoms = page_atoms;
+      TURBDB_RETURN_NOT_OK(PageSyncRange(
+          request,
+          [donor](const net::NodeSyncRangeRequest& page) {
+            return donor->SyncRange(page);
+          },
+          [&](std::vector<Atom>& atoms) -> Status {
+            if (atoms.empty()) return Status::OK();
+            TURBDB_RETURN_NOT_OK(stale->IngestSkippingExisting(
+                store.dataset, store.field, atoms));
+            report.atoms_pushed += atoms.size();
+            return Status::OK();
+          }));
     }
     TURBDB_ASSIGN_OR_RETURN(uint64_t have,
                             stale->StoredAtomCount(store.dataset, store.field));

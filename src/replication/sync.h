@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cluster/dataset.h"
@@ -9,6 +10,22 @@
 #include "common/result.h"
 
 namespace turbdb {
+
+/// One page of a SyncRange scan: the request's begin_code is the cursor.
+using SyncPageFetch = std::function<Result<net::NodeSyncRangeReply>(
+    const net::NodeSyncRangeRequest& request)>;
+
+/// Pages `request`'s range through `fetch`, handing every page's atoms
+/// (possibly none) to `consume` in order, until a page is `done`. Pages
+/// arrive off the network, so a page that is not done must move
+/// next_code past the cursor, with or without atoms (a well-behaved node
+/// always does: its next page starts at the first atom beyond this one);
+/// one that does not is kInternal, not a loop without end. The first
+/// failure of either callback is returned as is.
+Status PageSyncRange(net::NodeSyncRangeRequest request,
+                     const SyncPageFetch& fetch,
+                     const std::function<Status(std::vector<Atom>& atoms)>&
+                         consume);
 
 /// One dataset registration a replica group replays onto a stale member.
 /// The partitioner is not stored — it re-derives from (geometry,

@@ -124,19 +124,18 @@ bool DecodePayload(const uint8_t* data, size_t size,
 
 }  // namespace
 
-WriteAheadLog::WriteAheadLog(std::string path, int fd, WalFsyncPolicy policy)
-    : path_(std::move(path)), fd_(fd), policy_(policy) {}
+WriteAheadLog::WriteAheadLog(std::string path, int fd)
+    : path_(std::move(path)), fd_(fd) {}
 
 WriteAheadLog::~WriteAheadLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
-    const std::string& path, WalFsyncPolicy policy) {
+    const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) return ErrnoStatus("open " + path);
-  std::unique_ptr<WriteAheadLog> wal(
-      new WriteAheadLog(path, fd, policy));
+  std::unique_ptr<WriteAheadLog> wal(new WriteAheadLog(path, fd));
   TURBDB_RETURN_NOT_OK(wal->Recover());
   return std::move(wal);
 }
@@ -233,14 +232,10 @@ Status WriteAheadLog::Append(const std::string& dataset,
   }
   file_size_ += write_bytes;
   if (write_bytes == buffer.size()) ++records_;
-  if (policy_ == WalFsyncPolicy::kEveryAppend) {
-    if (::fsync(fd_) != 0) return ErrnoStatus("fsync " + path_);
-  }
   return Status::OK();
 }
 
 Status WriteAheadLog::Sync() {
-  if (policy_ == WalFsyncPolicy::kNever) return Status::OK();
   std::lock_guard<std::mutex> lock(mutex_);
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync " + path_);
   return Status::OK();
@@ -297,7 +292,7 @@ Status WriteAheadLog::Replay(
 Status WriteAheadLog::Truncate() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (::ftruncate(fd_, 0) != 0) return ErrnoStatus("ftruncate " + path_);
-  if (policy_ != WalFsyncPolicy::kNever && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     return ErrnoStatus("fsync " + path_);
   }
   file_size_ = 0;

@@ -11,15 +11,8 @@
 
 namespace turbdb {
 
-/// When the write-ahead log fsyncs its file.
-enum class WalFsyncPolicy {
-  kEveryAppend,  ///< fsync inside every Append (safest, slowest).
-  kEveryBatch,   ///< fsync only when Sync() is called (once per ingest RPC).
-  kNever,        ///< never fsync (benches measuring modeled time only).
-};
-
 /// Per-node write-ahead log for the ingest path: every atom accepted by
-/// an ingest RPC is appended here (and the log fsynced per the policy)
+/// an ingest RPC is appended here (and the log fsynced once per batch)
 /// before the batch is acknowledged, so an acknowledged batch survives a
 /// crash even when the backing atom store had not reached stable storage
 /// yet. On restart the node replays the log into its stores (idempotent:
@@ -50,8 +43,7 @@ class WriteAheadLog {
 
   /// Opens (creating if needed) the log at `path`, scanning existing
   /// records and truncating a torn tail.
-  static Result<std::unique_ptr<WriteAheadLog>> Open(
-      const std::string& path, WalFsyncPolicy policy = WalFsyncPolicy::kEveryBatch);
+  static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path);
 
   /// Appends one atom record. Under the `wal.torn_tail` fault site the
   /// record is deliberately cut short (only the fault's `arg` bytes are
@@ -59,8 +51,8 @@ class WriteAheadLog {
   Status Append(const std::string& dataset, const std::string& field,
                 const Atom& atom);
 
-  /// fsyncs the log (no-op under kNever). Called once per ingest batch
-  /// under the default kEveryBatch policy, before the batch is acked.
+  /// fsyncs the log. Called once per ingest batch, before the batch is
+  /// acked.
   Status Sync();
 
   /// One replayable record.
@@ -74,8 +66,8 @@ class WriteAheadLog {
   /// aborts the replay when non-OK.
   Status Replay(const std::function<Status(const Record&)>& fn) const;
 
-  /// Checkpoint: empties the log. Only safe after every store covered by
-  /// the pending records was fsynced.
+  /// Checkpoint: empties the log (and fsyncs the empty file). Only safe
+  /// after every store covered by the pending records was fsynced.
   Status Truncate();
 
   /// Records appended (or recovered at open) since the last Truncate —
@@ -90,14 +82,13 @@ class WriteAheadLog {
   const std::string& path() const { return path_; }
 
  private:
-  WriteAheadLog(std::string path, int fd, WalFsyncPolicy policy);
+  WriteAheadLog(std::string path, int fd);
 
   /// Scans the file, truncating at the first torn/corrupt record.
   Status Recover();
 
   std::string path_;
   int fd_ = -1;
-  WalFsyncPolicy policy_;
   bool tail_truncated_ = false;
 
   mutable std::mutex mutex_;

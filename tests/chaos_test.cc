@@ -22,18 +22,20 @@
 //       transport failure the client retries from scratch — chunks of
 //       the torn attempt never leak into the retried one;
 //   (f) a query routed while a rebalance cutover is half committed —
-//       donor and recipient already installed the new view, the registry
-//       still routes by the old one — is evaluated and read by the view
+//       donor and recipient already took the cutover, the registry
+//       still routes by the old view — is evaluated and read by the view
 //       it was routed under, and answers byte-identically at once;
 //   (g) the same holds for a buffered query whose scatter spans a shard
 //       untouched by the move and the move's donor, (h) for a streamed
 //       threshold and a distributed friends-of-friends query in that
 //       window, and (i) for a repeat after the commit with the node
 //       cache on: the donor never caches an answer routed before it;
-//   (j) a base node that missed every membership push naming a joined
-//       shard still reads a range moved onto that shard from there: the
-//       sub-query names the joined shard's address, and reads never
-//       consult the node's own view.
+//   (j) a base node that was never told of a joined shard still reads a
+//       range moved onto that shard from there: the sub-query names the
+//       joined shard's address, and nodes hold no view of their own;
+//   (k) a point-sample query shares the scatter of every other query:
+//       one shard failing hard cancels the sub-query still running on
+//       the other instead of waiting out its stall.
 //
 // The node services are hosted in this process over real TCP sockets
 // (in_process_cluster.h: one net::Server each, with per-server fault
@@ -386,8 +388,8 @@ TEST_F(ChaosTest, TruncatedChunkIsRetriedFromScratchByteIdentically) {
             EncodePointsBinary(expected->points));
 }
 
-// (f) A cutover installs the new view on donor and recipient, then
-// commits it to the registry that Dispatch routes by. The
+// (f) A cutover reaches donor and recipient, then commits the new view
+// to the registry that Dispatch routes by. The
 // membership.commit site holds that commit for 300 ms. A query routed in
 // the window carries the old view to every shard, and donor and
 // recipient evaluate and read by it, so it answers exactly as before the
@@ -616,12 +618,12 @@ TEST_F(ChaosTest, NodeCacheIgnoresAnswersRoutedBeforeACutover) {
             EncodePointsBinary(before->points));
 }
 
-// (j) Node 1 refuses every handler request while the cluster grows, so
-// the membership pushes of the join and of the cutover both miss it
-// (pushes are best effort; the move's donor is shard 0, see
-// HoldSecondCutover). A step ingested afterwards lies in the moved range
-// on the joined shard only, and shard 1's halo needs some of it.
-TEST_F(ChaosTest, BaseNodeThatMissedThePushReadsAJoinedShardByTheRoutedView) {
+// (j) The cluster grows while node 1 is neither the donor nor the
+// recipient of the move (the donor is shard 0, see HoldSecondCutover),
+// so nothing tells node 1 of the joined shard. A step ingested
+// afterwards lies in the moved range on the joined shard only, and
+// shard 1's halo needs some of it.
+TEST_F(ChaosTest, BaseNodeReadsAJoinedShardItWasNeverToldOf) {
   auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
                                             /*replication_factor=*/1);
   ASSERT_TRUE(procs.ok()) << procs.status();
@@ -630,22 +632,16 @@ TEST_F(ChaosTest, BaseNodeThatMissedThePushReadsAJoinedShardByTheRoutedView) {
   ASSERT_TRUE(db.ok()) << db.status();
   Mediator& mediator = (*db)->mediator();
 
-  const uint64_t before_join = mediator.generation();
-  const std::string site =
-      InProcessNodeCluster::Scope(1) + "server.handler.error";
-  fault::Arm(site, fault::Action::kError,
-             static_cast<uint64_t>(StatusCode::kInternal), /*count=*/1000);
   auto joined = (*procs)->Join(mediator);
   ASSERT_TRUE(joined.ok()) << joined.status();
   net::RebalanceRequest rebalance;
   rebalance.to_shard = *joined;
   rebalance.max_ranges = 1;
   auto moved = mediator.Rebalance(rebalance);
-  fault::Disarm(site);
   ASSERT_TRUE(moved.ok()) << moved.status();
   ASSERT_EQ(moved->moved.size(), 1u);
-  EXPECT_GE(fault::Fired(site), 2u);
-  EXPECT_LE((*procs)->service(1).generation(), before_join);
+  // Node 1 took part in no cutover.
+  EXPECT_EQ((*procs)->service(1).generation(), 0u);
   ASSERT_TRUE(testcluster::IngestMhdStep(db->get(), 1).ok());
 
   TurbDBConfig reference_config;
@@ -664,6 +660,50 @@ TEST_F(ChaosTest, BaseNodeThatMissedThePushReadsAJoinedShardByTheRoutedView) {
   ASSERT_TRUE(actual.ok()) << actual.status();
   EXPECT_EQ(EncodePointsBinary(actual->points),
             EncodePointsBinary(expected->points));
+}
+
+// (k) Point samples go through the same scatter as every other query.
+// Node 0 refuses every request at once while node 1 stalls its replies
+// far past the 1.5 s budget. The query fails with node 0's error, and
+// the mediator cancels node 1's sub-query instead of waiting it out.
+TEST_F(ChaosTest, SampleQueryCancelsTheRestAfterAHardShardFailure) {
+  auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
+                                            /*replication_factor=*/1);
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenDistributed((*procs)->topology(), /*replication_factor=*/1);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Mediator& mediator = (*db)->mediator();
+  auto info = mediator.GetDataset("mhd");
+  ASSERT_TRUE(info.ok()) << info.status();
+  const GridGeometry& geometry = (*info)->geometry;
+
+  // One target in shard 0's first atom, one in shard 1's last.
+  SampleQuery query;
+  query.dataset = "mhd";
+  query.raw_field = "velocity";
+  query.timestep = 0;
+  for (const double node : {2.3, static_cast<double>(kGrid) - 3.7}) {
+    query.positions.push_back({geometry.Spacing(0) * node,
+                               geometry.Spacing(1) * node,
+                               geometry.Spacing(2) * node});
+  }
+
+  const std::string failing =
+      InProcessNodeCluster::Scope(0) + "server.handler.error";
+  fault::Arm(failing, fault::Action::kError,
+             static_cast<uint64_t>(StatusCode::kInternal), /*count=*/1000);
+  fault::Arm(InProcessNodeCluster::Scope(1) + "server.reply.delay",
+             fault::Action::kDelay, /*arg=*/60000, /*count=*/1000);
+  const uint64_t cancels_before = mediator.cancels_issued();
+
+  CallBudget budget;
+  budget.deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(1500);
+  auto result = mediator.GetSamples(query, budget);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status();
+  EXPECT_GE(fault::Fired(failing), 1u);
+  EXPECT_GT(mediator.cancels_issued(), cancels_before);
 }
 
 }  // namespace

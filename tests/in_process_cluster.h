@@ -96,7 +96,6 @@ class InProcessNodeCluster {
     for (const auto& registration : admitted.registrations) {
       TURBDB_RETURN_NOT_OK(node->service->RegisterDatasetSpec(registration));
     }
-    TURBDB_RETURN_NOT_OK(node->service->ApplyView(admitted.view));
 
     net::ServerOptions options;
     options.bind_address = "127.0.0.1";
@@ -111,7 +110,6 @@ class InProcessNodeCluster {
     activate.port = node->server->port();
     activate.activate = true;
     TURBDB_ASSIGN_OR_RETURN(net::JoinReply active, mediator.Join(activate));
-    TURBDB_RETURN_NOT_OK(node->service->ApplyView(active.view));
     nodes_.push_back(std::move(node));
     return active.record.shard;
   }

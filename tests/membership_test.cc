@@ -1,9 +1,12 @@
 // Membership-layer unit tests: range-override splice/coalesce math,
 // effective ownership under views across generation bumps, the
-// rebalance planner's donor/target selection, and registry persistence.
+// rebalance planner's donor/target selection, registry persistence, and
+// a seeded mutation loop over a persisted registry file.
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "array/geometry.h"
 #include "cluster/partitioner.h"
 #include "cluster/topology.h"
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "membership/rebalance.h"
 #include "membership/registry.h"
@@ -289,6 +293,120 @@ TEST(MembershipRegistryTest, EphemeralRegistryWorksWithoutDirectory) {
   EXPECT_EQ((*registry_or)->generation(), 1u);
   ASSERT_TRUE((*registry_or)->Admit("u", "127.0.0.1", 7002).ok());
   EXPECT_EQ((*registry_or)->generation(), 2u);
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// A registry file whose overrides the mediator could not binary-search,
+// or whose records no view can hold, fails the open: otherwise every
+// query after a restart would ship the bad view to nodes that refuse it.
+TEST(MembershipRegistryTest, MalformedFileIsCorruption) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/membership.txt";
+  const std::string header = "generation 5\nreplication 1\nbase_shards 2\n";
+  const std::string nodes =
+      "node 0 boot-0 127.0.0.1 7001 0 0 1\n"
+      "node 1 boot-1 127.0.0.1 7002 1 0 1\n";
+  ClusterTopology seed;
+  seed.nodes = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};
+
+  WriteFile(path, header + nodes + "override 8 16 1\noverride 16 20 0\n");
+  auto good = MembershipRegistry::Open(dir, seed);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ((*good)->Snapshot().overrides.size(), 2u);
+
+  const std::vector<std::string> malformed = {
+      header + nodes + "override 8 16 1\noverride 12 20 0\n",  // Overlap.
+      header + nodes + "override 12 20 0\noverride 8 10 1\n",  // Unsorted.
+      header + nodes + "override 8 8 1\n",                     // Empty.
+      header + "node 0 boot-0 127.0.0.1 7001 0 9 1\n",          // Role 9.
+      "generation 5\nreplication 0\nbase_shards 2\n" + nodes,
+      "generation 5\nreplication 1\nbase_shards 0\n" + nodes,
+  };
+  for (const std::string& text : malformed) {
+    SCOPED_TRACE(text);
+    WriteFile(path, text);
+    auto opened = MembershipRegistry::Open(dir, seed);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status();
+  }
+}
+
+// Seeded mutants of a file a real registry wrote after an admit, an
+// activate and a range move: bit flips, overwritten, inserted and
+// deleted bytes, and truncations. Each opens to a view every consumer
+// accepts, or fails typed; none crashes.
+TEST(MembershipRegistryTest, MutatedFilesOpenValidOrFailTyped) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/membership.txt";
+  ClusterTopology seed;
+  seed.nodes = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};
+  {
+    auto registry = MembershipRegistry::Open(dir, seed);
+    ASSERT_TRUE(registry.ok()) << registry.status();
+    ASSERT_TRUE((*registry)->Admit("joiner", "127.0.0.1", 7003).ok());
+    ASSERT_TRUE((*registry)->Activate("joiner").ok());
+    ASSERT_TRUE((*registry)->ApplyOverride(8, 16, 2).ok());
+    ASSERT_TRUE((*registry)->ApplyOverride(40, 48, 2).ok());
+  }
+  const std::string original = ReadFile(path);
+  ASSERT_FALSE(original.empty());
+
+  constexpr int kMutants = 1000;
+  SplitMix64 rng(2015);
+  int opened = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = original;
+    const size_t inside = static_cast<size_t>(rng.NextBounded(mutant.size()));
+    const size_t gap = static_cast<size_t>(rng.NextBounded(mutant.size() + 1));
+    switch (rng.NextBounded(5)) {
+      case 0:
+        mutant[inside] = static_cast<char>(
+            mutant[inside] ^ static_cast<char>(1u << rng.NextBounded(8)));
+        break;
+      case 1:
+        mutant[inside] = static_cast<char>(rng.NextBounded(256));
+        break;
+      case 2:
+        mutant.insert(gap, 1, static_cast<char>(rng.NextBounded(256)));
+        break;
+      case 3:
+        mutant.erase(inside, 1);
+        break;
+      default:
+        mutant.resize(gap);
+        break;
+    }
+    WriteFile(path, mutant);
+    auto registry = MembershipRegistry::Open(dir, seed);
+    if (!registry.ok()) {
+      EXPECT_EQ(registry.status().code(), StatusCode::kCorruption)
+          << registry.status();
+      continue;
+    }
+    ++opened;
+    const MembershipView view = (*registry)->Snapshot();
+    EXPECT_TRUE(ValidateOverrides(view.overrides).ok());
+    EXPECT_GE(view.replication, 1);
+    EXPECT_GE(view.base_shards, 1);
+    for (const NodeRecord& record : view.nodes) {
+      EXPECT_GE(static_cast<int>(record.role), 0);
+      EXPECT_LE(static_cast<int>(record.role),
+                static_cast<int>(NodeRole::kDraining));
+    }
+  }
+  // Some edits (a flipped port digit, a truncated last line) still parse.
+  EXPECT_GT(opened, 0);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(WalTest, AppendReplayRoundTrip) {
   const std::string path = dir + "/node0.wal";
   std::vector<WriteAheadLog::Record> want;
   {
-    auto wal_or = WriteAheadLog::Open(path, WalFsyncPolicy::kEveryBatch);
+    auto wal_or = WriteAheadLog::Open(path);
     ASSERT_TRUE(wal_or.ok()) << wal_or.status().ToString();
     auto& wal = *wal_or;
     for (int i = 0; i < 6; ++i) {

@@ -61,8 +61,6 @@ struct NodeCliOptions {
   bool fsync_ingest = true;
   std::string join;  ///< Mediator host:port to join a running cluster.
   std::string uuid;  ///< Stable instance identity for --join re-admits.
-  bool enable_wal = true;
-  std::string wal_fsync = "batch";
   int scrub_interval_s = 0;
   int scrub_rate_mb = 0;
   std::string faults;
@@ -98,9 +96,6 @@ void PrintUsage() {
       "                   membership registry instead of the flags above\n"
       "  --uuid S         stable instance identity for --join (default:\n"
       "                   derived from bind address, pid and start time)\n"
-      "  --no-wal         disable the per-node write-ahead log\n"
-      "  --wal-fsync M    when the WAL fsyncs: append | batch | none\n"
-      "                   (default batch = once per acked ingest RPC)\n"
       "  --scrub-interval-s S\n"
       "                   background scrub cadence in seconds (default 0\n"
       "                   = only on demand via `turbdb_cli scrub`)\n"
@@ -197,15 +192,6 @@ bool ParseArgs(int argc, char** argv, NodeCliOptions* options,
       if (!next_str(&options->join)) return false;
     } else if (arg == "--uuid") {
       if (!next_str(&options->uuid)) return false;
-    } else if (arg == "--no-wal") {
-      options->enable_wal = false;
-    } else if (arg == "--wal-fsync") {
-      if (!next_str(&options->wal_fsync)) return false;
-      if (options->wal_fsync != "append" && options->wal_fsync != "batch" &&
-          options->wal_fsync != "none") {
-        *error = "--wal-fsync expects append, batch or none";
-        return false;
-      }
     } else if (arg == "--scrub-interval-s") {
       if (!next_int(&value)) return false;
       if (value < 0) {
@@ -311,13 +297,8 @@ int main(int argc, char** argv) {
   config.worker_threads = options.node_workers;
   config.replication_factor = options.replication_factor;
   config.fsync_ingest = options.fsync_ingest;
-  config.enable_wal = options.enable_wal;
   config.scrub_interval_s = options.scrub_interval_s;
   config.scrub_rate_mb = options.scrub_rate_mb;
-  config.wal_fsync = options.wal_fsync == "append"
-                         ? WalFsyncPolicy::kEveryAppend
-                         : options.wal_fsync == "none" ? WalFsyncPolicy::kNever
-                                                       : WalFsyncPolicy::kEveryBatch;
   if (joining) {
     config.shard_override = join_reply.record.shard;
     config.replication_factor =
@@ -418,8 +399,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (joining) {
-    // Self-register the catalog and install the admit-time view, so the
-    // first query routed here after activation finds its datasets.
+    // Self-register the catalog, so the first query routed here after
+    // activation finds its datasets.
     for (const net::WireDatasetRegistration& reg : join_reply.registrations) {
       Status status = service.RegisterDatasetSpec(reg);
       if (!status.ok()) {
@@ -427,12 +408,6 @@ int main(int argc, char** argv) {
                      reg.info.name.c_str(), status.ToString().c_str());
         return 1;
       }
-    }
-    Status status = service.ApplyView(join_reply.view);
-    if (!status.ok()) {
-      std::fprintf(stderr, "cannot install membership view: %s\n",
-                   status.ToString().c_str());
-      return 1;
     }
   }
 
@@ -482,13 +457,6 @@ int main(int argc, char** argv) {
     if (!reply_or.ok()) {
       std::fprintf(stderr, "join activate failed: %s\n",
                    reply_or.status().ToString().c_str());
-      server->Stop();
-      return 1;
-    }
-    Status status = service.ApplyView(reply_or->view);
-    if (!status.ok()) {
-      std::fprintf(stderr, "cannot install activation view: %s\n",
-                   status.ToString().c_str());
       server->Stop();
       return 1;
     }
