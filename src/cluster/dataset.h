@@ -12,6 +12,8 @@ namespace turbdb {
 struct RawFieldSpec {
   std::string name;  ///< "velocity", "magnetic", "pressure", ...
   int ncomp = 3;
+
+  bool operator==(const RawFieldSpec&) const = default;
 };
 
 /// Catalog entry for one dataset: the simulation grid and the raw fields
@@ -23,6 +25,8 @@ struct DatasetInfo {
   GridGeometry geometry;
   std::vector<RawFieldSpec> raw_fields;
   int32_t num_timesteps = 1;
+
+  bool operator==(const DatasetInfo&) const = default;
 
   Result<int> FieldNcomp(const std::string& field) const {
     for (const RawFieldSpec& spec : raw_fields) {

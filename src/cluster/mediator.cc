@@ -4,6 +4,7 @@
 #include <cmath>
 #include <future>
 #include <thread>
+#include <type_traits>
 
 #include "cluster/remote_node.h"
 #include "common/fault.h"
@@ -23,10 +24,15 @@ namespace {
 /// without reallocating under concurrent readers.
 constexpr size_t kJoinHeadroom = 64;
 
+/// Byte budget shared by every IngestTimestep worker for atoms
+/// materialized but not yet shipped to their node. Workers page their
+/// slice in bounded batches against it instead of materializing the
+/// whole slice, so ingesting a timestep larger than RAM stays safe.
+constexpr uint64_t kIngestBudgetBytes = 256u << 20;
+
 }  // namespace
 
 Mediator::Mediator(const ClusterConfig& config) : config_(config) {
-  registry_ = FieldRegistry::Default();
   result_cache_ = std::make_unique<MediatorCache>(config.mediator_cache_bytes);
 }
 
@@ -86,8 +92,8 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
             effective.topology.nodes[static_cast<size_t>(physical)],
             effective.remote, /*shard=*/g));
       }
-      auto group = std::make_unique<ReplicaGroup>(g, std::move(members),
-                                                  effective.remote);
+      auto group = std::make_unique<ReplicaGroup>(
+          g, std::move(members), &mediator->catalog_, effective.remote);
       TURBDB_RETURN_NOT_OK(group->BringUp());
       mediator->backends_.push_back(std::move(group));
     }
@@ -104,7 +110,8 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
           record.node_id, NodeAddress{record.host, record.port},
           effective.remote, record.shard));
       auto group = std::make_unique<ReplicaGroup>(
-          record.shard, std::move(members), effective.remote);
+          record.shard, std::move(members), &mediator->catalog_,
+          effective.remote);
       TURBDB_RETURN_NOT_OK(group->BringUp());
       mediator->backends_.push_back(std::move(group));
     }
@@ -153,62 +160,40 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
 }
 
 Status Mediator::CreateDataset(const DatasetInfo& info) {
-  TURBDB_RETURN_NOT_OK(info.geometry.Validate());
-  if (info.name.empty()) {
-    return Status::InvalidArgument("dataset name is empty");
-  }
-  if (datasets_.count(info.name)) {
+  if (catalog_.Find(info.name).ok()) {
     return Status::AlreadyExists("dataset '" + info.name +
                                  "' already exists");
   }
-  TURBDB_ASSIGN_OR_RETURN(
-      MortonPartitioner partitioner,
-      MortonPartitioner::Create(info.geometry, config_.num_nodes,
-                                config_.partition_strategy));
-  auto state = std::make_unique<DatasetState>(
-      DatasetState{info, std::move(partitioner)});
   for (auto& backend : backends_) {
-    TURBDB_RETURN_NOT_OK(backend->CreateDataset(info, state->partitioner,
+    TURBDB_RETURN_NOT_OK(backend->CreateDataset(info, config_.num_nodes,
                                                 config_.partition_strategy));
   }
-  datasets_.emplace(info.name, std::move(state));
-  return Status::OK();
-}
-
-Result<const Mediator::DatasetState*> Mediator::GetDatasetState(
-    const std::string& name) const {
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset named '" + name + "'");
-  }
-  return const_cast<const DatasetState*>(it->second.get());
+  return catalog_.Register(info, config_.num_nodes,
+                           config_.partition_strategy);
 }
 
 Result<const DatasetInfo*> Mediator::GetDataset(const std::string& name) const {
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state, GetDatasetState(name));
-  return &state->info;
+  TURBDB_ASSIGN_OR_RETURN(const Catalog::Entry* entry, catalog_.Find(name));
+  return &entry->info;
 }
 
 Status Mediator::IngestTimestep(
     const std::string& dataset, const std::string& field, int32_t timestep,
     const std::function<Result<Atom>(int32_t, uint64_t)>& generate) {
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state, GetDatasetState(dataset));
-  TURBDB_ASSIGN_OR_RETURN(const int ncomp, state->info.FieldNcomp(field));
-  (void)ncomp;
+  TURBDB_ASSIGN_OR_RETURN(const Catalog::Entry* entry, catalog_.Find(dataset));
+  TURBDB_RETURN_NOT_OK(entry->info.FieldNcomp(field).status());
   // Materialized-but-unshipped atoms across all workers are charged to
   // this shared budget, so a timestep larger than RAM pages through in
   // bounded batches instead of being built whole. (The governor outlives
   // the futures: every one is joined below.)
-  ResourceGovernor ingest_budget(0, config_.ingest_budget_bytes);
+  ResourceGovernor ingest_budget(0, kIngestBudgetBytes);
   std::vector<std::future<Status>> futures;
   const size_t slices =
       std::max<size_t>(1, static_cast<size_t>(workers_->num_threads()));
   // Flush threshold per worker: a fraction of the shared budget so the
   // concurrent slices still batch RPCs without ganging up on the cap.
   const uint64_t flush_bytes =
-      config_.ingest_budget_bytes == 0
-          ? 0
-          : std::max<uint64_t>(1, config_.ingest_budget_bytes / (2 * slices));
+      std::max<uint64_t>(1, kIngestBudgetBytes / (2 * slices));
   // Route each atom to the shard that *effectively* owns it: the static
   // partitioner assignment re-homed by the membership view, so ingest
   // lands on a joined shard's replicas once a rebalance moved ranges to
@@ -217,7 +202,7 @@ Status Mediator::IngestTimestep(
   const std::shared_ptr<const MembershipView> view = ViewSnapshot();
   for (int node_id = 0; node_id < num_nodes(); ++node_id) {
     const std::vector<uint64_t> codes =
-        OwnedAtoms(state->partitioner, *view, node_id);
+        OwnedAtoms(entry->partitioner, *view, node_id);
     // Slice each node's shard so ingestion saturates the worker pool.
     for (size_t s = 0; s < slices; ++s) {
       const size_t begin = codes.size() * s / slices;
@@ -264,7 +249,7 @@ Status Mediator::IngestTimestep(
               held.push_back(std::move(reservation));
               batch.push_back(std::move(atom).value());
               batch_bytes += atom_bytes;
-              if (flush_bytes != 0 && batch_bytes >= flush_bytes) {
+              if (batch_bytes >= flush_bytes) {
                 TURBDB_RETURN_NOT_OK(flush());
               }
             }
@@ -285,66 +270,28 @@ Status Mediator::IngestTimestep(
   return failure;
 }
 
-const Differentiator* Mediator::GetDifferentiator(const std::string& dataset,
-                                                  const GridGeometry& geometry,
-                                                  int order) {
-  std::lock_guard<std::mutex> lock(diff_mutex_);
-  auto key = std::make_pair(dataset, order);
-  auto it = differentiators_.find(key);
-  if (it != differentiators_.end()) return it->second.get();
-  auto diff = Differentiator::Create(geometry, order);
-  if (!diff.ok()) return nullptr;
-  auto owned = std::make_unique<Differentiator>(std::move(diff).value());
-  const Differentiator* raw = owned.get();
-  differentiators_.emplace(key, std::move(owned));
-  return raw;
-}
-
-Result<NodeQuery> Mediator::BuildNodeQuery(
-    NodeQuery::Mode mode, const std::string& dataset,
-    const std::string& raw_field, const std::string& derived_field,
-    int32_t timestep, const Box3& box, int fd_order,
-    const QueryOptions& options) {
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state, GetDatasetState(dataset));
-  TURBDB_ASSIGN_OR_RETURN(const int ncomp,
-                          state->info.FieldNcomp(raw_field));
-  TURBDB_ASSIGN_OR_RETURN(auto kernel,
-                          registry_.Create(derived_field, ncomp));
-  if (timestep < 0 || timestep >= state->info.num_timesteps) {
-    return Status::OutOfRange("timestep " + std::to_string(timestep) +
-                              " outside [0, " +
-                              std::to_string(state->info.num_timesteps) + ")");
+template <class Query>
+net::NodeQuerySpec Mediator::SpecOf(NodeQuery::Mode mode, const Query& query,
+                                    const QueryOptions& options) const {
+  net::NodeQuerySpec spec;
+  spec.mode = static_cast<int32_t>(mode);
+  spec.dataset = query.dataset;
+  spec.raw_field = query.raw_field;
+  spec.timestep = query.timestep;
+  if constexpr (std::is_same_v<Query, SampleQuery>) {
+    spec.sample_support = query.support;
+  } else {
+    spec.derived_field = query.derived_field;
+    spec.box = query.box;
+    spec.fd_order = query.fd_order;
   }
-  const Box3 clipped = box.Intersection(state->info.geometry.Bounds());
-  if (clipped.Empty()) {
-    return Status::InvalidArgument("query box is outside the grid");
-  }
-  const Differentiator* diff =
-      GetDifferentiator(dataset, state->info.geometry, fd_order);
-  if (diff == nullptr) {
-    return Status::InvalidArgument("cannot build differentiator of order " +
-                                   std::to_string(fd_order));
-  }
-  NodeQuery node_query;
-  node_query.mode = mode;
-  node_query.dataset = &state->info;
-  node_query.partitioner = &state->partitioner;
-  node_query.raw_field = raw_field;
-  node_query.derived_field = derived_field;
-  node_query.raw_ncomp = ncomp;
-  node_query.cache_field_key = raw_field + ":" + derived_field;
-  node_query.kernel = std::move(kernel);
-  node_query.diff = diff;
-  node_query.fd_order = fd_order;
-  node_query.timestep = timestep;
-  node_query.box = clipped;
-  node_query.processes = options.processes_per_node > 0
-                             ? options.processes_per_node
-                             : config_.processes_per_node;
-  node_query.options = options;
-  node_query.flops_per_process = config_.cost.flops_per_process;
-  node_query.effective_cores = config_.cost.effective_cores_per_node;
-  return node_query;
+  spec.processes = options.processes_per_node > 0
+                       ? options.processes_per_node
+                       : config_.processes_per_node;
+  spec.options = options;
+  spec.flops_per_process = config_.cost.flops_per_process;
+  spec.effective_cores = config_.cost.effective_cores_per_node;
+  return spec;
 }
 
 Result<std::vector<NodeOutcome>> Mediator::Dispatch(
@@ -412,7 +359,7 @@ Result<std::vector<NodeOutcome>> Mediator::Scatter(
   }
 
   // Cancels every sub-query not yet joined: the shared token stops
-  // in-process work, the CancelQuery fan-out stops remote work.
+  // in-process work, the cancel fan-out stops remote work.
   bool cancel_sent = false;
   auto cancel_rest = [&](size_t next) {
     if (cancel_sent) return;
@@ -528,13 +475,10 @@ void FillNodeStats(const std::vector<NodeOutcome>& outcomes,
 Result<NodeQuery> Mediator::BuildThresholdQuery(const ThresholdQuery& query,
                                                 const QueryOptions& options) {
   TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kThreshold, query.dataset,
-                     query.raw_field, query.derived_field, query.timestep,
-                     query.box, query.fd_order, options));
-  node_query.threshold = query.threshold;
-  return node_query;
+  net::NodeQuerySpec spec =
+      SpecOf(NodeQuery::Mode::kThreshold, query, options);
+  spec.threshold = query.threshold;
+  return catalog_.Resolve(spec);
 }
 
 Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
@@ -793,13 +737,10 @@ Result<PdfResult> Mediator::GetPdf(const PdfQuery& query,
   TURBDB_RETURN_NOT_OK(ValidatePdfQuery(query));
   QueryOptions options;
   options.use_cache = false;  // Only threshold results are cached (Sec. 4).
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kPdf, query.dataset, query.raw_field,
-                     query.derived_field, query.timestep, query.box,
-                     query.fd_order, options));
-  node_query.bin_width = query.bin_width;
-  node_query.num_bins = query.num_bins;
+  net::NodeQuerySpec spec = SpecOf(NodeQuery::Mode::kPdf, query, options);
+  spec.bin_width = query.bin_width;
+  spec.num_bins = query.num_bins;
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query, catalog_.Resolve(spec));
   TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
                           Dispatch(node_query, budget));
 
@@ -827,12 +768,9 @@ Result<TopKResult> Mediator::GetTopK(const TopKQuery& query,
   TURBDB_RETURN_NOT_OK(ValidateTopKQuery(query));
   QueryOptions options;
   options.use_cache = false;
-  TURBDB_ASSIGN_OR_RETURN(
-      NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kTopK, query.dataset, query.raw_field,
-                     query.derived_field, query.timestep, query.box,
-                     query.fd_order, options));
-  node_query.k = query.k;
+  net::NodeQuerySpec spec = SpecOf(NodeQuery::Mode::kTopK, query, options);
+  spec.k = query.k;
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query, catalog_.Resolve(spec));
   TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
                           Dispatch(node_query, budget));
 
@@ -871,9 +809,7 @@ Result<FieldStatsResult> Mediator::GetFieldStats(const FieldStatsQuery& query,
   options.use_cache = false;
   TURBDB_ASSIGN_OR_RETURN(
       NodeQuery node_query,
-      BuildNodeQuery(NodeQuery::Mode::kMoments, query.dataset,
-                     query.raw_field, query.derived_field, query.timestep,
-                     query.box, query.fd_order, options));
+      catalog_.Resolve(SpecOf(NodeQuery::Mode::kMoments, query, options)));
   TURBDB_ASSIGN_OR_RETURN(std::vector<NodeOutcome> outcomes,
                           Dispatch(node_query, budget));
 
@@ -900,48 +836,28 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
                                           const CallBudget& budget) {
   Stopwatch watch;
   TURBDB_RETURN_NOT_OK(ValidateSampleQuery(query));
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state,
-                          GetDatasetState(query.dataset));
-  TURBDB_ASSIGN_OR_RETURN(const int ncomp,
-                          state->info.FieldNcomp(query.raw_field));
-  if (query.timestep >= state->info.num_timesteps) {
-    return Status::OutOfRange("timestep out of range");
-  }
-
-  // One shared interpolator per (dataset, support).
-  std::shared_ptr<const LagrangeInterpolator> interpolator;
-  {
-    std::lock_guard<std::mutex> lock(diff_mutex_);
-    auto key = std::make_pair(query.dataset, query.support);
-    auto it = interpolators_.find(key);
-    if (it != interpolators_.end()) {
-      interpolator = it->second;
-    } else {
-      TURBDB_ASSIGN_OR_RETURN(
-          LagrangeInterpolator built,
-          LagrangeInterpolator::Create(state->info.geometry, query.support));
-      interpolator =
-          std::make_shared<const LagrangeInterpolator>(std::move(built));
-      interpolators_.emplace(key, interpolator);
-    }
-  }
+  QueryOptions options;
+  options.use_cache = false;
+  TURBDB_ASSIGN_OR_RETURN(
+      NodeQuery node_query,
+      catalog_.Resolve(SpecOf(NodeQuery::Mode::kSample, query, options)));
 
   // Route each target to the node owning the atom of its containing grid
   // cell (the bulk of its stencil data lives there), under one membership
   // snapshot that every part also carries for its reads.
   const std::shared_ptr<const MembershipView> view = ViewSnapshot();
-  const GridGeometry& geometry = state->info.geometry;
+  const GridGeometry& geometry = node_query.dataset->geometry;
   std::map<int, std::vector<std::pair<uint32_t, std::array<double, 3>>>>
       per_node;
   for (size_t i = 0; i < query.positions.size(); ++i) {
     const std::array<double, 3>& position = query.positions[i];
-    const int64_t bx = interpolator->BaseNode(0, position[0]);
-    const int64_t by = interpolator->BaseNode(1, position[1]);
-    const int64_t bz = interpolator->BaseNode(2, position[2]);
+    const int64_t bx = node_query.interpolator->BaseNode(0, position[0]);
+    const int64_t by = node_query.interpolator->BaseNode(1, position[1]);
+    const int64_t bz = node_query.interpolator->BaseNode(2, position[2]);
     const AtomKey key = AtomKeyForPoint(query.timestep, bx, by, bz,
                                         geometry.atom_width());
     const int owner = view->OwnerOf(
-        key.zindex, state->partitioner.OwnerOfAtom(key.zindex));
+        key.zindex, node_query.partitioner->OwnerOfAtom(key.zindex));
     if (owner < 0 || owner >= num_nodes()) {
       return Status::Internal("target outside the partitioned domain");
     }
@@ -949,20 +865,6 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
   }
 
   // One part per owning shard, each with its share of the targets.
-  NodeQuery node_query;
-  node_query.mode = NodeQuery::Mode::kSample;
-  node_query.dataset = &state->info;
-  node_query.partitioner = &state->partitioner;
-  node_query.raw_field = query.raw_field;
-  node_query.raw_ncomp = ncomp;
-  node_query.timestep = query.timestep;
-  node_query.box = geometry.Bounds();
-  node_query.interpolator = interpolator;
-  node_query.sample_support = query.support;
-  node_query.processes = config_.processes_per_node;
-  node_query.options.use_cache = false;
-  node_query.flops_per_process = config_.cost.flops_per_process;
-  node_query.effective_cores = config_.cost.effective_cores_per_node;
   std::vector<Part> parts;
   parts.reserve(per_node.size());
   for (auto& [node_id, targets] : per_node) {
@@ -973,7 +875,7 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
                           Scatter(std::move(parts), view, budget));
 
   SampleResult result;
-  result.ncomp = ncomp;
+  result.ncomp = node_query.raw_ncomp;
   result.values.assign(query.positions.size(), {0.0, 0.0, 0.0});
   size_t filled = 0;
   for (const NodeOutcome& outcome : outcomes) {
@@ -991,7 +893,8 @@ Result<SampleResult> Mediator::GetSamples(const SampleQuery& query,
   // XML-wrapped component values back to the user (~30 B per scalar).
   ModelMediatorComm(config_.cost, outcomes.size(),
                     request_bytes + reply_bytes,
-                    query.positions.size() * static_cast<uint64_t>(ncomp) * 30,
+                    query.positions.size() *
+                        static_cast<uint64_t>(node_query.raw_ncomp) * 30,
                     &result.time);
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
@@ -1135,8 +1038,8 @@ std::vector<std::vector<uint64_t>> Mediator::ComputeShardAtoms(
     const MembershipView& view) const {
   std::vector<std::vector<uint64_t>> shard_atoms(
       static_cast<size_t>(num_nodes()));
-  for (const auto& entry : datasets_) {
-    const MortonPartitioner& partitioner = entry.second->partitioner;
+  for (const Catalog::Entry* entry : catalog_.Entries()) {
+    const MortonPartitioner& partitioner = entry->partitioner;
     for (int b = 0; b < partitioner.num_nodes(); ++b) {
       for (uint64_t code : partitioner.NodeAtoms(b)) {
         const int owner = view.OwnerOf(code, b);
@@ -1163,8 +1066,8 @@ Result<RangeMover::Outcome> Mediator::ExecuteMoveLocked(
     // donor group into every replica of the recipient, skip-existing so
     // a retried move (crash between copy and cutover) converges.
     uint64_t copied = 0;
-    for (const auto& entry : datasets_) {
-      const DatasetInfo& info = entry.second->info;
+    for (const Catalog::Entry* entry : catalog_.Entries()) {
+      const DatasetInfo& info = entry->info;
       for (const auto& field : info.raw_fields) {
         for (int32_t ts = 0; ts < info.num_timesteps; ++ts) {
           net::NodeSyncRangeRequest request;
@@ -1253,14 +1156,14 @@ Result<net::JoinReply> Mediator::Join(const net::JoinRequest& request) {
         reply.record,
         membership_->Admit(request.uuid, request.host, request.port));
     reply.view = membership_->Snapshot();
-    // The catalog the joiner self-registers from; the partitioners stay
+    // The catalog the joiner self-registers; the partitioners stay
     // base-sized (the view's overrides re-home codes, never the
     // partitioning itself).
-    for (const auto& entry : datasets_) {
+    for (const Catalog::Entry* entry : catalog_.Entries()) {
       net::WireDatasetRegistration reg;
-      reg.info = entry.second->info;
-      reg.num_nodes = entry.second->partitioner.num_nodes();
-      reg.strategy = static_cast<int32_t>(config_.partition_strategy);
+      reg.info = entry->info;
+      reg.num_nodes = entry->partitioner.num_nodes();
+      reg.strategy = static_cast<int32_t>(entry->partitioner.strategy());
       reply.registrations.push_back(std::move(reg));
     }
     return reply;
@@ -1282,7 +1185,7 @@ Result<net::JoinReply> Mediator::Join(const net::JoinRequest& request) {
         reply.record.node_id, NodeAddress{request.host, request.port},
         config_.remote, reply.record.shard));
     auto group = std::make_unique<ReplicaGroup>(
-        reply.record.shard, std::move(members), config_.remote);
+        reply.record.shard, std::move(members), &catalog_, config_.remote);
     TURBDB_RETURN_NOT_OK(group->BringUp());
     backends_.push_back(std::move(group));
     backend_count_.store(backends_.size(), std::memory_order_release);

@@ -11,6 +11,7 @@
 
 #include "analysis/distributed_fof.h"
 #include "cache/mediator_cache.h"
+#include "cluster/catalog.h"
 #include "cluster/cost_model.h"
 #include "cluster/dataset.h"
 #include "cluster/node.h"
@@ -18,7 +19,6 @@
 #include "cluster/partitioner.h"
 #include "cluster/topology.h"
 #include "common/thread_pool.h"
-#include "fields/field_registry.h"
 #include "membership/rebalance.h"
 #include "membership/registry.h"
 #include "net/protocol.h"
@@ -60,12 +60,6 @@ struct ClusterConfig {
   /// completion so acknowledged atoms survive a crash. Benches that only
   /// measure modeled time turn it off (--no-fsync).
   bool fsync_ingest = true;
-  /// Byte budget shared by every IngestTimestep worker for atoms
-  /// materialized but not yet shipped to their node. Workers page their
-  /// slice in bounded batches against this budget instead of
-  /// materializing the whole slice, so ingesting a timestep larger than
-  /// RAM stays safe. 0 = unlimited (one batch per slice).
-  uint64_t ingest_budget_bytes = 256u << 20;
   /// Capacity of the mediator-tier semantic result cache (see
   /// cache/mediator_cache.h): completed threshold results are kept at the
   /// cluster entry point and repeat (or subsumed) queries are answered
@@ -77,7 +71,7 @@ struct ClusterConfig {
 /// to one query. `deadline` is an absolute wall-clock bound derived from
 /// the client's frame budget (default-constructed = unbounded);
 /// `cancel`, when non-null, is the serving layer's cancellation token
-/// (flipped by a CancelQuery RPC). The mediator folds both into every
+/// (flipped by a kCancelRequest). The mediator folds both into every
 /// NodeQuery it dispatches, so a shard worker deep in an evaluate loop
 /// observes the same budget the client stated.
 struct CallBudget {
@@ -114,7 +108,9 @@ class Mediator {
  public:
   static Result<std::unique_ptr<Mediator>> Create(const ClusterConfig& config);
 
-  /// Registers a dataset and partitions its atoms across the nodes.
+  /// Registers a dataset and partitions its atoms across the nodes. A
+  /// name the catalog holds already is kAlreadyExists; the catalog takes
+  /// the dataset once every node accepted it.
   Status CreateDataset(const DatasetInfo& info);
 
   /// Ingests one (field, timestep) by materializing every atom through
@@ -236,7 +232,9 @@ class Mediator {
   DatabaseNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
   NodeBackend& backend(int i) { return *backends_[static_cast<size_t>(i)]; }
   const ClusterConfig& config() const { return config_; }
-  FieldRegistry& registry() { return registry_; }
+  /// The datasets and the resolver of every sub-query this mediator
+  /// scatters.
+  const Catalog& catalog() const { return catalog_; }
 
   /// Atoms node 0 stores for (dataset, field) — works in both
   /// deployments; used to probe whether data was already ingested.
@@ -259,8 +257,8 @@ class Mediator {
 
   /// Two-phase node join (the `turbdb_node --join` handshake). Phase 1
   /// (activate=false) admits the uuid: assigns node id and a fresh
-  /// single-replica shard, returns the view plus the dataset catalog the
-  /// joiner self-registers from. Phase 2 (activate=true) flips it to
+  /// single-replica shard, returns the view plus this mediator's catalog
+  /// entries, which the joiner self-registers. Phase 2 (activate=true) flips it to
   /// kShard and dials it as a new replica group; queries routed from then
   /// on carry its address. The joined shard owns no ranges until
   /// Rebalance() re-homes some to it — it serves immediately, with an
@@ -283,9 +281,9 @@ class Mediator {
   /// range's bytes.
   Result<net::RebalanceReply> Rebalance(const net::RebalanceRequest& request);
 
-  /// How many CancelQuery fan-outs Dispatch has issued to not-yet-joined
-  /// shards (after a hard failure, a tripped point cap, or an external
-  /// cancellation). Observability/test hook.
+  /// How many cancels Scatter has sent to not-yet-joined shards (after
+  /// a hard failure, a tripped point cap, or an external cancellation).
+  /// Observability/test hook.
   uint64_t cancels_issued() const { return cancels_issued_.load(); }
 
   /// The mediator-tier result cache; never null (disabled when
@@ -309,23 +307,17 @@ class Mediator {
   Result<const DatasetInfo*> GetDataset(const std::string& name) const;
 
  private:
-  struct DatasetState {
-    DatasetInfo info;
-    MortonPartitioner partitioner;
-  };
-
   explicit Mediator(const ClusterConfig& config);
 
-  Result<const DatasetState*> GetDatasetState(const std::string& name) const;
+  /// The spec every sub-query of a user query starts from: its mode,
+  /// names, timestep and box (or sample support), with this cluster's
+  /// process count and cost parameters. The caller adds its mode's
+  /// parameters and resolves it through the catalog.
+  template <class Query>
+  net::NodeQuerySpec SpecOf(NodeQuery::Mode mode, const Query& query,
+                            const QueryOptions& options) const;
 
-  /// Resolves catalog/kernel/differentiator and builds the node query.
-  Result<NodeQuery> BuildNodeQuery(
-      NodeQuery::Mode mode, const std::string& dataset,
-      const std::string& raw_field, const std::string& derived_field,
-      int32_t timestep, const Box3& box, int fd_order,
-      const QueryOptions& options);
-
-  /// Validates a threshold query and builds its node query; shared by
+  /// Validates a threshold query and resolves its node query; shared by
   /// the threshold pipeline, GetFof and WarmThresholdCache.
   Result<NodeQuery> BuildThresholdQuery(const ThresholdQuery& query,
                                         const QueryOptions& options);
@@ -380,10 +372,6 @@ class Mediator {
       const std::shared_ptr<const MembershipView>& view,
       const CallBudget& budget, const OutcomeSink& point_sink = nullptr);
 
-  const Differentiator* GetDifferentiator(const std::string& dataset,
-                                          const GridGeometry& geometry,
-                                          int order);
-
   /// Fresh shared snapshot of the membership view; StaticView() when
   /// !elastic(). Never null.
   std::shared_ptr<const MembershipView> ViewSnapshot() const;
@@ -402,7 +390,8 @@ class Mediator {
   Result<RangeMover::Outcome> ExecuteMoveLocked(const RangeMove& move);
 
   ClusterConfig config_;
-  FieldRegistry registry_;
+  /// Declared before the backends: replica groups read it.
+  Catalog catalog_;
   /// In-process nodes (empty in distributed mode); backends_ is the
   /// uniform view the query path uses, one entry per node either way.
   /// Capacity is reserved at Create for the base shards plus the join
@@ -411,7 +400,6 @@ class Mediator {
   std::vector<std::unique_ptr<DatabaseNode>> nodes_;
   std::vector<std::unique_ptr<NodeBackend>> backends_;
   std::atomic<size_t> backend_count_{0};
-  std::map<std::string, std::unique_ptr<DatasetState>> datasets_;
 
   /// Authoritative membership (distributed mode; null in-process). Admin
   /// mutations (join/leave/rebalance) serialize on membership_mutex_.
@@ -423,21 +411,15 @@ class Mediator {
   /// Runs the per-process chunks inside each node.
   std::unique_ptr<ThreadPool> workers_;
 
-  /// Source of CancelQuery ids: a counter mixed with this mediator's
-  /// address, so two mediators over the same nodes cannot collide.
+  /// Source of query ids, which cancels name: a counter mixed with this
+  /// mediator's address, so two mediators over the same nodes cannot
+  /// collide.
   std::atomic<uint64_t> query_counter_{1};
   std::atomic<uint64_t> cancels_issued_{0};
   std::atomic<uint64_t> node_executes_{0};
 
   /// Mediator-tier semantic result cache (capacity 0 = disabled).
   std::unique_ptr<MediatorCache> result_cache_;
-
-  mutable std::mutex diff_mutex_;
-  std::map<std::pair<std::string, int>, std::unique_ptr<Differentiator>>
-      differentiators_;
-  std::map<std::pair<std::string, int>,
-           std::shared_ptr<const LagrangeInterpolator>>
-      interpolators_;
 };
 
 }  // namespace turbdb

@@ -25,9 +25,11 @@
 
 namespace turbdb {
 
-/// What a node is asked to evaluate. Built by the mediator after catalog
-/// resolution; everything pointed to outlives the call.
-struct NodeQuery {
+/// What a node is asked to evaluate: the by-value parameters plus what
+/// they resolve to in this process. Built by `Catalog::Resolve`
+/// (cluster/catalog.h) from a `net::NodeQuerySpec`; everything pointed
+/// to outlives the call.
+struct NodeQuery : NodeQueryParams {
   /// kMoments accumulates sum/sum-of-squares/max of the norm, which is
   /// how thresholds are chosen in practice (the paper expresses them as
   /// multiples of the field's RMS). kSample interpolates the raw field
@@ -37,11 +39,6 @@ struct NodeQuery {
   Mode mode = Mode::kThreshold;
   const DatasetInfo* dataset = nullptr;
   const MortonPartitioner* partitioner = nullptr;
-  std::string raw_field;
-  /// Name the kernel was resolved from ("vorticity", ...; empty for
-  /// kSample). Carried so a remote backend can re-resolve the kernel on
-  /// its own side of the wire.
-  std::string derived_field;
   int raw_ncomp = 3;
   /// Cache identity of the derived quantity: "<raw>:<derived>", so that
   /// e.g. the curl of the velocity and the curl of the magnetic field
@@ -49,32 +46,8 @@ struct NodeQuery {
   std::string cache_field_key;
   std::shared_ptr<const DerivedField> kernel;
   const Differentiator* diff = nullptr;
-  int fd_order = 4;
-  int32_t timestep = 0;
-  Box3 box;  ///< Clipped, half-open, grid coordinates.
-  double threshold = 0.0;
-
-  // PDF parameters (mode == kPdf).
-  double bin_width = 10.0;
-  int num_bins = 9;
-
-  // Top-k parameter (mode == kTopK).
-  uint64_t k = 100;
-
-  // Sampling parameters (mode == kSample): the interpolator and this
-  // node's share of the targets, tagged with their original indices.
-  // `sample_support` is the Lagrange support the interpolator was built
-  // with — the wire-transferable form of that pointer.
+  /// kSample: the interpolator of `sample_support`.
   std::shared_ptr<const LagrangeInterpolator> interpolator;
-  int sample_support = 0;
-  std::vector<std::pair<uint32_t, std::array<double, 3>>> targets;
-
-  int processes = 1;
-  QueryOptions options;
-  double flops_per_process = 1.25e8;
-  /// Cores effectively available per node; processes beyond this count
-  /// time-share the CPUs (CostModelConfig::effective_cores_per_node).
-  double effective_cores = 4.0;
 
   // Execution budget (not serialized — each hop derives its own from the
   // frame header). A default-constructed time_point means unbounded; a
@@ -86,8 +59,8 @@ struct NodeQuery {
   std::chrono::steady_clock::time_point deadline{};
   const std::atomic<bool>* cancel = nullptr;
   /// Mediator-assigned id under which this query was registered for
-  /// CancelQuery; 0 = unregistered. Carried so error messages and remote
-  /// sub-queries can name the query being cancelled.
+  /// cancellation; 0 = unregistered. Carried so error messages and
+  /// remote sub-queries can name the query being cancelled.
   uint64_t query_id = 0;
   /// The membership view the mediator routed this query under; never
   /// null. The node evaluates the view's *effective* ownership of its
@@ -97,21 +70,6 @@ struct NodeQuery {
   /// rebuilding partitioners, and keeps a query racing a cutover
   /// consistent. In-process deployments route by StaticView().
   std::shared_ptr<const MembershipView> view = StaticView();
-};
-
-/// A node's answer to its part of a query.
-struct NodeOutcome {
-  int node_id = 0;                     ///< Filled by the mediator.
-  std::vector<ThresholdPoint> points;  ///< Threshold/top-k rows, z-sorted.
-  std::vector<uint64_t> histogram;     ///< PDF counts (num_bins + 1).
-  double norm_sum = 0.0;               ///< kMoments accumulators.
-  double norm_sum_sq = 0.0;
-  double norm_max = 0.0;
-  /// kSample outputs: (original index, interpolated components).
-  std::vector<std::pair<uint32_t, std::array<double, 3>>> samples;
-  bool cache_hit = false;
-  TimeBreakdown time;  ///< cache_lookup/io/compute categories only.
-  IoCounters io;
 };
 
 /// One database node of the analysis cluster: its shard of every

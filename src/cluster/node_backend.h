@@ -23,12 +23,12 @@ class NodeBackend {
   /// or "node 2 (127.0.0.1:4242)".
   virtual std::string DebugName() const = 0;
 
-  /// Registers a dataset with the node. The partitioner is the
-  /// mediator's; a remote backend ships the recipe (geometry, node
-  /// count, strategy) and lets the node re-derive it. Which atoms the
-  /// node owns is not registered: each query carries its routed view.
-  virtual Status CreateDataset(const DatasetInfo& info,
-                               const MortonPartitioner& partitioner,
+  /// Registers a dataset, split into `num_shards` base shards by
+  /// `strategy`, with the node. A remote node registers it in its own
+  /// catalog, which derives the same partitioning as the mediator's.
+  /// Which atoms the node owns is not registered: each query carries its
+  /// routed view.
+  virtual Status CreateDataset(const DatasetInfo& info, int num_shards,
                                PartitionStrategy strategy) = 0;
 
   /// Stores a batch of atoms of (dataset, field). Creation path.
@@ -42,9 +42,10 @@ class NodeBackend {
   virtual Result<NodeOutcome> Execute(const NodeQuery& query) = 0;
 
   /// Best-effort cancellation of an in-flight Execute registered under
-  /// `query_id`. Fire-and-forget: failures are swallowed (the query may
-  /// already have finished). LocalNode needs no override — the mediator
-  /// shares the cancel token pointer with the in-process query directly.
+  /// `query_id`. Fire-and-forget: the cancel is sent without awaiting a
+  /// reply, and failures are swallowed (the query may already have
+  /// finished). LocalNode needs no override — the mediator shares the
+  /// cancel token pointer with the in-process query directly.
   virtual void Cancel(uint64_t /*query_id*/) {}
 
   /// Drops cache entries of (dataset, "<raw>:<derived>") for `timestep`
@@ -71,10 +72,9 @@ class LocalNode : public NodeBackend {
     return "node " + std::to_string(node_->id()) + " (in-process)";
   }
 
-  /// Nothing to register: the node reads the catalog through each
-  /// query's pointers.
-  Status CreateDataset(const DatasetInfo& /*info*/,
-                       const MortonPartitioner& /*partitioner*/,
+  /// Nothing to register: the node reads the mediator's catalog through
+  /// each query's pointers.
+  Status CreateDataset(const DatasetInfo& /*info*/, int /*num_shards*/,
                        PartitionStrategy /*strategy*/) override {
     return Status::OK();
   }

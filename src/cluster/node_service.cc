@@ -17,27 +17,18 @@ namespace turbdb {
 
 namespace {
 
-bool SameDataset(const DatasetInfo& a, const DatasetInfo& b) {
-  if (a.name != b.name || !(a.geometry == b.geometry) ||
-      a.num_timesteps != b.num_timesteps ||
-      a.raw_fields.size() != b.raw_fields.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.raw_fields.size(); ++i) {
-    if (a.raw_fields[i].name != b.raw_fields[i].name ||
-        a.raw_fields[i].ncomp != b.raw_fields[i].ncomp) {
-      return false;
-    }
-  }
-  return true;
-}
+/// Checkpoint threshold of the write-ahead log (durable mode only): each
+/// acknowledged ingest batch is logged and synced before the ack, so a
+/// kill -9 mid-batch or a torn store tail replays from the log on
+/// restart. Once the log holds this many payload bytes, the batch-end
+/// path fsyncs every store and truncates the log.
+constexpr uint64_t kWalCheckpointBytes = 64ull << 20;
 
 }  // namespace
 
 NodeService::NodeService(const NodeServiceConfig& config)
     : config_(config),
       node_(config.node_id, config.cost, config.storage_dir),
-      registry_(FieldRegistry::Default()),
       workers_(config.worker_threads > 0
                    ? config.worker_threads
                    : static_cast<int>(std::thread::hardware_concurrency())) {
@@ -85,106 +76,6 @@ net::Server::Handler NodeService::AsHandler() {
                 const net::CallContext& ctx) {
     return Handle(payload, ctx);
   };
-}
-
-Result<const NodeService::DatasetState*> NodeService::GetDatasetState(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
-    return Status::NotFound("node " + std::to_string(config_.node_id) +
-                            " has no dataset named '" + name + "'");
-  }
-  return const_cast<const DatasetState*>(it->second.get());
-}
-
-const Differentiator* NodeService::GetDifferentiator(
-    const std::string& dataset, const GridGeometry& geometry, int order) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  auto key = std::make_pair(dataset, order);
-  auto it = differentiators_.find(key);
-  if (it != differentiators_.end()) return it->second.get();
-  auto diff = Differentiator::Create(geometry, order);
-  if (!diff.ok()) return nullptr;
-  auto owned = std::make_unique<Differentiator>(std::move(diff).value());
-  const Differentiator* raw = owned.get();
-  differentiators_.emplace(key, std::move(owned));
-  return raw;
-}
-
-Result<NodeQuery> NodeService::BuildQuery(const net::NodeQuerySpec& spec) {
-  TURBDB_ASSIGN_OR_RETURN(const DatasetState* state,
-                          GetDatasetState(spec.dataset));
-  TURBDB_ASSIGN_OR_RETURN(const int ncomp,
-                          state->info.FieldNcomp(spec.raw_field));
-  if (spec.mode < 0 ||
-      spec.mode > static_cast<int32_t>(NodeQuery::Mode::kSample)) {
-    return Status::InvalidArgument("bad node-query mode " +
-                                   std::to_string(spec.mode));
-  }
-  if (spec.timestep < 0 || spec.timestep >= state->info.num_timesteps) {
-    return Status::OutOfRange("timestep " + std::to_string(spec.timestep) +
-                              " outside [0, " +
-                              std::to_string(state->info.num_timesteps) + ")");
-  }
-  // The node listens on TCP: a decoded spec gets the mediator's bounds
-  // on the inputs that size memory or index it.
-  if (spec.mode == static_cast<int32_t>(NodeQuery::Mode::kPdf)) {
-    TURBDB_RETURN_NOT_OK(ValidatePdfBins(spec.bin_width, spec.num_bins));
-  }
-  if (spec.mode == static_cast<int32_t>(NodeQuery::Mode::kThreshold) &&
-      !(spec.threshold >= 0.0)) {
-    return Status::InvalidArgument("threshold must be non-negative");
-  }
-  NodeQuery query;
-  query.mode = static_cast<NodeQuery::Mode>(spec.mode);
-  query.dataset = &state->info;
-  query.partitioner = &state->partitioner;
-  query.raw_field = spec.raw_field;
-  query.derived_field = spec.derived_field;
-  query.raw_ncomp = ncomp;
-  query.fd_order = spec.fd_order;
-  query.timestep = spec.timestep;
-  query.box = spec.box;
-  query.threshold = spec.threshold;
-  query.bin_width = spec.bin_width;
-  query.num_bins = spec.num_bins;
-  query.k = spec.k;
-  query.processes = spec.processes;
-  query.options = spec.options;
-  query.sample_support = spec.sample_support;
-  query.targets = spec.targets;
-  query.flops_per_process = spec.flops_per_process;
-  query.effective_cores = spec.effective_cores;
-
-  if (query.mode == NodeQuery::Mode::kSample) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    auto key = std::make_pair(spec.dataset, spec.sample_support);
-    auto it = interpolators_.find(key);
-    if (it != interpolators_.end()) {
-      query.interpolator = it->second;
-    } else {
-      TURBDB_ASSIGN_OR_RETURN(
-          LagrangeInterpolator built,
-          LagrangeInterpolator::Create(state->info.geometry,
-                                       spec.sample_support));
-      query.interpolator =
-          std::make_shared<const LagrangeInterpolator>(std::move(built));
-      interpolators_.emplace(key, query.interpolator);
-    }
-  } else {
-    query.cache_field_key = spec.raw_field + ":" + spec.derived_field;
-    TURBDB_ASSIGN_OR_RETURN(query.kernel,
-                            registry_.Create(spec.derived_field, ncomp));
-    query.diff =
-        GetDifferentiator(spec.dataset, state->info.geometry, spec.fd_order);
-    if (query.diff == nullptr) {
-      return Status::InvalidArgument(
-          "cannot build differentiator of order " +
-          std::to_string(spec.fd_order));
-    }
-  }
-  return query;
 }
 
 std::shared_ptr<NodeService::PeerChannel> NodeService::GetPeerChannel(
@@ -342,36 +233,6 @@ std::vector<uint8_t> NodeService::Handle(const std::vector<uint8_t>& payload,
   return std::move(response).value();
 }
 
-Status NodeService::RegisterDatasetInternal(const DatasetInfo& info,
-                                            int32_t num_nodes,
-                                            int32_t strategy) {
-  if (strategy < 0 ||
-      strategy > static_cast<int32_t>(PartitionStrategy::kZSlabs)) {
-    return Status::InvalidArgument("bad partition strategy " +
-                                   std::to_string(strategy));
-  }
-  TURBDB_RETURN_NOT_OK(info.geometry.Validate());
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    auto it = datasets_.find(info.name);
-    if (it != datasets_.end()) {
-      // Identical re-registration is a retried RPC, not a conflict.
-      if (SameDataset(it->second->info, info)) return Status::OK();
-      return Status::AlreadyExists("dataset '" + info.name +
-                                   "' already exists with a different shape");
-    }
-  }
-  TURBDB_ASSIGN_OR_RETURN(
-      MortonPartitioner partitioner,
-      MortonPartitioner::Create(info.geometry, num_nodes,
-                                static_cast<PartitionStrategy>(strategy)));
-  auto state = std::make_unique<DatasetState>(
-      DatasetState{info, std::move(partitioner)});
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  datasets_.emplace(info.name, std::move(state));
-  return Status::OK();
-}
-
 Result<std::vector<uint8_t>> NodeService::HandleCreateDataset(
     const std::vector<uint8_t>& payload) {
   TURBDB_ASSIGN_OR_RETURN(net::NodeCreateDatasetRequest request,
@@ -382,14 +243,16 @@ Result<std::vector<uint8_t>> NodeService::HandleCreateDataset(
         " addressed to node " + std::to_string(config_.node_id) +
         ", which serves shard " + std::to_string(shard()));
   }
-  TURBDB_RETURN_NOT_OK(RegisterDatasetInternal(request.info, request.num_nodes,
-                                               request.strategy));
+  TURBDB_RETURN_NOT_OK(
+      catalog_.Register(request.info, request.num_nodes,
+                        static_cast<PartitionStrategy>(request.strategy)));
   return net::EncodeAckResponse(net::MsgType::kNodeCreateDatasetResponse);
 }
 
 Status NodeService::RegisterDatasetSpec(
     const net::WireDatasetRegistration& reg) {
-  return RegisterDatasetInternal(reg.info, reg.num_nodes, reg.strategy);
+  return catalog_.Register(reg.info, reg.num_nodes,
+                           static_cast<PartitionStrategy>(reg.strategy));
 }
 
 Result<std::vector<uint8_t>> NodeService::HandleIngest(
@@ -422,12 +285,11 @@ Result<std::vector<uint8_t>> NodeService::HandleIngest(
 }
 
 Status NodeService::WalBatchEnd() {
-  if (wal_ == nullptr ||
-      wal_->pending_bytes() < config_.wal_checkpoint_bytes) {
+  if (wal_ == nullptr || wal_->pending_bytes() < kWalCheckpointBytes) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> lock(wal_mutex_);
-  if (wal_->pending_bytes() < config_.wal_checkpoint_bytes) {
+  if (wal_->pending_bytes() < kWalCheckpointBytes) {
     return Status::OK();
   }
   // Checkpoint: every store the log may cover is flushed to stable
@@ -477,7 +339,7 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
   TURBDB_ASSIGN_OR_RETURN(net::NodeExecuteRequest request,
                           net::DecodeNodeExecuteRequest(payload));
   TURBDB_RETURN_NOT_OK(ValidateOverrides(request.overrides));
-  TURBDB_ASSIGN_OR_RETURN(NodeQuery query, BuildQuery(request.spec));
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery query, catalog_.Resolve(request.spec));
   // The sub-query is evaluated and read under the view the mediator
   // routed it by; the node holds no view of its own.
   auto routed = std::make_shared<MembershipView>();
@@ -505,35 +367,25 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
   query.query_id = request.rpc.query_id;
   TURBDB_ASSIGN_OR_RETURN(NodeOutcome outcome,
                           node_.Execute(query, &workers_));
-  net::NodeResult result;
-  result.points = std::move(outcome.points);
-  result.histogram = std::move(outcome.histogram);
-  result.norm_sum = outcome.norm_sum;
-  result.norm_sum_sq = outcome.norm_sum_sq;
-  result.norm_max = outcome.norm_max;
-  result.samples = std::move(outcome.samples);
-  result.cache_hit = outcome.cache_hit;
-  result.time = outcome.time;
-  result.io = outcome.io;
   if (request.stream && ctx.emit != nullptr) {
     // Streamed sub-reply: the points leave as bounded kThresholdChunk
     // frames (each reserved against the node server's result budget),
-    // the terminating NodeResult carries only the counters — so a
+    // the terminating NodeOutcome carries only the counters — so a
     // sub-reply is never limited by the frame cap and the encoded bytes
     // in flight stay bounded.
     const uint64_t slice = ctx.chunk_points == 0 ? 32768 : ctx.chunk_points;
     uint64_t seq = 0;
     uint64_t total = 0;
     size_t begin = 0;
-    while (begin < result.points.size()) {
-      const size_t end = std::min(result.points.size(),
+    while (begin < outcome.points.size()) {
+      const size_t end = std::min(outcome.points.size(),
                                   begin + static_cast<size_t>(slice));
       net::ThresholdChunk chunk;
       chunk.seq = seq++;
       chunk.points.assign(
-          std::make_move_iterator(result.points.begin() +
+          std::make_move_iterator(outcome.points.begin() +
                                   static_cast<ptrdiff_t>(begin)),
-          std::make_move_iterator(result.points.begin() +
+          std::make_move_iterator(outcome.points.begin() +
                                   static_cast<ptrdiff_t>(end)));
       begin = end;
       total += chunk.points.size();
@@ -546,9 +398,9 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
       }
       TURBDB_RETURN_NOT_OK(ctx.emit(net::EncodeThresholdChunk(chunk)));
     }
-    result.points.clear();
+    outcome.points.clear();
   }
-  return net::EncodeNodeExecuteResponse(result);
+  return net::EncodeNodeExecuteResponse(outcome);
 }
 
 Result<std::vector<uint8_t>> NodeService::HandleFetchAtoms(
@@ -608,16 +460,14 @@ Result<std::vector<uint8_t>> NodeService::HandleCutover(
     const std::vector<uint8_t>& payload) {
   TURBDB_ASSIGN_OR_RETURN(net::CutoverRequest request,
                           net::DecodeCutoverRequest(payload));
-  std::vector<std::string> datasets;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     cutover_generation_ = std::max(cutover_generation_, request.generation);
-    for (const auto& entry : datasets_) datasets.push_back(entry.first);
   }
   // Cached point sets were computed under the old ownership; a query
   // routed at or after the move must not be answered from them.
-  for (const std::string& dataset : datasets) {
-    TURBDB_RETURN_NOT_OK(node_.DropCacheEntries(dataset, "", -1));
+  for (const Catalog::Entry* entry : catalog_.Entries()) {
+    TURBDB_RETURN_NOT_OK(node_.DropCacheEntries(entry->info.name, "", -1));
   }
   TURBDB_LOG(Info) << "node " << config_.node_id << ": cutover of ["
                    << request.begin << ", " << request.end << ") from shard "

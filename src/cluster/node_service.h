@@ -7,11 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/catalog.h"
 #include "cluster/cost_model.h"
 #include "cluster/node.h"
 #include "cluster/topology.h"
 #include "common/thread_pool.h"
-#include "fields/field_registry.h"
 #include "membership/view.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -50,12 +50,6 @@ struct NodeServiceConfig {
   /// nodes get a fresh shard id from the mediator that the static
   /// formula cannot produce.
   int shard_override = -1;
-  /// Checkpoint threshold of the per-node write-ahead log (durable mode
-  /// only): each acknowledged ingest batch is logged and synced before
-  /// the ack, so a kill -9 mid-batch or a torn store tail replays from
-  /// the log on restart. Once the log holds this many payload bytes,
-  /// the batch-end path fsyncs every store and truncates the log.
-  uint64_t wal_checkpoint_bytes = 64ull << 20;
   /// Background scrub cadence in seconds; 0 disables the thread (scrub
   /// passes then run only via the NodeScrub RPC).
   int scrub_interval_s = 0;
@@ -64,11 +58,11 @@ struct NodeServiceConfig {
 };
 
 /// Serves one `DatabaseNode` over the node-scoped RPCs: the process body
-/// of `tools/turbdb_node`. Mirrors the resolution work the mediator does
-/// for in-process nodes — dataset catalog, partitioner, kernel,
-/// differentiator and interpolator are rebuilt here from the names and
-/// parameters in each request, so a remote sub-query executes exactly
-/// the `NodeQuery` its in-process twin would.
+/// of `tools/turbdb_node`. Its `Catalog` is the same resolver the
+/// mediator uses for in-process nodes: the datasets arrive by
+/// CreateDataset (or a joiner's registrations), and each sub-query's
+/// spec resolves through it, so a remote sub-query executes exactly the
+/// `NodeQuery` its in-process twin would.
 ///
 /// Halo exchange goes node-to-node: a sub-query needing boundary atoms
 /// owned by a peer dials that peer's NodeFetchAtoms directly (no
@@ -114,6 +108,8 @@ class NodeService {
   /// Registers a dataset from its wire form without the node_id check of
   /// the CreateDataset RPC — the self-registration path of a node that
   /// joined a running cluster and received the catalog in its JoinReply.
+  /// Like the RPC, an identical re-registration is OK and the same name
+  /// with another shape is kAlreadyExists.
   Status RegisterDatasetSpec(const net::WireDatasetRegistration& reg);
 
   /// Generation of the last cutover this node took part in (0 = none):
@@ -126,11 +122,6 @@ class NodeService {
   Scrubber& scrubber() { return *scrubber_; }
 
  private:
-  struct DatasetState {
-    DatasetInfo info;
-    MortonPartitioner partitioner;
-  };
-
   /// One serialized channel per peer (net::Client is not thread-safe;
   /// worker chunks of one sub-query may fetch concurrently).
   struct PeerChannel {
@@ -139,20 +130,9 @@ class NodeService {
     std::unique_ptr<net::Client> client;
   };
 
-  Result<const DatasetState*> GetDatasetState(const std::string& name) const;
-  Result<NodeQuery> BuildQuery(const net::NodeQuerySpec& spec);
-
-  /// Shared by HandleCreateDataset and RegisterDatasetSpec: builds the
-  /// partitioner and adds the dataset to the catalog.
-  Status RegisterDatasetInternal(const DatasetInfo& info, int32_t num_nodes,
-                                 int32_t strategy);
-
   /// Batch-end durability: when the log has outgrown the checkpoint
   /// threshold, fsyncs every store and truncates it.
   Status WalBatchEnd();
-  const Differentiator* GetDifferentiator(const std::string& dataset,
-                                          const GridGeometry& geometry,
-                                          int order);
 
   /// Batched halo fetch from a replica of shard `owner` (a base shard's
   /// replicas by the peer list, a joined shard by its records in the
@@ -211,7 +191,7 @@ class NodeService {
 
   NodeServiceConfig config_;
   DatabaseNode node_;
-  FieldRegistry registry_;
+  Catalog catalog_;
   ThreadPool workers_;
 
   /// Write-ahead log (opened by RecoverWal; null until then or in
@@ -221,14 +201,8 @@ class NodeService {
   std::mutex wal_mutex_;
 
   mutable std::mutex state_mutex_;
-  std::map<std::string, std::unique_ptr<DatasetState>> datasets_;
   /// See generation(). Guarded by state_mutex_.
   uint64_t cutover_generation_ = 0;
-  std::map<std::pair<std::string, int>, std::unique_ptr<Differentiator>>
-      differentiators_;
-  std::map<std::pair<std::string, int>,
-           std::shared_ptr<const LagrangeInterpolator>>
-      interpolators_;
 
   std::map<int, std::shared_ptr<PeerChannel>> peers_;
   std::mutex peers_mutex_;

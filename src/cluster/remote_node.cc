@@ -7,25 +7,21 @@
 
 namespace turbdb {
 
+namespace {
+
+/// Atoms per ingest RPC: keeps frames far below the 64 MiB cap.
+constexpr size_t kIngestBatchAtoms = 512;
+
+/// Bound on dialing a node and writing one cancel frame to it.
+constexpr int64_t kCancelBudgetMs = 2000;
+
+}  // namespace
+
 net::NodeQuerySpec ToSpec(const NodeQuery& query) {
   net::NodeQuerySpec spec;
+  static_cast<NodeQueryParams&>(spec) = query;
   spec.mode = static_cast<int32_t>(query.mode);
   spec.dataset = query.dataset->name;
-  spec.raw_field = query.raw_field;
-  spec.derived_field = query.derived_field;
-  spec.timestep = query.timestep;
-  spec.box = query.box;
-  spec.fd_order = query.fd_order;
-  spec.threshold = query.threshold;
-  spec.bin_width = query.bin_width;
-  spec.num_bins = query.num_bins;
-  spec.k = query.k;
-  spec.processes = query.processes;
-  spec.options = query.options;
-  spec.sample_support = query.sample_support;
-  spec.targets = query.targets;
-  spec.flops_per_process = query.flops_per_process;
-  spec.effective_cores = query.effective_cores;
   return spec;
 }
 
@@ -59,12 +55,11 @@ Result<uint64_t> RemoteNode::Handshake() {
   return hello->epoch;
 }
 
-Status RemoteNode::CreateDataset(const DatasetInfo& info,
-                                 const MortonPartitioner& partitioner,
+Status RemoteNode::CreateDataset(const DatasetInfo& info, int num_shards,
                                  PartitionStrategy strategy) {
   net::NodeCreateDatasetRequest request;
   request.info = info;
-  request.num_nodes = partitioner.num_nodes();
+  request.num_nodes = num_shards;
   request.node_id = shard_;
   request.strategy = static_cast<int32_t>(strategy);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -75,11 +70,9 @@ Status RemoteNode::IngestBatches(const std::string& dataset,
                                  const std::string& field,
                                  const std::vector<Atom>& atoms,
                                  bool skip_existing) {
-  const size_t batch =
-      static_cast<size_t>(std::max(1, options_.ingest_batch_atoms));
   std::lock_guard<std::mutex> lock(mutex_);
-  for (size_t begin = 0; begin < atoms.size(); begin += batch) {
-    const size_t end = std::min(atoms.size(), begin + batch);
+  for (size_t begin = 0; begin < atoms.size(); begin += kIngestBatchAtoms) {
+    const size_t end = std::min(atoms.size(), begin + kIngestBatchAtoms);
     net::NodeIngestRequest request;
     request.dataset = dataset;
     request.field = field;
@@ -151,36 +144,27 @@ Result<NodeOutcome> RemoteNode::Execute(const NodeQuery& query) {
     }
   }
   std::unique_lock<std::mutex> lock(mutex_);
-  auto result = client_.NodeExecute(request);
+  auto outcome = client_.NodeExecute(request);
   lock.unlock();
-  if (!result.ok()) return Named(result.status());
-  NodeOutcome outcome;
-  outcome.node_id = id_;
-  outcome.points = std::move(result->points);
-  outcome.histogram = std::move(result->histogram);
-  outcome.norm_sum = result->norm_sum;
-  outcome.norm_sum_sq = result->norm_sum_sq;
-  outcome.norm_max = result->norm_max;
-  outcome.samples = std::move(result->samples);
-  outcome.cache_hit = result->cache_hit;
-  outcome.time = result->time;
-  outcome.io = result->io;
+  if (!outcome.ok()) return Named(outcome.status());
+  outcome->node_id = id_;
   return outcome;
 }
 
 void RemoteNode::Cancel(uint64_t query_id) {
   if (query_id == 0) return;
-  // The main channel is busy with the Execute being cancelled, so dial a
-  // one-shot connection. No retries and a small budget: cancellation is
-  // advisory, and a node too sick to take the RPC is not doing useful
-  // work anyway.
-  net::ClientOptions options = NodeClientOptions(options_);
-  options.max_retries = 0;
-  options.deadline_ms = std::min<uint64_t>(
-      2000, std::max<uint64_t>(1, options_.subquery_deadline_ms));
-  options.read_timeout_ms = static_cast<int>(options.deadline_ms) + 1000;
-  net::Client canceller(address_.host, address_.port, options);
-  (void)canceller.CancelQuery(query_id);
+  // The main channel is busy with the Execute being cancelled, so the
+  // cancel goes out on a one-shot connection, closed without awaiting
+  // the reply: the node flips the query's token when it reads the frame,
+  // and its reply write then fails harmlessly. A stalled node cannot
+  // hold the caller. Cancellation is advisory: a node too sick to take
+  // the frame is not doing useful work anyway.
+  const net::Deadline deadline = net::Deadline::After(kCancelBudgetMs);
+  auto conn = net::TcpConnect(address_.host, address_.port, deadline);
+  if (!conn.ok()) return;
+  net::CancelRequest request;
+  request.rpc.query_id = query_id;
+  (void)net::WriteFrame(*conn, net::EncodeRequest(request), deadline);
 }
 
 Status RemoteNode::DropCacheEntries(const std::string& dataset,

@@ -44,16 +44,17 @@ class RemoteNode : public NodeBackend {
     return "node " + std::to_string(id_) + " (" + address_.ToString() + ")";
   }
 
-  Status CreateDataset(const DatasetInfo& info,
-                       const MortonPartitioner& partitioner,
+  Status CreateDataset(const DatasetInfo& info, int num_shards,
                        PartitionStrategy strategy) override;
   Status IngestAtoms(const std::string& dataset, const std::string& field,
                      const std::vector<Atom>& atoms) override;
   Result<NodeOutcome> Execute(const NodeQuery& query) override;
 
-  /// Fire-and-forget CancelQuery for an Execute in flight on this node.
-  /// Uses a short-lived dedicated connection: the main channel's mutex is
-  /// held by the very Execute being cancelled, which is the whole point.
+  /// Fire-and-forget cancel of an Execute in flight on this node: the
+  /// CancelRequest frame goes out on a one-shot connection (the main
+  /// channel's mutex is held by the very Execute being cancelled), which
+  /// is closed without awaiting the reply, so a node that stalls its
+  /// replies cannot hold the caller.
   void Cancel(uint64_t query_id) override;
   Status DropCacheEntries(const std::string& dataset,
                           const std::string& field,
@@ -108,9 +109,9 @@ class RemoteNode : public NodeBackend {
   net::Client client_;
 };
 
-/// The wire form of a NodeQuery: every process-local pointer replaced by
-/// the name/parameters it resolves from. Shared by RemoteNode (encode
-/// side) and NodeService (rebuild side).
+/// The wire form of a NodeQuery: its by-value parameters, its mode and
+/// its dataset's name. The receiving node's `Catalog::Resolve` turns it
+/// back into the same NodeQuery.
 net::NodeQuerySpec ToSpec(const NodeQuery& query);
 
 }  // namespace turbdb

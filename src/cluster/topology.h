@@ -67,18 +67,9 @@ struct RemoteNodeOptions {
   int connect_timeout_ms = 5000;
   /// First retry backoff; doubles per attempt.
   int backoff_initial_ms = 50;
-  /// Atoms per ingest RPC (keeps frames far below the 64 MiB cap).
-  int ingest_batch_atoms = 512;
-  /// Minimum spacing between health probes of a down replica.
+  /// Minimum spacing between health probes of a down replica (the
+  /// circuit breaker for flapping replicas is replication/health.h's).
   int probe_interval_ms = 100;
-  /// Circuit breaker for flapping replicas (probe up, fail every real
-  /// request): this many transport failures in a row — each within the
-  /// decay window of the previous — quarantine the replica for
-  /// `breaker_quarantine_ms`, during which it is neither probed nor
-  /// dialed. 0 disables the breaker. See replication/health.h.
-  int breaker_trip_failures = 3;
-  int64_t breaker_failure_decay_ms = 30000;
-  int64_t breaker_quarantine_ms = 5000;
 };
 
 /// The client policy of every channel toward a turbdb_node: the

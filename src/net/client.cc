@@ -391,15 +391,6 @@ Result<HelloReply> Client::Hello() {
   return DecodeHelloResponse(payload);
 }
 
-Result<bool> Client::CancelQuery(uint64_t query_id) {
-  CancelRequest request;
-  request.rpc.query_id = query_id;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  TURBDB_ASSIGN_OR_RETURN(CancelReply reply, DecodeCancelResponse(payload));
-  return reply.found;
-}
-
 // The Node* wrappers honor a per-request budget (rpc.deadline_ms) when
 // the caller set one — the mediator's remote-node path deducts its own
 // elapsed time per hop — and fall back to the client-wide default.
@@ -420,7 +411,7 @@ Status Client::NodeIngest(const NodeIngestRequest& request) {
   return DecodeAckResponse(*payload, MsgType::kNodeIngestResponse);
 }
 
-Result<NodeResult> Client::NodeExecute(const NodeExecuteRequest& request) {
+Result<NodeOutcome> Client::NodeExecute(const NodeExecuteRequest& request) {
   const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
                                                        : options_.deadline_ms;
   if (!request.stream) {
@@ -429,16 +420,16 @@ Result<NodeResult> Client::NodeExecute(const NodeExecuteRequest& request) {
     return DecodeNodeExecuteResponse(payload);
   }
   // Streamed sub-reply: reassemble the chunked points around the
-  // terminating NodeResult. Chunk order is the node's point order, so no
+  // terminating NodeOutcome. Chunk order is the node's point order, so no
   // re-sort here — the mediator orders the merged set.
   std::vector<ThresholdPoint> points;
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
       CallThresholdStream(EncodeRequest(request), budget, &points));
-  TURBDB_ASSIGN_OR_RETURN(NodeResult result,
+  TURBDB_ASSIGN_OR_RETURN(NodeOutcome outcome,
                           DecodeNodeExecuteResponse(payload));
-  result.points = std::move(points);
-  return result;
+  outcome.points = std::move(points);
+  return outcome;
 }
 
 Result<NodeFetchAtomsReply> Client::NodeFetchAtoms(

@@ -123,7 +123,7 @@ class Client {
   // execute and fetch are read-only.
   Status NodeCreateDataset(const NodeCreateDatasetRequest& request);
   Status NodeIngest(const NodeIngestRequest& request);
-  Result<NodeResult> NodeExecute(const NodeExecuteRequest& request);
+  Result<NodeOutcome> NodeExecute(const NodeExecuteRequest& request);
   Result<NodeFetchAtomsReply> NodeFetchAtoms(
       const NodeFetchAtomsRequest& request);
   Status NodeDropCache(const NodeDropCacheRequest& request);
@@ -147,13 +147,6 @@ class Client {
   Result<MembershipGetReply> MembershipGet();
   Status Cutover(const CutoverRequest& request);
   Result<RebalanceReply> Rebalance(const RebalanceRequest& request);
-
-  /// Asks the server to cancel the live query registered under
-  /// `query_id` (see RpcOptions::query_id). Returns true if the query
-  /// was found in flight, false if it had already finished (or never
-  /// arrived). Answered inline by the server's dispatch thread, so it
-  /// works even while every worker is busy.
-  Result<bool> CancelQuery(uint64_t query_id);
 
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }

@@ -722,18 +722,19 @@ void Fields(Ar& ar, NodeSyncRangeRequest& request) {
   ar.Varint(request.max_atoms);
 }
 
+// `node_id` does not travel: the mediator assigns it.
 template <class Ar>
-void Fields(Ar& ar, NodeResult& result) {
-  ar.Points(result.points);
-  ar.List(result.histogram, "implausible histogram size",
+void Fields(Ar& ar, NodeOutcome& outcome) {
+  ar.Points(outcome.points);
+  ar.List(outcome.histogram, "implausible histogram size",
           [&](uint64_t& count) { ar.Varint(count); });
-  ar.Double(result.norm_sum);
-  ar.Double(result.norm_sum_sq);
-  ar.Double(result.norm_max);
-  Fields(ar, result.samples);
-  ar.Bool(result.cache_hit);
-  Fields(ar, result.time);
-  Fields(ar, result.io);
+  ar.Double(outcome.norm_sum);
+  ar.Double(outcome.norm_sum_sq);
+  ar.Double(outcome.norm_max);
+  Fields(ar, outcome.samples);
+  ar.Bool(outcome.cache_hit);
+  Fields(ar, outcome.time);
+  Fields(ar, outcome.io);
 }
 
 template <class Ar>
@@ -1288,12 +1289,12 @@ Status DecodeAckResponse(const Bytes& payload, MsgType type) {
   return Decode<Ack>(payload, type).status();
 }
 
-Bytes EncodeNodeExecuteResponse(const NodeResult& result) {
-  return Encode(MsgType::kNodeExecuteResponse, result);
+Bytes EncodeNodeExecuteResponse(const NodeOutcome& outcome) {
+  return Encode(MsgType::kNodeExecuteResponse, outcome);
 }
 
-Result<NodeResult> DecodeNodeExecuteResponse(const Bytes& payload) {
-  return Decode<NodeResult>(payload, MsgType::kNodeExecuteResponse);
+Result<NodeOutcome> DecodeNodeExecuteResponse(const Bytes& payload) {
+  return Decode<NodeOutcome>(payload, MsgType::kNodeExecuteResponse);
 }
 
 Bytes EncodeNodeFetchAtomsResponse(const NodeFetchAtomsReply& reply) {

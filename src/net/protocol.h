@@ -390,37 +390,20 @@ struct NodeIngestRequest {
   RpcOptions rpc;
 };
 
-/// A NodeQuery by value: every process-local pointer of the in-process
-/// `NodeQuery` (dataset, kernel, differentiator, interpolator) replaced
-/// by the name/parameters it was resolved from, so the receiving node can
-/// rebuild it. `flops_per_process`/`effective_cores` ride along so the
-/// remote node prices compute exactly like an in-process one and results
-/// stay byte-identical, modeled times included.
-struct NodeQuerySpec {
+/// The wire form of a `NodeQuery`: its by-value parameters plus the
+/// mode and the dataset name, from which the receiving node's catalog
+/// resolves the rest (`Catalog::Resolve`, cluster/catalog.h) exactly as
+/// the mediator's does for an in-process node.
+struct NodeQuerySpec : NodeQueryParams {
   int32_t mode = 0;  ///< NodeQuery::Mode as int.
   std::string dataset;
-  std::string raw_field;
-  std::string derived_field;  ///< Empty for kSample.
-  int32_t timestep = 0;
-  Box3 box;
-  int32_t fd_order = 4;
-  double threshold = 0.0;
-  double bin_width = 10.0;
-  int32_t num_bins = 9;
-  uint64_t k = 100;
-  int32_t processes = 1;
-  QueryOptions options;
-  int32_t sample_support = 0;  ///< Lagrange support (kSample only).
-  std::vector<std::pair<uint32_t, std::array<double, 3>>> targets;
-  double flops_per_process = 1.25e8;
-  double effective_cores = 4.0;
 };
 
 struct NodeExecuteRequest {
   NodeQuerySpec spec;
   RpcOptions rpc;
   /// v4: ask the node for a *streamed* sub-reply — threshold points
-  /// arrive as kThresholdChunk frames, the terminating NodeResult
+  /// arrive as kThresholdChunk frames, the terminating NodeOutcome
   /// carries everything else with an empty point set. Decouples the
   /// sub-reply size from the frame cap and keeps the node's encoded
   /// reply bounded.
@@ -436,20 +419,6 @@ struct NodeExecuteRequest {
   /// addresses the node dials for halo atoms the overrides re-homed to
   /// them. Base shards are dialed through the node's peer list.
   std::vector<NodeRecord> joined;
-};
-
-/// Wire mirror of `NodeOutcome` (minus node_id, which the mediator
-/// assigns): one node's answer to its part of a query.
-struct NodeResult {
-  std::vector<ThresholdPoint> points;
-  std::vector<uint64_t> histogram;
-  double norm_sum = 0.0;
-  double norm_sum_sq = 0.0;
-  double norm_max = 0.0;
-  std::vector<std::pair<uint32_t, std::array<double, 3>>> samples;
-  bool cache_hit = false;
-  TimeBreakdown time;
-  IoCounters io;
 };
 
 /// Peer-to-peer halo fetch: the batched `ServeAtoms` read a node issues
@@ -898,8 +867,10 @@ Result<NodeListStoresRequest> DecodeNodeListStoresRequest(
 std::vector<uint8_t> EncodeAckResponse(MsgType type);
 Status DecodeAckResponse(const std::vector<uint8_t>& payload, MsgType type);
 
-std::vector<uint8_t> EncodeNodeExecuteResponse(const NodeResult& result);
-Result<NodeResult> DecodeNodeExecuteResponse(
+/// The reply is the node's NodeOutcome itself, less `node_id`, which
+/// the mediator assigns.
+std::vector<uint8_t> EncodeNodeExecuteResponse(const NodeOutcome& outcome);
+Result<NodeOutcome> DecodeNodeExecuteResponse(
     const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeNodeFetchAtomsResponse(

@@ -13,6 +13,9 @@ namespace {
 
 constexpr size_t kLatencyWindow = 4096;
 
+/// How often blocked accept/read loops wake to notice Stop().
+constexpr int kIdlePollMs = 100;
+
 /// A percentile over an unordered sample (nearest-rank).
 double Percentile(std::vector<double> sample, double fraction) {
   if (sample.empty()) return 0.0;
@@ -98,7 +101,7 @@ void Server::Stop() {
 
 void Server::AcceptLoop() {
   while (!stop_.load()) {
-    auto conn = AcceptWithTimeout(listener_, options_.idle_poll_ms);
+    auto conn = AcceptWithTimeout(listener_, kIdlePollMs);
     if (!conn.ok()) {
       if (stop_.load()) break;
       // Timeouts are the idle heartbeat; real accept errors are logged
@@ -130,7 +133,7 @@ void Server::AcceptLoop() {
 
 void Server::ServeConnection(Socket conn) {
   while (!stop_.load()) {
-    Status readable = WaitReadable(conn, options_.idle_poll_ms);
+    Status readable = WaitReadable(conn, kIdlePollMs);
     if (!readable.ok()) {
       if (readable.code() == StatusCode::kUnavailable) continue;
       break;
@@ -251,8 +254,7 @@ std::vector<uint8_t> Server::HandleRequest(
         const auto& req = std::get<PingRequest>(*request_or);
         const auto wake = started + std::chrono::milliseconds(req.delay_ms);
         while (!stop_.load() && std::chrono::steady_clock::now() < wake) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              std::min<int64_t>(options_.idle_poll_ms, 10)));
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
         response = deadline.Expired()
                        ? EncodeErrorResponse(DeadlineError(budget_ms))

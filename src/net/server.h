@@ -30,9 +30,6 @@ struct ServerOptions {
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Budget applied to requests that do not carry their own deadline.
   uint64_t default_deadline_ms = 60000;
-  /// How often blocked accept/read loops wake to notice Stop(). Smaller
-  /// values shut down faster at the cost of idle wakeups.
-  int idle_poll_ms = 100;
   /// Identity returned by the Hello handshake: a mediator server keeps
   /// the default -1, a turbdb_node sets its node id, so a dialer can
   /// confirm it reached the process it meant to.
@@ -89,7 +86,7 @@ struct ServerOptions {
 /// (or the server default when the frame carried 0); handlers should
 /// check it between units of work and pass the *remaining* budget on any
 /// downstream RPC they issue. `cancelled` flips to true when a
-/// CancelQuery RPC names this request's query id — a cooperative token:
+/// kCancelRequest names this request's query id — a cooperative token:
 /// the handler polls it at its own granularity and abandons work early.
 struct CallContext {
   Deadline deadline = Deadline::Infinite();
@@ -123,11 +120,11 @@ struct CallContext {
 /// (`cluster/node_service.h`) both run on this same transport.
 ///
 /// The server itself answers the transport-level requests (Ping,
-/// ServerStats, Hello, CancelQuery) and delegates everything else to the
+/// ServerStats, Hello, Cancel) and delegates everything else to the
 /// handler with a CallContext carrying the deadline and cancellation
 /// token. If the deadline has expired — or the query was cancelled — by
 /// the time the handler returns, the (stale) response is replaced by a
-/// small typed error (kDeadlineExceeded / kCancelled). CancelQuery is
+/// small typed error (kDeadlineExceeded / kCancelled). Cancel is
 /// answered without consulting the handler, so it works on mediator and
 /// node servers alike; note it still needs a free worker to read its
 /// connection, so callers should keep num_workers above the expected
@@ -236,7 +233,7 @@ class Server {
   std::thread accept_thread_;
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Live queries by id, for CancelQuery. Entries exist only while the
+  /// Live queries by id, for kCancelRequest. Entries exist only while the
   /// handler runs; a cancel for an unknown id is a no-op answer.
   std::mutex cancel_mutex_;
   std::unordered_map<uint64_t, std::shared_ptr<std::atomic<bool>>>

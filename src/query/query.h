@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/box.h"
@@ -47,6 +48,53 @@ struct QueryOptions {
   int processes_per_node = 0;
   /// Result cap; exceeding it fails with kThresholdTooLow.
   uint64_t max_result_points = kDefaultMaxResultPoints;
+};
+
+/// The parameters of a node sub-query that travel by value: what a
+/// resolved `NodeQuery` (cluster/node.h) and its wire form
+/// (`net::NodeQuerySpec`) share. Each adds what only it has — the
+/// resolved dataset, kernel and caches, or the names they resolve from.
+struct NodeQueryParams {
+  std::string raw_field;
+  /// Kernel name ("vorticity", ...; empty for samples).
+  std::string derived_field;
+  int32_t timestep = 0;
+  Box3 box;  ///< Half-open, grid coordinates; resolution clips it.
+  int32_t fd_order = 4;
+  double threshold = 0.0;
+  // Histogram parameters (PDF queries).
+  double bin_width = 10.0;
+  int32_t num_bins = 9;
+  // Top-k parameter.
+  uint64_t k = 100;
+  int32_t processes = 1;
+  QueryOptions options;
+  // Point samples: the Lagrange support and this node's share of the
+  // targets, tagged with their original indices.
+  int32_t sample_support = 0;
+  std::vector<std::pair<uint32_t, std::array<double, 3>>> targets;
+  /// Carried so every node prices compute alike and modeled times stay
+  /// byte-identical wherever it runs.
+  double flops_per_process = 1.25e8;
+  /// Cores effectively available per node; processes beyond this count
+  /// time-share the CPUs (CostModelConfig::effective_cores_per_node).
+  double effective_cores = 4.0;
+};
+
+/// A node's answer to its part of a query; also the NodeExecute reply,
+/// which carries everything but `node_id`.
+struct NodeOutcome {
+  int node_id = 0;                     ///< Filled by the mediator.
+  std::vector<ThresholdPoint> points;  ///< Threshold/top-k rows, z-sorted.
+  std::vector<uint64_t> histogram;     ///< PDF counts (num_bins + 1).
+  double norm_sum = 0.0;               ///< Moments accumulators.
+  double norm_sum_sq = 0.0;
+  double norm_max = 0.0;
+  /// Sample outputs: (original index, interpolated components).
+  std::vector<std::pair<uint32_t, std::array<double, 3>>> samples;
+  bool cache_hit = false;
+  TimeBreakdown time;  ///< cache_lookup/io/compute categories only.
+  IoCounters io;
 };
 
 /// Execution statistics of one database node's part of a query.

@@ -8,20 +8,6 @@
 
 namespace turbdb {
 
-/// Liveness policy of one replica-group member (see HealthTracker).
-struct HealthOptions {
-  /// Minimum spacing between probes of a down member.
-  int probe_interval_ms = 100;
-  /// Circuit breaker: this many MarkDown()s in a row (each within the
-  /// decay window of the previous) trip the breaker. 0 disables it.
-  int breaker_trip_failures = 3;
-  /// Failures further apart than this are unrelated incidents, not a
-  /// flap: the streak restarts instead of accumulating.
-  int64_t breaker_failure_decay_ms = 30000;
-  /// A tripped member is quarantined this long: no probes, no dials.
-  int64_t breaker_quarantine_ms = 5000;
-};
-
 /// Liveness bookkeeping for one replica-group member. The group marks a
 /// member down on transport failure and up again after a successful
 /// probe; probes of a down member are rate-limited so every query does
@@ -37,23 +23,28 @@ struct HealthOptions {
 /// members — ones that answer the Hello probe but fail every real
 /// request, so they cycle up/down and eat a failover on every query.
 /// MarkUp deliberately does not clear the failure streak; only time does
-/// (breaker_failure_decay_ms without a failure). A member that
-/// accumulates breaker_trip_failures MarkDowns within the decay window
-/// is quarantined: ShouldProbe stays false until the quarantine elapses,
-/// after which it gets one probe to prove itself (half-open).
+/// (kBreakerFailureDecayMs without a failure). A member that
+/// accumulates kBreakerTripFailures MarkDowns within the decay window
+/// is quarantined for kBreakerQuarantineMs: ShouldProbe stays false
+/// until the quarantine elapses, after which it gets one probe to prove
+/// itself (half-open).
 ///
 /// Thread-safe; the replica group consults it from concurrent queries.
 class HealthTracker {
  public:
-  explicit HealthTracker(int probe_interval_ms = 100) {
-    options_.probe_interval_ms = probe_interval_ms;
-  }
+  /// MarkDown()s in a row, each within the decay window of the previous,
+  /// that trip the breaker.
+  static constexpr int kBreakerTripFailures = 3;
+  /// Failures further apart than this are unrelated incidents, not a
+  /// flap: the streak restarts instead of accumulating.
+  static constexpr int64_t kBreakerFailureDecayMs = 30000;
+  /// A tripped member is quarantined this long: no probes, no dials.
+  static constexpr int64_t kBreakerQuarantineMs = 5000;
 
-  /// Replaces the policy (bring-up wiring; not expected mid-flight).
-  void Configure(const HealthOptions& options) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options_ = options;
-  }
+  /// `probe_interval_ms` is the minimum spacing between probes of a down
+  /// member.
+  explicit HealthTracker(int probe_interval_ms = 100)
+      : probe_interval_ms_(probe_interval_ms) {}
 
   /// Injects a millisecond clock (tests advance a fake one to step
   /// through quarantine without sleeping). Null restores steady_clock.
@@ -113,14 +104,13 @@ class HealthTracker {
     healthy_ = false;
     const int64_t now = NowMs();
     last_probe_ms_ = now;
-    if (options_.breaker_trip_failures <= 0) return;
     if (last_down_ms_ != kNever &&
-        now - last_down_ms_ > options_.breaker_failure_decay_ms) {
+        now - last_down_ms_ > kBreakerFailureDecayMs) {
       failure_streak_ = 0;  // Old incident; start a fresh streak.
     }
     last_down_ms_ = now;
-    if (++failure_streak_ >= options_.breaker_trip_failures) {
-      quarantined_until_ms_ = now + options_.breaker_quarantine_ms;
+    if (++failure_streak_ >= kBreakerTripFailures) {
+      quarantined_until_ms_ = now + kBreakerQuarantineMs;
       failure_streak_ = 0;  // Half-open after quarantine: prove it again.
       ++breaker_trips_;
     }
@@ -146,7 +136,7 @@ class HealthTracker {
     if (healthy_) return false;
     const int64_t now = NowMs();
     if (now < quarantined_until_ms_) return false;
-    if (now - last_probe_ms_ < options_.probe_interval_ms) return false;
+    if (now - last_probe_ms_ < probe_interval_ms_) return false;
     last_probe_ms_ = now;
     return true;
   }
@@ -163,8 +153,8 @@ class HealthTracker {
         .count();
   }
 
+  const int probe_interval_ms_;
   mutable std::mutex mutex_;
-  HealthOptions options_;
   std::function<int64_t()> clock_;
   bool healthy_ = true;
   bool missed_writes_ = false;

@@ -6,19 +6,13 @@ namespace turbdb {
 
 ReplicaGroup::ReplicaGroup(int group_id,
                            std::vector<std::unique_ptr<RemoteNode>> members,
+                           const Catalog* catalog,
                            const RemoteNodeOptions& options)
-    : group_id_(group_id) {
-  HealthOptions health;
-  health.probe_interval_ms = options.probe_interval_ms;
-  health.breaker_trip_failures = options.breaker_trip_failures;
-  health.breaker_failure_decay_ms = options.breaker_failure_decay_ms;
-  health.breaker_quarantine_ms = options.breaker_quarantine_ms;
+    : group_id_(group_id), catalog_(catalog) {
   members_.reserve(members.size());
   for (auto& node : members) {
-    auto member = std::make_unique<Member>();
-    member->node = std::move(node);
-    member->health.Configure(health);
-    members_.push_back(std::move(member));
+    members_.push_back(
+        std::make_unique<Member>(std::move(node), options.probe_interval_ms));
   }
 }
 
@@ -133,11 +127,6 @@ Status ReplicaGroup::Recover(Member* member, uint64_t new_epoch) {
       break;
     }
   }
-  std::vector<DatasetRegistration> registrations;
-  {
-    std::lock_guard<std::mutex> reg_lock(registrations_mutex_);
-    registrations = registrations_;
-  }
   if (donor == nullptr) {
     if (members_.size() > 1) {
       return Status::Unavailable(DebugName() +
@@ -153,22 +142,15 @@ Status ReplicaGroup::Recover(Member* member, uint64_t new_epoch) {
                         << " restarted (epoch " << new_epoch
                         << "); re-registering its catalog (no donor, "
                         << "self-recovery from durable stores)";
-    for (const DatasetRegistration& reg : registrations) {
-      TURBDB_ASSIGN_OR_RETURN(
-          MortonPartitioner partitioner,
-          MortonPartitioner::Create(reg.info.geometry, reg.num_nodes,
-                                    reg.strategy));
-      TURBDB_RETURN_NOT_OK(
-          member->node->CreateDataset(reg.info, partitioner, reg.strategy));
-    }
+    TURBDB_RETURN_NOT_OK(RegisterCatalog(member->node.get(), *catalog_));
     member->health.MarkUp(new_epoch);
     return Status::OK();
   }
   TURBDB_LOG(Warning) << DebugName() << ": " << member->node->DebugName()
                       << " restarted (epoch " << new_epoch
                       << "); re-syncing from " << donor->node->DebugName();
-  auto report = ResyncReplica(member->node.get(), donor->node.get(),
-                              registrations);
+  auto report =
+      ResyncReplica(member->node.get(), donor->node.get(), *catalog_);
   if (!report.ok()) return report.status();
   member->health.MarkUp(new_epoch);
   return Status::OK();
@@ -232,25 +214,10 @@ Status ReplicaGroup::FanOutWrite(
   return Status::OK();
 }
 
-Status ReplicaGroup::CreateDataset(const DatasetInfo& info,
-                                   const MortonPartitioner& partitioner,
+Status ReplicaGroup::CreateDataset(const DatasetInfo& info, int num_shards,
                                    PartitionStrategy strategy) {
-  {
-    std::lock_guard<std::mutex> lock(registrations_mutex_);
-    bool replaced = false;
-    for (DatasetRegistration& reg : registrations_) {
-      if (reg.info.name == info.name) {
-        reg = {info, partitioner.num_nodes(), strategy};
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) {
-      registrations_.push_back({info, partitioner.num_nodes(), strategy});
-    }
-  }
   return FanOutWrite([&](RemoteNode* node) {
-    return node->CreateDataset(info, partitioner, strategy);
+    return node->CreateDataset(info, num_shards, strategy);
   });
 }
 
@@ -270,17 +237,17 @@ Status ReplicaGroup::DropCacheEntries(const std::string& dataset,
   });
 }
 
-Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
+template <class T>
+Result<T> ReplicaGroup::Read(const std::string& dataset,
+                             const std::string& field,
+                             const std::function<Result<T>(Member*)>& fn) {
   Status last = Status::Unreachable(DebugName() + ": all replicas down");
   for (size_t index = 0; index < members_.size(); ++index) {
     Member* member = members_[index].get();
     if (!EnsureUsable(member)) continue;
-    auto outcome = member->node->Execute(query);
-    if (outcome.ok()) {
-      outcome->node_id = group_id_;
-      return outcome;
-    }
-    last = outcome.status();
+    Result<T> result = fn(member);
+    if (result.ok()) return result;
+    last = result.status();
     if (last.code() == StatusCode::kCorruption) {
       // The member's store is rotting, not its transport: the node stays
       // up (no breaker trip), the read fails over to a sibling, and a
@@ -291,33 +258,40 @@ Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
                           << member->node->DebugName()
                           << "; failing over and queueing read-repair: "
                           << last.ToString();
-      EnqueueRepair(query.dataset->name, query.raw_field, index);
+      EnqueueRepair(dataset, field, index);
       continue;
     }
     if (IsTransportFailure(last)) {
       FailMember(member, last);
       continue;
     }
-    // An expired or cancelled query says nothing about a restart, and
-    // re-syncing would dial a possibly stalled member on a fresh
-    // deadline: return it as is.
-    if (last.code() == StatusCode::kDeadlineExceeded ||
-        last.code() == StatusCode::kCancelled) {
-      return last;
-    }
-    // A typed error from a member that restarted under us (and whose
-    // datasets are therefore unregistered) deserves one re-sync + retry.
-    if (TryRecoverStale(member)) {
-      auto retry = member->node->Execute(query);
-      if (retry.ok()) {
-        retry->node_id = group_id_;
-        return retry;
-      }
-      last = retry.status();
-    }
     return last;
   }
   return last;
+}
+
+Result<NodeOutcome> ReplicaGroup::Execute(const NodeQuery& query) {
+  auto outcome = Read<NodeOutcome>(
+      query.dataset->name, query.raw_field,
+      [&](Member* member) -> Result<NodeOutcome> {
+        auto first = member->node->Execute(query);
+        if (first.ok()) return first;
+        // A typed error from a member that restarted under us (and whose
+        // datasets are therefore unregistered) deserves one re-sync and
+        // retry. An expired or cancelled query says nothing about a
+        // restart, and re-syncing would dial a possibly stalled member on
+        // a fresh deadline.
+        const StatusCode code = first.status().code();
+        if (IsTransportFailure(first.status()) ||
+            code == StatusCode::kCorruption ||
+            code == StatusCode::kDeadlineExceeded ||
+            code == StatusCode::kCancelled || !TryRecoverStale(member)) {
+          return first;
+        }
+        return member->node->Execute(query);
+      });
+  if (outcome.ok()) outcome->node_id = group_id_;
+  return outcome;
 }
 
 void ReplicaGroup::Cancel(uint64_t query_id) {
@@ -331,25 +305,9 @@ void ReplicaGroup::Cancel(uint64_t query_id) {
 
 Result<uint64_t> ReplicaGroup::StoredAtomCount(const std::string& dataset,
                                                const std::string& field) {
-  Status last = Status::Unreachable(DebugName() + ": all replicas down");
-  for (size_t index = 0; index < members_.size(); ++index) {
-    Member* member = members_[index].get();
-    if (!EnsureUsable(member)) continue;
-    auto count = member->node->StoredAtomCount(dataset, field);
-    if (count.ok()) return count;
-    last = count.status();
-    if (last.code() == StatusCode::kCorruption) {
-      corruption_failovers_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueRepair(dataset, field, index);
-      continue;
-    }
-    if (IsTransportFailure(last)) {
-      FailMember(member, last);
-      continue;
-    }
-    return last;
-  }
-  return last;
+  return Read<uint64_t>(dataset, field, [&](Member* member) {
+    return member->node->StoredAtomCount(dataset, field);
+  });
 }
 
 uint64_t ReplicaGroup::failover_count() const {
@@ -358,24 +316,11 @@ uint64_t ReplicaGroup::failover_count() const {
   return total;
 }
 
-std::vector<DatasetRegistration> ReplicaGroup::Registrations() const {
-  std::lock_guard<std::mutex> lock(registrations_mutex_);
-  return registrations_;
-}
-
 Result<net::NodeSyncRangeReply> ReplicaGroup::SyncRange(
     const net::NodeSyncRangeRequest& request) {
-  Status last;
-  for (auto& member : members_) {
-    if (!EnsureUsable(member.get())) continue;
-    auto reply = member->node->SyncRange(request);
-    if (reply.ok()) return reply;
-    if (!IsTransportFailure(reply.status())) return reply.status();
-    FailMember(member.get(), reply.status());
-    last = reply.status();
-  }
-  return last.ok() ? Status::Unreachable(DebugName() + ": all replicas down")
-                   : last;
+  return Read<net::NodeSyncRangeReply>(
+      request.dataset, request.field,
+      [&](Member* member) { return member->node->SyncRange(request); });
 }
 
 Status ReplicaGroup::IngestSkippingExisting(const std::string& dataset,

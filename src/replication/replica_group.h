@@ -22,14 +22,16 @@ namespace turbdb {
 /// fronts its members so a single dead node becomes a logged failover,
 /// not a query error:
 ///
-///  - Reads (Execute, StoredAtomCount) go to the primary (member 0) and
-///    fail over to the next live member on transport error.
+///  - Reads (Execute, StoredAtomCount, SyncRange) go to the primary
+///    (member 0) and fail over to the next live member on transport
+///    error, or on kCorruption, which also queues a read-repair.
 ///  - Writes (CreateDataset, IngestAtoms, DropCacheEntries) fan out to
 ///    every member; a down member is skipped with its missed-writes flag
 ///    set, and the write succeeds as long as one member accepted it.
 ///  - A member that went down is probed (rate-limited) on later reads;
 ///    if its Hello epoch moved — the process restarted — it is re-synced
-///    from a healthy sibling (see ResyncReplica) before rejoining.
+///    from a healthy sibling (see ResyncReplica) before rejoining; the
+///    datasets it re-registers are the mediator catalog's entries.
 ///
 /// With R=1 the group degenerates to its single RemoteNode: bring-up
 /// fails fast, and every failure surfaces verbatim with the node's name.
@@ -44,10 +46,10 @@ class ReplicaGroup : public NodeBackend {
     uint64_t failovers = 0;
   };
 
-  /// `options` supplies the per-member health policy (probe interval,
-  /// circuit breaker); the default keeps HealthTracker's defaults.
+  /// `catalog` is the mediator's, which outlives the group; `options`
+  /// supplies the members' probe interval.
   ReplicaGroup(int group_id, std::vector<std::unique_ptr<RemoteNode>> members,
-               const RemoteNodeOptions& options = {});
+               const Catalog* catalog, const RemoteNodeOptions& options = {});
   ~ReplicaGroup() override;
 
   /// Handshakes every member and records their epochs. OK as long as at
@@ -58,8 +60,7 @@ class ReplicaGroup : public NodeBackend {
   int id() const override { return group_id_; }
   std::string DebugName() const override;
 
-  Status CreateDataset(const DatasetInfo& info,
-                       const MortonPartitioner& partitioner,
+  Status CreateDataset(const DatasetInfo& info, int num_shards,
                        PartitionStrategy strategy) override;
   Status IngestAtoms(const std::string& dataset, const std::string& field,
                      const std::vector<Atom>& atoms) override;
@@ -108,12 +109,9 @@ class ReplicaGroup : public NodeBackend {
     return members_[static_cast<size_t>(r)]->node.get();
   }
 
-  /// The dataset registrations replayed onto stale members — also the
-  /// catalog a joining node self-registers from.
-  std::vector<DatasetRegistration> Registrations() const;
-
-  /// One page of a live range move, read off the first member that
-  /// answers (primary-preferred, transport failover).
+  /// One page of a live range move or a decommission, read off the
+  /// first member that answers (primary-preferred, with the failover of
+  /// every read).
   Result<net::NodeSyncRangeReply> SyncRange(
       const net::NodeSyncRangeRequest& request);
 
@@ -129,9 +127,20 @@ class ReplicaGroup : public NodeBackend {
 
  private:
   struct Member {
+    Member(std::unique_ptr<RemoteNode> remote, int probe_interval_ms)
+        : node(std::move(remote)), health(probe_interval_ms) {}
     std::unique_ptr<RemoteNode> node;
     HealthTracker health;
   };
+
+  /// One read by `fn` off the first usable member, primary first. A
+  /// member that fails in transport is marked down; one that answers
+  /// kCorruption stays up and gets a read-repair of (dataset, field)
+  /// queued. Either way the read fails over to the next member; any
+  /// other failure is returned as is.
+  template <class T>
+  Result<T> Read(const std::string& dataset, const std::string& field,
+                 const std::function<Result<T>(Member*)>& fn);
 
   /// True if the member may serve right now: already healthy, or just
   /// probed back to life (re-synced first if its epoch moved or it
@@ -172,9 +181,7 @@ class ReplicaGroup : public NodeBackend {
 
   int group_id_;
   std::vector<std::unique_ptr<Member>> members_;
-
-  mutable std::mutex registrations_mutex_;
-  std::vector<DatasetRegistration> registrations_;
+  const Catalog* catalog_;
 
   std::mutex recovery_mutex_;
 

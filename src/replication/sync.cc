@@ -24,31 +24,28 @@ Status PageSyncRange(net::NodeSyncRangeRequest request,
   }
 }
 
-Result<ResyncReport> ResyncReplica(
-    RemoteNode* stale, RemoteNode* donor,
-    const std::vector<DatasetRegistration>& registrations,
-    uint64_t page_atoms) {
+Status RegisterCatalog(RemoteNode* node, const Catalog& catalog) {
+  for (const Catalog::Entry* entry : catalog.Entries()) {
+    TURBDB_RETURN_NOT_OK(node->CreateDataset(entry->info,
+                                             entry->partitioner.num_nodes(),
+                                             entry->partitioner.strategy()));
+  }
+  return Status::OK();
+}
+
+Result<ResyncReport> ResyncReplica(RemoteNode* stale, RemoteNode* donor,
+                                   const Catalog& catalog,
+                                   uint64_t page_atoms) {
   if (page_atoms == 0) page_atoms = 256;
   ResyncReport report;
-
-  // A restarted node lost its in-memory catalog; re-register every
-  // dataset so it re-derives its shard before atoms arrive.
-  for (const DatasetRegistration& reg : registrations) {
-    TURBDB_ASSIGN_OR_RETURN(
-        MortonPartitioner partitioner,
-        MortonPartitioner::Create(reg.info.geometry, reg.num_nodes,
-                                  reg.strategy));
-    TURBDB_RETURN_NOT_OK(
-        stale->CreateDataset(reg.info, partitioner, reg.strategy));
-  }
+  // Registered before atoms arrive, so the node knows its datasets.
+  TURBDB_RETURN_NOT_OK(RegisterCatalog(stale, catalog));
 
   TURBDB_ASSIGN_OR_RETURN(net::NodeListStoresReply stores,
                           donor->ListStores());
   for (const net::NodeStoreInfo& store : stores.stores) {
-    int32_t timesteps = 1;
-    for (const DatasetRegistration& reg : registrations) {
-      if (reg.info.name == store.dataset) timesteps = reg.info.num_timesteps;
-    }
+    auto entry = catalog.Find(store.dataset);
+    const int32_t timesteps = entry.ok() ? (*entry)->info.num_timesteps : 1;
     for (int32_t t = 0; t < timesteps; ++t) {
       net::NodeSyncRangeRequest request;
       request.dataset = store.dataset;

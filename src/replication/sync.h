@@ -4,8 +4,7 @@
 #include <functional>
 #include <vector>
 
-#include "cluster/dataset.h"
-#include "cluster/partitioner.h"
+#include "cluster/catalog.h"
 #include "cluster/remote_node.h"
 #include "common/result.h"
 
@@ -27,14 +26,9 @@ Status PageSyncRange(net::NodeSyncRangeRequest request,
                      const std::function<Status(std::vector<Atom>& atoms)>&
                          consume);
 
-/// One dataset registration a replica group replays onto a stale member.
-/// The partitioner is not stored — it re-derives from (geometry,
-/// num_nodes, strategy), exactly as it does on the wire.
-struct DatasetRegistration {
-  DatasetInfo info;
-  int num_nodes = 1;
-  PartitionStrategy strategy = PartitionStrategy::kMorton;
-};
+/// Registers every dataset of `catalog` on `node`, with the catalog's
+/// base partitioning: a restarted node lost its in-memory catalog.
+Status RegisterCatalog(RemoteNode* node, const Catalog& catalog);
 
 struct ResyncReport {
   uint64_t atoms_pushed = 0;
@@ -42,15 +36,14 @@ struct ResyncReport {
 };
 
 /// Catches a stale replica up from a healthy donor in its group:
-/// replays every dataset registration, then pages each (store, timestep)
+/// registers the mediator's catalog on it, then pages each (store, timestep)
 /// the donor holds through SyncRange and pushes the atoms with
 /// skip-existing ingest — so a member that already recovered part of its
 /// data from its own storage dir only receives what it is missing.
 /// Verifies the member's per-store atom counts reach the donor's before
 /// declaring success.
-Result<ResyncReport> ResyncReplica(
-    RemoteNode* stale, RemoteNode* donor,
-    const std::vector<DatasetRegistration>& registrations,
-    uint64_t page_atoms = 256);
+Result<ResyncReport> ResyncReplica(RemoteNode* stale, RemoteNode* donor,
+                                   const Catalog& catalog,
+                                   uint64_t page_atoms = 256);
 
 }  // namespace turbdb

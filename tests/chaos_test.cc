@@ -35,7 +35,8 @@
 //       joined shard's address, and nodes hold no view of their own;
 //   (k) a point-sample query shares the scatter of every other query:
 //       one shard failing hard cancels the sub-query still running on
-//       the other instead of waiting out its stall.
+//       the other instead of waiting out its stall, and the cancel waits
+//       for no reply.
 //
 // The node services are hosted in this process over real TCP sockets
 // (in_process_cluster.h: one net::Server each, with per-server fault
@@ -197,10 +198,10 @@ TEST_F(ChaosTest, TruncatedPrimaryFailsOverByteIdentically) {
 // (c) A flapping replica: its Hello probe succeeds (the transport is
 // fine) but every handler-delegated request fails, so without a breaker
 // each query pays probe + failed execute + failover. After
-// breaker_trip_failures such cycles the breaker quarantines it — no
-// probes, no dials, fault counter frozen — until the quarantine elapses
-// on the (injected) clock, after which one probe proves it and it
-// serves again.
+// HealthTracker::kBreakerTripFailures such cycles the breaker
+// quarantines it — no probes, no dials, fault counter frozen — until the
+// quarantine elapses on the (injected) clock, after which one probe
+// proves it and it serves again.
 TEST_F(ChaosTest, FlappingReplicaTripsTheBreakerUntilQuarantineElapses) {
   auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
                                             /*replication_factor=*/2);
@@ -665,7 +666,9 @@ TEST_F(ChaosTest, BaseNodeReadsAJoinedShardItWasNeverToldOf) {
 // (k) Point samples go through the same scatter as every other query.
 // Node 0 refuses every request at once while node 1 stalls its replies
 // far past the 1.5 s budget. The query fails with node 0's error, and
-// the mediator cancels node 1's sub-query instead of waiting it out.
+// the mediator cancels node 1's sub-query instead of waiting it out. The
+// cancel is sent without awaiting node 1's (stalled) reply, so the call
+// returns once node 1's sub-query reaches the budget.
 TEST_F(ChaosTest, SampleQueryCancelsTheRestAfterAHardShardFailure) {
   auto procs = InProcessNodeCluster::Launch(/*num_nodes=*/2,
                                             /*replication_factor=*/1);
@@ -697,13 +700,17 @@ TEST_F(ChaosTest, SampleQueryCancelsTheRestAfterAHardShardFailure) {
   const uint64_t cancels_before = mediator.cancels_issued();
 
   CallBudget budget;
-  budget.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(1500);
+  const auto started = std::chrono::steady_clock::now();
+  budget.deadline = started + std::chrono::milliseconds(1500);
   auto result = mediator.GetSamples(query, budget);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status();
   EXPECT_GE(fault::Fired(failing), 1u);
   EXPECT_GT(mediator.cancels_issued(), cancels_before);
+  EXPECT_LT(elapsed, 2.0);
 }
 
 }  // namespace

@@ -418,8 +418,8 @@ TopKResult GoldenTopKResult() {
   return result;
 }
 
-net::NodeResult GoldenNodeResult() {
-  net::NodeResult result;
+NodeOutcome GoldenNodeOutcome() {
+  NodeOutcome result;
   result.points = GoldenPoints();
   result.histogram = {0, 1, 200, 70000};
   result.norm_sum = 12.5;
@@ -492,7 +492,7 @@ TEST(ProtocolTest, PointCarryingMessagesMatchGoldenBytes) {
             "4334d3a8c1a2050488270000104184d9ffffffffffffff0100000041f4ffffff"
             "ffffff010000e04083808080808080feff010000d040000000000000c03f5555"
             "55555555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea501");
-  EXPECT_EQ(Hex(net::EncodeNodeExecuteResponse(GoldenNodeResult())),
+  EXPECT_EQ(Hex(net::EncodeNodeExecuteResponse(GoldenNodeOutcome())),
             "5237d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f7dda"
             "2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7f040001c801f0a2"
             "0400000000000029400000000000f058400000000000001c4001070000000000"
@@ -514,7 +514,7 @@ TEST(ProtocolTest, PointCarryingMessagesMatchGoldenBytes) {
   ASSERT_TRUE(topk.ok()) << topk.status();
   EXPECT_EQ(topk->points, GoldenTopKResult().points);
   auto node = net::DecodeNodeExecuteResponse(
-      net::EncodeNodeExecuteResponse(GoldenNodeResult()));
+      net::EncodeNodeExecuteResponse(GoldenNodeOutcome()));
   ASSERT_TRUE(node.ok()) << node.status();
   EXPECT_EQ(node->points, GoldenPoints());
   auto fof = net::DecodeFofChunk(net::EncodeFofChunk(GoldenFofChunk()));

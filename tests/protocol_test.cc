@@ -602,8 +602,8 @@ net::FofChunk GoldenFofChunk() {
   return chunk;
 }
 
-net::NodeResult GoldenNodeResult() {
-  net::NodeResult result;
+NodeOutcome GoldenNodeOutcome() {
+  NodeOutcome result;
   result.points = GoldenPoints();
   result.histogram = {0, 200, 70000};
   result.norm_sum = 12.5;
@@ -948,7 +948,7 @@ std::vector<GoldenFrame> GoldenFrames() {
        ViaAck(MsgType::kNodeIngestResponse),
        "51"},
       {"NodeExecuteResponse",
-       net::EncodeNodeExecuteResponse(GoldenNodeResult()),
+       net::EncodeNodeExecuteResponse(GoldenNodeOutcome()),
        Via(net::DecodeNodeExecuteResponse, net::EncodeNodeExecuteResponse),
        "5224d3a8c1a205050000000000010000c03f7e79e9f64201acc5273780ffffff"
        "ff1f000000c00300c801f0a20400000000000029400000000000f05840000000"

@@ -52,8 +52,8 @@ net::NodeExecuteRequest VorticitySubQuery(int32_t timestep) {
   return request;
 }
 
-Result<net::NodeResult> Execute(NodeService& service,
-                                const net::NodeExecuteRequest& request) {
+Result<NodeOutcome> Execute(NodeService& service,
+                            const net::NodeExecuteRequest& request) {
   return net::DecodeNodeExecuteResponse(
       service.Handle(net::EncodeRequest(request), net::CallContext{}));
 }

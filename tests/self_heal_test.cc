@@ -6,7 +6,9 @@
 // sibling, never serves bad bytes); the mediator counts the corruption
 // failovers; a triggered scrub detects the damage and repairs it from
 // the healthy peer over the Merkle/RepairRange flow; and afterwards the
-// siblings' Merkle roots converge with nothing left in quarantine.
+// siblings' Merkle roots converge with nothing left in quarantine. A
+// range copy (the SyncRange paging of a rebalance or a decommission)
+// fails over off the rot like every other read.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,8 @@
 
 #include "core/turbdb.h"
 #include "net/client.h"
+#include "replication/replica_group.h"
+#include "replication/sync.h"
 #include "wire/serializer.h"
 
 #include "process_harness.h"
@@ -243,6 +247,54 @@ TEST(SelfHealTest, RepairRangeRpcConvergesDivergentReplica) {
     }
   }
   EXPECT_TRUE(converged);
+
+  std::filesystem::remove_all(storage_dir);
+}
+
+// A rebalance or a decommission copies each range by paging the donor
+// shard's SyncRange. The donor's primary has rotted: the copy fails over
+// to the sibling's good bytes instead of failing the move.
+TEST(SelfHealTest, RangeCopyFailsOverOffARottenPrimary) {
+  const std::string storage_dir = MakeStorageDir();
+  // One flip, armed on the victim; consumed by the copy's first read.
+  auto procs = NodeProcessCluster::Launch(
+      kPhysicalNodes, TURBDB_NODE_BINARY,
+      {"--replication-factor", std::to_string(kReplication), "--storage-dir",
+       storage_dir},
+      [](int i) -> std::vector<std::string> {
+        if (i != kVictim) return {};
+        return {"--faults", "store.bit_flip=delay:7:1"};
+      });
+  ASSERT_TRUE(procs.ok()) << procs.status();
+  auto db = OpenReplicated((*procs)->topology());
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto local_db = OpenInProcess();
+  ASSERT_TRUE(local_db.ok()) << local_db.status();
+  const uint64_t expected =
+      (*local_db)->mediator().node(0).StoredAtomCount("mhd", "velocity");
+  ASSERT_GT(expected, 0u);
+
+  Mediator& mediator = (*db)->mediator();
+  auto* donor = dynamic_cast<ReplicaGroup*>(&mediator.backend(0));
+  ASSERT_NE(donor, nullptr);
+  net::NodeSyncRangeRequest request;
+  request.dataset = "mhd";
+  request.field = "velocity";
+  request.timestep = 0;
+  request.max_atoms = 256;
+  uint64_t copied = 0;
+  const Status paged = PageSyncRange(
+      request,
+      [donor](const net::NodeSyncRangeRequest& page) {
+        return donor->SyncRange(page);
+      },
+      [&](std::vector<Atom>& atoms) {
+        copied += atoms.size();
+        return Status::OK();
+      });
+  ASSERT_TRUE(paged.ok()) << paged;
+  EXPECT_EQ(copied, expected);
+  EXPECT_GE(mediator.corruption_failovers(), 1u);
 
   std::filesystem::remove_all(storage_dir);
 }

@@ -375,6 +375,9 @@ echo "self-heal drill: ok ($HEAL_JSON)"
 # replica group's read-repair worker run concurrently with live reads.
 # So do the node cache and its MVCC tables: concurrent inserts and
 # lookups share the versioned tables and the cache's name table.
+# And the two caches every concurrent query shares: the mediator's
+# result cache (hit from many server workers at once) and the catalog
+# that resolves each sub-query and builds its differentiators.
 if [ "$SANITIZE" != "thread" ]; then
   TSAN_DIR="$ROOT/build-tsan"
   cmake -B "$TSAN_DIR" -S "$ROOT" \
@@ -384,7 +387,7 @@ if [ "$SANITIZE" != "thread" ]; then
     -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS"
   ctest --test-dir "$TSAN_DIR" \
-    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|RoutedViewTest|ScrubTest|SelfHealTest|SemanticCacheTest|TxnTest" \
+    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|RoutedViewTest|ScrubTest|SelfHealTest|SemanticCacheTest|TxnTest|MediatorCache|CatalogTest" \
     --output-on-failure --timeout 300
 fi
 

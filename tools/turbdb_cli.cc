@@ -1230,7 +1230,8 @@ int RunLocal(const CliOptions& options) {
   std::unique_ptr<TurbDB> db = std::move(db_or).value();
 
   if (options.command == "fields") {
-    for (const std::string& name : db->mediator().registry().Names()) {
+    for (const std::string& name :
+         db->mediator().catalog().registry().Names()) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
