@@ -39,7 +39,7 @@ int main() {
       if (value >= 16) n = value;
     }
     client = std::make_unique<net::Client>(address.host, address.port);
-    if (!client->Ping().ok()) {
+    if (!client->Call(net::PingRequest{}).ok()) {
       std::fprintf(stderr, "server %s unreachable\n",
                    address.ToString().c_str());
       return 3;

@@ -61,7 +61,7 @@ int RunOverTcp(const char* topology_spec) {
               address.ToString().c_str(), static_cast<long long>(n));
 
   net::Client client(address.host, address.port);
-  if (!client.Ping().ok()) {
+  if (!client.Call(net::PingRequest{}).ok()) {
     std::fprintf(stderr, "server %s unreachable\n",
                  address.ToString().c_str());
     return 3;
@@ -116,7 +116,7 @@ int RunOverTcp(const char* topology_spec) {
     drop.raw_field = "velocity";
     drop.derived_field = "vorticity";
     drop.timestep = -1;
-    if (!client.DropCache(drop).ok()) {
+    if (!client.Call(drop).ok()) {
       std::fprintf(stderr, "DropCache failed\n");
       return 1;
     }
@@ -162,12 +162,13 @@ int RunOverTcp(const char* topology_spec) {
                 cold_ms / warm_ms, cold_ms / subsumed_ms);
   }
 
-  auto cache_stats = client.CacheStats();
-  auto server_stats = client.ServerStats();
-  if (!cache_stats.ok() || !server_stats.ok()) {
+  auto cache_reply = client.Call(net::CacheStatsRequest{});
+  auto server_stats = client.Call(net::ServerStatsRequest{});
+  if (!cache_reply.ok() || !server_stats.ok()) {
     std::fprintf(stderr, "stats RPC failed\n");
     return 1;
   }
+  const MediatorCacheStats* cache_stats = &cache_reply->stats;
   if (cache_stats->hits == 0) {
     std::fprintf(stderr, "server reports no cache hits — is the mediator "
                          "cache enabled (--mediator-cache-mb)?\n");

@@ -986,7 +986,8 @@ std::vector<ClusterNodeStatus> Mediator::ClusterStatus() const {
       // Live stats row (WAL lag, generation): best-effort — a member
       // that does not answer keeps the zero defaults.
       if (member.healthy) {
-        auto stats = group->member_node(static_cast<int>(r))->Stats("", "");
+        auto stats = group->member_node(static_cast<int>(r))
+                         ->Call(net::NodeStatsRequest{});
         if (stats.ok()) {
           row.generation = stats->generation;
           row.wal_pending_records = stats->wal_pending_records;

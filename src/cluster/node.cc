@@ -121,7 +121,7 @@ Status DatabaseNode::FinishIngest(const std::string& dataset,
   return store->Sync();
 }
 
-std::vector<DatabaseNode::StoreListing> DatabaseNode::ListStores() const {
+std::vector<StoreListing> DatabaseNode::ListStores() const {
   std::vector<StoreListing> listings;
   std::lock_guard<std::mutex> lock(stores_mutex_);
   for (const auto& [key, store] : stores_) {
@@ -338,6 +338,8 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
         outcome.norm_sum += chunk.norm_sum;
         outcome.norm_sum_sq += chunk.norm_sum_sq;
         outcome.norm_max = std::max(outcome.norm_max, chunk.norm_max);
+        break;
+      case NodeQuery::Mode::kSample:  // Answered by ExecuteSample.
         break;
     }
   }
@@ -823,6 +825,8 @@ DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
                 topk.push(point(i, norms[i]));
               }
             }
+            break;
+          case NodeQuery::Mode::kSample:  // Answered by ExecuteSample.
             break;
         }
       }

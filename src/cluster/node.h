@@ -121,13 +121,6 @@ class DatabaseNode {
   /// volatile.
   Status FinishIngest(const std::string& dataset, const std::string& field);
 
-  /// One (dataset, field) store this node has open.
-  struct StoreListing {
-    std::string dataset;
-    std::string field;
-    uint64_t atoms = 0;
-  };
-
   /// Every store currently open, with its atom count. A donor node uses
   /// it to tell a re-syncing replica what it can serve.
   std::vector<StoreListing> ListStores() const;

@@ -10,9 +10,10 @@ namespace turbdb {
 
 /// What the mediator needs from a database node, abstracted over *where*
 /// the node runs. `LocalNode` wraps an in-process `DatabaseNode` (the
-/// original single-process deployment); `RemoteNode` (remote_node.h)
-/// speaks the node-scoped RPCs to a `turbdb_node` process. The mediator
-/// holds one backend per node and never assumes in-process execution.
+/// original single-process deployment); `ReplicaGroup`
+/// (replication/replica_group.h) fronts the `turbdb_node` processes of
+/// one shard, R=1 included, over the node-scoped RPCs. The mediator holds
+/// one backend per shard and never assumes in-process execution.
 class NodeBackend {
  public:
   virtual ~NodeBackend() = default;

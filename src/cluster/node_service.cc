@@ -69,6 +69,26 @@ NodeService::NodeService(const NodeServiceConfig& config)
         return repaired->atoms_repaired;
       });
   scrubber_->Start();
+  dispatcher_
+      .On<net::NodeCreateDatasetRequest>(
+          std::bind_front(&NodeService::CreateDataset, this))
+      .On<net::NodeIngestRequest>(std::bind_front(&NodeService::Ingest, this))
+      .On<net::NodeExecuteRequest>(
+          std::bind_front(&NodeService::Execute, this))
+      .On<net::NodeFetchAtomsRequest>(
+          std::bind_front(&NodeService::FetchAtoms, this))
+      .On<net::NodeDropCacheRequest>(
+          std::bind_front(&NodeService::DropCache, this))
+      .On<net::NodeStatsRequest>(std::bind_front(&NodeService::Stats, this))
+      .On<net::NodeSyncRangeRequest>(
+          std::bind_front(&NodeService::SyncRange, this))
+      .On<net::NodeListStoresRequest>(
+          std::bind_front(&NodeService::ListStores, this))
+      .On<net::CutoverRequest>(std::bind_front(&NodeService::Cutover, this))
+      .On<net::NodeMerkleRequest>(std::bind_front(&NodeService::Merkle, this))
+      .On<net::NodeScrubRequest>(std::bind_front(&NodeService::Scrub, this))
+      .On<net::NodeRepairRangeRequest>(
+          std::bind_front(&NodeService::RepairRange, this));
 }
 
 net::Server::Handler NodeService::AsHandler() {
@@ -76,6 +96,11 @@ net::Server::Handler NodeService::AsHandler() {
                 const net::CallContext& ctx) {
     return Handle(payload, ctx);
   };
+}
+
+std::vector<uint8_t> NodeService::Handle(const std::vector<uint8_t>& payload,
+                                         const net::CallContext& ctx) const {
+  return dispatcher_(payload, ctx);
 }
 
 std::shared_ptr<NodeService::PeerChannel> NodeService::GetPeerChannel(
@@ -152,7 +177,7 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
     Result<net::NodeFetchAtomsReply> reply = Status::OK();
     {
       std::lock_guard<std::mutex> lock(channel->mutex);
-      reply = channel->client->NodeFetchAtoms(request);
+      reply = channel->client->Call(request);
     }
     if (reply.ok()) {
       if (cost_s != nullptr) {
@@ -180,63 +205,8 @@ Result<std::vector<Atom>> NodeService::FetchFromPeer(
   return last;
 }
 
-std::vector<uint8_t> NodeService::Handle(const std::vector<uint8_t>& payload,
-                                         const net::CallContext& ctx) {
-  auto header = net::PeekRequestHeader(payload);
-  if (!header.ok()) return net::EncodeErrorResponse(header.status());
-  Result<std::vector<uint8_t>> response = Status::OK();
-  switch (header->type) {
-    case net::MsgType::kNodeCreateDatasetRequest:
-      response = HandleCreateDataset(payload);
-      break;
-    case net::MsgType::kNodeIngestRequest:
-      response = HandleIngest(payload);
-      break;
-    case net::MsgType::kNodeExecuteRequest:
-      response = HandleExecute(payload, ctx);
-      break;
-    case net::MsgType::kNodeFetchAtomsRequest:
-      response = HandleFetchAtoms(payload);
-      break;
-    case net::MsgType::kNodeDropCacheRequest:
-      response = HandleDropCache(payload);
-      break;
-    case net::MsgType::kNodeStatsRequest:
-      response = HandleStats(payload);
-      break;
-    case net::MsgType::kNodeSyncRangeRequest:
-      response = HandleSyncRange(payload);
-      break;
-    case net::MsgType::kNodeListStoresRequest:
-      response = HandleListStores(payload);
-      break;
-    case net::MsgType::kCutoverRequest:
-      response = HandleCutover(payload);
-      break;
-    case net::MsgType::kNodeMerkleRequest:
-      response = HandleMerkle(payload);
-      break;
-    case net::MsgType::kNodeScrubRequest:
-      response = HandleScrub(payload);
-      break;
-    case net::MsgType::kNodeRepairRangeRequest:
-      response = HandleRepairRange(payload);
-      break;
-    default:
-      response = Status::NotSupported(
-          "turbdb_node does not serve request type " +
-          std::to_string(static_cast<int>(header->type)) +
-          " (query RPCs go to the mediator)");
-      break;
-  }
-  if (!response.ok()) return net::EncodeErrorResponse(response.status());
-  return std::move(response).value();
-}
-
-Result<std::vector<uint8_t>> NodeService::HandleCreateDataset(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeCreateDatasetRequest request,
-                          net::DecodeNodeCreateDatasetRequest(payload));
+Result<net::Ack<net::NodeCreateDatasetRequest>> NodeService::CreateDataset(
+    const net::NodeCreateDatasetRequest& request, const net::CallContext&) {
   if (request.node_id != shard()) {
     return Status::InvalidArgument(
         "shard " + std::to_string(request.node_id) +
@@ -246,7 +216,7 @@ Result<std::vector<uint8_t>> NodeService::HandleCreateDataset(
   TURBDB_RETURN_NOT_OK(
       catalog_.Register(request.info, request.num_nodes,
                         static_cast<PartitionStrategy>(request.strategy)));
-  return net::EncodeAckResponse(net::MsgType::kNodeCreateDatasetResponse);
+  return net::Ack<net::NodeCreateDatasetRequest>{};
 }
 
 Status NodeService::RegisterDatasetSpec(
@@ -255,10 +225,8 @@ Status NodeService::RegisterDatasetSpec(
                            static_cast<PartitionStrategy>(reg.strategy));
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleIngest(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeIngestRequest request,
-                          net::DecodeNodeIngestRequest(payload));
+Result<net::Ack<net::NodeIngestRequest>> NodeService::Ingest(
+    const net::NodeIngestRequest& request, const net::CallContext&) {
   for (const Atom& atom : request.atoms) {
     Status status = node_.IngestAtom(request.dataset, request.field, atom);
     if (!status.ok() &&
@@ -281,7 +249,7 @@ Result<std::vector<uint8_t>> NodeService::HandleIngest(
   if (wal_ != nullptr) TURBDB_RETURN_NOT_OK(wal_->Sync());
   TURBDB_RETURN_NOT_OK(node_.FinishIngest(request.dataset, request.field));
   TURBDB_RETURN_NOT_OK(WalBatchEnd());
-  return net::EncodeAckResponse(net::MsgType::kNodeIngestResponse);
+  return net::Ack<net::NodeIngestRequest>{};
 }
 
 Status NodeService::WalBatchEnd() {
@@ -294,7 +262,7 @@ Status NodeService::WalBatchEnd() {
   }
   // Checkpoint: every store the log may cover is flushed to stable
   // storage, after which the log's records are redundant and it resets.
-  for (const DatabaseNode::StoreListing& listing : node_.ListStores()) {
+  for (const StoreListing& listing : node_.ListStores()) {
     TURBDB_RETURN_NOT_OK(node_.FinishIngest(listing.dataset, listing.field));
   }
   return wal_->Truncate();
@@ -334,18 +302,16 @@ uint64_t NodeService::generation() const {
   return cutover_generation_;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleExecute(
-    const std::vector<uint8_t>& payload, const net::CallContext& ctx) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeExecuteRequest request,
-                          net::DecodeNodeExecuteRequest(payload));
+Result<NodeOutcome> NodeService::Execute(
+    const net::NodeExecuteRequest& request, const net::CallContext& ctx) {
   TURBDB_RETURN_NOT_OK(ValidateOverrides(request.overrides));
   TURBDB_ASSIGN_OR_RETURN(NodeQuery query, catalog_.Resolve(request.spec));
   // The sub-query is evaluated and read under the view the mediator
   // routed it by; the node holds no view of its own.
   auto routed = std::make_shared<MembershipView>();
   routed->generation = request.rpc.generation;
-  routed->overrides = std::move(request.overrides);
-  routed->nodes = std::move(request.joined);
+  routed->overrides = request.overrides;
+  routed->nodes = request.joined;
   query.view = std::move(routed);
   {
     // The semantic cache holds answers for this node's ownership since
@@ -396,44 +362,38 @@ Result<std::vector<uint8_t>> NodeService::HandleExecute(
             chunk.points.size() * 20 + 64, &reservation,
             ctx.cancelled.get()));
       }
-      TURBDB_RETURN_NOT_OK(ctx.emit(net::EncodeThresholdChunk(chunk)));
+      TURBDB_RETURN_NOT_OK(ctx.emit(net::Encode(chunk)));
     }
     outcome.points.clear();
   }
-  return net::EncodeNodeExecuteResponse(outcome);
+  return outcome;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleFetchAtoms(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeFetchAtomsRequest request,
-                          net::DecodeNodeFetchAtomsRequest(payload));
+Result<net::NodeFetchAtomsReply> NodeService::FetchAtoms(
+    const net::NodeFetchAtomsRequest& request, const net::CallContext&) {
   net::NodeFetchAtomsReply reply;
   TURBDB_ASSIGN_OR_RETURN(
       reply.atoms,
       node_.ServeAtoms(request.dataset, request.field, request.timestep,
                        request.codes, request.concurrent, &reply.cost_s,
                        &reply.bytes_out));
-  return net::EncodeNodeFetchAtomsResponse(reply);
+  return reply;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleDropCache(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeDropCacheRequest request,
-                          net::DecodeNodeDropCacheRequest(payload));
+Result<net::Ack<net::NodeDropCacheRequest>> NodeService::DropCache(
+    const net::NodeDropCacheRequest& request, const net::CallContext&) {
   TURBDB_RETURN_NOT_OK(node_.DropCacheEntries(request.dataset, request.field,
                                               request.timestep));
-  return net::EncodeAckResponse(net::MsgType::kNodeDropCacheResponse);
+  return net::Ack<net::NodeDropCacheRequest>{};
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleStats(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeStatsRequest request,
-                          net::DecodeNodeStatsRequest(payload));
+Result<net::NodeStatsReply> NodeService::Stats(
+    const net::NodeStatsRequest& request, const net::CallContext&) {
   net::NodeStatsReply reply;
   reply.node_id = config_.node_id;
   if (request.dataset.empty() && request.field.empty()) {
     // The node-wide row: atoms across every open store.
-    for (const DatabaseNode::StoreListing& listing : node_.ListStores()) {
+    for (const StoreListing& listing : node_.ListStores()) {
       reply.stored_atoms += listing.atoms;
     }
   } else {
@@ -453,13 +413,11 @@ Result<std::vector<uint8_t>> NodeService::HandleStats(
   for (const DatabaseNode::StoreHandle& handle : node_.OpenStores()) {
     reply.atoms_quarantined += handle.store->QuarantinedCount();
   }
-  return net::EncodeNodeStatsResponse(reply);
+  return reply;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleCutover(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::CutoverRequest request,
-                          net::DecodeCutoverRequest(payload));
+Result<net::Ack<net::CutoverRequest>> NodeService::Cutover(
+    const net::CutoverRequest& request, const net::CallContext&) {
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     cutover_generation_ = std::max(cutover_generation_, request.generation);
@@ -473,13 +431,11 @@ Result<std::vector<uint8_t>> NodeService::HandleCutover(
                    << request.begin << ", " << request.end << ") from shard "
                    << request.from_shard << " to shard " << request.to_shard
                    << " at generation " << request.generation;
-  return net::EncodeAckResponse(net::MsgType::kCutoverResponse);
+  return net::Ack<net::CutoverRequest>{};
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleSyncRange(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeSyncRangeRequest request,
-                          net::DecodeNodeSyncRangeRequest(payload));
+Result<net::NodeSyncRangeReply> NodeService::SyncRange(
+    const net::NodeSyncRangeRequest& request, const net::CallContext&) {
   const uint64_t end =
       request.end_code == 0 ? UINT64_MAX : request.end_code;
   const uint64_t max_atoms = request.max_atoms == 0 ? 512 : request.max_atoms;
@@ -487,54 +443,28 @@ Result<std::vector<uint8_t>> NodeService::HandleSyncRange(
   TURBDB_RETURN_NOT_OK(node_.CollectRange(
       request.dataset, request.field, request.timestep, request.begin_code,
       end, max_atoms, &reply.atoms, &reply.next_code, &reply.done));
-  return net::EncodeNodeSyncRangeResponse(reply);
+  return reply;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleListStores(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_RETURN_NOT_OK(net::DecodeNodeListStoresRequest(payload).status());
-  net::NodeListStoresReply reply;
-  for (const DatabaseNode::StoreListing& listing : node_.ListStores()) {
-    net::NodeStoreInfo info;
-    info.dataset = listing.dataset;
-    info.field = listing.field;
-    info.atoms = listing.atoms;
-    reply.stores.push_back(std::move(info));
-  }
-  return net::EncodeNodeListStoresResponse(reply);
+Result<net::NodeListStoresReply> NodeService::ListStores(
+    const net::NodeListStoresRequest&, const net::CallContext&) {
+  return net::NodeListStoresReply{node_.ListStores()};
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleMerkle(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeMerkleRequest request,
-                          net::DecodeNodeMerkleRequest(payload));
-  net::NodeMerkleReply reply;
-  reply.node_id = config_.node_id;
-  reply.leaf_shift = request.leaf_shift;
+Result<net::NodeMerkleReply> NodeService::Merkle(
+    const net::NodeMerkleRequest& request, const net::CallContext&) {
   std::vector<AtomDigest> rows;
   Status status = node_.StoreDigestRows(request.dataset, request.field, &rows);
   // An unknown store answers as an empty tree (root 0): anti-entropy
   // between replicas where one side has not opened the store yet is a
   // full divergence, not an error.
   if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
-  const MerkleTree tree = BuildMerkleTree(rows, request.leaf_shift);
-  reply.root = tree.root;
-  reply.leaves.reserve(tree.leaves.size());
-  for (const MerkleLeaf& leaf : tree.leaves) {
-    net::WireMerkleLeaf wire;
-    wire.timestep = leaf.timestep;
-    wire.leaf = leaf.leaf;
-    wire.digest = leaf.digest;
-    wire.atoms = leaf.atoms;
-    reply.leaves.push_back(wire);
-  }
-  return net::EncodeNodeMerkleResponse(reply);
+  return net::NodeMerkleReply{config_.node_id,
+                              BuildMerkleTree(rows, request.leaf_shift)};
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleScrub(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeScrubRequest request,
-                          net::DecodeNodeScrubRequest(payload));
+Result<net::NodeScrubReply> NodeService::Scrub(
+    const net::NodeScrubRequest& request, const net::CallContext&) {
   if (request.trigger) (void)scrubber_->RunPass();
   net::NodeScrubReply reply;
   reply.node_id = config_.node_id;
@@ -544,31 +474,15 @@ Result<std::vector<uint8_t>> NodeService::HandleScrub(
   reply.atoms_corrupt = totals.atoms_corrupt;
   reply.atoms_repaired = totals.atoms_repaired;
   reply.last_pass_unix_ms = totals.last_pass_unix_ms;
-  for (const Scrubber::StoreStats& store : scrubber_->Snapshot()) {
-    net::ScrubStoreRow row;
-    row.dataset = store.dataset;
-    row.field = store.field;
-    row.atoms_verified = store.atoms_verified;
-    row.atoms_corrupt = store.atoms_corrupt;
-    row.atoms_repaired = store.atoms_repaired;
-    row.atoms_quarantined = store.atoms_quarantined;
-    row.bytes_verified = store.bytes_verified;
-    row.passes = store.passes;
-    row.merkle_root = store.merkle_root;
-    reply.stores.push_back(std::move(row));
-  }
-  return net::EncodeNodeScrubResponse(reply);
+  reply.stores = scrubber_->Snapshot();
+  return reply;
 }
 
-Result<std::vector<uint8_t>> NodeService::HandleRepairRange(
-    const std::vector<uint8_t>& payload) {
-  TURBDB_ASSIGN_OR_RETURN(net::NodeRepairRangeRequest request,
-                          net::DecodeNodeRepairRangeRequest(payload));
-  TURBDB_ASSIGN_OR_RETURN(
-      net::NodeRepairRangeReply reply,
-      RepairStoreFromSiblings(request.dataset, request.field, request.timestep,
-                              request.begin_code, request.end_code));
-  return net::EncodeNodeRepairRangeResponse(reply);
+Result<net::NodeRepairRangeReply> NodeService::RepairRange(
+    const net::NodeRepairRangeRequest& request, const net::CallContext&) {
+  return RepairStoreFromSiblings(request.dataset, request.field,
+                                 request.timestep, request.begin_code,
+                                 request.end_code);
 }
 
 Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
@@ -606,7 +520,7 @@ Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
     Result<net::NodeMerkleReply> peer_tree = Status::OK();
     {
       std::lock_guard<std::mutex> lock(channel->mutex);
-      peer_tree = channel->client->NodeMerkle(merkle_request);
+      peer_tree = channel->client->Call(merkle_request);
     }
     if (!peer_tree.ok()) {
       last = Status(peer_tree.status().code(),
@@ -615,20 +529,7 @@ Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
       continue;  // Sick sibling; try the next one.
     }
 
-    MerkleTree theirs;
-    theirs.leaf_shift = peer_tree->leaf_shift;
-    theirs.root = peer_tree->root;
-    theirs.leaves.reserve(peer_tree->leaves.size());
-    for (const net::WireMerkleLeaf& wire : peer_tree->leaves) {
-      MerkleLeaf leaf;
-      leaf.timestep = wire.timestep;
-      leaf.leaf = wire.leaf;
-      leaf.digest = wire.digest;
-      leaf.atoms = wire.atoms;
-      theirs.leaves.push_back(leaf);
-    }
-
-    std::vector<MerkleRange> diverged = DiffMerkleTrees(mine, theirs);
+    std::vector<MerkleRange> diverged = DiffMerkleTrees(mine, peer_tree->tree);
     // Optional confinement to the requested [begin_code, end_code) of
     // one timestep (begin == end == 0 repairs whatever the diff found).
     if (!(begin_code == 0 && end_code == 0)) {
@@ -658,7 +559,7 @@ Result<net::NodeRepairRangeReply> NodeService::RepairStoreFromSiblings(
           sync,
           [&channel](const net::NodeSyncRangeRequest& page) {
             std::lock_guard<std::mutex> lock(channel->mutex);
-            return channel->client->NodeSyncRange(page);
+            return channel->client->Call(page);
           },
           [&](std::vector<Atom>& atoms) -> Status {
             for (const Atom& atom : atoms) {

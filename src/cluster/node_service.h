@@ -81,11 +81,12 @@ class NodeService {
   /// outlive the server.
   net::Server::Handler AsHandler();
 
-  /// Decodes and executes one node-scoped request payload. `ctx` carries
-  /// the request's deadline (derived from the frame's budget field) and
-  /// cancellation token; Execute threads both into the evaluation loop.
+  /// Decodes and executes one node-scoped request payload; any other
+  /// request type is kNotSupported. `ctx` carries the request's deadline
+  /// (derived from the frame's budget field) and cancellation token;
+  /// Execute threads both into the evaluation loop.
   std::vector<uint8_t> Handle(const std::vector<uint8_t>& payload,
-                              const net::CallContext& ctx);
+                              const net::CallContext& ctx) const;
 
   DatabaseNode& node() { return node_; }
   int node_id() const { return config_.node_id; }
@@ -151,30 +152,31 @@ class NodeService {
   std::shared_ptr<PeerChannel> GetPeerChannel(int physical,
                                               const NodeAddress& address);
 
-  Result<std::vector<uint8_t>> HandleCreateDataset(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleIngest(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleExecute(
-      const std::vector<uint8_t>& payload, const net::CallContext& ctx);
-  Result<std::vector<uint8_t>> HandleFetchAtoms(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleDropCache(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleStats(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleSyncRange(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleListStores(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleCutover(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleMerkle(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleScrub(
-      const std::vector<uint8_t>& payload);
-  Result<std::vector<uint8_t>> HandleRepairRange(
-      const std::vector<uint8_t>& payload);
+  // The node-scoped RPCs, each registered in `dispatcher_`.
+  Result<net::Ack<net::NodeCreateDatasetRequest>> CreateDataset(
+      const net::NodeCreateDatasetRequest& request, const net::CallContext&);
+  Result<net::Ack<net::NodeIngestRequest>> Ingest(
+      const net::NodeIngestRequest& request, const net::CallContext&);
+  Result<NodeOutcome> Execute(const net::NodeExecuteRequest& request,
+                              const net::CallContext& ctx);
+  Result<net::NodeFetchAtomsReply> FetchAtoms(
+      const net::NodeFetchAtomsRequest& request, const net::CallContext&);
+  Result<net::Ack<net::NodeDropCacheRequest>> DropCache(
+      const net::NodeDropCacheRequest& request, const net::CallContext&);
+  Result<net::NodeStatsReply> Stats(const net::NodeStatsRequest& request,
+                                    const net::CallContext&);
+  Result<net::NodeSyncRangeReply> SyncRange(
+      const net::NodeSyncRangeRequest& request, const net::CallContext&);
+  Result<net::NodeListStoresReply> ListStores(
+      const net::NodeListStoresRequest& request, const net::CallContext&);
+  Result<net::Ack<net::CutoverRequest>> Cutover(
+      const net::CutoverRequest& request, const net::CallContext&);
+  Result<net::NodeMerkleReply> Merkle(const net::NodeMerkleRequest& request,
+                                      const net::CallContext&);
+  Result<net::NodeScrubReply> Scrub(const net::NodeScrubRequest& request,
+                                    const net::CallContext&);
+  Result<net::NodeRepairRangeReply> RepairRange(
+      const net::NodeRepairRangeRequest& request, const net::CallContext&);
 
   /// Anti-entropy driver: fetches a replica sibling's Merkle tree for
   /// (dataset, field), diffs it against the local one, pages only the
@@ -206,6 +208,8 @@ class NodeService {
 
   std::map<int, std::shared_ptr<PeerChannel>> peers_;
   std::mutex peers_mutex_;
+
+  net::Dispatcher dispatcher_{"turbdb_node"};
 
   /// Declared last so its thread stops before any state it scrubs or
   /// repairs through (node_, peers_) is torn down.

@@ -37,22 +37,20 @@ Status RemoteNode::Named(const Status& status) const {
 }
 
 Result<uint64_t> RemoteNode::Handshake() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto hello = client_.Hello();
-  if (!hello.ok()) return Named(hello.status());
-  if (hello->protocol_version != net::kProtocolVersion) {
+  TURBDB_ASSIGN_OR_RETURN(net::HelloReply hello, Call(net::HelloRequest{}));
+  if (hello.protocol_version != net::kProtocolVersion) {
     // Normally unreachable — the frame layer rejects other versions —
     // but kept for a future where frames stay stable and semantics move.
     return Named(Status::VersionMismatch(
-        "speaks protocol v" + std::to_string(hello->protocol_version) +
+        "speaks protocol v" + std::to_string(hello.protocol_version) +
         ", this mediator speaks v" + std::to_string(net::kProtocolVersion)));
   }
-  if (hello->server_id != id_) {
+  if (hello.server_id != id_) {
     return Named(Status::InvalidArgument(
-        "identifies as node " + std::to_string(hello->server_id) +
+        "identifies as node " + std::to_string(hello.server_id) +
         " — topology misconfigured?"));
   }
-  return hello->epoch;
+  return hello.epoch;
 }
 
 Status RemoteNode::CreateDataset(const DatasetInfo& info, int num_shards,
@@ -62,15 +60,13 @@ Status RemoteNode::CreateDataset(const DatasetInfo& info, int num_shards,
   request.num_nodes = num_shards;
   request.node_id = shard_;
   request.strategy = static_cast<int32_t>(strategy);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Named(client_.NodeCreateDataset(request));
+  return Call(std::move(request)).status();
 }
 
-Status RemoteNode::IngestBatches(const std::string& dataset,
-                                 const std::string& field,
-                                 const std::vector<Atom>& atoms,
-                                 bool skip_existing) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Status RemoteNode::IngestAtoms(const std::string& dataset,
+                               const std::string& field,
+                               const std::vector<Atom>& atoms,
+                               bool skip_existing) {
   for (size_t begin = 0; begin < atoms.size(); begin += kIngestBatchAtoms) {
     const size_t end = std::min(atoms.size(), begin + kIngestBatchAtoms);
     net::NodeIngestRequest request;
@@ -79,36 +75,9 @@ Status RemoteNode::IngestBatches(const std::string& dataset,
     request.skip_existing = skip_existing;
     request.atoms.assign(atoms.begin() + static_cast<ptrdiff_t>(begin),
                          atoms.begin() + static_cast<ptrdiff_t>(end));
-    TURBDB_RETURN_NOT_OK(Named(client_.NodeIngest(request)));
+    TURBDB_RETURN_NOT_OK(Call(std::move(request)).status());
   }
   return Status::OK();
-}
-
-Status RemoteNode::IngestAtoms(const std::string& dataset,
-                               const std::string& field,
-                               const std::vector<Atom>& atoms) {
-  return IngestBatches(dataset, field, atoms, /*skip_existing=*/false);
-}
-
-Status RemoteNode::IngestSkippingExisting(const std::string& dataset,
-                                          const std::string& field,
-                                          const std::vector<Atom>& atoms) {
-  return IngestBatches(dataset, field, atoms, /*skip_existing=*/true);
-}
-
-Result<net::NodeSyncRangeReply> RemoteNode::SyncRange(
-    const net::NodeSyncRangeRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto reply = client_.NodeSyncRange(request);
-  if (!reply.ok()) return Named(reply.status());
-  return reply;
-}
-
-Result<net::NodeListStoresReply> RemoteNode::ListStores() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto reply = client_.NodeListStores();
-  if (!reply.ok()) return Named(reply.status());
-  return reply;
 }
 
 Result<NodeOutcome> RemoteNode::Execute(const NodeQuery& query) {
@@ -144,7 +113,7 @@ Result<NodeOutcome> RemoteNode::Execute(const NodeQuery& query) {
     }
   }
   std::unique_lock<std::mutex> lock(mutex_);
-  auto outcome = client_.NodeExecute(request);
+  auto outcome = client_.NodeExecute(std::move(request));
   lock.unlock();
   if (!outcome.ok()) return Named(outcome.status());
   outcome->node_id = id_;
@@ -164,69 +133,7 @@ void RemoteNode::Cancel(uint64_t query_id) {
   if (!conn.ok()) return;
   net::CancelRequest request;
   request.rpc.query_id = query_id;
-  (void)net::WriteFrame(*conn, net::EncodeRequest(request), deadline);
-}
-
-Status RemoteNode::DropCacheEntries(const std::string& dataset,
-                                    const std::string& field,
-                                    int32_t timestep) {
-  net::NodeDropCacheRequest request;
-  request.dataset = dataset;
-  request.field = field;
-  request.timestep = timestep;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Named(client_.NodeDropCache(request));
-}
-
-Result<uint64_t> RemoteNode::StoredAtomCount(const std::string& dataset,
-                                             const std::string& field) {
-  net::NodeStatsRequest request;
-  request.dataset = dataset;
-  request.field = field;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto stats = client_.NodeStats(request);
-  if (!stats.ok()) return Named(stats.status());
-  return stats->stored_atoms;
-}
-
-Result<net::NodeStatsReply> RemoteNode::Stats(const std::string& dataset,
-                                              const std::string& field) {
-  net::NodeStatsRequest request;
-  request.dataset = dataset;
-  request.field = field;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto stats = client_.NodeStats(request);
-  if (!stats.ok()) return Named(stats.status());
-  return stats;
-}
-
-Result<net::NodeMerkleReply> RemoteNode::Merkle(
-    const net::NodeMerkleRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto reply = client_.NodeMerkle(request);
-  if (!reply.ok()) return Named(reply.status());
-  return reply;
-}
-
-Result<net::NodeScrubReply> RemoteNode::Scrub(
-    const net::NodeScrubRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto reply = client_.NodeScrub(request);
-  if (!reply.ok()) return Named(reply.status());
-  return reply;
-}
-
-Result<net::NodeRepairRangeReply> RemoteNode::RepairRange(
-    const net::NodeRepairRangeRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto reply = client_.NodeRepairRange(request);
-  if (!reply.ok()) return Named(reply.status());
-  return reply;
-}
-
-Status RemoteNode::Cutover(const net::CutoverRequest& request) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Named(client_.Cutover(request));
+  (void)net::WriteFrame(*conn, net::Encode(request), deadline);
 }
 
 }  // namespace turbdb

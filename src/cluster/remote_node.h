@@ -4,14 +4,16 @@
 #include <string>
 #include <vector>
 
-#include "cluster/node_backend.h"
+#include "cluster/node.h"
 #include "cluster/topology.h"
 #include "net/client.h"
 
 namespace turbdb {
 
-/// A database node living in another process: implements NodeBackend by
-/// speaking the node-scoped RPCs to a `turbdb_node` over `net::Client`.
+/// A database node living in another process: speaks the node-scoped
+/// RPCs to a `turbdb_node` over `net::Client`. The mediator reaches it
+/// through a ReplicaGroup (replication/replica_group.h), the NodeBackend
+/// of one shard, R=1 included.
 ///
 /// Every wire wait is deadline-bounded and transport failures are
 /// retried a bounded number of times (the client's policy); a node that
@@ -20,7 +22,7 @@ namespace turbdb {
 /// instead of hanging it. The underlying client drives one connection
 /// and is not thread-safe, so calls are serialized on a mutex — the
 /// cluster's parallelism is across nodes, not within one node's channel.
-class RemoteNode : public NodeBackend {
+class RemoteNode {
  public:
   /// `shard` is the logical shard whose atom range this node serves;
   /// under replication several physical nodes share one shard. Negative
@@ -37,68 +39,49 @@ class RemoteNode : public NodeBackend {
   /// than the one recorded means the process restarted.
   Result<uint64_t> Handshake();
 
-  int id() const override { return id_; }
+  int id() const { return id_; }
   int shard() const { return shard_; }
   const NodeAddress& address() const { return address_; }
-  std::string DebugName() const override {
+  std::string DebugName() const {
     return "node " + std::to_string(id_) + " (" + address_.ToString() + ")";
   }
 
+  /// One node-scoped RPC on this node's channel; a failure names the
+  /// node.
+  template <class Req>
+  Result<net::ReplyOf<Req>> Call(Req request) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto reply = client_.Call(std::move(request));
+    if (!reply.ok()) return Named(reply.status());
+    return reply;
+  }
+
+  /// Registers a dataset, split into `num_shards` base shards by
+  /// `strategy`, in the node's catalog as this node's shard.
   Status CreateDataset(const DatasetInfo& info, int num_shards,
-                       PartitionStrategy strategy) override;
+                       PartitionStrategy strategy);
+
+  /// Stores atoms of (dataset, field) in batches that keep frames far
+  /// below the cap. With `skip_existing`, keys the node already holds
+  /// are kept as they are: re-sync and range copies push ranges that may
+  /// overlap what a restarted node recovered from disk.
   Status IngestAtoms(const std::string& dataset, const std::string& field,
-                     const std::vector<Atom>& atoms) override;
-  Result<NodeOutcome> Execute(const NodeQuery& query) override;
+                     const std::vector<Atom>& atoms,
+                     bool skip_existing = false);
+
+  /// Runs this node's part of a query under the view it was routed by.
+  Result<NodeOutcome> Execute(const NodeQuery& query);
 
   /// Fire-and-forget cancel of an Execute in flight on this node: the
   /// CancelRequest frame goes out on a one-shot connection (the main
   /// channel's mutex is held by the very Execute being cancelled), which
   /// is closed without awaiting the reply, so a node that stalls its
   /// replies cannot hold the caller.
-  void Cancel(uint64_t query_id) override;
-  Status DropCacheEntries(const std::string& dataset,
-                          const std::string& field,
-                          int32_t timestep) override;
-  Result<uint64_t> StoredAtomCount(const std::string& dataset,
-                                   const std::string& field) override;
-
-  /// IngestAtoms with `skip_existing`: duplicate keys are silently kept
-  /// as-is on the node. The re-sync path uses it to push ranges that may
-  /// overlap atoms a restarted node already recovered from disk.
-  Status IngestSkippingExisting(const std::string& dataset,
-                                const std::string& field,
-                                const std::vector<Atom>& atoms);
-
-  /// One page of a replica sync: atoms of (dataset, field, timestep) in
-  /// [begin_code, end_code), at most max_atoms of them.
-  Result<net::NodeSyncRangeReply> SyncRange(
-      const net::NodeSyncRangeRequest& request);
-
-  /// Every (dataset, field) store the node has open, with atom counts.
-  Result<net::NodeListStoresReply> ListStores();
-
-  /// The node's full stats row (epoch, WAL lag, last cutover generation).
-  Result<net::NodeStatsReply> Stats(const std::string& dataset,
-                                    const std::string& field);
-
-  /// Self-healing RPCs (v7): a store's Merkle digest, a synchronous
-  /// scrub pass (or counter read), and an anti-entropy repair of one
-  /// store from the node's replica siblings.
-  Result<net::NodeMerkleReply> Merkle(const net::NodeMerkleRequest& request);
-  Result<net::NodeScrubReply> Scrub(const net::NodeScrubRequest& request);
-  Result<net::NodeRepairRangeReply> RepairRange(
-      const net::NodeRepairRangeRequest& request);
-
-  /// Tells the node a range move it takes part in commits (v6
-  /// elasticity control plane; see net::CutoverRequest).
-  Status Cutover(const net::CutoverRequest& request);
+  void Cancel(uint64_t query_id);
 
  private:
   /// Prefixes a failure with this node's identity (code preserved).
   Status Named(const Status& status) const;
-
-  Status IngestBatches(const std::string& dataset, const std::string& field,
-                       const std::vector<Atom>& atoms, bool skip_existing);
 
   int id_;
   int shard_;

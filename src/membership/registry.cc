@@ -111,7 +111,7 @@ Result<std::unique_ptr<MembershipRegistry>> MembershipRegistry::Open(
     std::lock_guard<std::mutex> lock(registry->mutex_);
     TURBDB_RETURN_NOT_OK(registry->Persist());
   }
-  return std::move(registry);
+  return registry;
 }
 
 MembershipView MembershipRegistry::Snapshot() const {

@@ -79,7 +79,7 @@ Status Client::EnsureConnected(Deadline deadline) {
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> Client::CallOnce(
+Result<std::vector<uint8_t>> Client::ExchangeOnce(
     const std::vector<uint8_t>& request, const Deadline& budget,
     const StreamHooks* stream) {
   int64_t remaining = RemainingBudgetMs(budget);
@@ -119,7 +119,7 @@ Result<std::vector<uint8_t>> Client::CallOnce(
   }
 }
 
-Result<std::vector<uint8_t>> Client::Call(
+Result<std::vector<uint8_t>> Client::Exchange(
     const std::vector<uint8_t>& request, uint64_t budget_ms,
     const StreamHooks* stream) {
   const Deadline budget = budget_ms > 0
@@ -149,7 +149,7 @@ Result<std::vector<uint8_t>> Client::Call(
     // A retried streamed call starts over: chunks of different attempts
     // must never mix, so partial state from a failed attempt is dropped.
     if (stream != nullptr && stream->restart) stream->restart();
-    auto response = CallOnce(request, budget, stream);
+    auto response = ExchangeOnce(request, budget, stream);
     if (response.ok()) return response;
     last = response.status();
     // The connection's stream state is unknown after any failure; drop
@@ -177,7 +177,7 @@ Result<std::vector<uint8_t>> Client::Call(
       std::to_string(attempts) + " attempts)");
 }
 
-Result<std::vector<uint8_t>> Client::CallThresholdStream(
+Result<std::vector<uint8_t>> Client::ExchangeThresholdStream(
     const std::vector<uint8_t>& request, uint64_t budget_ms,
     std::vector<ThresholdPoint>* points) {
   uint64_t next_seq = 0;
@@ -188,7 +188,7 @@ Result<std::vector<uint8_t>> Client::CallThresholdStream(
   };
   hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
     TURBDB_ASSIGN_OR_RETURN(ThresholdChunk chunk,
-                            DecodeThresholdChunk(payload));
+                            Decode<ThresholdChunk>(payload));
     if (chunk.seq != next_seq) {
       return Status::Corruption(
           "streamed reply chunk gap: expected seq " +
@@ -200,22 +200,28 @@ Result<std::vector<uint8_t>> Client::CallThresholdStream(
                    std::make_move_iterator(chunk.points.end()));
     return Status::OK();
   };
-  return Call(request, budget_ms, &hooks);
+  return Exchange(request, budget_ms, &hooks);
+}
+
+uint64_t Client::Stamp(RpcOptions* rpc) const {
+  if (rpc->tenant.empty()) rpc->tenant = options_.tenant;
+  return rpc->deadline_ms != 0 ? rpc->deadline_ms : options_.deadline_ms;
+}
+
+template <class Req>
+Result<ReplyOf<Req>> Client::Timed(Req request) {
+  WallTimer timer;
+  TURBDB_ASSIGN_OR_RETURN(ReplyOf<Req> result, Call(std::move(request)));
+  result.wall_seconds = timer.Seconds();
+  return result;
 }
 
 Result<ThresholdResult> Client::Threshold(const ThresholdQuery& query,
                                           const QueryOptions& options) {
-  WallTimer timer;
   ThresholdRequest request;
   request.query = query;
   request.options = options;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  TURBDB_ASSIGN_OR_RETURN(ThresholdResult result,
-                          DecodeThresholdResponse(payload));
-  result.wall_seconds = timer.Seconds();
-  return result;
+  return Timed(std::move(request));
 }
 
 Result<ThresholdResult> Client::ThresholdStreamed(
@@ -225,15 +231,13 @@ Result<ThresholdResult> Client::ThresholdStreamed(
   request.query = query;
   request.options = options;
   request.stream = true;
-  request.rpc.tenant = options_.tenant;
-
+  const uint64_t budget_ms = Stamp(&request.rpc);
   std::vector<ThresholdPoint> points;
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      CallThresholdStream(EncodeRequest(request), options_.deadline_ms,
-                          &points));
+      ExchangeThresholdStream(Encode(request), budget_ms, &points));
   TURBDB_ASSIGN_OR_RETURN(ThresholdResult result,
-                          DecodeThresholdResponse(payload));
+                          Decode<ThresholdResult>(payload));
   // The terminating summary carries no points; reassemble the streamed
   // set. Z-order indices are unique per grid point, so sorting on them
   // reproduces the non-streamed ordering exactly — and recomputing the
@@ -250,11 +254,9 @@ Result<ThresholdResult> Client::ThresholdStreamed(
   return result;
 }
 
-Result<FofResult> Client::Fof(const FofRequest& request) {
+Result<FofResult> Client::Fof(FofRequest request) {
   WallTimer timer;
-  FofRequest stamped = request;
-  stamped.rpc.tenant = options_.tenant;
-
+  const uint64_t budget_ms = Stamp(&request.rpc);
   FofResult result;
   uint64_t next_seq = 0;
   StreamHooks hooks;
@@ -263,7 +265,7 @@ Result<FofResult> Client::Fof(const FofRequest& request) {
     next_seq = 0;
   };
   hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
-    TURBDB_ASSIGN_OR_RETURN(FofChunk chunk, DecodeFofChunk(payload));
+    TURBDB_ASSIGN_OR_RETURN(FofChunk chunk, Decode<FofChunk>(payload));
     if (chunk.seq != next_seq) {
       return Status::Corruption(
           "streamed FoF reply chunk gap: expected seq " +
@@ -275,12 +277,10 @@ Result<FofResult> Client::Fof(const FofRequest& request) {
                            std::make_move_iterator(chunk.clusters.end()));
     return Status::OK();
   };
-
-  const uint64_t budget = stamped.rpc.deadline_ms != 0 ? stamped.rpc.deadline_ms
-                                                       : options_.deadline_ms;
   TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(stamped), budget, &hooks));
-  TURBDB_ASSIGN_OR_RETURN(result.summary, DecodeFofResponse(payload));
+                          Exchange(Encode(request), budget_ms, &hooks));
+  TURBDB_ASSIGN_OR_RETURN(result.summary,
+                          Decode<DistributedFofSummary>(payload));
   if (result.summary.clusters != result.clusters.size()) {
     return Status::Corruption(
         "streamed FoF reply incomplete: summary says " +
@@ -292,247 +292,36 @@ Result<FofResult> Client::Fof(const FofRequest& request) {
 }
 
 Result<PdfResult> Client::Pdf(const PdfQuery& query) {
-  WallTimer timer;
   PdfRequest request;
   request.query = query;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  TURBDB_ASSIGN_OR_RETURN(PdfResult result, DecodePdfResponse(payload));
-  result.wall_seconds = timer.Seconds();
-  return result;
+  return Timed(std::move(request));
 }
 
 Result<TopKResult> Client::TopK(const TopKQuery& query) {
-  WallTimer timer;
   TopKRequest request;
   request.query = query;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  TURBDB_ASSIGN_OR_RETURN(TopKResult result, DecodeTopKResponse(payload));
-  result.wall_seconds = timer.Seconds();
-  return result;
+  return Timed(std::move(request));
 }
 
 Result<FieldStatsResult> Client::FieldStats(const FieldStatsQuery& query) {
-  WallTimer timer;
   FieldStatsRequest request;
   request.query = query;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  TURBDB_ASSIGN_OR_RETURN(FieldStatsResult result,
-                          DecodeFieldStatsResponse(payload));
-  result.wall_seconds = timer.Seconds();
-  return result;
+  return Timed(std::move(request));
 }
 
-Result<ServerStatsReply> Client::ServerStats() {
-  ServerStatsRequest request;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeServerStatsResponse(payload);
-}
-
-Result<DropCacheReply> Client::DropCache(const DropCacheRequest& request) {
-  DropCacheRequest stamped = request;
-  stamped.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(stamped), options_.deadline_ms));
-  return DecodeDropCacheResponse(payload);
-}
-
-Result<CacheStatsReply> Client::CacheStats() {
-  CacheStatsRequest request;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeCacheStatsResponse(payload);
-}
-
-Result<CacheWarmReply> Client::CacheWarm(const ThresholdQuery& query) {
-  CacheWarmRequest request;
-  request.query = query;
-  request.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeCacheWarmResponse(payload);
-}
-
-Result<CachePinReply> Client::CachePin(const CachePinRequest& request) {
-  CachePinRequest stamped = request;
-  stamped.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(stamped), options_.deadline_ms));
-  return DecodeCachePinResponse(payload, MsgType::kCachePinResponse);
-}
-
-Result<CachePinReply> Client::CacheUnpin(const CacheUnpinRequest& request) {
-  CacheUnpinRequest stamped = request;
-  stamped.rpc.tenant = options_.tenant;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(stamped), options_.deadline_ms));
-  return DecodeCachePinResponse(payload, MsgType::kCacheUnpinResponse);
-}
-
-Status Client::Ping(uint64_t delay_ms) {
-  PingRequest request;
-  request.delay_ms = delay_ms;
-  auto payload = Call(EncodeRequest(request), options_.deadline_ms);
-  if (!payload.ok()) return payload.status();
-  return DecodePingResponse(*payload);
-}
-
-Result<HelloReply> Client::Hello() {
-  HelloRequest request;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeHelloResponse(payload);
-}
-
-// The Node* wrappers honor a per-request budget (rpc.deadline_ms) when
-// the caller set one — the mediator's remote-node path deducts its own
-// elapsed time per hop — and fall back to the client-wide default.
-
-Status Client::NodeCreateDataset(const NodeCreateDatasetRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  auto payload = Call(EncodeRequest(request), budget);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kNodeCreateDatasetResponse);
-}
-
-Status Client::NodeIngest(const NodeIngestRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  auto payload = Call(EncodeRequest(request), budget);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kNodeIngestResponse);
-}
-
-Result<NodeOutcome> Client::NodeExecute(const NodeExecuteRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  if (!request.stream) {
-    TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                            Call(EncodeRequest(request), budget));
-    return DecodeNodeExecuteResponse(payload);
-  }
+Result<NodeOutcome> Client::NodeExecute(NodeExecuteRequest request) {
+  if (!request.stream) return Call(std::move(request));
   // Streamed sub-reply: reassemble the chunked points around the
   // terminating NodeOutcome. Chunk order is the node's point order, so no
   // re-sort here — the mediator orders the merged set.
+  const uint64_t budget_ms = Stamp(&request.rpc);
   std::vector<ThresholdPoint> points;
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      CallThresholdStream(EncodeRequest(request), budget, &points));
-  TURBDB_ASSIGN_OR_RETURN(NodeOutcome outcome,
-                          DecodeNodeExecuteResponse(payload));
+      ExchangeThresholdStream(Encode(request), budget_ms, &points));
+  TURBDB_ASSIGN_OR_RETURN(NodeOutcome outcome, Decode<NodeOutcome>(payload));
   outcome.points = std::move(points);
   return outcome;
-}
-
-Result<NodeFetchAtomsReply> Client::NodeFetchAtoms(
-    const NodeFetchAtomsRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeFetchAtomsResponse(payload);
-}
-
-Status Client::NodeDropCache(const NodeDropCacheRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  auto payload = Call(EncodeRequest(request), budget);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kNodeDropCacheResponse);
-}
-
-Result<NodeStatsReply> Client::NodeStats(const NodeStatsRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeStatsResponse(payload);
-}
-
-Result<NodeSyncRangeReply> Client::NodeSyncRange(
-    const NodeSyncRangeRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeSyncRangeResponse(payload);
-}
-
-Result<NodeListStoresReply> Client::NodeListStores() {
-  NodeListStoresRequest request;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeNodeListStoresResponse(payload);
-}
-
-Result<NodeMerkleReply> Client::NodeMerkle(const NodeMerkleRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeMerkleResponse(payload);
-}
-
-Result<NodeScrubReply> Client::NodeScrub(const NodeScrubRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeScrubResponse(payload);
-}
-
-Result<NodeRepairRangeReply> Client::NodeRepairRange(
-    const NodeRepairRangeRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeNodeRepairRangeResponse(payload);
-}
-
-Result<JoinReply> Client::Join(const JoinRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeJoinResponse(payload);
-}
-
-Result<LeaveReply> Client::Leave(const LeaveRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeLeaveResponse(payload);
-}
-
-Result<MembershipGetReply> Client::MembershipGet() {
-  MembershipGetRequest request;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), options_.deadline_ms));
-  return DecodeMembershipGetResponse(payload);
-}
-
-Status Client::Cutover(const CutoverRequest& request) {
-  auto payload = Call(EncodeRequest(request), options_.deadline_ms);
-  if (!payload.ok()) return payload.status();
-  return DecodeAckResponse(*payload, MsgType::kCutoverResponse);
-}
-
-Result<RebalanceReply> Client::Rebalance(const RebalanceRequest& request) {
-  const uint64_t budget = request.rpc.deadline_ms != 0 ? request.rpc.deadline_ms
-                                                       : options_.deadline_ms;
-  TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Call(EncodeRequest(request), budget));
-  return DecodeRebalanceResponse(payload);
 }
 
 }  // namespace net

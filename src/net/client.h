@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,19 +58,33 @@ struct ClientOptions {
 /// summary plus the streamed cluster records, in server order (size
 /// descending, then id ascending).
 struct FofResult {
-  FofReply summary;
+  DistributedFofSummary summary;
   std::vector<FofClusterRecord> clusters;
   double wall_seconds = 0.0;
 };
 
-/// Remote counterpart of the Mediator query API: connects to a
-/// turbdb_server and issues framed RPCs. One Client drives one
-/// connection and is not thread-safe; it reconnects lazily after any
-/// transport failure. Decoded results carry the point sets, counters and
-/// modeled time; `wall_seconds` is measured locally around the RPC.
+/// Sends framed RPCs to a turbdb_server or a turbdb_node. One Client
+/// drives one connection and is not thread-safe; it reconnects lazily
+/// after any transport failure. Query results carry the point sets,
+/// counters and modeled time; `wall_seconds` is measured locally around
+/// the RPC.
 class Client {
  public:
   Client(std::string host, uint16_t port, ClientOptions options = {});
+
+  /// One unary RPC: sends `request` and decodes the reply the wire table
+  /// pairs with it (an error frame decodes to the Status the server
+  /// sent). The request is billed to its own `rpc.tenant`, else the
+  /// client's, and bounded by its own `rpc.deadline_ms`, else the
+  /// client's. Streamed replies go through ThresholdStreamed, Fof and
+  /// NodeExecute instead.
+  template <class Req>
+  Result<ReplyOf<Req>> Call(Req request) {
+    const uint64_t budget_ms = Stamp(&request.rpc);
+    TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                            Exchange(Encode(request), budget_ms));
+    return Decode<ReplyOf<Req>>(payload);
+  }
 
   Result<ThresholdResult> Threshold(const ThresholdQuery& query,
                                     const QueryOptions& options = {});
@@ -95,58 +110,24 @@ class Client {
   /// (smallest member z-index) and the membership matches the
   /// in-process FriendsOfFriends byte for byte. A transport failure
   /// mid-stream restarts the query from scratch on the next attempt.
-  Result<FofResult> Fof(const FofRequest& request);
+  Result<FofResult> Fof(FofRequest request);
 
   Result<PdfResult> Pdf(const PdfQuery& query);
   Result<TopKResult> TopK(const TopKQuery& query);
   Result<FieldStatsResult> FieldStats(const FieldStatsQuery& query);
-  Result<ServerStatsReply> ServerStats();
 
-  // Mediator cache controls. DropCache clears both tiers (mediator +
-  // node-local); the others act on the mediator-tier result cache only.
-  Result<DropCacheReply> DropCache(const DropCacheRequest& request);
-  Result<CacheStatsReply> CacheStats();
-  Result<CacheWarmReply> CacheWarm(const ThresholdQuery& query);
-  Result<CachePinReply> CachePin(const CachePinRequest& request);
-  Result<CachePinReply> CacheUnpin(const CacheUnpinRequest& request);
+  /// A node's part of a query. With `request.stream` set the threshold
+  /// points arrive as chunk frames and are reassembled, in the node's
+  /// order, around the terminating NodeOutcome.
+  Result<NodeOutcome> NodeExecute(NodeExecuteRequest request);
 
-  /// Round-trip liveness probe; `delay_ms` asks the server to sleep
-  /// before answering (deadline drills).
-  Status Ping(uint64_t delay_ms = 0);
-
-  /// Version/identity handshake (see HelloReply).
-  Result<HelloReply> Hello();
-
-  // Node-scoped RPCs (mediator / peer-node side of a turbdb_node).
-  // These reuse the same bounded-retry transport: ingest and
-  // create-dataset are idempotent (last write wins on identical data),
-  // execute and fetch are read-only.
-  Status NodeCreateDataset(const NodeCreateDatasetRequest& request);
-  Status NodeIngest(const NodeIngestRequest& request);
-  Result<NodeOutcome> NodeExecute(const NodeExecuteRequest& request);
+  // -- Forwards kept for the benchmark harness (perfbench/); the next
+  // change to the benchmark moves it onto Call and deletes them.
+  Status Ping() { return Call(PingRequest{}).status(); }
   Result<NodeFetchAtomsReply> NodeFetchAtoms(
-      const NodeFetchAtomsRequest& request);
-  Status NodeDropCache(const NodeDropCacheRequest& request);
-  Result<NodeStatsReply> NodeStats(const NodeStatsRequest& request);
-  Result<NodeSyncRangeReply> NodeSyncRange(const NodeSyncRangeRequest& request);
-  Result<NodeListStoresReply> NodeListStores();
-
-  // Self-healing RPCs (v7): Merkle digests, scrub control and targeted
-  // range repair, all read-only or idempotent (repair converges to the
-  // healthy peer's contents however many times it runs).
-  Result<NodeMerkleReply> NodeMerkle(const NodeMerkleRequest& request);
-  Result<NodeScrubReply> NodeScrub(const NodeScrubRequest& request);
-  Result<NodeRepairRangeReply> NodeRepairRange(
-      const NodeRepairRangeRequest& request);
-
-  // Elasticity RPCs (v6). Join/Leave/MembershipGet/Rebalance target the
-  // mediator-fronting server; Cutover goes from the mediator to the two
-  // turbdb_nodes of a range move.
-  Result<JoinReply> Join(const JoinRequest& request);
-  Result<LeaveReply> Leave(const LeaveRequest& request);
-  Result<MembershipGetReply> MembershipGet();
-  Status Cutover(const CutoverRequest& request);
-  Result<RebalanceReply> Rebalance(const RebalanceRequest& request);
+      const NodeFetchAtomsRequest& request) {
+    return Call(request);
+  }
 
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
@@ -154,39 +135,46 @@ class Client {
  private:
   /// Hooks a streamed call installs on the transport loop. `restart`
   /// runs at the start of every attempt (drop partial chunks from a
-  /// failed earlier attempt); `chunk` consumes one kThresholdChunk
-  /// payload — a non-OK return is a typed, final failure (never
-  /// retried).
+  /// failed earlier attempt); `chunk` consumes one chunk payload — a
+  /// non-OK return is a typed, final failure (never retried).
   struct StreamHooks {
     std::function<void()> restart;
     std::function<Status(const std::vector<uint8_t>& payload)> chunk;
   };
+
+  /// Bills `rpc` to the client's tenant unless it names its own, and
+  /// returns its budget: its own deadline if set, else the client's.
+  uint64_t Stamp(RpcOptions* rpc) const;
+
+  /// A query RPC timed locally: its reply's `wall_seconds` is set.
+  template <class Req>
+  Result<ReplyOf<Req>> Timed(Req request);
 
   /// Sends one request payload and reads one response payload, with
   /// retry-with-backoff across transport failures. `budget_ms` (0 =
   /// none) caps the whole call — attempts and backoff sleeps — and its
   /// remaining balance is stamped into each attempt's frame header;
   /// exhaustion yields kDeadlineExceeded. When `stream` is non-null,
-  /// intermediate kThresholdChunk frames are fed to its hooks and the
-  /// returned payload is the stream's *terminating* frame.
-  Result<std::vector<uint8_t>> Call(const std::vector<uint8_t>& request,
-                                    uint64_t budget_ms,
-                                    const StreamHooks* stream = nullptr);
+  /// intermediate chunk frames are fed to its hooks and the returned
+  /// payload is the stream's *terminating* frame.
+  Result<std::vector<uint8_t>> Exchange(const std::vector<uint8_t>& request,
+                                        uint64_t budget_ms,
+                                        const StreamHooks* stream = nullptr);
 
   /// A streamed threshold call (a ThresholdRequest or NodeExecuteRequest
   /// with `stream` set): the kThresholdChunk frames are checked for seq
   /// gaps (kCorruption) and their points appended to `points` in arrival
   /// order, starting over on every retried attempt. Returns the
   /// terminating frame's payload.
-  Result<std::vector<uint8_t>> CallThresholdStream(
+  Result<std::vector<uint8_t>> ExchangeThresholdStream(
       const std::vector<uint8_t>& request, uint64_t budget_ms,
       std::vector<ThresholdPoint>* points);
 
   /// One attempt on the current (or a fresh) connection, bounded by both
   /// the per-operation timeouts and the overall query budget.
-  Result<std::vector<uint8_t>> CallOnce(const std::vector<uint8_t>& request,
-                                        const Deadline& budget,
-                                        const StreamHooks* stream);
+  Result<std::vector<uint8_t>> ExchangeOnce(const std::vector<uint8_t>& request,
+                                            const Deadline& budget,
+                                            const StreamHooks* stream);
 
   Status EnsureConnected(Deadline deadline);
 

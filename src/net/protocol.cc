@@ -411,11 +411,8 @@ void Fields(Ar& ar, MembershipView& view) {
           [&](RangeOverride& range) { Fields(ar, range); });
 }
 
-/// A reply with no body: the acks and the ping reply.
-struct Ack {};
-
-template <class Ar>
-void Fields(Ar& /*ar*/, Ack& /*ack*/) {}
+template <class Ar, class Request>
+void Fields(Ar& /*ar*/, Ack<Request>& /*ack*/) {}
 
 /// The body of an error frame: the failed request's Status.
 struct ErrorBody {
@@ -576,19 +573,20 @@ void Fields(Ar& ar, DropCacheReply& reply) {
 
 template <class Ar>
 void Fields(Ar& ar, CacheStatsReply& reply) {
+  MediatorCacheStats& stats = reply.stats;
   ar.Bool(reply.enabled);
-  ar.Varint(reply.capacity_bytes);
-  ar.Varint(reply.entries);
-  ar.Varint(reply.bytes);
-  ar.Varint(reply.hits);
-  ar.Varint(reply.misses);
-  ar.Varint(reply.subsumption_hits);
-  ar.Varint(reply.insertions);
-  ar.Varint(reply.evictions);
-  ar.Varint(reply.invalidations);
-  ar.Varint(reply.stale_inserts);
-  ar.Varint(reply.pinned_entries);
-  ar.Varint(reply.pinned_bytes);
+  ar.Varint(stats.capacity_bytes);
+  ar.Varint(stats.entries);
+  ar.Varint(stats.bytes);
+  ar.Varint(stats.hits);
+  ar.Varint(stats.misses);
+  ar.Varint(stats.subsumption_hits);
+  ar.Varint(stats.insertions);
+  ar.Varint(stats.evictions);
+  ar.Varint(stats.invalidations);
+  ar.Varint(stats.stale_inserts);
+  ar.Varint(stats.pinned_entries);
+  ar.Varint(stats.pinned_bytes);
 }
 
 template <class Ar>
@@ -597,8 +595,8 @@ void Fields(Ar& ar, CacheWarmReply& reply) {
   ar.Bool(reply.already_cached);
 }
 
-template <class Ar>
-void Fields(Ar& ar, CachePinReply& reply) {
+template <class Ar, class Request>
+void Fields(Ar& ar, PinReply<Request>& reply) {
   ar.Varint(reply.entries);
 }
 
@@ -630,11 +628,11 @@ void Fields(Ar& ar, FofChunk& chunk) {
 }
 
 template <class Ar>
-void Fields(Ar& ar, FofReply& reply) {
-  ar.Varint(reply.clusters);
-  ar.Varint(reply.points);
-  ar.Varint(reply.largest_cluster);
-  Fields(ar, reply.time);
+void Fields(Ar& ar, DistributedFofSummary& summary) {
+  ar.Varint(summary.clusters);
+  ar.Varint(summary.points);
+  ar.Varint(summary.largest_cluster);
+  Fields(ar, summary.time);
 }
 
 // -- Node-scoped messages ------------------------------------------------
@@ -768,7 +766,7 @@ void Fields(Ar& ar, NodeSyncRangeReply& reply) {
 
 template <class Ar>
 void Fields(Ar& ar, NodeListStoresReply& reply) {
-  ar.List(reply.stores, "implausible store count", [&](NodeStoreInfo& store) {
+  ar.List(reply.stores, "implausible store count", [&](StoreListing& store) {
     ar.String(store.dataset);
     ar.String(store.field);
     ar.Varint(store.atoms);
@@ -799,10 +797,11 @@ void Fields(Ar& ar, NodeRepairRangeRequest& request) {
 
 template <class Ar>
 void Fields(Ar& ar, NodeMerkleReply& reply) {
+  MerkleTree& tree = reply.tree;
   ar.ZigZag(reply.node_id);
-  ar.Varint(reply.leaf_shift, 63, "implausible leaf shift");
-  ar.Varint(reply.root);
-  ar.List(reply.leaves, "implausible leaf count", [&](WireMerkleLeaf& leaf) {
+  ar.Varint(tree.leaf_shift, 63, "implausible leaf shift");
+  ar.Varint(tree.root);
+  ar.List(tree.leaves, "implausible leaf count", [&](MerkleLeaf& leaf) {
     ar.ZigZag(leaf.timestep);
     ar.Varint(leaf.leaf);
     ar.Varint(leaf.digest);
@@ -818,17 +817,18 @@ void Fields(Ar& ar, NodeScrubReply& reply) {
   ar.Varint(reply.atoms_corrupt);
   ar.Varint(reply.atoms_repaired);
   ar.Varint(reply.last_pass_unix_ms);
-  ar.List(reply.stores, "implausible store count", [&](ScrubStoreRow& store) {
-    ar.String(store.dataset);
-    ar.String(store.field);
-    ar.Varint(store.atoms_verified);
-    ar.Varint(store.atoms_corrupt);
-    ar.Varint(store.atoms_repaired);
-    ar.Varint(store.atoms_quarantined);
-    ar.Varint(store.bytes_verified);
-    ar.Varint(store.passes);
-    ar.Varint(store.merkle_root);
-  });
+  ar.List(reply.stores, "implausible store count",
+          [&](Scrubber::StoreStats& store) {
+            ar.String(store.dataset);
+            ar.String(store.field);
+            ar.Varint(store.atoms_verified);
+            ar.Varint(store.atoms_corrupt);
+            ar.Varint(store.atoms_repaired);
+            ar.Varint(store.atoms_quarantined);
+            ar.Varint(store.bytes_verified);
+            ar.Varint(store.passes);
+            ar.Varint(store.merkle_root);
+          });
 }
 
 template <class Ar>
@@ -906,14 +906,6 @@ void Fields(Ar& ar, RebalanceReply& reply) {
   ar.Varint(reply.atoms_copied);
 }
 
-template <class Msg>
-Bytes Encode(MsgType type, const Msg& message) {
-  Bytes out;
-  Writer writer(&out);
-  writer.Varint(type);
-  Fields(writer, const_cast<Msg&>(message));
-  return out;
-}
 
 /// The Status an error frame's body carries, or the reader's failure.
 Status ReadError(Reader& reader) {
@@ -937,229 +929,48 @@ void ExpectType(Reader& reader, MsgType expected) {
 }
 
 template <class Msg>
-Result<Msg> ReadBody(Reader& reader) {
+Bytes EncodeAs(MsgType type, const Msg& message) {
+  Bytes out;
+  Writer writer(&out);
+  writer.Varint(type);
+  Fields(writer, const_cast<Msg&>(message));
+  return out;
+}
+
+}  // namespace
+
+template <WireMessage Msg>
+Bytes Encode(const Msg& message) {
+  return EncodeAs(Wire<Msg>::kType, message);
+}
+
+template <WireMessage Msg>
+Result<Msg> Decode(const Bytes& payload) {
+  Reader reader(payload);
+  ExpectType(reader, Wire<Msg>::kType);
   Msg message;
   Fields(reader, message);
   TURBDB_RETURN_NOT_OK(reader.Finish());
   return message;
 }
 
-template <class Msg>
-Result<Msg> Decode(const Bytes& payload, MsgType type) {
-  Reader reader(payload);
-  ExpectType(reader, type);
-  return ReadBody<Msg>(reader);
-}
-
-template <class Msg>
-Result<Request> ReadRequest(Reader& reader) {
-  TURBDB_ASSIGN_OR_RETURN(Msg request, ReadBody<Msg>(reader));
-  return Request(std::move(request));
-}
-
-}  // namespace
-
-// -- Requests ------------------------------------------------------------
-
-Bytes EncodeRequest(const ThresholdRequest& request) {
-  return Encode(MsgType::kThresholdRequest, request);
-}
-
-Bytes EncodeRequest(const PdfRequest& request) {
-  return Encode(MsgType::kPdfRequest, request);
-}
-
-Bytes EncodeRequest(const TopKRequest& request) {
-  return Encode(MsgType::kTopKRequest, request);
-}
-
-Bytes EncodeRequest(const FieldStatsRequest& request) {
-  return Encode(MsgType::kFieldStatsRequest, request);
-}
-
-Bytes EncodeRequest(const ServerStatsRequest& request) {
-  return Encode(MsgType::kServerStatsRequest, request);
-}
-
-Bytes EncodeRequest(const PingRequest& request) {
-  return Encode(MsgType::kPingRequest, request);
-}
-
-Bytes EncodeRequest(const DropCacheRequest& request) {
-  return Encode(MsgType::kDropCacheRequest, request);
-}
-
-Bytes EncodeRequest(const CacheStatsRequest& request) {
-  return Encode(MsgType::kCacheStatsRequest, request);
-}
-
-Bytes EncodeRequest(const CacheWarmRequest& request) {
-  return Encode(MsgType::kCacheWarmRequest, request);
-}
-
-Bytes EncodeRequest(const CachePinRequest& request) {
-  return Encode(MsgType::kCachePinRequest, request);
-}
-
-Bytes EncodeRequest(const CacheUnpinRequest& request) {
-  return Encode(MsgType::kCacheUnpinRequest, request);
-}
-
-Bytes EncodeRequest(const FofRequest& request) {
-  return Encode(MsgType::kFofRequest, request);
-}
-
-Result<Request> DecodeRequest(const Bytes& payload) {
-  Reader reader(payload);
-  uint64_t raw = 0;
-  reader.Varint(raw);
-  TURBDB_RETURN_NOT_OK(reader.status());
-  switch (static_cast<MsgType>(raw)) {
-    case MsgType::kThresholdRequest:
-      return ReadRequest<ThresholdRequest>(reader);
-    case MsgType::kPdfRequest:
-      return ReadRequest<PdfRequest>(reader);
-    case MsgType::kTopKRequest:
-      return ReadRequest<TopKRequest>(reader);
-    case MsgType::kFieldStatsRequest:
-      return ReadRequest<FieldStatsRequest>(reader);
-    case MsgType::kServerStatsRequest:
-      return ReadRequest<ServerStatsRequest>(reader);
-    case MsgType::kPingRequest:
-      return ReadRequest<PingRequest>(reader);
-    case MsgType::kDropCacheRequest:
-      return ReadRequest<DropCacheRequest>(reader);
-    case MsgType::kCacheStatsRequest:
-      return ReadRequest<CacheStatsRequest>(reader);
-    case MsgType::kCacheWarmRequest:
-      return ReadRequest<CacheWarmRequest>(reader);
-    case MsgType::kCachePinRequest:
-      return ReadRequest<CachePinRequest>(reader);
-    case MsgType::kCacheUnpinRequest:
-      return ReadRequest<CacheUnpinRequest>(reader);
-    case MsgType::kFofRequest:
-      return ReadRequest<FofRequest>(reader);
-    default:
-      return Status::Corruption("unknown request type " +
-                                std::to_string(raw));
-  }
-}
-
-// -- Responses -----------------------------------------------------------
+// Encode and Decode exist for exactly the messages of the wire table.
+#define TURBDB_NET_CODEC(Msg)                    \
+  template Bytes Encode<Msg>(const Msg&);        \
+  template Result<Msg> Decode<Msg>(const Bytes&);
+#define TURBDB_NET_CODEC_RPC(Request, RequestType, ReplyMsg, ReplyType) \
+  TURBDB_NET_CODEC(Request)                                            \
+  TURBDB_NET_CODEC(ReplyMsg)
+#define TURBDB_NET_CODEC_STREAM(Msg, Type) TURBDB_NET_CODEC(Msg)
+TURBDB_NET_WIRE_TABLE(TURBDB_NET_CODEC_RPC, TURBDB_NET_CODEC_STREAM)
+#undef TURBDB_NET_CODEC_STREAM
+#undef TURBDB_NET_CODEC_RPC
+#undef TURBDB_NET_CODEC
 
 Bytes EncodeErrorResponse(const Status& status) {
   ErrorBody error{static_cast<uint64_t>(status.code()), status.message()};
-  return Encode(MsgType::kErrorResponse, error);
+  return EncodeAs(MsgType::kErrorResponse, error);
 }
-
-Bytes EncodeResponse(const ThresholdResult& result) {
-  return Encode(MsgType::kThresholdResponse, result);
-}
-
-Bytes EncodeResponse(const PdfResult& result) {
-  return Encode(MsgType::kPdfResponse, result);
-}
-
-Bytes EncodeResponse(const TopKResult& result) {
-  return Encode(MsgType::kTopKResponse, result);
-}
-
-Bytes EncodeResponse(const FieldStatsResult& result) {
-  return Encode(MsgType::kFieldStatsResponse, result);
-}
-
-Bytes EncodeResponse(const ServerStatsReply& reply) {
-  return Encode(MsgType::kServerStatsResponse, reply);
-}
-
-Bytes EncodePingResponse() {
-  return Encode(MsgType::kPingResponse, Ack{});
-}
-
-Result<ThresholdResult> DecodeThresholdResponse(const Bytes& payload) {
-  return Decode<ThresholdResult>(payload, MsgType::kThresholdResponse);
-}
-
-Result<PdfResult> DecodePdfResponse(const Bytes& payload) {
-  return Decode<PdfResult>(payload, MsgType::kPdfResponse);
-}
-
-Result<TopKResult> DecodeTopKResponse(const Bytes& payload) {
-  return Decode<TopKResult>(payload, MsgType::kTopKResponse);
-}
-
-Result<FieldStatsResult> DecodeFieldStatsResponse(const Bytes& payload) {
-  return Decode<FieldStatsResult>(payload, MsgType::kFieldStatsResponse);
-}
-
-Result<ServerStatsReply> DecodeServerStatsResponse(const Bytes& payload) {
-  return Decode<ServerStatsReply>(payload, MsgType::kServerStatsResponse);
-}
-
-Status DecodePingResponse(const Bytes& payload) {
-  return Decode<Ack>(payload, MsgType::kPingResponse).status();
-}
-
-Bytes EncodeDropCacheResponse(const DropCacheReply& reply) {
-  return Encode(MsgType::kDropCacheResponse, reply);
-}
-
-Result<DropCacheReply> DecodeDropCacheResponse(const Bytes& payload) {
-  return Decode<DropCacheReply>(payload, MsgType::kDropCacheResponse);
-}
-
-Bytes EncodeCacheStatsResponse(const CacheStatsReply& reply) {
-  return Encode(MsgType::kCacheStatsResponse, reply);
-}
-
-Result<CacheStatsReply> DecodeCacheStatsResponse(const Bytes& payload) {
-  return Decode<CacheStatsReply>(payload, MsgType::kCacheStatsResponse);
-}
-
-Bytes EncodeCacheWarmResponse(const CacheWarmReply& reply) {
-  return Encode(MsgType::kCacheWarmResponse, reply);
-}
-
-Result<CacheWarmReply> DecodeCacheWarmResponse(const Bytes& payload) {
-  return Decode<CacheWarmReply>(payload, MsgType::kCacheWarmResponse);
-}
-
-Bytes EncodeCachePinResponse(const CachePinReply& reply, MsgType type) {
-  return Encode(type, reply);
-}
-
-Result<CachePinReply> DecodeCachePinResponse(
-    const Bytes& payload, MsgType type) {
-  return Decode<CachePinReply>(payload, type);
-}
-
-// -- Streamed replies ----------------------------------------------------
-
-Bytes EncodeThresholdChunk(const ThresholdChunk& chunk) {
-  return Encode(MsgType::kThresholdChunk, chunk);
-}
-
-Result<ThresholdChunk> DecodeThresholdChunk(const Bytes& payload) {
-  return Decode<ThresholdChunk>(payload, MsgType::kThresholdChunk);
-}
-
-Bytes EncodeFofChunk(const FofChunk& chunk) {
-  return Encode(MsgType::kFofChunk, chunk);
-}
-
-Result<FofChunk> DecodeFofChunk(const Bytes& payload) {
-  return Decode<FofChunk>(payload, MsgType::kFofChunk);
-}
-
-Bytes EncodeFofResponse(const FofReply& reply) {
-  return Encode(MsgType::kFofResponse, reply);
-}
-
-Result<FofReply> DecodeFofResponse(const Bytes& payload) {
-  return Decode<FofReply>(payload, MsgType::kFofResponse);
-}
-
-// -- Peeks ---------------------------------------------------------------
 
 Result<MsgType> PeekResponseType(const Bytes& payload) {
   size_t pos = 0;
@@ -1181,280 +992,6 @@ Result<RequestHeader> PeekRequestHeader(const Bytes& payload) {
   Fields(reader, header.rpc);
   TURBDB_RETURN_NOT_OK(reader.status());
   return header;
-}
-
-// -- Handshake and cancellation ------------------------------------------
-
-Bytes EncodeRequest(const HelloRequest& request) {
-  return Encode(MsgType::kHelloRequest, request);
-}
-
-Bytes EncodeHelloResponse(const HelloReply& reply) {
-  return Encode(MsgType::kHelloResponse, reply);
-}
-
-Result<HelloReply> DecodeHelloResponse(const Bytes& payload) {
-  return Decode<HelloReply>(payload, MsgType::kHelloResponse);
-}
-
-Bytes EncodeRequest(const CancelRequest& request) {
-  return Encode(MsgType::kCancelRequest, request);
-}
-
-Bytes EncodeCancelResponse(const CancelReply& reply) {
-  return Encode(MsgType::kCancelResponse, reply);
-}
-
-Result<CancelReply> DecodeCancelResponse(const Bytes& payload) {
-  return Decode<CancelReply>(payload, MsgType::kCancelResponse);
-}
-
-// -- Node-scoped messages ------------------------------------------------
-
-Bytes EncodeRequest(const NodeCreateDatasetRequest& request) {
-  return Encode(MsgType::kNodeCreateDatasetRequest, request);
-}
-
-Result<NodeCreateDatasetRequest> DecodeNodeCreateDatasetRequest(
-    const Bytes& payload) {
-  return Decode<NodeCreateDatasetRequest>(payload,
-                                          MsgType::kNodeCreateDatasetRequest);
-}
-
-Bytes EncodeRequest(const NodeIngestRequest& request) {
-  return Encode(MsgType::kNodeIngestRequest, request);
-}
-
-Result<NodeIngestRequest> DecodeNodeIngestRequest(const Bytes& payload) {
-  return Decode<NodeIngestRequest>(payload, MsgType::kNodeIngestRequest);
-}
-
-Bytes EncodeRequest(const NodeExecuteRequest& request) {
-  return Encode(MsgType::kNodeExecuteRequest, request);
-}
-
-Result<NodeExecuteRequest> DecodeNodeExecuteRequest(const Bytes& payload) {
-  return Decode<NodeExecuteRequest>(payload, MsgType::kNodeExecuteRequest);
-}
-
-Bytes EncodeRequest(const NodeFetchAtomsRequest& request) {
-  return Encode(MsgType::kNodeFetchAtomsRequest, request);
-}
-
-Result<NodeFetchAtomsRequest> DecodeNodeFetchAtomsRequest(
-    const Bytes& payload) {
-  return Decode<NodeFetchAtomsRequest>(payload,
-                                       MsgType::kNodeFetchAtomsRequest);
-}
-
-Bytes EncodeRequest(const NodeDropCacheRequest& request) {
-  return Encode(MsgType::kNodeDropCacheRequest, request);
-}
-
-Result<NodeDropCacheRequest> DecodeNodeDropCacheRequest(const Bytes& payload) {
-  return Decode<NodeDropCacheRequest>(payload, MsgType::kNodeDropCacheRequest);
-}
-
-Bytes EncodeRequest(const NodeStatsRequest& request) {
-  return Encode(MsgType::kNodeStatsRequest, request);
-}
-
-Result<NodeStatsRequest> DecodeNodeStatsRequest(const Bytes& payload) {
-  return Decode<NodeStatsRequest>(payload, MsgType::kNodeStatsRequest);
-}
-
-Bytes EncodeRequest(const NodeSyncRangeRequest& request) {
-  return Encode(MsgType::kNodeSyncRangeRequest, request);
-}
-
-Result<NodeSyncRangeRequest> DecodeNodeSyncRangeRequest(const Bytes& payload) {
-  return Decode<NodeSyncRangeRequest>(payload, MsgType::kNodeSyncRangeRequest);
-}
-
-Bytes EncodeRequest(const NodeListStoresRequest& request) {
-  return Encode(MsgType::kNodeListStoresRequest, request);
-}
-
-Result<NodeListStoresRequest> DecodeNodeListStoresRequest(
-    const Bytes& payload) {
-  return Decode<NodeListStoresRequest>(payload,
-                                       MsgType::kNodeListStoresRequest);
-}
-
-Bytes EncodeAckResponse(MsgType type) {
-  return Encode(type, Ack{});
-}
-
-Status DecodeAckResponse(const Bytes& payload, MsgType type) {
-  return Decode<Ack>(payload, type).status();
-}
-
-Bytes EncodeNodeExecuteResponse(const NodeOutcome& outcome) {
-  return Encode(MsgType::kNodeExecuteResponse, outcome);
-}
-
-Result<NodeOutcome> DecodeNodeExecuteResponse(const Bytes& payload) {
-  return Decode<NodeOutcome>(payload, MsgType::kNodeExecuteResponse);
-}
-
-Bytes EncodeNodeFetchAtomsResponse(const NodeFetchAtomsReply& reply) {
-  return Encode(MsgType::kNodeFetchAtomsResponse, reply);
-}
-
-Result<NodeFetchAtomsReply> DecodeNodeFetchAtomsResponse(const Bytes& payload) {
-  return Decode<NodeFetchAtomsReply>(payload, MsgType::kNodeFetchAtomsResponse);
-}
-
-Bytes EncodeNodeStatsResponse(const NodeStatsReply& reply) {
-  return Encode(MsgType::kNodeStatsResponse, reply);
-}
-
-Result<NodeStatsReply> DecodeNodeStatsResponse(const Bytes& payload) {
-  return Decode<NodeStatsReply>(payload, MsgType::kNodeStatsResponse);
-}
-
-Bytes EncodeNodeSyncRangeResponse(const NodeSyncRangeReply& reply) {
-  return Encode(MsgType::kNodeSyncRangeResponse, reply);
-}
-
-Result<NodeSyncRangeReply> DecodeNodeSyncRangeResponse(const Bytes& payload) {
-  return Decode<NodeSyncRangeReply>(payload, MsgType::kNodeSyncRangeResponse);
-}
-
-Bytes EncodeNodeListStoresResponse(const NodeListStoresReply& reply) {
-  return Encode(MsgType::kNodeListStoresResponse, reply);
-}
-
-Result<NodeListStoresReply> DecodeNodeListStoresResponse(const Bytes& payload) {
-  return Decode<NodeListStoresReply>(payload, MsgType::kNodeListStoresResponse);
-}
-
-// -- Self-healing messages (v7) ------------------------------------------
-
-Bytes EncodeRequest(const NodeMerkleRequest& request) {
-  return Encode(MsgType::kNodeMerkleRequest, request);
-}
-
-Result<NodeMerkleRequest> DecodeNodeMerkleRequest(const Bytes& payload) {
-  return Decode<NodeMerkleRequest>(payload, MsgType::kNodeMerkleRequest);
-}
-
-Bytes EncodeRequest(const NodeScrubRequest& request) {
-  return Encode(MsgType::kNodeScrubRequest, request);
-}
-
-Result<NodeScrubRequest> DecodeNodeScrubRequest(const Bytes& payload) {
-  return Decode<NodeScrubRequest>(payload, MsgType::kNodeScrubRequest);
-}
-
-Bytes EncodeRequest(const NodeRepairRangeRequest& request) {
-  return Encode(MsgType::kNodeRepairRangeRequest, request);
-}
-
-Result<NodeRepairRangeRequest> DecodeNodeRepairRangeRequest(
-    const Bytes& payload) {
-  return Decode<NodeRepairRangeRequest>(payload,
-                                        MsgType::kNodeRepairRangeRequest);
-}
-
-Bytes EncodeNodeMerkleResponse(const NodeMerkleReply& reply) {
-  return Encode(MsgType::kNodeMerkleResponse, reply);
-}
-
-Result<NodeMerkleReply> DecodeNodeMerkleResponse(const Bytes& payload) {
-  return Decode<NodeMerkleReply>(payload, MsgType::kNodeMerkleResponse);
-}
-
-Bytes EncodeNodeScrubResponse(const NodeScrubReply& reply) {
-  return Encode(MsgType::kNodeScrubResponse, reply);
-}
-
-Result<NodeScrubReply> DecodeNodeScrubResponse(const Bytes& payload) {
-  return Decode<NodeScrubReply>(payload, MsgType::kNodeScrubResponse);
-}
-
-Bytes EncodeNodeRepairRangeResponse(const NodeRepairRangeReply& reply) {
-  return Encode(MsgType::kNodeRepairRangeResponse, reply);
-}
-
-Result<NodeRepairRangeReply> DecodeNodeRepairRangeResponse(
-    const Bytes& payload) {
-  return Decode<NodeRepairRangeReply>(payload,
-                                      MsgType::kNodeRepairRangeResponse);
-}
-
-// -- Elasticity messages (v6) --------------------------------------------
-
-Bytes EncodeRequest(const JoinRequest& request) {
-  return Encode(MsgType::kJoinRequest, request);
-}
-
-Result<JoinRequest> DecodeJoinRequest(const Bytes& payload) {
-  return Decode<JoinRequest>(payload, MsgType::kJoinRequest);
-}
-
-Bytes EncodeJoinResponse(const JoinReply& reply) {
-  return Encode(MsgType::kJoinResponse, reply);
-}
-
-Result<JoinReply> DecodeJoinResponse(const Bytes& payload) {
-  return Decode<JoinReply>(payload, MsgType::kJoinResponse);
-}
-
-Bytes EncodeRequest(const LeaveRequest& request) {
-  return Encode(MsgType::kLeaveRequest, request);
-}
-
-Result<LeaveRequest> DecodeLeaveRequest(const Bytes& payload) {
-  return Decode<LeaveRequest>(payload, MsgType::kLeaveRequest);
-}
-
-Bytes EncodeLeaveResponse(const LeaveReply& reply) {
-  return Encode(MsgType::kLeaveResponse, reply);
-}
-
-Result<LeaveReply> DecodeLeaveResponse(const Bytes& payload) {
-  return Decode<LeaveReply>(payload, MsgType::kLeaveResponse);
-}
-
-Bytes EncodeRequest(const MembershipGetRequest& request) {
-  return Encode(MsgType::kMembershipGetRequest, request);
-}
-
-Result<MembershipGetRequest> DecodeMembershipGetRequest(const Bytes& payload) {
-  return Decode<MembershipGetRequest>(payload, MsgType::kMembershipGetRequest);
-}
-
-Bytes EncodeMembershipGetResponse(const MembershipGetReply& reply) {
-  return Encode(MsgType::kMembershipGetResponse, reply);
-}
-
-Result<MembershipGetReply> DecodeMembershipGetResponse(const Bytes& payload) {
-  return Decode<MembershipGetReply>(payload, MsgType::kMembershipGetResponse);
-}
-
-Bytes EncodeRequest(const CutoverRequest& request) {
-  return Encode(MsgType::kCutoverRequest, request);
-}
-
-Result<CutoverRequest> DecodeCutoverRequest(const Bytes& payload) {
-  return Decode<CutoverRequest>(payload, MsgType::kCutoverRequest);
-}
-
-Bytes EncodeRequest(const RebalanceRequest& request) {
-  return Encode(MsgType::kRebalanceRequest, request);
-}
-
-Result<RebalanceRequest> DecodeRebalanceRequest(const Bytes& payload) {
-  return Decode<RebalanceRequest>(payload, MsgType::kRebalanceRequest);
-}
-
-Bytes EncodeRebalanceResponse(const RebalanceReply& reply) {
-  return Encode(MsgType::kRebalanceResponse, reply);
-}
-
-Result<RebalanceReply> DecodeRebalanceResponse(const Bytes& payload) {
-  return Decode<RebalanceReply>(payload, MsgType::kRebalanceResponse);
 }
 
 }  // namespace net

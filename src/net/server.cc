@@ -43,6 +43,19 @@ bool IsErrorPayload(const std::vector<uint8_t>& response) {
 
 }  // namespace
 
+std::vector<uint8_t> Dispatcher::operator()(const std::vector<uint8_t>& payload,
+                                            const CallContext& ctx) const {
+  auto header = PeekRequestHeader(payload);
+  if (!header.ok()) return EncodeErrorResponse(header.status());
+  const Route& route = routes_[static_cast<size_t>(header->type)];
+  if (!route) {
+    return EncodeErrorResponse(Status::NotSupported(
+        server_ + " does not serve request type " +
+        std::to_string(static_cast<int>(header->type))));
+  }
+  return route(payload, ctx);
+}
+
 Server::Server(Handler handler, const ServerOptions& options)
     : handler_(std::move(handler)),
       options_(options),
@@ -221,44 +234,34 @@ std::vector<uint8_t> Server::HandleRequest(
 
     switch (header_or->type) {
       case MsgType::kServerStatsRequest:
-        response = EncodeResponse(stats());
+        response = Encode(stats());
         break;
-      case MsgType::kHelloRequest: {
-        HelloReply reply;
-        reply.protocol_version = kProtocolVersion;
-        reply.server_id = options_.server_id;
-        reply.epoch = options_.server_epoch;
-        response = EncodeHelloResponse(reply);
+      case MsgType::kHelloRequest:
+        response = Encode(HelloReply{kProtocolVersion, options_.server_id,
+                                     options_.server_epoch});
         break;
-      }
-      case MsgType::kCancelRequest: {
+      case MsgType::kCancelRequest:
         // Answered here, not in the handler, so cancellation works the
         // same on mediator and node servers and never depends on what
         // the (possibly busy) application handler is doing.
-        CancelReply reply;
-        reply.found = CancelLiveQuery(header_or->rpc.query_id);
-        response = EncodeCancelResponse(reply);
+        response = Encode(CancelReply{CancelLiveQuery(header_or->rpc.query_id)});
         break;
-      }
       case MsgType::kPingRequest: {
         // Sleep the requested delay in stop-aware slices, then honour
         // the deadline exactly like a query would.
-        auto request_or = DecodeRequest(payload);
-        if (!request_or.ok() ||
-            !std::holds_alternative<PingRequest>(*request_or)) {
-          response = EncodeErrorResponse(
-              request_or.ok() ? Status::Corruption("malformed ping")
-                              : request_or.status());
+        auto request = Decode<PingRequest>(payload);
+        if (!request.ok()) {
+          response = EncodeErrorResponse(request.status());
           break;
         }
-        const auto& req = std::get<PingRequest>(*request_or);
-        const auto wake = started + std::chrono::milliseconds(req.delay_ms);
+        const auto wake =
+            started + std::chrono::milliseconds(request->delay_ms);
         while (!stop_.load() && std::chrono::steady_clock::now() < wake) {
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
         response = deadline.Expired()
                        ? EncodeErrorResponse(DeadlineError(budget_ms))
-                       : EncodePingResponse();
+                       : Encode(Ack<PingRequest>{});
         break;
       }
       default: {

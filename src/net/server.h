@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -111,6 +112,48 @@ struct CallContext {
     return cancelled != nullptr &&
            cancelled->load(std::memory_order_relaxed);
   }
+};
+
+/// The typed request table of a server: one handler per request type,
+/// taking the decoded request and returning the reply the wire table
+/// pairs with it, or a Status that goes back as an error frame. A request
+/// type without a handler is answered kNotSupported. A Dispatcher is a
+/// Server::Handler; the mediator front end (cluster/service.h) and
+/// `turbdb_node` (cluster/node_service.h) each build one.
+class Dispatcher {
+ public:
+  template <class Req>
+  using Handler =
+      std::function<Result<ReplyOf<Req>>(const Req&, const CallContext&)>;
+
+  /// `server` names the server in the kNotSupported message.
+  explicit Dispatcher(std::string server) : server_(std::move(server)) {}
+
+  /// Answers request type `Req` with `handler` from now on.
+  template <class Req>
+  Dispatcher& On(Handler<Req> handler) {
+    routes_[static_cast<size_t>(Wire<Req>::kType)] =
+        [handler = std::move(handler)](const std::vector<uint8_t>& payload,
+                                       const CallContext& ctx) {
+          Result<Req> request = Decode<Req>(payload);
+          if (!request.ok()) return EncodeErrorResponse(request.status());
+          Result<ReplyOf<Req>> reply = handler(*request, ctx);
+          if (!reply.ok()) return EncodeErrorResponse(reply.status());
+          return Encode(*reply);
+        };
+    return *this;
+  }
+
+  std::vector<uint8_t> operator()(const std::vector<uint8_t>& payload,
+                                  const CallContext& ctx) const;
+
+ private:
+  using Route = std::function<std::vector<uint8_t>(
+      const std::vector<uint8_t>& payload, const CallContext& ctx)>;
+
+  std::string server_;
+  /// By request tag; every tag fits below kErrorResponse.
+  std::array<Route, static_cast<size_t>(MsgType::kErrorResponse)> routes_;
 };
 
 /// A framed-TCP request server: accepts connections, reads framed

@@ -57,7 +57,7 @@ void ReplicaGroup::RepairLoop() {
     net::NodeRepairRangeRequest request;
     request.dataset = task.dataset;
     request.field = task.field;
-    auto reply = member->node->RepairRange(request);
+    auto reply = member->node->Call(std::move(request));
     if (!reply.ok()) {
       TURBDB_LOG(Warning) << DebugName() << ": read-repair of "
                           << task.dataset << "/" << task.field << " on "
@@ -232,9 +232,12 @@ Status ReplicaGroup::IngestAtoms(const std::string& dataset,
 Status ReplicaGroup::DropCacheEntries(const std::string& dataset,
                                       const std::string& field,
                                       int32_t timestep) {
-  return FanOutWrite([&](RemoteNode* node) {
-    return node->DropCacheEntries(dataset, field, timestep);
-  });
+  net::NodeDropCacheRequest request;
+  request.dataset = dataset;
+  request.field = field;
+  request.timestep = timestep;
+  return FanOutWrite(
+      [&](RemoteNode* node) { return node->Call(request).status(); });
 }
 
 template <class T>
@@ -306,7 +309,7 @@ void ReplicaGroup::Cancel(uint64_t query_id) {
 Result<uint64_t> ReplicaGroup::StoredAtomCount(const std::string& dataset,
                                                const std::string& field) {
   return Read<uint64_t>(dataset, field, [&](Member* member) {
-    return member->node->StoredAtomCount(dataset, field);
+    return StoredAtoms(member->node.get(), dataset, field);
   });
 }
 
@@ -320,22 +323,22 @@ Result<net::NodeSyncRangeReply> ReplicaGroup::SyncRange(
     const net::NodeSyncRangeRequest& request) {
   return Read<net::NodeSyncRangeReply>(
       request.dataset, request.field,
-      [&](Member* member) { return member->node->SyncRange(request); });
+      [&](Member* member) { return member->node->Call(request); });
 }
 
 Status ReplicaGroup::IngestSkippingExisting(const std::string& dataset,
                                             const std::string& field,
                                             const std::vector<Atom>& atoms) {
   for (auto& member : members_) {
-    TURBDB_RETURN_NOT_OK(
-        member->node->IngestSkippingExisting(dataset, field, atoms));
+    TURBDB_RETURN_NOT_OK(member->node->IngestAtoms(dataset, field, atoms,
+                                                   /*skip_existing=*/true));
   }
   return Status::OK();
 }
 
 Status ReplicaGroup::Cutover(const net::CutoverRequest& request) {
   for (auto& member : members_) {
-    TURBDB_RETURN_NOT_OK(member->node->Cutover(request));
+    TURBDB_RETURN_NOT_OK(member->node->Call(request).status());
   }
   return Status::OK();
 }

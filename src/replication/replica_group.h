@@ -35,6 +35,7 @@ namespace turbdb {
 ///
 /// With R=1 the group degenerates to its single RemoteNode: bring-up
 /// fails fast, and every failure surfaces verbatim with the node's name.
+/// Every RemoteNode the mediator builds sits in a group.
 class ReplicaGroup : public NodeBackend {
  public:
   struct MemberStatus {

@@ -33,6 +33,16 @@ Status RegisterCatalog(RemoteNode* node, const Catalog& catalog) {
   return Status::OK();
 }
 
+Result<uint64_t> StoredAtoms(RemoteNode* node, const std::string& dataset,
+                             const std::string& field) {
+  net::NodeStatsRequest request;
+  request.dataset = dataset;
+  request.field = field;
+  TURBDB_ASSIGN_OR_RETURN(net::NodeStatsReply stats,
+                          node->Call(std::move(request)));
+  return stats.stored_atoms;
+}
+
 Result<ResyncReport> ResyncReplica(RemoteNode* stale, RemoteNode* donor,
                                    const Catalog& catalog,
                                    uint64_t page_atoms) {
@@ -42,8 +52,8 @@ Result<ResyncReport> ResyncReplica(RemoteNode* stale, RemoteNode* donor,
   TURBDB_RETURN_NOT_OK(RegisterCatalog(stale, catalog));
 
   TURBDB_ASSIGN_OR_RETURN(net::NodeListStoresReply stores,
-                          donor->ListStores());
-  for (const net::NodeStoreInfo& store : stores.stores) {
+                          donor->Call(net::NodeListStoresRequest{}));
+  for (const StoreListing& store : stores.stores) {
     auto entry = catalog.Find(store.dataset);
     const int32_t timesteps = entry.ok() ? (*entry)->info.num_timesteps : 1;
     for (int32_t t = 0; t < timesteps; ++t) {
@@ -56,18 +66,18 @@ Result<ResyncReport> ResyncReplica(RemoteNode* stale, RemoteNode* donor,
       TURBDB_RETURN_NOT_OK(PageSyncRange(
           request,
           [donor](const net::NodeSyncRangeRequest& page) {
-            return donor->SyncRange(page);
+            return donor->Call(page);
           },
           [&](std::vector<Atom>& atoms) -> Status {
             if (atoms.empty()) return Status::OK();
-            TURBDB_RETURN_NOT_OK(stale->IngestSkippingExisting(
-                store.dataset, store.field, atoms));
+            TURBDB_RETURN_NOT_OK(stale->IngestAtoms(
+                store.dataset, store.field, atoms, /*skip_existing=*/true));
             report.atoms_pushed += atoms.size();
             return Status::OK();
           }));
     }
     TURBDB_ASSIGN_OR_RETURN(uint64_t have,
-                            stale->StoredAtomCount(store.dataset, store.field));
+                            StoredAtoms(stale, store.dataset, store.field));
     if (have < store.atoms) {
       return Status::Internal(
           "resync left " + stale->DebugName() + " with " +

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "cluster/catalog.h"
@@ -29,6 +30,10 @@ Status PageSyncRange(net::NodeSyncRangeRequest request,
 /// Registers every dataset of `catalog` on `node`, with the catalog's
 /// base partitioning: a restarted node lost its in-memory catalog.
 Status RegisterCatalog(RemoteNode* node, const Catalog& catalog);
+
+/// The atom count of (dataset, field) on `node`, from its stats row.
+Result<uint64_t> StoredAtoms(RemoteNode* node, const std::string& dataset,
+                             const std::string& field);
 
 struct ResyncReport {
   uint64_t atoms_pushed = 0;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <shared_mutex>
+#include <string>
 #include <vector>
 
 #include "array/atom.h"
@@ -32,6 +33,13 @@ struct VerifyReport {
   uint64_t bytes_verified = 0;  ///< Payload bytes read and checked.
   /// Keys that failed verification this sweep, in key order.
   std::vector<AtomKey> corrupt;
+};
+
+/// One (dataset, field) store a node has open, with its atom count.
+struct StoreListing {
+  std::string dataset;
+  std::string field;
+  uint64_t atoms = 0;
 };
 
 /// Ordered storage for the atoms of one (dataset, field) pair, keyed by

@@ -137,7 +137,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   if (fd < 0) return ErrnoStatus("open " + path);
   std::unique_ptr<WriteAheadLog> wal(new WriteAheadLog(path, fd));
   TURBDB_RETURN_NOT_OK(wal->Recover());
-  return std::move(wal);
+  return wal;
 }
 
 Status WriteAheadLog::Recover() {

@@ -64,7 +64,7 @@ net::NodeQuerySpec Spec(NodeQuery::Mode mode) {
 std::vector<uint8_t> Encoded(const net::NodeQuerySpec& spec) {
   net::NodeExecuteRequest request;
   request.spec = spec;
-  return net::EncodeRequest(request);
+  return net::Encode(request);
 }
 
 TEST(CatalogTest, RegisterIsIdempotentOnlyForTheSameShape) {

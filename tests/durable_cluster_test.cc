@@ -18,21 +18,11 @@ using testing::SmallTestSpec;
 
 class DurableClusterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/turbdb_cluster_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir_ = tmpl;
-  }
-  void TearDown() override {
-    const std::string command = "rm -rf " + dir_;
-    ASSERT_EQ(std::system(command.c_str()), 0);
-  }
-
   std::unique_ptr<TurbDB> OpenDb() {
     TurbDBConfig config;
     config.cluster.num_nodes = 2;
     config.cluster.processes_per_node = 2;
-    config.cluster.storage_dir = dir_;
+    config.cluster.storage_dir = dir_.path();
     auto db = TurbDB::Open(config);
     if (!db.ok()) return nullptr;
     if (!(*db)->CreateDataset(MakeIsotropicDataset("iso", 32, 1)).ok()) {
@@ -41,7 +31,7 @@ class DurableClusterTest : public ::testing::Test {
     return std::move(db).value();
   }
 
-  std::string dir_;
+  const testing::ScopedTempDir dir_{"turbdb_cluster"};
 };
 
 ThresholdQuery Vorticity(double threshold) {
@@ -70,8 +60,10 @@ TEST_F(DurableClusterTest, SurvivesReopen) {
   }
   // Data files exist on disk, one per (node, dataset, field).
   struct stat info;
-  EXPECT_EQ(::stat((dir_ + "/node0_iso_velocity.tatm").c_str(), &info), 0);
-  EXPECT_EQ(::stat((dir_ + "/node1_iso_velocity.tatm").c_str(), &info), 0);
+  EXPECT_EQ(::stat((dir_.path() + "/node0_iso_velocity.tatm").c_str(), &info),
+            0);
+  EXPECT_EQ(::stat((dir_.path() + "/node1_iso_velocity.tatm").c_str(), &info),
+            0);
 
   // A fresh cluster over the same directory answers without ingesting.
   {

@@ -31,6 +31,7 @@
 #include "wire/serializer.h"
 
 #include "process_harness.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
@@ -52,15 +53,6 @@ ThresholdQuery VorticityQuery(double threshold) {
   query.threshold = threshold;
   query.fd_order = 4;
   return query;
-}
-
-std::string MakeStorageDir() {
-  std::string templ = (std::filesystem::temp_directory_path() /
-                       "turbdb_elasticity_XXXXXX")
-                          .string();
-  char* made = ::mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
 }
 
 /// Reserves an ephemeral loopback port (bind + close, the same
@@ -179,12 +171,13 @@ ClusterSizes RemoteFof(net::Client& client, const ThresholdQuery& query) {
 
 Result<net::NodeStatsReply> NodeWideStats(const NodeAddress& address) {
   net::Client client(address.host, address.port);
-  net::NodeStatsRequest request;  // Empty dataset/field: node-wide row.
-  return client.NodeStats(request);
+  // Empty dataset/field: the node-wide row.
+  return client.Call(net::NodeStatsRequest{});
 }
 
 TEST(ElasticityTest, KillNineAfterIngestReplaysWalByteIdentically) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_elasticity");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = NodeProcessCluster::Launch(kBaseNodes, TURBDB_NODE_BINARY,
                                           {"--storage-dir", storage_dir});
   ASSERT_TRUE(procs.ok()) << procs.status();
@@ -235,11 +228,11 @@ TEST(ElasticityTest, KillNineAfterIngestReplaysWalByteIdentically) {
   EXPECT_EQ(EncodePointsBinary(remote->points),
             EncodePointsBinary(local->points));
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 TEST(ElasticityTest, CleanRestartKeepsEpochUncleanRestartBumpsIt) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_elasticity");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = NodeProcessCluster::Launch(1, TURBDB_NODE_BINARY,
                                           {"--storage-dir", storage_dir});
   ASSERT_TRUE(procs.ok()) << procs.status();
@@ -266,11 +259,11 @@ TEST(ElasticityTest, CleanRestartKeepsEpochUncleanRestartBumpsIt) {
   ASSERT_TRUE(unclean.ok()) << unclean.status();
   EXPECT_GT(unclean->epoch, boot_epoch);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_elasticity");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = NodeProcessCluster::Launch(kBaseNodes, TURBDB_NODE_BINARY,
                                           {"--storage-dir", storage_dir});
   ASSERT_TRUE(procs.ok()) << procs.status();
@@ -360,7 +353,7 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   int joiner_shard = -1;
   uint64_t join_generation = 0;
   for (int waited = 0; waited < 30000; waited += 100) {
-    auto membership = admin.MembershipGet();
+    auto membership = admin.Call(net::MembershipGetRequest{});
     ASSERT_TRUE(membership.ok()) << membership.status();
     const NodeRecord* record = membership->view.FindByUuid("joiner-1");
     if (record != nullptr && record->role == NodeRole::kShard) {
@@ -380,7 +373,7 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   net::RebalanceRequest rebalance;
   rebalance.to_shard = joiner_shard;
   rebalance.max_ranges = 4;
-  auto moved = admin.Rebalance(rebalance);
+  auto moved = admin.Call(rebalance);
   ASSERT_TRUE(moved.ok()) << moved.status();
   ASSERT_GE(moved->moved.size(), 1u);
   EXPECT_GT(moved->atoms_copied, 0u);
@@ -403,7 +396,7 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
   // shards, again without disturbing the query stream.
   net::LeaveRequest leave;
   leave.node_id = joiner_node_id;
-  auto left = admin.Leave(leave);
+  auto left = admin.Call(leave);
   ASSERT_TRUE(left.ok()) << left.status();
   EXPECT_GE(left->ranges_moved, 1u);
   const NodeRecord* drained = left->view.FindByUuid("joiner-1");
@@ -421,7 +414,6 @@ TEST(ElasticityTest, JoinRebalanceAndDecommissionUnderLiveQueries) {
 
   KillAndReap(joiner_pid, SIGTERM);
   KillAndReap(server_pid, SIGTERM);
-  std::filesystem::remove_all(storage_dir);
 }
 
 }  // namespace

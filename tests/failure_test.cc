@@ -27,9 +27,8 @@ ThresholdQuery Vorticity(int64_t n, double threshold) {
 }
 
 TEST(FailureTest, OnDiskCorruptionSurfacesAsCorruptionStatus) {
-  char tmpl[] = "/tmp/turbdb_corrupt_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
+  const testing::ScopedTempDir scoped_dir("turbdb_corrupt");
+  const std::string& dir = scoped_dir.path();
 
   {
     TurbDBConfig config;
@@ -65,9 +64,6 @@ TEST(FailureTest, OnDiskCorruptionSurfacesAsCorruptionStatus) {
   auto result = (*db)->Threshold(Vorticity(32, 1.0));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption()) << result.status();
-
-  const std::string cleanup = "rm -rf " + dir;
-  ASSERT_EQ(std::system(cleanup.c_str()), 0);
 }
 
 TEST(FailureTest, PartiallyIngestedDatasetFailsCleanly) {

@@ -24,6 +24,7 @@
 #include "wire/serializer.h"
 
 #include "process_harness.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
@@ -91,13 +92,10 @@ std::map<uint64_t, std::vector<ThresholdPoint>> ReferenceClusters(
 }
 
 TEST(FofClusterTest, DistributedFofMatchesInProcessOverReplicatedCluster) {
-  std::string storage_templ = (std::filesystem::temp_directory_path() /
-                               "turbdb_fof_r2_XXXXXX")
-                                  .string();
-  ASSERT_NE(::mkdtemp(storage_templ.data()), nullptr);
+  const testing::ScopedTempDir storage("turbdb_fof_r2");
   auto procs = NodeProcessCluster::Launch(
       4, TURBDB_NODE_BINARY,
-      {"--replication-factor", "2", "--storage-dir", storage_templ});
+      {"--replication-factor", "2", "--storage-dir", storage.path()});
   ASSERT_TRUE(procs.ok()) << procs.status();
 
   ClusterTopology topology = (*procs)->topology();

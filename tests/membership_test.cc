@@ -19,16 +19,10 @@
 #include "membership/rebalance.h"
 #include "membership/registry.h"
 #include "membership/view.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
-
-std::string MakeTempDir() {
-  char templ[] = "/tmp/turbdb_membership_XXXXXX";
-  const char* dir = mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 MembershipView ThreeShardView() {
   MembershipView view;
@@ -223,7 +217,8 @@ TEST(RebalancePlannerTest, DrainingShardsAreNeitherDonorsNorTargets) {
 }
 
 TEST(MembershipRegistryTest, SeedsFromTopologyAndPersistsMutations) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_membership");
+  const std::string& dir = scoped_dir.path();
   ClusterTopology seed;
   seed.nodes = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};
   seed.replication_factor = 1;
@@ -310,7 +305,8 @@ std::string ReadFile(const std::string& path) {
 // or whose records no view can hold, fails the open: otherwise every
 // query after a restart would ship the bad view to nodes that refuse it.
 TEST(MembershipRegistryTest, MalformedFileIsCorruption) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_membership");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/membership.txt";
   const std::string header = "generation 5\nreplication 1\nbase_shards 2\n";
   const std::string nodes =
@@ -347,7 +343,8 @@ TEST(MembershipRegistryTest, MalformedFileIsCorruption) {
 // deleted bytes, and truncations. Each opens to a view every consumer
 // accepts, or fails typed; none crashes.
 TEST(MembershipRegistryTest, MutatedFilesOpenValidOrFailTyped) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_membership");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/membership.txt";
   ClusterTopology seed;
   seed.nodes = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};

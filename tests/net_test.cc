@@ -229,9 +229,9 @@ TEST(ProtocolTest, ThresholdRequestRoundTrips) {
   request.rpc.deadline_ms = 777;
   request.rpc.query_id = 0xFEEDFACECAFEBEEFull;
 
-  auto decoded_or = net::DecodeRequest(net::EncodeRequest(request));
+  auto decoded_or = net::Decode<net::ThresholdRequest>(net::Encode(request));
   ASSERT_TRUE(decoded_or.ok()) << decoded_or.status();
-  const auto& decoded = std::get<net::ThresholdRequest>(*decoded_or);
+  const net::ThresholdRequest& decoded = *decoded_or;
   EXPECT_EQ(decoded.query.dataset, "mhd");
   EXPECT_EQ(decoded.query.derived_field, "vorticity");
   EXPECT_EQ(decoded.query.timestep, 3);
@@ -252,33 +252,32 @@ TEST(ProtocolTest, AllRequestTypesRoundTrip) {
   pdf.query.dataset = "iso";
   pdf.query.bin_width = 1.5;
   pdf.query.num_bins = 12;
-  auto pdf_or = net::DecodeRequest(net::EncodeRequest(pdf));
+  auto pdf_or = net::Decode<net::PdfRequest>(net::Encode(pdf));
   ASSERT_TRUE(pdf_or.ok());
-  EXPECT_EQ(std::get<net::PdfRequest>(*pdf_or).query.num_bins, 12);
+  EXPECT_EQ(pdf_or->query.num_bins, 12);
 
   net::TopKRequest topk;
   topk.query.k = 99;
-  auto topk_or = net::DecodeRequest(net::EncodeRequest(topk));
+  auto topk_or = net::Decode<net::TopKRequest>(net::Encode(topk));
   ASSERT_TRUE(topk_or.ok());
-  EXPECT_EQ(std::get<net::TopKRequest>(*topk_or).query.k, 99u);
+  EXPECT_EQ(topk_or->query.k, 99u);
 
   net::FieldStatsRequest stats;
   stats.query.derived_field = "current";
-  auto stats_or = net::DecodeRequest(net::EncodeRequest(stats));
+  auto stats_or = net::Decode<net::FieldStatsRequest>(net::Encode(stats));
   ASSERT_TRUE(stats_or.ok());
-  EXPECT_EQ(std::get<net::FieldStatsRequest>(*stats_or).query.derived_field,
-            "current");
+  EXPECT_EQ(stats_or->query.derived_field, "current");
 
   net::ServerStatsRequest server_stats;
-  auto ss_or = net::DecodeRequest(net::EncodeRequest(server_stats));
+  auto ss_or =
+      net::Decode<net::ServerStatsRequest>(net::Encode(server_stats));
   ASSERT_TRUE(ss_or.ok());
-  EXPECT_TRUE(std::holds_alternative<net::ServerStatsRequest>(*ss_or));
 
   net::PingRequest ping;
   ping.delay_ms = 250;
-  auto ping_or = net::DecodeRequest(net::EncodeRequest(ping));
+  auto ping_or = net::Decode<net::PingRequest>(net::Encode(ping));
   ASSERT_TRUE(ping_or.ok());
-  EXPECT_EQ(std::get<net::PingRequest>(*ping_or).delay_ms, 250u);
+  EXPECT_EQ(ping_or->delay_ms, 250u);
 }
 
 TEST(ProtocolTest, ResponsesRoundTrip) {
@@ -294,7 +293,7 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   threshold.result_bytes_xml = 700;
   threshold.time.io_s = 1.25;
   auto threshold_or =
-      net::DecodeThresholdResponse(net::EncodeResponse(threshold));
+      net::Decode<ThresholdResult>(net::Encode(threshold));
   ASSERT_TRUE(threshold_or.ok()) << threshold_or.status();
   EXPECT_EQ(threshold_or->points, threshold.points);
   EXPECT_TRUE(threshold_or->all_cache_hits);
@@ -305,7 +304,7 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   pdf.counts = {5, 4, 3, 2, 1, 0};
   pdf.bin_width = 2.5;
   pdf.total_points = 15;
-  auto pdf_or = net::DecodePdfResponse(net::EncodeResponse(pdf));
+  auto pdf_or = net::Decode<PdfResult>(net::Encode(pdf));
   ASSERT_TRUE(pdf_or.ok());
   EXPECT_EQ(pdf_or->counts, pdf.counts);
   EXPECT_EQ(pdf_or->bin_width, 2.5);
@@ -314,7 +313,7 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   TopKResult topk;
   topk.points = {MakeThresholdPoint(30, 30, 30, 9.0f),
                  MakeThresholdPoint(1, 1, 1, 8.0f)};
-  auto topk_or = net::DecodeTopKResponse(net::EncodeResponse(topk));
+  auto topk_or = net::Decode<TopKResult>(net::Encode(topk));
   ASSERT_TRUE(topk_or.ok()) << topk_or.status();
   EXPECT_EQ(topk_or->points, topk.points);
 
@@ -323,7 +322,7 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   stats.mean = 1.0;
   stats.rms = 2.0;
   stats.max = 30.5;
-  auto stats_or = net::DecodeFieldStatsResponse(net::EncodeResponse(stats));
+  auto stats_or = net::Decode<FieldStatsResult>(net::Encode(stats));
   ASSERT_TRUE(stats_or.ok());
   EXPECT_EQ(stats_or->count, 262144u);
   EXPECT_EQ(stats_or->max, 30.5);
@@ -332,7 +331,7 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   reply.requests_ok = 12;
   reply.bytes_out = 3456;
   reply.p99_latency_ms = 77.5;
-  auto reply_or = net::DecodeServerStatsResponse(net::EncodeResponse(reply));
+  auto reply_or = net::Decode<net::ServerStatsReply>(net::Encode(reply));
   ASSERT_TRUE(reply_or.ok());
   EXPECT_EQ(reply_or->requests_ok, 12u);
   EXPECT_EQ(reply_or->p99_latency_ms, 77.5);
@@ -341,29 +340,29 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
 TEST(ProtocolTest, ErrorResponseCarriesStatus) {
   const Status error = Status::ThresholdTooLow("too many points");
   auto decoded =
-      net::DecodeThresholdResponse(net::EncodeErrorResponse(error));
+      net::Decode<ThresholdResult>(net::EncodeErrorResponse(error));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kThresholdTooLow);
   EXPECT_EQ(decoded.status().message(), "too many points");
 }
 
 TEST(ProtocolTest, RejectsGarbageAndTrailingBytes) {
-  EXPECT_FALSE(net::DecodeRequest(Bytes({200, 1, 2})).ok());
-  EXPECT_FALSE(net::DecodeRequest({}).ok());
+  EXPECT_FALSE(net::Decode<net::PingRequest>(Bytes({200, 1, 2})).ok());
+  EXPECT_FALSE(net::Decode<net::PingRequest>({}).ok());
 
   net::PingRequest ping;
-  auto payload = net::EncodeRequest(ping);
+  auto payload = net::Encode(ping);
   payload.push_back(0);
-  EXPECT_TRUE(net::DecodeRequest(payload).status().IsCorruption());
+  EXPECT_TRUE(net::Decode<net::PingRequest>(payload).status().IsCorruption());
 
   // Fuzz: random bytes must never crash the request decoder.
   SplitMix64 rng(77);
   for (int iter = 0; iter < 500; ++iter) {
     std::vector<uint8_t> garbage(rng.NextBounded(96));
     for (auto& b : garbage) b = static_cast<uint8_t>(rng.NextBounded(256));
-    (void)net::DecodeRequest(garbage);
-    (void)net::DecodeThresholdResponse(garbage);
-    (void)net::DecodeServerStatsResponse(garbage);
+    (void)net::Decode<net::ThresholdRequest>(garbage);
+    (void)net::Decode<ThresholdResult>(garbage);
+    (void)net::Decode<net::ServerStatsReply>(garbage);
   }
 }
 
@@ -480,44 +479,44 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 // point blob in a temporary and copied it in; encoding in place must not
 // move a single byte.
 TEST(ProtocolTest, PointCarryingMessagesMatchGoldenBytes) {
-  EXPECT_EQ(Hex(net::EncodeResponse(GoldenThresholdResult())),
+  EXPECT_EQ(Hex(net::Encode(GoldenThresholdResult())),
             "4137d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f7dda"
             "2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7f013987ad4b0000"
             "00000000c03f555555555555d53f8dedb5a0f7c6903e000000000000454059f3"
             "f8c21f6ea501");
-  EXPECT_EQ(Hex(net::EncodeThresholdChunk(GoldenThresholdChunk())),
+  EXPECT_EQ(Hex(net::Encode(GoldenThresholdChunk())),
             "49ac0237d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f"
             "7dda2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7ff0a204");
-  EXPECT_EQ(Hex(net::EncodeResponse(GoldenTopKResult())),
+  EXPECT_EQ(Hex(net::Encode(GoldenTopKResult())),
             "4334d3a8c1a2050488270000104184d9ffffffffffffff0100000041f4ffffff"
             "ffffff010000e04083808080808080feff010000d040000000000000c03f5555"
             "55555555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea501");
-  EXPECT_EQ(Hex(net::EncodeNodeExecuteResponse(GoldenNodeOutcome())),
+  EXPECT_EQ(Hex(net::Encode(GoldenNodeOutcome())),
             "5237d3a8c1a205070000000000010000c03f7e79e9f64201acc52737807f7dda"
             "2c4e8080ffffff1f000000c0ffffffffffdfffff7fffff7f7f040001c801f0a2"
             "0400000000000029400000000000f058400000000000001c4001070000000000"
             "00f03f00000000000000c0000000000000e03f01000000000000c03f55555555"
             "5555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea5010102b817"
             "04050680801007");
-  EXPECT_EQ(Hex(net::EncodeFofChunk(GoldenFofChunk())),
+  EXPECT_EQ(Hex(net::Encode(GoldenFofChunk())),
             "5801020103000000010102000000000000e03f000000000000d03f0000000000"
             "00f03f79e9f6427f15d3a8c1a20503010000c03f7e79e9f64201acc527378080"
             "0101000020000020000000000000000000000000000000000000000000004040"
             "7dda2c4e80800106d3a8c1a2050002");
 
   // And they decode, in place, back to the inputs.
-  auto threshold = net::DecodeThresholdResponse(
-      net::EncodeResponse(GoldenThresholdResult()));
+  auto threshold = net::Decode<ThresholdResult>(
+      net::Encode(GoldenThresholdResult()));
   ASSERT_TRUE(threshold.ok()) << threshold.status();
   EXPECT_EQ(threshold->points, GoldenPoints());
-  auto topk = net::DecodeTopKResponse(net::EncodeResponse(GoldenTopKResult()));
+  auto topk = net::Decode<TopKResult>(net::Encode(GoldenTopKResult()));
   ASSERT_TRUE(topk.ok()) << topk.status();
   EXPECT_EQ(topk->points, GoldenTopKResult().points);
-  auto node = net::DecodeNodeExecuteResponse(
-      net::EncodeNodeExecuteResponse(GoldenNodeOutcome()));
+  auto node = net::Decode<NodeOutcome>(
+      net::Encode(GoldenNodeOutcome()));
   ASSERT_TRUE(node.ok()) << node.status();
   EXPECT_EQ(node->points, GoldenPoints());
-  auto fof = net::DecodeFofChunk(net::EncodeFofChunk(GoldenFofChunk()));
+  auto fof = net::Decode<net::FofChunk>(net::Encode(GoldenFofChunk()));
   ASSERT_TRUE(fof.ok()) << fof.status();
   EXPECT_EQ(fof->clusters, GoldenFofChunk().clusters);
 }
@@ -541,9 +540,9 @@ TEST(ProtocolTest, PointBlobReadsStopAtTheBlobEnd) {
   std::vector<uint8_t> rest = blob;
   PutVarint64(&rest, 7);  // total_points
   EXPECT_TRUE(
-      net::DecodeThresholdChunk(chunk_payload(blob.size(), rest)).ok());
+      net::Decode<net::ThresholdChunk>(chunk_payload(blob.size(), rest)).ok());
   auto past_end =
-      net::DecodeThresholdChunk(chunk_payload(rest.size() + 1, rest));
+      net::Decode<net::ThresholdChunk>(chunk_payload(rest.size() + 1, rest));
   EXPECT_TRUE(past_end.status().IsCorruption()) << past_end.status();
 
   // Two points, the second's delta varint still continuing at the blob's
@@ -559,11 +558,11 @@ TEST(ProtocolTest, PointBlobReadsStopAtTheBlobEnd) {
   for (int b : {0x01, 0x00, 0x00, 0x80, 0x3f, 0x02}) {
     cut.push_back(static_cast<uint8_t>(b));
   }
-  auto crossing = net::DecodeThresholdChunk(chunk_payload(cut_length, cut));
+  auto crossing = net::Decode<net::ThresholdChunk>(chunk_payload(cut_length, cut));
   EXPECT_TRUE(crossing.status().IsCorruption()) << crossing.status();
   // The same bytes with the blob length covering the completed varint
   // and its norm decode: the rejection above is the bound, not the data.
-  auto whole = net::DecodeThresholdChunk(chunk_payload(cut_length + 5, cut));
+  auto whole = net::Decode<net::ThresholdChunk>(chunk_payload(cut_length + 5, cut));
   ASSERT_TRUE(whole.ok()) << whole.status();
   EXPECT_EQ(whole->points.size(), 2u);
 }
@@ -703,13 +702,15 @@ TEST_F(ServerEndToEndTest, DeadlineExpiryIsACleanError) {
   net::Client client("127.0.0.1", server_->port(), options);
   // The server sleeps past the deadline, then must answer with a small
   // error frame instead of a result — and must not hang the connection.
-  Status status = client.Ping(/*delay_ms=*/300);
+  net::PingRequest slow;
+  slow.delay_ms = 300;
+  Status status = client.Call(slow).status();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(status.message().find("budget"), std::string::npos);
 
   // The same connection still serves the next request.
-  EXPECT_TRUE(client.Ping(0).ok());
+  EXPECT_TRUE(client.Call(net::PingRequest{}).ok());
 }
 
 TEST_F(ServerEndToEndTest, ConcurrentClientsAllSucceed) {
@@ -734,8 +735,8 @@ TEST_F(ServerEndToEndTest, ConcurrentClientsAllSucceed) {
 
 TEST_F(ServerEndToEndTest, ServerStatsReflectTraffic) {
   net::Client client("127.0.0.1", server_->port());
-  ASSERT_TRUE(client.Ping().ok());
-  auto stats = client.ServerStats();
+  ASSERT_TRUE(client.Call(net::PingRequest{}).ok());
+  auto stats = client.Call(net::ServerStatsRequest{});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_GT(stats->requests_ok, 0u);
   EXPECT_GT(stats->bytes_in, 0u);
@@ -779,15 +780,15 @@ TEST_F(ServerEndToEndTest, OversizedFrameIsRefusedWithError) {
           .ok());
   auto reply = net::ReadFrame(*conn, Deadline::After(5000));
   ASSERT_TRUE(reply.ok()) << reply.status();
-  auto decoded = net::DecodePingResponse(*reply);
-  EXPECT_EQ(decoded.code(), StatusCode::kResultTooLarge);
+  auto decoded = net::Decode<net::Ack<net::PingRequest>>(*reply);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kResultTooLarge);
 
   // The refusal drained the frame, so the connection keeps working.
-  const auto ping = net::EncodeRequest(net::PingRequest{});
+  const auto ping = net::Encode(net::PingRequest{});
   ASSERT_TRUE(net::WriteFrame(*conn, ping, Deadline::After(5000)).ok());
   auto pong = net::ReadFrame(*conn, Deadline::After(5000));
   ASSERT_TRUE(pong.ok()) << pong.status();
-  EXPECT_TRUE(net::DecodePingResponse(*pong).ok());
+  EXPECT_TRUE(net::Decode<net::Ack<net::PingRequest>>(*pong).ok());
 }
 
 TEST_F(ServerEndToEndTest, GracefulShutdownUnblocksEverything) {
@@ -797,7 +798,7 @@ TEST_F(ServerEndToEndTest, GracefulShutdownUnblocksEverything) {
   ASSERT_TRUE(server.ok());
   const uint16_t port = (*server)->port();
   net::Client client("127.0.0.1", port);
-  ASSERT_TRUE(client.Ping().ok());
+  ASSERT_TRUE(client.Call(net::PingRequest{}).ok());
   (*server)->Stop();
   // After Stop, new requests fail cleanly (connection refused or reset),
   // they do not hang.
@@ -806,7 +807,7 @@ TEST_F(ServerEndToEndTest, GracefulShutdownUnblocksEverything) {
   fast.connect_timeout_ms = 1000;
   fast.read_timeout_ms = 1000;
   net::Client late("127.0.0.1", port, fast);
-  EXPECT_FALSE(late.Ping().ok());
+  EXPECT_FALSE(late.Call(net::PingRequest{}).ok());
 }
 
 // -- Streamed replies ----------------------------------------------------
@@ -918,7 +919,7 @@ TEST(StreamedThresholdTest, ChunkSeqGapIsCorruptionOnBothReassemblers) {
       chunk.seq = seq;
       chunk.points = {ThresholdPoint{100 + seq, 1.5f}};
       chunk.total_points = seq + 1;
-      if (!ctx.emit(net::EncodeThresholdChunk(chunk)).ok()) break;
+      if (!ctx.emit(net::Encode(chunk)).ok()) break;
     }
     return net::EncodeErrorResponse(
         Status::Internal("the reader should have stopped at the gap"));
@@ -995,7 +996,7 @@ TEST(AdmissionControlTest, OverBudgetQueriesShedFastWithTypedError) {
   net::Client client("127.0.0.1", port, fast);
 
   // Transport-level requests are exempt from admission.
-  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.Call(net::PingRequest{}).ok());
 
   const auto started = std::chrono::steady_clock::now();
   auto shed = client.FieldStats(query);
@@ -1042,7 +1043,7 @@ TEST(ClientRetryTest, BoundedRetriesOnConnectFailure) {
   options.connect_timeout_ms = 500;
   net::Client client("127.0.0.1", dead_port, options);
   const auto started = std::chrono::steady_clock::now();
-  Status status = client.Ping();
+  Status status = client.Call(net::PingRequest{}).status();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
@@ -1087,7 +1088,7 @@ TEST(ClientRetryTest, VersionMismatchFailsFastWithoutRetry) {
   options.max_retries = 2;
   options.backoff_initial_ms = 10;
   net::Client client("127.0.0.1", *port, options);
-  Status status = client.Ping();
+  Status status = client.Call(net::PingRequest{}).status();
   stop.store(true);
   peer.join();
 
@@ -1154,7 +1155,7 @@ TEST(ClientRetryTest, V2PeerFailsFastWithoutRetry) {
   options.backoff_initial_ms = 10;
   options.read_timeout_ms = 2000;
   net::Client client("127.0.0.1", *port, options);
-  Status status = client.Ping();
+  Status status = client.Call(net::PingRequest{}).status();
   stop.store(true);
   peer.join();
 

@@ -21,6 +21,7 @@
 #include "wire/serializer.h"
 
 #include "process_harness.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
@@ -124,13 +125,10 @@ TEST(NodeClusterTest, StreamedThresholdByteIdenticalOverReplicatedCluster) {
   // whose front-end server re-streams the joined result to the user
   // client in tiny budgeted chunks. The reassembled point set must equal
   // the buffered distributed query byte for byte.
-  std::string storage_templ = (std::filesystem::temp_directory_path() /
-                               "turbdb_stream_r2_XXXXXX")
-                                  .string();
-  ASSERT_NE(::mkdtemp(storage_templ.data()), nullptr);
+  const testing::ScopedTempDir storage("turbdb_stream_r2");
   auto procs = NodeProcessCluster::Launch(
       4, TURBDB_NODE_BINARY,
-      {"--replication-factor", "2", "--storage-dir", storage_templ});
+      {"--replication-factor", "2", "--storage-dir", storage.path()});
   ASSERT_TRUE(procs.ok()) << procs.status();
 
   ClusterTopology topology = (*procs)->topology();
@@ -254,7 +252,7 @@ TEST(NodeClusterTest, KillMidQueryNamesTheLostNode) {
                        std::chrono::seconds(10);
   bool in_flight = false;
   while (!in_flight && std::chrono::steady_clock::now() < give_up) {
-    auto stats = stats_client.ServerStats();
+    auto stats = stats_client.Call(net::ServerStatsRequest{});
     in_flight = stats.ok() && stats->queries_in_flight >= 1;
   }
   (*procs)->Kill(2, SIGKILL);

@@ -8,14 +8,14 @@
 // fields fails here, not in a multi-process test. The
 // fuzzer mutates each golden payload and feeds the mutants to the type's
 // decoder and to the shared peeks: no call may crash, and whatever
-// decodes must re-encode to a payload that decodes again.
+// decodes must re-encode to a payload that decodes again. Every message
+// goes through the one typed codec, net::Encode and net::Decode<Msg>.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <set>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -50,55 +50,11 @@ Bytes FromHex(const std::string& hex) {
 
 // -- Decode-then-encode round trips ------------------------------------
 
-RoundTrip ViaDecodeRequest() {
-  return [](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_ASSIGN_OR_RETURN(net::Request request, net::DecodeRequest(payload));
-    return std::visit([](const auto& r) { return net::EncodeRequest(r); },
-                      request);
-  };
-}
-
-/// Hello and Cancel carry only the request header; servers decode them
-/// with PeekRequestHeader.
 template <class Msg>
-RoundTrip ViaRequestHeader() {
+RoundTrip Via() {
   return [](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_ASSIGN_OR_RETURN(net::RequestHeader header,
-                            net::PeekRequestHeader(payload));
-    Msg request;
-    request.rpc = header.rpc;
-    return net::EncodeRequest(request);
-  };
-}
-
-template <class Msg>
-RoundTrip Via(Result<Msg> (*decode)(const Bytes&),
-              Bytes (*encode)(const Msg&)) {
-  return [decode, encode](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_ASSIGN_OR_RETURN(Msg message, decode(payload));
-    return encode(message);
-  };
-}
-
-RoundTrip ViaAck(net::MsgType type) {
-  return [type](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_RETURN_NOT_OK(net::DecodeAckResponse(payload, type));
-    return net::EncodeAckResponse(type);
-  };
-}
-
-RoundTrip ViaCachePin(net::MsgType type) {
-  return [type](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_ASSIGN_OR_RETURN(net::CachePinReply reply,
-                            net::DecodeCachePinResponse(payload, type));
-    return net::EncodeCachePinResponse(reply, type);
-  };
-}
-
-RoundTrip ViaPing() {
-  return [](const Bytes& payload) -> Result<Bytes> {
-    TURBDB_RETURN_NOT_OK(net::DecodePingResponse(payload));
-    return net::EncodePingResponse();
+    TURBDB_ASSIGN_OR_RETURN(Msg message, net::Decode<Msg>(payload));
+    return net::Encode(message);
   };
 }
 
@@ -111,7 +67,8 @@ RoundTrip ViaErrorStatus() {
     if (type != net::MsgType::kErrorResponse) {
       return Status::Corruption("not an error frame");
     }
-    return net::EncodeErrorResponse(net::DecodePingResponse(payload));
+    return net::EncodeErrorResponse(
+        net::Decode<net::Ack<net::PingRequest>>(payload).status());
   };
 }
 
@@ -549,8 +506,9 @@ net::ThresholdChunk GoldenThresholdChunk() {
 }
 
 net::CacheStatsReply GoldenCacheStatsReply() {
-  net::CacheStatsReply reply;
-  reply.enabled = true;
+  net::CacheStatsReply cache;
+  cache.enabled = true;
+  MediatorCacheStats& reply = cache.stats;
   reply.capacity_bytes = 1ULL << 30;
   reply.entries = 201;
   reply.bytes = 202;
@@ -563,11 +521,11 @@ net::CacheStatsReply GoldenCacheStatsReply() {
   reply.stale_inserts = 209;
   reply.pinned_entries = 210;
   reply.pinned_bytes = 211;
-  return reply;
+  return cache;
 }
 
-net::FofReply GoldenFofReply() {
-  net::FofReply reply;
+DistributedFofSummary GoldenFofReply() {
+  DistributedFofSummary reply;
   reply.clusters = 2;
   reply.points = 4;
   reply.largest_cluster = 3;
@@ -690,10 +648,10 @@ net::RebalanceReply GoldenRebalanceReply() {
 net::NodeMerkleReply GoldenNodeMerkleReply() {
   net::NodeMerkleReply reply;
   reply.node_id = -3;
-  reply.leaf_shift = 12;
-  reply.root = 0xABCDEF;
-  reply.leaves = {net::WireMerkleLeaf{-6, 501, 502, 503},
-                  net::WireMerkleLeaf{-7, 504, 505, 506}};
+  reply.tree.leaf_shift = 12;
+  reply.tree.root = 0xABCDEF;
+  reply.tree.leaves = {MerkleLeaf{-6, 501, 502, 503},
+                       MerkleLeaf{-7, 504, 505, 506}};
   return reply;
 }
 
@@ -724,6 +682,17 @@ net::NodeRepairRangeReply GoldenNodeRepairRangeReply() {
 // -- The golden table ----------------------------------------------------
 
 struct GoldenFrame {
+  template <class Msg>
+  GoldenFrame(std::string name, const Msg& message, std::string hex)
+      : GoldenFrame(std::move(name), net::Encode(message), Via<Msg>(),
+                    std::move(hex)) {}
+  GoldenFrame(std::string name, Bytes payload, RoundTrip round_trip,
+              std::string hex)
+      : name(std::move(name)),
+        payload(std::move(payload)),
+        round_trip(std::move(round_trip)),
+        hex(std::move(hex)) {}
+
   std::string name;
   Bytes payload;         ///< What the encoder emits for the golden message.
   RoundTrip round_trip;  ///< The type's decoder, then its encoder.
@@ -731,85 +700,60 @@ struct GoldenFrame {
 };
 
 std::vector<GoldenFrame> GoldenFrames() {
-  using net::MsgType;
   return {
       // Requests.
-      {"ThresholdRequest", net::EncodeRequest(GoldenThresholdRequest()),
-       ViaDecodeRequest(),
+      {"ThresholdRequest", GoldenThresholdRequest(),
        "01effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f0000000000404540000111"
        "c0c40701"},
-      {"PdfRequest", net::EncodeRequest(GoldenPdfRequest()),
-       ViaDecodeRequest(),
+      {"PdfRequest", GoldenPdfRequest(),
        "02effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f000000000000f83f17"},
-      {"TopKRequest", net::EncodeRequest(GoldenTopKRequest()),
-       ViaDecodeRequest(),
+      {"TopKRequest", GoldenTopKRequest(),
        "03effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f63"},
-      {"FieldStatsRequest", net::EncodeRequest(GoldenFieldStatsRequest()),
-       ViaDecodeRequest(),
+      {"FieldStatsRequest", GoldenFieldStatsRequest(),
        "04effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f"},
-      {"ServerStatsRequest",
-       net::EncodeRequest(GoldenRpcOnly<net::ServerStatsRequest>()),
-       ViaDecodeRequest(),
+      {"ServerStatsRequest", GoldenRpcOnly<net::ServerStatsRequest>(),
        "05effdfad7ecd9fef6fe010874656e616e742d37ac02"},
-      {"PingRequest", net::EncodeRequest(GoldenPingRequest()),
-       ViaDecodeRequest(),
+      {"PingRequest", GoldenPingRequest(),
        "06effdfad7ecd9fef6fe010874656e616e742d37ac02fa01"},
-      {"HelloRequest", net::EncodeRequest(GoldenRpcOnly<net::HelloRequest>()),
-       ViaRequestHeader<net::HelloRequest>(),
+      {"HelloRequest", GoldenRpcOnly<net::HelloRequest>(),
        "07effdfad7ecd9fef6fe010874656e616e742d37ac02"},
-      {"CancelRequest",
-       net::EncodeRequest(GoldenRpcOnly<net::CancelRequest>()),
-       ViaRequestHeader<net::CancelRequest>(),
+      {"CancelRequest", GoldenRpcOnly<net::CancelRequest>(),
        "08effdfad7ecd9fef6fe010874656e616e742d37ac02"},
       {"DropCacheRequest",
-       net::EncodeRequest(
-           GoldenCacheKeyRequest<net::DropCacheRequest>("current", -2)),
-       ViaDecodeRequest(),
+       GoldenCacheKeyRequest<net::DropCacheRequest>("current", -2),
        "0aeffdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "6974790763757272656e7403"},
-      {"CacheStatsRequest",
-       net::EncodeRequest(GoldenRpcOnly<net::CacheStatsRequest>()),
-       ViaDecodeRequest(),
+      {"CacheStatsRequest", GoldenRpcOnly<net::CacheStatsRequest>(),
        "0beffdfad7ecd9fef6fe010874656e616e742d37ac02"},
-      {"CacheWarmRequest", net::EncodeRequest(GoldenCacheWarmRequest()),
-       ViaDecodeRequest(),
+      {"CacheWarmRequest", GoldenCacheWarmRequest(),
        "0ceffdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f0000000000000a40"},
       {"CachePinRequest",
-       net::EncodeRequest(
-           GoldenCacheKeyRequest<net::CachePinRequest>("q_criterion", -5)),
-       ViaDecodeRequest(),
+       GoldenCacheKeyRequest<net::CachePinRequest>("q_criterion", -5),
        "0deffdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "6974790b715f637269746572696f6e09"},
       {"CacheUnpinRequest",
-       net::EncodeRequest(
-           GoldenCacheKeyRequest<net::CacheUnpinRequest>("magnitude", -6)),
-       ViaDecodeRequest(),
+       GoldenCacheKeyRequest<net::CacheUnpinRequest>("magnitude", -6),
        "0eeffdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "697479096d61676e69747564650b"},
-      {"FofRequest", net::EncodeRequest(GoldenFofRequest()),
-       ViaDecodeRequest(),
+      {"FofRequest", GoldenFofRequest(),
        "0feffdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747909766f72746963697479050104070a0b0e0f0000000000000640000111"
        "c0c407000000000000fc3f0b01"},
-      {"NodeCreateDatasetRequest",
-       net::EncodeRequest(GoldenNodeCreateDatasetRequest()),
-       Via(net::DecodeNodeCreateDatasetRequest, net::EncodeRequest),
+      {"NodeCreateDatasetRequest", GoldenNodeCreateDatasetRequest(),
        "10effdfad7ecd9fef6fe010874656e616e742d37ac02076368616e6e656c0804"
        "0c0000000000001a4000000000000000400000000000000a4001000104020000"
        "00000000f0bf000000000000e83f020876656c6f636974790608707265737375"
        "72650109191b1d"},
-      {"NodeIngestRequest", net::EncodeRequest(GoldenNodeIngestRequest()),
-       Via(net::DecodeNodeIngestRequest, net::EncodeRequest),
+      {"NodeIngestRequest", GoldenNodeIngestRequest(),
        "11effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "69747902010502040000c03f000010c003808080802004020000003f0000803f"
        "0000004000008040000000c100008041000000426f12833a01"},
-      {"NodeExecuteRequest", net::EncodeRequest(GoldenNodeExecuteRequest()),
-       Via(net::DecodeNodeExecuteRequest, net::EncodeRequest),
+      {"NodeExecuteRequest", GoldenNodeExecuteRequest(),
        "12effdfad7ecd9fef6fe010874656e616e742d37ac0201036d68640876656c6f"
        "6369747909766f72746963697479050104070a0b0e0f00000000000012400000"
        "00000000e43f212123000111c0c407250207000000000000f03f000000000000"
@@ -818,170 +762,110 @@ std::vector<GoldenFrame> GoldenFrames() {
        "06757569642d300831302e302e302e30d9362700321506757569642d31083130"
        "2e302e302e31da362902331706757569642d320831302e302e302e32db362b04"
        "34"},
-      {"NodeFetchAtomsRequest",
-       net::EncodeRequest(GoldenNodeFetchAtomsRequest()),
-       Via(net::DecodeNodeFetchAtomsRequest, net::EncodeRequest),
+      {"NodeFetchAtomsRequest", GoldenNodeFetchAtomsRequest(),
        "13effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "697479050703057dfefeffffff1f"},
-      {"NodeDropCacheRequest",
-       net::EncodeRequest(GoldenNodeDropCacheRequest()),
-       Via(net::DecodeNodeDropCacheRequest, net::EncodeRequest),
+      {"NodeDropCacheRequest", GoldenNodeDropCacheRequest(),
        "14effdfad7ecd9fef6fe010874656e616e742d37ac02036d68641276656c6f63"
        "6974793a766f7274696369747929"},
-      {"NodeStatsRequest", net::EncodeRequest(GoldenNodeStatsRequest()),
-       Via(net::DecodeNodeStatsRequest, net::EncodeRequest),
+      {"NodeStatsRequest", GoldenNodeStatsRequest(),
        "15effdfad7ecd9fef6fe010874656e616e742d37ac02036d6864086d61676e65"
        "746963"},
-      {"NodeSyncRangeRequest",
-       net::EncodeRequest(GoldenNodeSyncRangeRequest()),
-       Via(net::DecodeNodeSyncRangeRequest, net::EncodeRequest),
+      {"NodeSyncRangeRequest", GoldenNodeSyncRangeRequest(),
        "16effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "6974792b8004802040"},
-      {"NodeListStoresRequest",
-       net::EncodeRequest(GoldenRpcOnly<net::NodeListStoresRequest>()),
-       Via(net::DecodeNodeListStoresRequest, net::EncodeRequest),
+      {"NodeListStoresRequest", GoldenRpcOnly<net::NodeListStoresRequest>(),
        "17effdfad7ecd9fef6fe010874656e616e742d37ac02"},
-      {"JoinRequest", net::EncodeRequest(GoldenJoinRequest()),
-       Via(net::DecodeJoinRequest, net::EncodeRequest),
+      {"JoinRequest", GoldenJoinRequest(),
        "19effdfad7ecd9fef6fe010874656e616e742d37ac02086a6f696e65722d3108"
        "31302e302e302e399e3701"},
-      {"LeaveRequest", net::EncodeRequest(GoldenLeaveRequest()),
-       Via(net::DecodeLeaveRequest, net::EncodeRequest),
+      {"LeaveRequest", GoldenLeaveRequest(),
        "1aeffdfad7ecd9fef6fe010874656e616e742d37ac022f"},
-      {"MembershipGetRequest",
-       net::EncodeRequest(GoldenRpcOnly<net::MembershipGetRequest>()),
-       Via(net::DecodeMembershipGetRequest, net::EncodeRequest),
+      {"MembershipGetRequest", GoldenRpcOnly<net::MembershipGetRequest>(),
        "1beffdfad7ecd9fef6fe010874656e616e742d37ac02"},
-      {"CutoverRequest", net::EncodeRequest(GoldenCutoverRequest()),
-       Via(net::DecodeCutoverRequest, net::EncodeRequest),
+      {"CutoverRequest", GoldenCutoverRequest(),
        "1eeffdfad7ecd9fef6fe010874656e616e742d37ac028020804031332a"},
-      {"RebalanceRequest", net::EncodeRequest(GoldenRebalanceRequest()),
-       Via(net::DecodeRebalanceRequest, net::EncodeRequest),
+      {"RebalanceRequest", GoldenRebalanceRequest(),
        "1feffdfad7ecd9fef6fe010874656e616e742d37ac023504"},
-      {"NodeMerkleRequest", net::EncodeRequest(GoldenNodeMerkleRequest()),
-       Via(net::DecodeNodeMerkleRequest, net::EncodeRequest),
+      {"NodeMerkleRequest", GoldenNodeMerkleRequest(),
        "20effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "6974790c"},
-      {"NodeScrubRequest", net::EncodeRequest(GoldenNodeScrubRequest()),
-       Via(net::DecodeNodeScrubRequest, net::EncodeRequest),
+      {"NodeScrubRequest", GoldenNodeScrubRequest(),
        "21effdfad7ecd9fef6fe010874656e616e742d37ac0200"},
-      {"NodeRepairRangeRequest",
-       net::EncodeRequest(GoldenNodeRepairRangeRequest()),
-       Via(net::DecodeNodeRepairRangeRequest, net::EncodeRequest),
+      {"NodeRepairRangeRequest", GoldenNodeRepairRangeRequest(),
        "22effdfad7ecd9fef6fe010874656e616e742d37ac02036d68640876656c6f63"
        "6974792d80088010"},
 
       // Responses.
-      {"ThresholdResponse", net::EncodeResponse(GoldenThresholdResult()),
-       Via(net::DecodeThresholdResponse, net::EncodeResponse),
+      {"ThresholdResponse", GoldenThresholdResult(),
        "4124d3a8c1a205050000000000010000c03f7e79e9f64201acc5273780ffffff"
        "ff1f000000c0013987ad4b000000000000c03f555555555555d53f8dedb5a0f7"
        "c6903e000000000000454059f3f8c21f6ea501"},
-      {"PdfResponse", net::EncodeResponse(GoldenPdfResult()),
-       Via(net::DecodePdfResponse, net::EncodeResponse),
+      {"PdfResponse", GoldenPdfResult(),
        "420205ac020000000000000440b502000000000000c03f555555555555d53f8d"
        "edb5a0f7c6903e000000000000454059f3f8c21f6ea501"},
-      {"TopKResponse", net::EncodeResponse(GoldenTopKResult()),
-       Via(net::DecodeTopKResponse, net::EncodeResponse),
+      {"TopKResponse", GoldenTopKResult(),
        "431ad3a8c1a2050288270000104184d9ffffffffffffff010000004100000000"
        "0000c03f555555555555d53f8dedb5a0f7c6903e000000000000454059f3f8c2"
        "1f6ea501"},
-      {"FieldStatsResponse", net::EncodeResponse(GoldenFieldStatsResult()),
-       Via(net::DecodeFieldStatsResponse, net::EncodeResponse),
+      {"FieldStatsResponse", GoldenFieldStatsResult(),
        "44808010000000000000f8bf00000000000002400000000000803e4000000000"
        "0000c03f555555555555d53f8dedb5a0f7c6903e000000000000454059f3f8c2"
        "1f6ea501"},
-      {"ServerStatsResponse", net::EncodeResponse(GoldenServerStatsReply()),
-       Via(net::DecodeServerStatsResponse, net::EncodeResponse),
+      {"ServerStatsResponse", GoldenServerStatsReply(),
        "4565666768696a000000000000f43f00000000006053406b6c6d6e6f70717273"
        "7475760205616c7068617778797a7b04626574617c7d7e7f8001810182018301"},
-      {"PingResponse", net::EncodePingResponse(), ViaPing(),
+      {"PingResponse", net::Ack<net::PingRequest>{},
        "46"},
-      {"HelloResponse", net::EncodeHelloResponse(GoldenHelloReply()),
-       Via(net::DecodeHelloResponse, net::EncodeHelloResponse),
+      {"HelloResponse", GoldenHelloReply(),
        "4707050c"},
-      {"CancelResponse", net::EncodeCancelResponse(net::CancelReply{true}),
-       Via(net::DecodeCancelResponse, net::EncodeCancelResponse),
+      {"CancelResponse", net::CancelReply{true},
        "4801"},
-      {"ThresholdChunk", net::EncodeThresholdChunk(GoldenThresholdChunk()),
-       Via(net::DecodeThresholdChunk, net::EncodeThresholdChunk),
+      {"ThresholdChunk", GoldenThresholdChunk(),
        "49ac0224d3a8c1a205050000000000010000c03f7e79e9f64201acc5273780ff"
        "ffffff1f000000c0f0a204"},
-      {"DropCacheResponse",
-       net::EncodeDropCacheResponse(net::DropCacheReply{17, true}),
-       Via(net::DecodeDropCacheResponse, net::EncodeDropCacheResponse),
+      {"DropCacheResponse", net::DropCacheReply{17, true},
        "4a1101"},
-      {"CacheStatsResponse",
-       net::EncodeCacheStatsResponse(GoldenCacheStatsReply()),
-       Via(net::DecodeCacheStatsResponse, net::EncodeCacheStatsResponse),
+      {"CacheStatsResponse", GoldenCacheStatsReply(),
        "4b018080808004c901ca01cb01cc01cd01ce01cf01d001d101d201d301"},
-      {"CacheWarmResponse",
-       net::EncodeCacheWarmResponse(net::CacheWarmReply{4242, true}),
-       Via(net::DecodeCacheWarmResponse, net::EncodeCacheWarmResponse),
+      {"CacheWarmResponse", net::CacheWarmReply{4242, true},
        "4c922101"},
-      {"CachePinResponse",
-       net::EncodeCachePinResponse(net::CachePinReply{3},
-                                   MsgType::kCachePinResponse),
-       ViaCachePin(MsgType::kCachePinResponse),
+      {"CachePinResponse", net::CachePinReply{3},
        "4d03"},
-      {"CacheUnpinResponse",
-       net::EncodeCachePinResponse(net::CachePinReply{5},
-                                   MsgType::kCacheUnpinResponse),
-       ViaCachePin(MsgType::kCacheUnpinResponse),
+      {"CacheUnpinResponse", net::CacheUnpinReply{5},
        "4e05"},
-      {"FofResponse", net::EncodeFofResponse(GoldenFofReply()),
-       Via(net::DecodeFofResponse, net::EncodeFofResponse),
+      {"FofResponse", GoldenFofReply(),
        "4f020403000000000000c03f555555555555d53f8dedb5a0f7c6903e00000000"
        "0000454059f3f8c21f6ea501"},
-      {"FofChunk", net::EncodeFofChunk(GoldenFofChunk()),
-       Via(net::DecodeFofChunk, net::EncodeFofChunk),
+      {"FofChunk", GoldenFofChunk(),
        "58090201030a0b0c0d0e0f000000000000e03f000000000000d0bf0000000000"
        "00f03f79e9f6427f15d3a8c1a20503010000c03f7e79e9f64201acc527378080"
        "01011415161718190000000000000040000000000000104000000000000040c0"
        "7dda2c4e81800106d3a8c1a2050011"},
-      {"NodeCreateDatasetResponse",
-       net::EncodeAckResponse(MsgType::kNodeCreateDatasetResponse),
-       ViaAck(MsgType::kNodeCreateDatasetResponse),
+      {"NodeCreateDatasetResponse", net::Ack<net::NodeCreateDatasetRequest>{},
        "50"},
-      {"NodeIngestResponse",
-       net::EncodeAckResponse(MsgType::kNodeIngestResponse),
-       ViaAck(MsgType::kNodeIngestResponse),
+      {"NodeIngestResponse", net::Ack<net::NodeIngestRequest>{},
        "51"},
-      {"NodeExecuteResponse",
-       net::EncodeNodeExecuteResponse(GoldenNodeOutcome()),
-       Via(net::DecodeNodeExecuteResponse, net::EncodeNodeExecuteResponse),
+      {"NodeExecuteResponse", GoldenNodeOutcome(),
        "5224d3a8c1a205050000000000010000c03f7e79e9f64201acc5273780ffffff"
        "ff1f000000c00300c801f0a20400000000000029400000000000f05840000000"
        "0000001cc00207000000000000f03f00000000000000c0000000000000e03f09"
        "000000000000d0bf0000000000000840000000000000134001000000000000c0"
        "3f555555555555d53f8dedb5a0f7c6903e000000000000454059f3f8c21f6ea5"
        "010102b81704050680801007"},
-      {"NodeFetchAtomsResponse",
-       net::EncodeNodeFetchAtomsResponse(GoldenNodeFetchAtomsReply()),
-       Via(net::DecodeNodeFetchAtomsResponse,
-           net::EncodeNodeFetchAtomsResponse),
+      {"NodeFetchAtomsResponse", GoldenNodeFetchAtomsReply(),
        "5302010502040000c03f000010c003808080802004020000003f0000803f0000"
        "004000008040000000c100008041000000426f12833a000000000000903f8010"},
-      {"NodeDropCacheResponse",
-       net::EncodeAckResponse(MsgType::kNodeDropCacheResponse),
-       ViaAck(MsgType::kNodeDropCacheResponse),
+      {"NodeDropCacheResponse", net::Ack<net::NodeDropCacheRequest>{},
        "54"},
-      {"NodeStatsResponse",
-       net::EncodeNodeStatsResponse(GoldenNodeStatsReply()),
-       Via(net::DecodeNodeStatsResponse, net::EncodeNodeStatsResponse),
+      {"NodeStatsResponse", GoldenNodeStatsReply(),
        "5503ad02ae02af02b002b102b202b302b402b502b602"},
-      {"NodeSyncRangeResponse",
-       net::EncodeNodeSyncRangeResponse(GoldenNodeSyncRangeReply()),
-       Via(net::DecodeNodeSyncRangeResponse, net::EncodeNodeSyncRangeResponse),
+      {"NodeSyncRangeResponse", GoldenNodeSyncRangeReply(),
        "5602010502040000c03f000010c003808080802004020000003f0000803f0000"
        "004000008040000000c100008041000000426f12833a890601"},
-      {"NodeListStoresResponse",
-       net::EncodeNodeListStoresResponse(GoldenNodeListStoresReply()),
-       Via(net::DecodeNodeListStoresResponse,
-           net::EncodeNodeListStoresResponse),
+      {"NodeListStoresResponse", GoldenNodeListStoresReply(),
        "5702036d68640876656c6f6369747991030369736f0870726573737572659203"},
-      {"JoinResponse", net::EncodeJoinResponse(GoldenJoinReply()),
-       Via(net::DecodeJoinResponse, net::EncodeJoinResponse),
+      {"JoinResponse", GoldenJoinReply(),
        "591906757569642d330831302e302e302e33dc362d02352a0305031306757569"
        "642d300831302e302e302e30d9362700321506757569642d310831302e302e30"
        "2e31da362902331706757569642d320831302e302e302e32db362b04340264c8"
@@ -991,38 +875,25 @@ std::vector<GoldenFrame> GoldenFrames() {
        "00000000001a4000000000000000400000000000000a40010001040200000000"
        "0000f0bf000000000000e83f020876656c6f6369747906087072657373757265"
        "01093f41"},
-      {"LeaveResponse", net::EncodeLeaveResponse(GoldenLeaveReply()),
-       Via(net::DecodeLeaveResponse, net::EncodeLeaveResponse),
+      {"LeaveResponse", GoldenLeaveReply(),
        "5a2a0305031306757569642d300831302e302e302e30d9362700321506757569"
        "642d310831302e302e302e31da362902331706757569642d320831302e302e30"
        "2e32db362b04340264c80101ac029003030360"},
-      {"MembershipGetResponse",
-       net::EncodeMembershipGetResponse(net::MembershipGetReply{GoldenView()}),
-       Via(net::DecodeMembershipGetResponse, net::EncodeMembershipGetResponse),
+      {"MembershipGetResponse", net::MembershipGetReply{GoldenView()},
        "5b2a0305031306757569642d300831302e302e302e30d9362700321506757569"
        "642d310831302e302e302e31da362902331706757569642d320831302e302e30"
        "2e32db362b04340264c80101ac02900303"},
-      {"CutoverResponse", net::EncodeAckResponse(MsgType::kCutoverResponse),
-       ViaAck(MsgType::kCutoverResponse),
+      {"CutoverResponse", net::Ack<net::CutoverRequest>{},
        "5e"},
-      {"RebalanceResponse",
-       net::EncodeRebalanceResponse(GoldenRebalanceReply()),
-       Via(net::DecodeRebalanceResponse, net::EncodeRebalanceResponse),
+      {"RebalanceResponse", GoldenRebalanceReply(),
        "5f0902f403d80407bc05a006098001"},
-      {"NodeMerkleResponse",
-       net::EncodeNodeMerkleResponse(GoldenNodeMerkleReply()),
-       Via(net::DecodeNodeMerkleResponse, net::EncodeNodeMerkleResponse),
+      {"NodeMerkleResponse", GoldenNodeMerkleReply(),
        "60050cef9baf05020bf503f603f7030df803f903fa03"},
-      {"NodeScrubResponse",
-       net::EncodeNodeScrubResponse(GoldenNodeScrubReply()),
-       Via(net::DecodeNodeScrubResponse, net::EncodeNodeScrubResponse),
+      {"NodeScrubResponse", GoldenNodeScrubReply(),
        "6107d904da04db04dc0480d095ffbc3102036d68640876656c6f63697479dd04"
        "de04df04e004e104e204e3040369736f087072657373757265e404e504e604e7"
        "04e804e904ea04"},
-      {"NodeRepairRangeResponse",
-       net::EncodeNodeRepairRangeResponse(GoldenNodeRepairRangeReply()),
-       Via(net::DecodeNodeRepairRangeResponse,
-           net::EncodeNodeRepairRangeResponse),
+      {"NodeRepairRangeResponse", GoldenNodeRepairRangeReply(),
        "6209bd05be05bf05c005"},
 
       // The error frame.
@@ -1109,7 +980,6 @@ TEST(ProtocolFuzzTest, MutatedPayloadsNeverCrashAnyDecoder) {
     for (int i = 0; i < kMutationsPerPayload; ++i) {
       const Bytes mutant = Mutate(frame.payload, &rng);
       EXPECT_NO_THROW({
-        (void)net::DecodeRequest(mutant);
         (void)net::PeekRequestHeader(mutant);
         (void)net::PeekResponseType(mutant);
         auto decoded = frame.round_trip(mutant);

@@ -118,8 +118,8 @@ TEST(ValidationTest, NodeAppliesTheSameBoundsToADecodedSpec) {
   auto execute = [&](const net::NodeQuerySpec& spec) {
     net::NodeExecuteRequest request;
     request.spec = spec;
-    return net::DecodeNodeExecuteResponse(
-               handler(net::EncodeRequest(request), net::CallContext{}))
+    return net::Decode<NodeOutcome>(
+               handler(net::Encode(request), net::CallContext{}))
         .status();
   };
 

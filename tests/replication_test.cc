@@ -19,6 +19,7 @@
 #include "wire/serializer.h"
 
 #include "process_harness.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
@@ -42,17 +43,6 @@ ThresholdQuery VorticityQuery(double threshold) {
   query.threshold = threshold;
   query.fd_order = 4;
   return query;
-}
-
-/// A fresh scratch directory the replicas share (file names embed the
-/// physical node id, so one directory serves the whole cluster).
-std::string MakeStorageDir() {
-  std::string templ = (std::filesystem::temp_directory_path() /
-                       "turbdb_replication_XXXXXX")
-                          .string();
-  char* made = ::mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
 }
 
 Result<std::unique_ptr<NodeProcessCluster>> LaunchReplicated(
@@ -98,7 +88,8 @@ uint64_t TotalFailovers(Mediator& mediator) {
 }
 
 TEST(ReplicationTest, ReplicatedClusterMatchesInProcess) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_replication");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = LaunchReplicated(storage_dir);
   ASSERT_TRUE(procs.ok()) << procs.status();
 
@@ -140,11 +131,11 @@ TEST(ReplicationTest, ReplicatedClusterMatchesInProcess) {
     EXPECT_EQ(status[i].failovers, 0u) << "node " << i;
   }
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 TEST(ReplicationTest, KilledPrimaryFailsOverByteIdentically) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_replication");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = LaunchReplicated(storage_dir);
   ASSERT_TRUE(procs.ok()) << procs.status();
   auto db = OpenReplicated((*procs)->topology());
@@ -186,11 +177,11 @@ TEST(ReplicationTest, KilledPrimaryFailsOverByteIdentically) {
   ASSERT_EQ(status.size(), static_cast<size_t>(kPhysicalNodes));
   EXPECT_FALSE(status[1 * kReplication].healthy);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 TEST(ReplicationTest, RestartedReplicaIsResyncedViaEpochDetection) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_replication");
+  const std::string& storage_dir = scoped_dir.path();
   auto procs = LaunchReplicated(storage_dir);
   ASSERT_TRUE(procs.ok()) << procs.status();
   auto db = OpenReplicated((*procs)->topology());
@@ -244,7 +235,6 @@ TEST(ReplicationTest, RestartedReplicaIsResyncedViaEpochDetection) {
   ASSERT_TRUE(count.ok()) << count.status();
   EXPECT_GT(*count, 0u);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 }  // namespace

@@ -54,8 +54,8 @@ net::NodeExecuteRequest VorticitySubQuery(int32_t timestep) {
 
 Result<NodeOutcome> Execute(NodeService& service,
                             const net::NodeExecuteRequest& request) {
-  return net::DecodeNodeExecuteResponse(
-      service.Handle(net::EncodeRequest(request), net::CallContext{}));
+  return net::Decode<NodeOutcome>(
+      service.Handle(net::Encode(request), net::CallContext{}));
 }
 
 TEST(RoutedViewTest, StepIngestedAfterARangeMoveAnswersLikeOneNode) {
@@ -187,10 +187,8 @@ TEST(RoutedViewTest, HaloFromAShardBeyondThePeerListIsInvalidArgument) {
     ASSERT_TRUE(atom.ok()) << atom.status();
     ingest.atoms.push_back(std::move(*atom));
   }
-  ASSERT_TRUE(net::DecodeAckResponse(
-                  service.Handle(net::EncodeRequest(ingest),
-                                 net::CallContext{}),
-                  net::MsgType::kNodeIngestResponse)
+  ASSERT_TRUE(net::Decode<net::Ack<net::NodeIngestRequest>>(
+                  service.Handle(net::Encode(ingest), net::CallContext{}))
                   .ok());
 
   auto reply = Execute(service, VorticitySubQuery(/*timestep=*/0));

@@ -15,16 +15,10 @@
 #include "storage/file_atom_store.h"
 #include "storage/merkle.h"
 #include "storage/scrub.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
-
-std::string MakeTempDir() {
-  char templ[] = "/tmp/turbdb_scrub_XXXXXX";
-  const char* dir = mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 /// Deterministic payload keyed by `seed` so corruption shows up as a
 /// content change, not just a key mismatch.
@@ -53,7 +47,8 @@ void FlipByte(const std::string& path, uint64_t offset) {
 constexpr uint64_t kFirstPayloadOffset = 32;
 
 TEST(ScrubTest, CorruptionMessageNamesPathZindexAndOffset) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_scrub");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/store.atoms";
   auto store_or = FileAtomStore::Open(path);
   ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
@@ -74,7 +69,8 @@ TEST(ScrubTest, CorruptionMessageNamesPathZindexAndOffset) {
 }
 
 TEST(ScrubTest, QuarantineFastFailsAndRepairClearsAcrossReopen) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_scrub");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/store.atoms";
   const Atom good = MakeAtom(0, 3, 9);
   {
@@ -127,7 +123,8 @@ TEST(ScrubTest, QuarantineFastFailsAndRepairClearsAcrossReopen) {
 }
 
 TEST(ScrubTest, MerkleRootsDivergeOnBitRotAndReconvergeAfterRepair) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_scrub");
+  const std::string& dir = scoped_dir.path();
   auto a_or = FileAtomStore::Open(dir + "/a.atoms");
   auto b_or = FileAtomStore::Open(dir + "/b.atoms");
   ASSERT_TRUE(a_or.ok());
@@ -201,7 +198,8 @@ TEST(ScrubTest, MerkleEmptyStoreHasZeroRootAndOneSidedLeafDiffs) {
 }
 
 TEST(ScrubTest, ScrubberPassCountsRepairsAndSnapshots) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_scrub");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/store.atoms";
   auto store_or = FileAtomStore::Open(path);
   ASSERT_TRUE(store_or.ok());
@@ -268,7 +266,8 @@ TEST(ScrubTest, ScrubberPassCountsRepairsAndSnapshots) {
 }
 
 TEST(ScrubTest, DigestRowsAgreeBetweenInMemoryAndFileStores) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_scrub");
+  const std::string& dir = scoped_dir.path();
   auto file_or = FileAtomStore::Open(dir + "/store.atoms");
   ASSERT_TRUE(file_or.ok());
   InMemoryAtomStore memory;

@@ -27,6 +27,7 @@
 #include "wire/serializer.h"
 
 #include "process_harness.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
@@ -53,15 +54,6 @@ ThresholdQuery VorticityQuery(double threshold) {
   query.threshold = threshold;
   query.fd_order = 4;
   return query;
-}
-
-std::string MakeStorageDir() {
-  std::string templ = (std::filesystem::temp_directory_path() /
-                       "turbdb_self_heal_XXXXXX")
-                          .string();
-  char* made = ::mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
 }
 
 Result<std::unique_ptr<TurbDB>> OpenReplicated(ClusterTopology topology) {
@@ -103,13 +95,13 @@ Result<uint64_t> MerkleRoot(const ClusterTopology& topology, int node) {
   net::NodeMerkleRequest request;
   request.dataset = "mhd";
   request.field = "velocity";
-  TURBDB_ASSIGN_OR_RETURN(net::NodeMerkleReply reply,
-                          client.NodeMerkle(request));
-  return reply.root;
+  TURBDB_ASSIGN_OR_RETURN(net::NodeMerkleReply reply, client.Call(request));
+  return reply.tree.root;
 }
 
 TEST(SelfHealTest, BitRotFailsOverByteIdenticallyAndScrubRepairs) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_self_heal");
+  const std::string& storage_dir = scoped_dir.path();
   // Arm three on-disk payload flips on the victim: the next three
   // record reads each XOR a stored byte before reading it back, so the
   // checksum path faces genuine media damage, not a simulated error.
@@ -162,10 +154,10 @@ TEST(SelfHealTest, BitRotFailsOverByteIdenticallyAndScrubRepairs) {
     net::Client scrub_client(victim.host, victim.port, NodeClientOptions());
     net::NodeScrubRequest request;
     request.trigger = true;
-    auto reply = scrub_client.NodeScrub(request);
+    auto reply = scrub_client.Call(request);
     ASSERT_TRUE(reply.ok()) << reply.status();
     quarantined = 0;
-    for (const net::ScrubStoreRow& row : reply->stores) {
+    for (const Scrubber::StoreStats& row : reply->stores) {
       quarantined += row.atoms_quarantined;
     }
     auto victim_root = MerkleRoot(topology, kVictim);
@@ -189,16 +181,15 @@ TEST(SelfHealTest, BitRotFailsOverByteIdenticallyAndScrubRepairs) {
   // The scrubber's lifetime counters saw the damage (directly or via a
   // quarantine left by the failed reads).
   net::Client stats_client(victim.host, victim.port, NodeClientOptions());
-  net::NodeStatsRequest stats_request;
-  auto stats = stats_client.NodeStats(stats_request);
+  auto stats = stats_client.Call(net::NodeStatsRequest{});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->atoms_quarantined, 0u);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 TEST(SelfHealTest, RepairRangeRpcConvergesDivergentReplica) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_self_heal");
+  const std::string& storage_dir = scoped_dir.path();
   // One flip, armed on the victim; consumed by the first query read.
   auto procs = NodeProcessCluster::Launch(
       kPhysicalNodes, TURBDB_NODE_BINARY,
@@ -227,7 +218,7 @@ TEST(SelfHealTest, RepairRangeRpcConvergesDivergentReplica) {
   net::NodeRepairRangeRequest request;
   request.dataset = "mhd";
   request.field = "velocity";
-  auto reply = client.NodeRepairRange(request);
+  auto reply = client.Call(request);
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->node_id, kVictim);
 
@@ -242,20 +233,20 @@ TEST(SelfHealTest, RepairRangeRpcConvergesDivergentReplica) {
     converged = *victim_root != 0 && *victim_root == *sibling_root;
     if (!converged) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
-      auto again = client.NodeRepairRange(request);
+      auto again = client.Call(request);
       ASSERT_TRUE(again.ok()) << again.status();
     }
   }
   EXPECT_TRUE(converged);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 // A rebalance or a decommission copies each range by paging the donor
 // shard's SyncRange. The donor's primary has rotted: the copy fails over
 // to the sibling's good bytes instead of failing the move.
 TEST(SelfHealTest, RangeCopyFailsOverOffARottenPrimary) {
-  const std::string storage_dir = MakeStorageDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_self_heal");
+  const std::string& storage_dir = scoped_dir.path();
   // One flip, armed on the victim; consumed by the copy's first read.
   auto procs = NodeProcessCluster::Launch(
       kPhysicalNodes, TURBDB_NODE_BINARY,
@@ -296,7 +287,6 @@ TEST(SelfHealTest, RangeCopyFailsOverOffARottenPrimary) {
   EXPECT_EQ(copied, expected);
   EXPECT_GE(mediator.corruption_failovers(), 1u);
 
-  std::filesystem::remove_all(storage_dir);
 }
 
 }  // namespace

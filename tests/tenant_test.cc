@@ -134,10 +134,9 @@ TEST(TenantWireTest, FofRequestRoundTripsWithTenant) {
   request.rpc.query_id = 42;
   request.rpc.tenant = "simulation-lab";
 
-  auto decoded = net::DecodeRequest(net::EncodeRequest(request));
+  auto decoded = net::Decode<net::FofRequest>(net::Encode(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_TRUE(std::holds_alternative<net::FofRequest>(*decoded));
-  const auto& round = std::get<net::FofRequest>(*decoded);
+  const net::FofRequest& round = *decoded;
   EXPECT_EQ(round.query.dataset, "mhd");
   EXPECT_EQ(round.query.derived_field, "vorticity");
   EXPECT_EQ(round.query.timestep, 3);
@@ -156,24 +155,25 @@ TEST(TenantWireTest, EveryRequestTypeCarriesTheTenant) {
   threshold.query.raw_field = "velocity";
   threshold.query.box = Box3::WholeGrid(8, 8, 8);
   threshold.rpc.tenant = "team-a";
-  auto decoded = net::DecodeRequest(net::EncodeRequest(threshold));
+  auto decoded = net::Decode<net::ThresholdRequest>(net::Encode(threshold));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(std::get<net::ThresholdRequest>(*decoded).rpc.tenant, "team-a");
+  EXPECT_EQ(decoded->rpc.tenant, "team-a");
 
   net::PdfRequest pdf;
   pdf.query.dataset = "mhd";
   pdf.query.raw_field = "velocity";
   pdf.query.box = Box3::WholeGrid(8, 8, 8);
   pdf.rpc.tenant = "team-b";
-  decoded = net::DecodeRequest(net::EncodeRequest(pdf));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(std::get<net::PdfRequest>(*decoded).rpc.tenant, "team-b");
+  auto decoded_pdf = net::Decode<net::PdfRequest>(net::Encode(pdf));
+  ASSERT_TRUE(decoded_pdf.ok()) << decoded_pdf.status();
+  EXPECT_EQ(decoded_pdf->rpc.tenant, "team-b");
 
   // An absent tenant stays absent (the pre-tenant behavior).
   net::ServerStatsRequest stats;
-  decoded = net::DecodeRequest(net::EncodeRequest(stats));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(std::get<net::ServerStatsRequest>(*decoded).rpc.tenant.empty());
+  auto decoded_stats =
+      net::Decode<net::ServerStatsRequest>(net::Encode(stats));
+  ASSERT_TRUE(decoded_stats.ok()) << decoded_stats.status();
+  EXPECT_TRUE(decoded_stats->rpc.tenant.empty());
 }
 
 TEST(TenantWireTest, FofChunkAndResponseRoundTrip) {
@@ -197,7 +197,7 @@ TEST(TenantWireTest, FofChunkAndResponseRoundTrip) {
   bare.size = 40;
   chunk.clusters.push_back(bare);
 
-  auto decoded = net::DecodeFofChunk(net::EncodeFofChunk(chunk));
+  auto decoded = net::Decode<net::FofChunk>(net::Encode(chunk));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->seq, 2u);
   EXPECT_EQ(decoded->total_clusters, 9u);
@@ -205,13 +205,13 @@ TEST(TenantWireTest, FofChunkAndResponseRoundTrip) {
   EXPECT_TRUE(decoded->clusters[0] == record);
   EXPECT_TRUE(decoded->clusters[1] == bare);
 
-  net::FofReply reply;
+  DistributedFofSummary reply;
   reply.clusters = 9;
   reply.points = 1234;
   reply.largest_cluster = 777;
   reply.time.io_s = 0.25;
   reply.time.compute_s = 1.5;
-  auto reply_decoded = net::DecodeFofResponse(net::EncodeFofResponse(reply));
+  auto reply_decoded = net::Decode<DistributedFofSummary>(net::Encode(reply));
   ASSERT_TRUE(reply_decoded.ok()) << reply_decoded.status();
   EXPECT_EQ(reply_decoded->clusters, 9u);
   EXPECT_EQ(reply_decoded->points, 1234u);
@@ -236,7 +236,7 @@ TEST(TenantWireTest, ServerStatsCarriesPerTenantCounters) {
   tenant.admitted = 30;
   reply.tenants.push_back(tenant);
 
-  auto decoded = net::DecodeServerStatsResponse(net::EncodeResponse(reply));
+  auto decoded = net::Decode<net::ServerStatsReply>(net::Encode(reply));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->requests_ok, 10u);
   ASSERT_EQ(decoded->tenants.size(), 2u);
@@ -314,7 +314,7 @@ TEST(TenantFairnessTest, FloodingTenantIsShedWhileNominalTenantIsServed) {
 
   // Per-tenant counters, over the wire, while both requests are parked.
   net::Client stats_client("127.0.0.1", port);
-  auto stats = stats_client.ServerStats();
+  auto stats = stats_client.Call(net::ServerStatsRequest{});
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_EQ(stats->tenants.size(), 2u);  // Sorted: flooder, nominal.
   EXPECT_EQ(stats->tenants[0].name, "flooder");
@@ -334,7 +334,7 @@ TEST(TenantFairnessTest, FloodingTenantIsShedWhileNominalTenantIsServed) {
   EXPECT_EQ(nominal_status.code(), StatusCode::kNotFound);
 
   // After draining, nothing is left in flight.
-  auto drained = stats_client.ServerStats();
+  auto drained = stats_client.Call(net::ServerStatsRequest{});
   ASSERT_TRUE(drained.ok()) << drained.status();
   for (const auto& tenant : drained->tenants) {
     EXPECT_EQ(tenant.in_flight, 0u) << tenant.name;

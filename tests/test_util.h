@@ -1,7 +1,12 @@
 #pragma once
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "array/slab.h"
@@ -12,6 +17,33 @@
 
 namespace turbdb {
 namespace testing {
+
+/// A fresh directory `<tmp>/<prefix>_XXXXXX`, removed with everything in
+/// it when the guard goes out of scope, however the test leaves (a failed
+/// ASSERT_* included). Declare it before whatever writes into it (node
+/// processes, an open TurbDB), so that is gone first.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix)
+      : path_((std::filesystem::temp_directory_path() / (prefix + "_XXXXXX"))
+                  .string()) {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      ADD_FAILURE() << "mkdtemp " << path_ << " failed";
+      path_.clear();
+    }
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// A small spec that keeps test-grid generation fast while retaining a
 /// couple of intense tubes (so thresholds select non-empty sparse sets).

@@ -16,16 +16,10 @@
 
 #include "gtest/gtest.h"
 #include "storage/file_atom_store.h"
+#include "test_util.h"
 
 namespace turbdb {
 namespace {
-
-std::string MakeTempDir() {
-  char templ[] = "/tmp/turbdb_wal_XXXXXX";
-  const char* dir = mkdtemp(templ);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 /// A small atom with deterministic, index-dependent payload so data
 /// corruption (not just key mismatches) shows up in comparisons.
@@ -45,7 +39,8 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
 }
 
 TEST(WalTest, AppendReplayRoundTrip) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/node0.wal";
   std::vector<WriteAheadLog::Record> want;
   {
@@ -94,7 +89,8 @@ TEST(WalTest, ReplayTwiceLeavesStoreBytesIdentical) {
   // rejects duplicate keys (kAlreadyExists), so replaying the same log
   // twice — e.g. a crash between replay and the checkpoint Truncate —
   // must leave the backing store file byte-identical.
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   auto wal_or = WriteAheadLog::Open(dir + "/node0.wal");
   ASSERT_TRUE(wal_or.ok());
   auto& wal = *wal_or;
@@ -131,7 +127,8 @@ TEST(WalTest, ReplayTwiceLeavesStoreBytesIdentical) {
 }
 
 TEST(WalTest, TornTailTruncatedAtOpen) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/node0.wal";
   uint64_t intact_size = 0;
   {
@@ -173,7 +170,8 @@ TEST(WalTest, TornTailTruncatedAtOpen) {
 TEST(WalTest, CorruptTailBytesTruncatedAtOpen) {
   // A flipped byte inside the last record's payload (bad CRC, not a
   // short read) must likewise cut the tail, keeping the intact prefix.
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/node0.wal";
   {
     auto wal_or = WriteAheadLog::Open(path);
@@ -203,7 +201,8 @@ TEST(WalTest, CorruptTailBytesTruncatedAtOpen) {
 }
 
 TEST(WalTest, TruncateCheckpointsAndSurvivesReopen) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/node0.wal";
   auto wal_or = WriteAheadLog::Open(path);
   ASSERT_TRUE(wal_or.ok());
@@ -236,7 +235,8 @@ TEST(WalTest, TruncateCheckpointsAndSurvivesReopen) {
 // replaying the (now empty) log is a clean no-op — zero records, no
 // torn-tail warning — both in the same handle and after a reopen.
 TEST(WalTest, ReplayAfterCheckpointTruncateIsCleanNoOp) {
-  const std::string dir = MakeTempDir();
+  const testing::ScopedTempDir scoped_dir("turbdb_wal");
+  const std::string& dir = scoped_dir.path();
   const std::string path = dir + "/node0.wal";
   auto wal_or = WriteAheadLog::Open(path);
   ASSERT_TRUE(wal_or.ok()) << wal_or.status().ToString();

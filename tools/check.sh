@@ -17,9 +17,13 @@ BUILD_DIR="${BUILD_DIR:-"$ROOT/build-sanitize"}"
 JOBS="${JOBS:-$(nproc)}"
 SANITIZE="${TURBDB_SANITIZE:-ON}"
 
+# This build compiles every target (src, tools, tests, bench, examples)
+# with TURBDB_WERROR, so a new -Wall -Wextra warning anywhere fails the
+# check.
 cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DTURBDB_SANITIZE="$SANITIZE"
+  -DTURBDB_SANITIZE="$SANITIZE" \
+  -DTURBDB_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 # Per-test timeout so a distributed-path hang (e.g. a dead node that is
 # not detected) fails the run instead of wedging it.

@@ -561,7 +561,7 @@ int RunClusterStatus(const CliOptions& options) {
     client_options.read_timeout_ms = 5000;
     client_options.max_retries = 0;
     net::Client client(address.host, address.port, client_options);
-    auto hello = client.Hello();
+    auto hello = client.Call(net::HelloRequest{});
     uint64_t epoch = 0;
     uint64_t atoms = 0;
     uint64_t generation = 0;
@@ -576,14 +576,12 @@ int RunClusterStatus(const CliOptions& options) {
       ++down;
     } else {
       epoch = hello->epoch;
-      auto stores = client.NodeListStores();
+      auto stores = client.Call(net::NodeListStoresRequest{});
       if (stores.ok()) {
-        for (const net::NodeStoreInfo& store : stores->stores) {
-          atoms += store.atoms;
-        }
+        for (const StoreListing& store : stores->stores) atoms += store.atoms;
       }
-      net::NodeStatsRequest stats_request;  // Empty names: node-wide row.
-      auto node_stats = client.NodeStats(stats_request);
+      // Empty names: the node-wide row.
+      auto node_stats = client.Call(net::NodeStatsRequest{});
       if (node_stats.ok()) {
         generation = node_stats->generation;
         wal_records = node_stats->wal_pending_records;
@@ -678,7 +676,7 @@ int RunScrub(const CliOptions& options) {
     net::Client client(address.host, address.port, client_options);
     net::NodeScrubRequest request;
     request.trigger = true;
-    auto reply = client.NodeScrub(request);
+    auto reply = client.Call(request);
     if (!reply.ok()) {
       ++down;
       if (options.json) {
@@ -716,7 +714,7 @@ int RunScrub(const CliOptions& options) {
                     static_cast<unsigned long long>(reply->last_pass_unix_ms));
       json_rows += head;
       for (size_t s = 0; s < reply->stores.size(); ++s) {
-        const net::ScrubStoreRow& store = reply->stores[s];
+        const Scrubber::StoreStats& store = reply->stores[s];
         char row[512];
         std::snprintf(
             row, sizeof(row),
@@ -738,7 +736,7 @@ int RunScrub(const CliOptions& options) {
       }
       json_rows += reply->stores.empty() ? "]}" : "\n    ]}";
     } else {
-      for (const net::ScrubStoreRow& store : reply->stores) {
+      for (const Scrubber::StoreStats& store : reply->stores) {
         const std::string name = store.dataset + "/" + store.field;
         std::printf("%-4zu %-24s %-10llu %-9llu %-9llu %-6llu %016llx\n", i,
                     name.c_str(),
@@ -784,13 +782,13 @@ int RunRemote(const CliOptions& options) {
     return 2;
   }
   if (options.command == "ping") {
-    Status status = client.Ping();
+    Status status = client.Call(net::PingRequest{}).status();
     if (!status.ok()) return ReportFailure(status, options.deadline_ms);
     std::printf("pong from %s:%u\n", client.host().c_str(), client.port());
     return 0;
   }
   if (options.command == "server-stats") {
-    auto stats = client.ServerStats();
+    auto stats = client.Call(net::ServerStatsRequest{});
     if (!stats.ok()) return ReportFailure(stats.status(), options.deadline_ms);
     if (options.json) {
       // Stable keys: scripts (tools/check.sh, the load harness) parse
@@ -918,7 +916,7 @@ int RunRemote(const CliOptions& options) {
     return 0;
   }
   if (options.command == "membership") {
-    auto reply = client.MembershipGet();
+    auto reply = client.Call(net::MembershipGetRequest{});
     if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
     const MembershipView& view = reply->view;
     if (options.json) {
@@ -981,7 +979,7 @@ int RunRemote(const CliOptions& options) {
     }
     net::LeaveRequest request;
     request.node_id = static_cast<int32_t>(node_id);
-    auto reply = client.Leave(request);
+    auto reply = client.Call(request);
     if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
     std::printf("node %ld decommissioned: %llu ranges moved (%llu atoms "
                 "copied), now at generation %llu\n",
@@ -995,7 +993,7 @@ int RunRemote(const CliOptions& options) {
     net::RebalanceRequest request;
     request.to_shard = options.to_shard;
     request.max_ranges = static_cast<uint64_t>(options.max_ranges);
-    auto reply = client.Rebalance(request);
+    auto reply = client.Call(request);
     if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
     if (reply->moved.empty()) {
       std::printf("already balanced (generation %llu)\n",
@@ -1096,7 +1094,7 @@ int RunRemote(const CliOptions& options) {
     request.raw_field = RawFieldFor(derived);
     request.derived_field = derived;
     request.timestep = options.timestep_set ? options.timestep : -1;
-    auto reply = client.DropCache(request);
+    auto reply = client.Call(request);
     if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
     std::printf("cleared: mediator tier (%llu entries), node-local caches%s\n",
                 static_cast<unsigned long long>(reply->mediator_entries),
@@ -1104,8 +1102,9 @@ int RunRemote(const CliOptions& options) {
     return 0;
   }
   if (options.command == "cache-stats") {
-    auto stats = client.CacheStats();
-    if (!stats.ok()) return ReportFailure(stats.status(), options.deadline_ms);
+    auto reply = client.Call(net::CacheStatsRequest{});
+    if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
+    const MediatorCacheStats& stats = reply->stats;
     std::printf(
         "enabled           %s (capacity %llu bytes)\n"
         "entries           %llu (%llu bytes)\n"
@@ -1115,19 +1114,19 @@ int RunRemote(const CliOptions& options) {
         "insertions        %llu (%llu stale discarded)\n"
         "evictions         %llu\n"
         "invalidations     %llu\n",
-        stats->enabled ? "yes" : "no",
-        static_cast<unsigned long long>(stats->capacity_bytes),
-        static_cast<unsigned long long>(stats->entries),
-        static_cast<unsigned long long>(stats->bytes),
-        static_cast<unsigned long long>(stats->pinned_entries),
-        static_cast<unsigned long long>(stats->pinned_bytes),
-        static_cast<unsigned long long>(stats->hits),
-        static_cast<unsigned long long>(stats->subsumption_hits),
-        static_cast<unsigned long long>(stats->misses),
-        static_cast<unsigned long long>(stats->insertions),
-        static_cast<unsigned long long>(stats->stale_inserts),
-        static_cast<unsigned long long>(stats->evictions),
-        static_cast<unsigned long long>(stats->invalidations));
+        reply->enabled ? "yes" : "no",
+        static_cast<unsigned long long>(stats.capacity_bytes),
+        static_cast<unsigned long long>(stats.entries),
+        static_cast<unsigned long long>(stats.bytes),
+        static_cast<unsigned long long>(stats.pinned_entries),
+        static_cast<unsigned long long>(stats.pinned_bytes),
+        static_cast<unsigned long long>(stats.hits),
+        static_cast<unsigned long long>(stats.subsumption_hits),
+        static_cast<unsigned long long>(stats.misses),
+        static_cast<unsigned long long>(stats.insertions),
+        static_cast<unsigned long long>(stats.stale_inserts),
+        static_cast<unsigned long long>(stats.evictions),
+        static_cast<unsigned long long>(stats.invalidations));
     return 0;
   }
   if (options.command == "cache-warm") {
@@ -1153,7 +1152,8 @@ int RunRemote(const CliOptions& options) {
     } else {
       threshold = std::strtod(value.c_str(), nullptr);
     }
-    ThresholdQuery query;
+    net::CacheWarmRequest request;
+    ThresholdQuery& query = request.query;
     query.dataset = "mhd";
     query.raw_field = raw;
     query.derived_field = derived;
@@ -1161,7 +1161,7 @@ int RunRemote(const CliOptions& options) {
     query.box = Box3::WholeGrid(options.n, options.n, options.n);
     query.threshold = threshold;
     query.fd_order = options.fd_order;
-    auto reply = client.CacheWarm(query);
+    auto reply = client.Call(request);
     if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
     std::printf("%s: %llu points resident for |%s| >= %.4f\n",
                 reply->already_cached ? "already cached" : "warmed",
@@ -1172,26 +1172,22 @@ int RunRemote(const CliOptions& options) {
   if (options.command == "cache-pin" || options.command == "cache-unpin") {
     const std::string derived = options.args[0];
     const bool pin = options.command == "cache-pin";
-    auto run = [&]() -> Result<net::CachePinReply> {
-      if (pin) {
-        net::CachePinRequest request;
-        request.dataset = "mhd";
-        request.raw_field = RawFieldFor(derived);
-        request.derived_field = derived;
-        request.timestep = options.timestep_set ? options.timestep : -1;
-        return client.CachePin(request);
-      }
-      net::CacheUnpinRequest request;
+    // Pin and unpin share one key selector and one reply shape.
+    auto run = [&](auto request) -> Result<uint64_t> {
       request.dataset = "mhd";
       request.raw_field = RawFieldFor(derived);
       request.derived_field = derived;
       request.timestep = options.timestep_set ? options.timestep : -1;
-      return client.CacheUnpin(request);
+      TURBDB_ASSIGN_OR_RETURN(auto reply, client.Call(std::move(request)));
+      return reply.entries;
     };
-    auto reply = run();
-    if (!reply.ok()) return ReportFailure(reply.status(), options.deadline_ms);
+    auto entries = pin ? run(net::CachePinRequest{})
+                       : run(net::CacheUnpinRequest{});
+    if (!entries.ok()) {
+      return ReportFailure(entries.status(), options.deadline_ms);
+    }
     std::printf("%s %llu entries\n", pin ? "pinned" : "unpinned",
-                static_cast<unsigned long long>(reply->entries));
+                static_cast<unsigned long long>(*entries));
     return 0;
   }
 

@@ -433,7 +433,7 @@ int Run(const LoadgenOptions& options) {
     net::ClientOptions stats_options;
     net::Client stats_client(host_port->first, host_port->second,
                              stats_options);
-    auto stats = stats_client.ServerStats();
+    auto stats = stats_client.Call(net::ServerStatsRequest{});
     if (stats.ok()) server_tenants = std::move(stats->tenants);
   }
 

@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     admit.host = options.bind;
     admit.port = static_cast<uint16_t>(options.port);
     admit.activate = false;
-    auto reply_or = mediator_client->Join(admit);
+    auto reply_or = mediator_client->Call(admit);
     if (!reply_or.ok()) {
       std::fprintf(stderr, "join admit failed: %s\n",
                    reply_or.status().ToString().c_str());
@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
     activate.host = options.bind;
     activate.port = server->port();
     activate.activate = true;
-    auto reply_or = mediator_client->Join(activate);
+    auto reply_or = mediator_client->Call(activate);
     if (!reply_or.ok()) {
       std::fprintf(stderr, "join activate failed: %s\n",
                    reply_or.status().ToString().c_str());
