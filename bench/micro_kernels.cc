@@ -13,6 +13,7 @@
 #include "analysis/fof.h"
 #include "array/morton.h"
 #include "array/slab.h"
+#include "cache/mediator_cache.h"
 #include "cache/semantic_cache.h"
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -226,7 +227,8 @@ BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20);
 void BM_CacheLookupHit(benchmark::State& state) {
   TransactionManager txn_manager;
   SemanticCache cache(&txn_manager, DeviceSpec::Ssd(), 1ULL << 30);
-  const Box3 region = Box3::WholeGrid(256, 256, 256);
+  // RandomPoints spans 1024^3: the entry holds only points of its region.
+  const Box3 region = Box3::WholeGrid(1024, 1024, 1024);
   const auto points = RandomPoints(static_cast<size_t>(state.range(0)));
   TURBDB_CHECK_OK(
       cache.Insert("d", "f", 0, 4, region, 10.0, points));
@@ -236,6 +238,45 @@ void BM_CacheLookupHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookupHit)->Arg(1000)->Arg(100000);
+
+/// A mediator-cache hit on one whole-grid entry of about 89k rows (a
+/// third of a 64^3 grid, the size of the hot pool's vorticity base),
+/// keeping about half of them by threshold. Arg 0 queries the entry's
+/// whole region; arg 32 a 32^3 sub-box not aligned to the 8^3 cells.
+void BM_MediatorCacheLookup(benchmark::State& state) {
+  constexpr uint32_t kN = 64;
+  SplitMix64 rng(64);
+  std::vector<ThresholdPoint> points;
+  for (uint32_t z = 0; z < kN; ++z) {
+    for (uint32_t y = 0; y < kN; ++y) {
+      for (uint32_t x = 0; x < kN; ++x) {
+        if (rng.NextDouble(0.0, 1.0) >= 0.34) continue;
+        points.push_back(MakeThresholdPoint(
+            x, y, z, static_cast<float>(rng.NextDouble(1.0, 10.0))));
+      }
+    }
+  }
+  std::sort(points.begin(), points.end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return a.zindex < b.zindex;
+            });
+  MediatorCache cache(1ULL << 30);
+  const Box3 region = Box3::WholeGrid(kN, kN, kN);
+  cache.Insert("d", "f", 4, 0, region, 1.0, points, cache.epoch());
+  const int64_t side = state.range(0);
+  const Box3 box = side == 0 ? region : Box3(5, 9, 13, 5 + side, 9 + side,
+                                              13 + side);
+  size_t answer = 0;
+  for (auto _ : state) {
+    MediatorCacheLookup lookup = cache.Lookup("d", "f", 4, 0, box, 5.5);
+    answer = lookup.points.size();
+    benchmark::DoNotOptimize(lookup);
+  }
+  state.counters["entry_rows"] = static_cast<double>(points.size());
+  state.counters["answer_points"] = static_cast<double>(answer);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(answer));
+}
+BENCHMARK(BM_MediatorCacheLookup)->Arg(0)->Arg(32);
 
 /// Fills a fresh node cache with state.range(0) entries of two points
 /// each, as cold thresholds leave them, and reports the resident heap

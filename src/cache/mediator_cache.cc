@@ -5,9 +5,16 @@
 #include <limits>
 #include <utility>
 
+#include "array/morton.h"
+#include "wire/serializer.h"
+
 namespace turbdb {
 
 namespace {
+
+/// The range walk's cells are 8^3 points: a point's code without its low
+/// 3 * kCellBits bits is its cell's code.
+constexpr int kCellBits = 3;
 
 /// Resident charge of one entry: fixed overhead plus the point rows.
 uint64_t EntryBytes(size_t num_points) {
@@ -43,48 +50,100 @@ MediatorCacheLookup MediatorCache::Lookup(const std::string& dataset,
   }
   const Key key{dataset, field, fd_order, timestep};
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // Among the subsuming entries prefer the one with the fewest points:
-    // it is the cheapest to filter, and an exact-region repeat naturally
-    // wins over a whole-domain superset.
-    Entry* best = nullptr;
-    for (Entry& entry : it->second) {
-      if (entry.threshold > threshold) continue;
-      if (!entry.region.ContainsBox(box)) continue;
-      if (best == nullptr || entry.points.size() < best->points.size()) {
-        best = &entry;
-      }
-    }
-    if (best != nullptr) {
-      best->tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      out.hit = true;
-      out.subsumed = !(best->region == box) || best->threshold < threshold;
-      // The node's and SemanticCache::Lookup's predicate, so a
-      // mediator-tier answer is byte-identical to the uncached and the
-      // node-tier cached answers for the same query.
-      out.points.reserve(best->points.size());
-      const bool whole_region = best->region == box;
-      for (const ThresholdPoint& point : best->points) {
-        if (!PassesThreshold(point.norm, threshold)) continue;
-        if (!whole_region) {
-          uint32_t x = 0;
-          uint32_t y = 0;
-          uint32_t z = 0;
-          point.Coords(&x, &y, &z);
-          if (!box.ContainsPoint(x, y, z)) continue;
+  std::shared_ptr<const std::vector<Row>> rows;
+  bool whole_region = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
+      // Among the subsuming entries prefer the one with the fewest points:
+      // it is the cheapest to filter, and an exact-region repeat naturally
+      // wins over a whole-domain superset.
+      Entry* best = nullptr;
+      for (Entry& entry : it->second) {
+        if (entry.threshold > threshold) continue;
+        if (!entry.region.ContainsBox(box)) continue;
+        if (best == nullptr || entry.rows->size() < best->rows->size()) {
+          best = &entry;
         }
-        out.points.push_back(point);
       }
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (out.subsumed) {
-        subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (best != nullptr) {
+        best->tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+        rows = best->rows;
+        whole_region = best->region == box;
+        out.subsumed = !whole_region || best->threshold < threshold;
       }
-      return out;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  if (rows == nullptr) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+  }
+  out.hit = true;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (out.subsumed) {
+    subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // The runs of z-sorted rows that can hold the box's points. A box equal
+  // to the region holds every row. Otherwise: a point's code without its
+  // low 9 bits is its 8^3 cell's code, so each Morton range of the cells
+  // the box touches is one run of rows. Ranges come out ascending, so the
+  // answer stays z-sorted.
+  std::vector<std::pair<const Row*, const Row*>> runs;
+  size_t run_rows = 0;
+  const Row* const rows_end = rows->data() + rows->size();
+  if (whole_region) {
+    runs.emplace_back(rows->data(), rows_end);
+    run_rows = rows->size();
+  } else if (!box.Empty()) {
+    uint32_t cell_lo[3];
+    uint32_t cell_hi[3];
+    for (int d = 0; d < 3; ++d) {
+      constexpr int64_t kCoordEnd = int64_t{kMortonMaxCoord} + 1;
+      const int64_t lo = std::clamp<int64_t>(box.lo[d], 0, kCoordEnd);
+      const int64_t hi = std::clamp<int64_t>(box.hi[d], 0, kCoordEnd);
+      cell_lo[d] = static_cast<uint32_t>(lo >> kCellBits);
+      cell_hi[d] = static_cast<uint32_t>((hi + (1 << kCellBits) - 1) >>
+                                         kCellBits);
+    }
+    const auto by_zindex = [](const Row& row, uint64_t code) {
+      return row.zindex < code;
+    };
+    const Row* cursor = rows->data();
+    for (const MortonRange& cells : MortonRangesForBox(cell_lo, cell_hi)) {
+      const Row* first = std::lower_bound(
+          cursor, rows_end, cells.lo << (3 * kCellBits), by_zindex);
+      cursor = std::lower_bound(first, rows_end, cells.hi << (3 * kCellBits),
+                                by_zindex);
+      if (first == cursor) continue;
+      runs.emplace_back(first, cursor);
+      run_rows += static_cast<size_t>(cursor - first);
+    }
+  }
+
+  // The node's and SemanticCache::Lookup's predicate, so a mediator-tier
+  // answer is byte-identical to the uncached and the node-tier cached
+  // answers for the same query.
+  std::vector<ThresholdPoint> points;
+  points.reserve(run_rows);
+  uint64_t xml_bytes = 0;
+  for (const auto& [first, last] : runs) {
+    for (const Row* row = first; row != last; ++row) {
+      if (!PassesThreshold(row->norm, threshold)) continue;
+      if (!whole_region) {
+        uint32_t x = 0;
+        uint32_t y = 0;
+        uint32_t z = 0;
+        MortonDecode3(row->zindex, &x, &y, &z);
+        if (!box.ContainsPoint(x, y, z)) continue;
+      }
+      points.push_back(ThresholdPoint{row->zindex, row->norm});
+      xml_bytes += row->xml_bytes;
+    }
+  }
+  out.xml_bytes = XmlEnvelopeSize(points.size()) + xml_bytes;
+  out.points = std::move(points);
   return out;
 }
 
@@ -116,6 +175,22 @@ void MediatorCache::Insert(const std::string& dataset,
   ResourceGovernor* ledger = ledger_.load(std::memory_order_acquire);
   while (!ledger->TryReserve(bytes, &reservation).ok()) {
     if (!EvictOldest()) return;
+  }
+
+  // The rows, with each element's XML size, are built before the shard
+  // lock: the size math is the costly part and no lookup needs to wait
+  // on it.
+  auto rows = std::make_shared<std::vector<Row>>();
+  rows->reserve(points.size());
+  for (const ThresholdPoint& point : points) {
+    rows->push_back(Row{point.zindex, point.norm,
+                        static_cast<uint32_t>(PointXmlSize(point))});
+  }
+  const auto by_zindex = [](const Row& a, const Row& b) {
+    return a.zindex < b.zindex;
+  };
+  if (!std::is_sorted(rows->begin(), rows->end(), by_zindex)) {
+    std::sort(rows->begin(), rows->end(), by_zindex);
   }
 
   const Key key{dataset, field, fd_order, timestep};
@@ -152,7 +227,7 @@ void MediatorCache::Insert(const std::string& dataset,
   Entry entry;
   entry.region = region;
   entry.threshold = threshold;
-  entry.points = points;
+  entry.rows = std::move(rows);
   entry.bytes = bytes;
   entry.tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   entry.reservation = std::move(reservation);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
@@ -41,6 +42,9 @@ struct MediatorCacheLookup {
   bool subsumed = false;
   /// Cached points filtered to the query box and threshold, in z order.
   std::vector<ThresholdPoint> points;
+  /// PointsXmlSize(points), summed from the element sizes the entry keeps
+  /// per row, so a hit does no per-point size math.
+  uint64_t xml_bytes = 0;
 };
 
 /// The mediator-tier semantic result cache: an in-memory, mutex-sharded
@@ -52,14 +56,23 @@ struct MediatorCacheLookup {
 /// Sec. 4 of the paper, lifted to the cluster entry point so a repeat
 /// query pays zero node RPCs).
 ///
+/// Lookup cost: an entry's rows are z-sorted, so a query box maps to the
+/// Morton ranges of the 8^3 cells it touches, each one contiguous run of
+/// rows; a hit visits only those runs (a box equal to the entry's region
+/// visits every row and tests the threshold alone).
+///
 /// Concurrency: the key space is hash-sharded over `kNumShards`
 /// independently locked shards; lookups and inserts for different keys
-/// never contend. Replacement is least-recently-used across all shards
-/// (a global atomic tick orders recency; eviction scans shards one lock
-/// at a time, so no two shard locks are ever held together). Entries can
-/// be pinned, which exempts them from LRU eviction — but never from
-/// invalidation: an ingest or explicit drop always wins over a pin,
-/// because serving stale data is worse than re-computing.
+/// never contend. An entry's rows are immutable and shared: a lookup
+/// picks its entry under the shard lock and filters the rows after
+/// releasing it, so an invalidation or eviction racing the filter only
+/// drops the cache's reference. Replacement is least-recently-used
+/// across all shards (a global atomic tick orders recency; eviction scans
+/// shards one lock at a time, so no two shard locks are ever held
+/// together). Entries can be pinned, which exempts them from LRU
+/// eviction — but never from invalidation: an ingest or explicit drop
+/// always wins over a pin, because serving stale data is worse than
+/// re-computing.
 ///
 /// First-committer-wins: two queries racing to insert the same
 /// (key, region) collide under the shard lock and the second insert is
@@ -104,18 +117,20 @@ class MediatorCache {
   /// Interrogates the cache for (dataset, field, fd_order, timestep,
   /// box, threshold). `field` is the derived-field cache key
   /// ("<raw>:<derived>"). A hit returns the cached points filtered to
-  /// the box and threshold, in z order — exactly the uncached answer.
+  /// the box and threshold, in z order — exactly the uncached answer —
+  /// and their XML size.
   MediatorCacheLookup Lookup(const std::string& dataset,
                              const std::string& field, int fd_order,
                              int32_t timestep, const Box3& box,
                              double threshold);
 
   /// Records a completed result: `points` are all points of `region`
-  /// with norm >= `threshold`, z-sorted. `as_of_epoch` must be the
-  /// `epoch()` observed before the query dispatched; a mismatch means
-  /// the data changed mid-query and the insert is discarded. Best
-  /// effort: evicts LRU entries to make room, and stores nothing when
-  /// the entry cannot fit (capacity or ledger pressure).
+  /// with norm >= `threshold`, z-sorted (sorted here if they are not).
+  /// `as_of_epoch` must be the `epoch()` observed before the query
+  /// dispatched; a mismatch means the data changed mid-query and the
+  /// insert is discarded. Best effort: evicts LRU entries to make room,
+  /// and stores nothing when the entry cannot fit (capacity or ledger
+  /// pressure).
   void Insert(const std::string& dataset, const std::string& field,
               int fd_order, int32_t timestep, const Box3& region,
               double threshold, const std::vector<ThresholdPoint>& points,
@@ -169,10 +184,21 @@ class MediatorCache {
     }
   };
 
+  /// One cached point: a ThresholdPoint's fields, with the size of its
+  /// XML element (PointXmlSize) in what is ThresholdPoint's padding.
+  struct Row {
+    uint64_t zindex = 0;
+    float norm = 0.0f;
+    uint32_t xml_bytes = 0;
+  };
+  static_assert(sizeof(Row) == kBytesPerPoint);
+
   struct Entry {
     Box3 region;
     double threshold = 0.0;
-    std::vector<ThresholdPoint> points;
+    /// Z-sorted and never modified once inserted: lookups filter it
+    /// outside the shard lock.
+    std::shared_ptr<const std::vector<Row>> rows;
     uint64_t bytes = 0;
     uint64_t tick = 0;  ///< Last-use recency; unique (global counter).
     bool pinned = false;

@@ -61,20 +61,22 @@ Result<CacheLookup> SemanticCache::Lookup(const std::string& dataset,
 
   // Retrieve the entry's points with one range scan of cacheData
   // (Algorithm 1, lines 13-22), filtering to the query box and threshold.
+  // The scan yields them in z order. A box holding the entry's whole
+  // region holds every point of it, so only the threshold is tested.
   const CacheDataKey data_lo{match_key.ordinal, 0};
   const CacheDataKey data_hi{match_key.ordinal, UINT64_MAX};
+  const bool whole_region = box.ContainsBox(match_record.region);
   uint64_t data_rows = 0;
   cache_data_.Scan(txn.get(), data_lo, data_hi,
                    [&](const CacheDataKey& key, const float& norm) {
                      ++data_rows;
-                     if (PassesThreshold(norm, threshold)) {
+                     if (!PassesThreshold(norm, threshold)) return true;
+                     if (!whole_region) {
                        uint32_t x, y, z;
                        MortonDecode3(key.zindex, &x, &y, &z);
-                       if (box.ContainsPoint(x, y, z)) {
-                         lookup.points.push_back(
-                             ThresholdPoint{key.zindex, norm});
-                       }
+                       if (!box.ContainsPoint(x, y, z)) return true;
                      }
+                     lookup.points.push_back(ThresholdPoint{key.zindex, norm});
                      return true;
                    });
   TURBDB_CHECK_OK(txn_manager_->Commit(txn.get()));

@@ -94,7 +94,7 @@ struct CacheDataKey {
 /// Outcome of a cache interrogation.
 struct CacheLookup {
   bool hit = false;
-  std::vector<ThresholdPoint> points;  ///< Filtered to box and threshold.
+  std::vector<ThresholdPoint> points;  ///< Filtered, in z order.
   double lookup_cost_s = 0.0;          ///< Modeled SSD time.
   IoCounters io;
 };

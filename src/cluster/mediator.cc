@@ -519,19 +519,34 @@ Result<ThresholdResult> Mediator::RunThreshold(
                 MediatorCache::kBytesPerPoint
           : 0;
 
+  // Mediator-tier cache: a resident entry subsuming this query answers
+  // it here, with zero node RPCs (entries are stored z-sorted). The
+  // epoch is snapshotted *before* dispatch so a concurrent ingest
+  // poisons the later insert, never the served data.
+  MediatorCacheLookup cached;
+  if (cacheable) {
+    cached = result_cache_->Lookup(query.dataset, node_query.cache_field_key,
+                                   query.fd_order, query.timestep,
+                                   node_query.box, query.threshold);
+  }
+
   // How a piece of the answer (a joined shard's points, or a
   // mediator-cache hit) reaches the caller. Buffered: the first piece is
   // moved in whole and later ones are kept aside, to be appended once
   // the scatter joined into an exactly sized vector (every point is
   // copied once). Streamed: cut into chunks of at most `chunk_points`
   // points and pushed through the sink as it arrives, so the mediator
-  // never holds the union; the byte counters are the sums over the
-  // chunks.
+  // never holds the union; the binary byte counter is the sum over the
+  // chunk frames. Either way the XML size (the WAN term) is the whole
+  // answer's: a hit brings it from the cache, and a miss sums its points'
+  // element sizes here and adds one document envelope at the end.
   ThresholdResult result;
   const uint64_t slice = chunk_points == 0 ? 32768 : chunk_points;
   uint64_t streamed_points = 0;
+  uint64_t xml_point_bytes = 0;
   std::vector<std::vector<ThresholdPoint>> later_pieces;
   auto deliver = [&](std::vector<ThresholdPoint> points) -> Status {
+    if (!cached.hit) xml_point_bytes += PointsXmlElementsSize(points);
     if (sink == nullptr) {
       if (gathered.empty()) {
         gathered = std::move(points);
@@ -555,10 +570,6 @@ Result<ThresholdResult> Mediator::RunThreshold(
           points.begin() + begin,
           points.begin() + std::min<size_t>(points.size(), begin + slice));
       streamed_points += part.size();
-      // The user-facing XML rendering happens on the consumer; account
-      // its modeled transfer size here so the summary's WAN term matches
-      // the buffered path.
-      result.result_bytes_xml += PointsXmlSize(part);
       TURBDB_ASSIGN_OR_RETURN(const uint64_t chunk_bytes,
                               (*sink)(std::move(part), streamed_points));
       result.result_bytes_binary += chunk_bytes;
@@ -566,16 +577,6 @@ Result<ThresholdResult> Mediator::RunThreshold(
     return Status::OK();
   };
 
-  // Mediator-tier cache: a resident entry subsuming this query answers
-  // it here, with zero node RPCs (entries are stored z-sorted). The
-  // epoch is snapshotted *before* dispatch so a concurrent ingest
-  // poisons the later insert, never the served data.
-  MediatorCacheLookup cached;
-  if (cacheable) {
-    cached = result_cache_->Lookup(query.dataset, node_query.cache_field_key,
-                                   query.fd_order, query.timestep,
-                                   node_query.box, query.threshold);
-  }
   std::vector<NodeOutcome> outcomes;  // None on a cache hit.
   if (cached.hit) {
     if (cached.points.size() > options.max_result_points) {
@@ -630,8 +631,12 @@ Result<ThresholdResult> Mediator::RunThreshold(
   if (sink == nullptr) {
     result.points = std::move(gathered);
     result.result_bytes_binary = PointsBinarySize(result.points);
-    result.result_bytes_xml = PointsXmlSize(result.points);
   }
+  result.result_bytes_xml =
+      cached.hit ? cached.xml_bytes
+                 : XmlEnvelopeSize(sink == nullptr ? result.points.size()
+                                                   : streamed_points) +
+                       xml_point_bytes;
   // Modeled time: concurrent node phases, then the serial mediator work.
   // A cache hit has no node phase and no LAN scatter-gather: only the
   // WAN delivery of the answer remains.

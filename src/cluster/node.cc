@@ -244,11 +244,7 @@ Result<NodeOutcome> DatabaseNode::Execute(const NodeQuery& query,
     outcome.io += lookup.io;
     if (lookup.hit) {
       outcome.cache_hit = true;
-      outcome.points = std::move(lookup.points);
-      std::sort(outcome.points.begin(), outcome.points.end(),
-                [](const ThresholdPoint& a, const ThresholdPoint& b) {
-                  return a.zindex < b.zindex;
-                });
+      outcome.points = std::move(lookup.points);  // Z-sorted by the scan.
       outcome.io.points_returned += outcome.points.size();
       return outcome;
     }

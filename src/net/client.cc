@@ -240,16 +240,18 @@ Result<ThresholdResult> Client::ThresholdStreamed(
                           Decode<ThresholdResult>(payload));
   // The terminating summary carries no points; reassemble the streamed
   // set. Z-order indices are unique per grid point, so sorting on them
-  // reproduces the non-streamed ordering exactly — and recomputing the
-  // encoded sizes here makes the byte counters match the non-streamed
-  // path byte for byte.
-  std::sort(points.begin(), points.end(),
-            [](const ThresholdPoint& a, const ThresholdPoint& b) {
-              return a.zindex < b.zindex;
-            });
+  // reproduces the non-streamed ordering exactly; a cache hit streams in
+  // z order already, a miss in the order its shards joined. The summary's
+  // XML size is the whole answer's; its binary size counts the chunk
+  // frames, so that one counter is recomputed for the answer here.
+  const auto by_zindex = [](const ThresholdPoint& a, const ThresholdPoint& b) {
+    return a.zindex < b.zindex;
+  };
+  if (!std::is_sorted(points.begin(), points.end(), by_zindex)) {
+    std::sort(points.begin(), points.end(), by_zindex);
+  }
   result.points = std::move(points);
   result.result_bytes_binary = PointsBinarySize(result.points);
-  result.result_bytes_xml = PointsXmlSize(result.points);
   result.wall_seconds = timer.Seconds();
   return result;
 }

@@ -213,17 +213,40 @@ std::string EncodePointsXml(const std::vector<ThresholdPoint>& points) {
   return out;
 }
 
-size_t PointsXmlSize(const std::vector<ThresholdPoint>& points) {
-  size_t size = sizeof(kXmlHead) - 1 + DecimalDigits(points.size()) +
-                sizeof(kXmlHeadEnd) - 1 + sizeof(kXmlTail) - 1 +
-                kXmlPointFixedBytes * points.size();
-  for (const ThresholdPoint& point : points) {
+size_t XmlEnvelopeSize(size_t count) {
+  return sizeof(kXmlHead) - 1 + DecimalDigits(count) + sizeof(kXmlHeadEnd) -
+         1 + sizeof(kXmlTail) - 1;
+}
+
+namespace {
+
+/// The sizes of the elements of [first, last) in EncodePointsXml, summed:
+/// the one definition behind every XML size. The loop lives here so a
+/// whole answer is sized without a call per point.
+size_t ElementsXmlSize(const ThresholdPoint* first,
+                       const ThresholdPoint* last) {
+  size_t size = 0;
+  for (; first != last; ++first) {
     uint32_t x, y, z;
-    point.Coords(&x, &y, &z);
-    size += DecimalDigits(x) + DecimalDigits(y) + DecimalDigits(z) +
-            FormattedNormLength(point.norm);
+    first->Coords(&x, &y, &z);
+    size += kXmlPointFixedBytes + DecimalDigits(x) + DecimalDigits(y) +
+            DecimalDigits(z) + FormattedNormLength(first->norm);
   }
   return size;
+}
+
+}  // namespace
+
+size_t PointXmlSize(const ThresholdPoint& point) {
+  return ElementsXmlSize(&point, &point + 1);
+}
+
+size_t PointsXmlElementsSize(const std::vector<ThresholdPoint>& points) {
+  return ElementsXmlSize(points.data(), points.data() + points.size());
+}
+
+size_t PointsXmlSize(const std::vector<ThresholdPoint>& points) {
+  return XmlEnvelopeSize(points.size()) + PointsXmlElementsSize(points);
 }
 
 namespace {

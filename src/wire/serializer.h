@@ -47,8 +47,20 @@ Result<std::vector<ThresholdPoint>> DecodePointsBinary(const uint8_t* data,
 /// PointsXmlSize.
 std::string EncodePointsXml(const std::vector<ThresholdPoint>& points);
 
-/// EncodePointsXml(points).size(), without rendering.
+/// EncodePointsXml(points).size(), without rendering:
+/// XmlEnvelopeSize(points.size()) + PointsXmlElementsSize(points).
 size_t PointsXmlSize(const std::vector<ThresholdPoint>& points);
+
+/// The bytes EncodePointsXml spends on a document of `count` points
+/// outside the point elements (declaration, root element, count).
+size_t XmlEnvelopeSize(size_t count);
+
+/// The bytes of `point`'s element in EncodePointsXml.
+size_t PointXmlSize(const ThresholdPoint& point);
+
+/// The sum of PointXmlSize over `points`, for an answer sized piece by
+/// piece.
+size_t PointsXmlElementsSize(const std::vector<ThresholdPoint>& points);
 
 Result<std::vector<ThresholdPoint>> DecodePointsXml(const std::string& xml);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -87,6 +88,46 @@ TEST_F(SemanticCacheTest, HitFiltersPointsToQueryBox) {
   ASSERT_TRUE(lookup.ok());
   ASSERT_TRUE(lookup->hit);
   EXPECT_EQ(lookup->points.size(), 5u);
+}
+
+// The cacheData scan yields an entry's points in z order whatever order
+// they were inserted in, so a node's cache hit needs no sort. A box equal
+// to the region skips the box test, but both lookups scan, and count,
+// every row of the entry, as Algorithm 1 does.
+TEST_F(SemanticCacheTest, HitReturnsPointsInZOrderAndScansEveryRow) {
+  std::vector<ThresholdPoint> points;
+  for (uint32_t i = 0; i < 400; ++i) {
+    points.push_back(MakeThresholdPoint(i % 64, i / 64, (i * 7) % 64,
+                                        10.0f + static_cast<float>(i % 50)));
+  }
+  const auto by_zindex = [](const ThresholdPoint& a, const ThresholdPoint& b) {
+    return a.zindex < b.zindex;
+  };
+  std::sort(points.begin(), points.end(),
+            [&](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return by_zindex(b, a);
+            });
+  ASSERT_TRUE(
+      cache_.Insert("mhd", "vorticity", 0, 4, whole_, 10.0, points).ok());
+  std::sort(points.begin(), points.end(), by_zindex);
+
+  for (const Box3& box : {whole_, Box3(5, 1, 9, 50, 6, 60)}) {
+    auto lookup = cache_.Lookup("mhd", "vorticity", 0, 4, box, 30.0);
+    ASSERT_TRUE(lookup.ok());
+    ASSERT_TRUE(lookup->hit);
+    std::vector<ThresholdPoint> expected;
+    for (const ThresholdPoint& point : points) {
+      uint32_t x = 0, y = 0, z = 0;
+      point.Coords(&x, &y, &z);
+      if (point.norm >= 30.0f && box.ContainsPoint(x, y, z)) {
+        expected.push_back(point);
+      }
+    }
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(lookup->points, expected) << box.ToString();
+    // One cacheInfo row, then every cacheData row of the entry.
+    EXPECT_EQ(lookup->io.cache_records_scanned, points.size() + 1);
+  }
 }
 
 TEST_F(SemanticCacheTest, KeysSeparateFieldsTimestepsAndOrders) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include "cluster/mediator.h"
+#include "common/rng.h"
 #include "test_util.h"
 #include "wire/serializer.h"
 
@@ -282,6 +285,253 @@ TEST_F(MediatorCacheTest, LedgerPressureSkipsCachingInsteadOfBlocking) {
   cache_.AttachLedger(nullptr);
 }
 
+// --- Range lookup against a brute-force filter ---------------------------
+
+/// About a third of the points of `region`, z-sorted, with norms on a
+/// coarse grid of values so that many rows share a norm.
+std::vector<ThresholdPoint> EntryPoints(const Box3& region, uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<ThresholdPoint> points;
+  for (int64_t z = region.lo[2]; z < region.hi[2]; ++z) {
+    for (int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
+      for (int64_t x = region.lo[0]; x < region.hi[0]; ++x) {
+        if (rng.NextBounded(3) != 0) continue;
+        const float norm = 1.0f + static_cast<float>(rng.NextBounded(900)) /
+                                      100.0f;
+        points.push_back(MakeThresholdPoint(static_cast<uint32_t>(x),
+                                            static_cast<uint32_t>(y),
+                                            static_cast<uint32_t>(z), norm));
+      }
+    }
+  }
+  std::sort(points.begin(), points.end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              return a.zindex < b.zindex;
+            });
+  return points;
+}
+
+/// The answer by definition: every point in the box passing the threshold,
+/// in z order.
+std::vector<ThresholdPoint> BruteForce(const std::vector<ThresholdPoint>& all,
+                                       const Box3& box, double threshold) {
+  std::vector<ThresholdPoint> out;
+  for (const ThresholdPoint& point : all) {
+    uint32_t x = 0, y = 0, z = 0;
+    point.Coords(&x, &y, &z);
+    if (PassesThreshold(point.norm, threshold) && box.ContainsPoint(x, y, z)) {
+      out.push_back(point);
+    }
+  }
+  return out;
+}
+
+/// The threshold probes around one stored norm: the norm and one float ulp
+/// either side of it.
+std::vector<double> ProbesAround(float norm) {
+  return {static_cast<double>(std::nextafter(norm, 0.0f)),
+          static_cast<double>(norm),
+          static_cast<double>(std::nextafter(norm, HUGE_VALF))};
+}
+
+/// Looks `box` up at each probe around a few stored norms of the box's
+/// answer (and at the entry's own threshold) and compares the hit with the
+/// brute-force filter: the same points in z order, and their XML size.
+void ExpectLookupsMatchBruteForce(MediatorCache& cache, const Box3& region,
+                                  const std::vector<ThresholdPoint>& all,
+                                  const Box3& box) {
+  const std::vector<ThresholdPoint> in_box = BruteForce(all, box, 0.0);
+  std::vector<double> thresholds = {1.0};
+  for (size_t i = 0; i < in_box.size(); i += 1 + in_box.size() / 4) {
+    for (double probe : ProbesAround(in_box[i].norm)) {
+      if (probe >= 1.0) thresholds.push_back(probe);
+    }
+  }
+  for (double threshold : thresholds) {
+    const MediatorCacheLookup lookup =
+        cache.Lookup("mhd", "velocity:vorticity", 4, 0, box, threshold);
+    ASSERT_TRUE(lookup.hit) << box.ToString();
+    EXPECT_EQ(lookup.subsumed, !(box == region) || threshold > 1.0);
+    const std::vector<ThresholdPoint> expected =
+        BruteForce(all, box, threshold);
+    EXPECT_EQ(lookup.points, expected)
+        << box.ToString() << " threshold " << threshold;
+    EXPECT_EQ(lookup.xml_bytes, PointsXmlSize(lookup.points))
+        << box.ToString() << " threshold " << threshold;
+  }
+}
+
+// The range walk visits only the rows of the 8^3 cells a box touches; it
+// must keep exactly the points a filter of every row keeps, on the boxes
+// where a cell cover and a box differ: face-sharing halves, a single
+// point, a single cell, boxes not aligned to 8, boxes flush with the
+// region's faces, the region itself and an empty box.
+TEST_F(MediatorCacheTest, RangeLookupMatchesBruteForceFilter) {
+  const Box3 region(3, 8, 17, 61, 64, 50);
+  std::vector<ThresholdPoint> all = EntryPoints(region, 26);
+  ASSERT_GT(all.size(), 10000u);
+  // Inserted out of order: the cache z-sorts its rows itself.
+  std::vector<ThresholdPoint> shuffled = all;
+  std::reverse(shuffled.begin(), shuffled.end());
+  cache_.Insert("mhd", "velocity:vorticity", 4, 0, region, 1.0, shuffled,
+                cache_.epoch());
+
+  uint32_t px = 0, py = 0, pz = 0;
+  all[all.size() / 2].Coords(&px, &py, &pz);
+  const std::vector<Box3> boxes = {
+      region,
+      // Two halves sharing the face x = 29, and two sharing y = 40.
+      Box3(3, 8, 17, 29, 64, 50), Box3(29, 8, 17, 61, 64, 50),
+      Box3(3, 8, 17, 61, 40, 50), Box3(3, 40, 17, 61, 64, 50),
+      // A single stored point, and the single point at the region's far
+      // corner.
+      Box3(px, py, pz, px + 1, py + 1, pz + 1),
+      Box3(60, 63, 49, 61, 64, 50),
+      // A single aligned 8^3 cell, and one straddling eight cells.
+      Box3(8, 16, 24, 16, 24, 32), Box3(12, 20, 28, 20, 28, 36),
+      // Not aligned to 8 on any side.
+      Box3(5, 9, 19, 37, 41, 45), Box3(7, 13, 21, 8, 60, 22),
+      // Flush with the region's faces, one axis at a time and all at once.
+      Box3(3, 9, 18, 60, 63, 49), Box3(4, 8, 18, 60, 63, 49),
+      Box3(4, 9, 18, 60, 63, 50), Box3(3, 8, 17, 11, 16, 25),
+      Box3(53, 56, 42, 61, 64, 50),
+      // Empty: contained in every region, holds nothing.
+      Box3(10, 20, 30, 10, 40, 40),
+  };
+  for (const Box3& box : boxes) {
+    ExpectLookupsMatchBruteForce(cache_, region, all, box);
+  }
+  // Face-sharing halves partition the region's answer.
+  const double k = 4.5;
+  EXPECT_EQ(cache_.Lookup("mhd", "velocity:vorticity", 4, 0, boxes[1], k)
+                    .points.size() +
+                cache_.Lookup("mhd", "velocity:vorticity", 4, 0, boxes[2], k)
+                    .points.size(),
+            BruteForce(all, region, k).size());
+
+  // Seeded random sub-boxes of the region.
+  SplitMix64 rng(2026);
+  for (int i = 0; i < 60; ++i) {
+    Box3 box;
+    for (int d = 0; d < 3; ++d) {
+      const uint64_t extent = static_cast<uint64_t>(region.Extent(d));
+      const int64_t a =
+          region.lo[d] + static_cast<int64_t>(rng.NextBounded(extent + 1));
+      const int64_t b =
+          region.lo[d] + static_cast<int64_t>(rng.NextBounded(extent + 1));
+      box.lo[d] = std::min(a, b);
+      box.hi[d] = std::max(a, b) + (a == b && b < region.hi[d] ? 1 : 0);
+    }
+    ExpectLookupsMatchBruteForce(cache_, region, all, box);
+  }
+}
+
+// Points at the far end of the 21-bit coordinate space: the cell cover and
+// the shifted range bounds stay inside the 63-bit code.
+TEST_F(MediatorCacheTest, RangeLookupAtTheEdgeOfTheCodeSpace) {
+  constexpr int64_t kEnd = int64_t{kMortonMaxCoord} + 1;
+  const Box3 region(kEnd - 12, kEnd - 9, kEnd - 20, kEnd, kEnd, kEnd);
+  const std::vector<ThresholdPoint> all = EntryPoints(region, 63);
+  ASSERT_FALSE(all.empty());
+  cache_.Insert("mhd", "velocity:vorticity", 4, 0, region, 1.0, all,
+                cache_.epoch());
+  for (const Box3& box :
+       {region, Box3(kEnd - 5, kEnd - 9, kEnd - 20, kEnd, kEnd, kEnd),
+        Box3(kEnd - 12, kEnd - 3, kEnd - 17, kEnd - 1, kEnd, kEnd - 2)}) {
+    ExpectLookupsMatchBruteForce(cache_, region, all, box);
+  }
+}
+
+// Lookups filter an entry's rows after releasing the shard lock, while
+// inserts replace the entry, an invalidation drops it and inserts under
+// other keys evict it. Every entry of the key holds the same points cut to
+// its region and threshold, so every hit has one right answer whatever it
+// raced.
+TEST_F(MediatorCacheTest, LookupsRaceInsertInvalidateAndEviction) {
+  const Box3 region(0, 0, 0, 24, 24, 24);
+  const std::vector<ThresholdPoint> all = EntryPoints(region, 11);
+  const Box3 half(0, 0, 0, 12, 24, 24);
+  const Box3 cell(8, 8, 8, 16, 16, 16);
+  // Room for two whole-region entries, filled below with two of other
+  // keys (which no invalidation touches), so every later insert evicts.
+  MediatorCache cache(2 * (MediatorCache::kEntryOverhead +
+                           all.size() * MediatorCache::kBytesPerPoint) +
+                      MediatorCache::kEntryOverhead);
+  const std::string key_field = "velocity:vorticity";
+  // Each entry's points, computed before any thread starts: an insert
+  // reads the epoch just before it runs, so only an invalidation racing
+  // the insert itself makes it stale.
+  const std::vector<ThresholdPoint> above_two = BruteForce(all, region, 2.0);
+  const std::vector<ThresholdPoint> half_points = BruteForce(all, half, 1.0);
+  const std::vector<ThresholdPoint> cell_points = BruteForce(all, cell, 1.0);
+  auto insert = [&](const std::string& field, const Box3& entry_region,
+                    double threshold,
+                    const std::vector<ThresholdPoint>& points) {
+    cache.Insert("mhd", field, 4, 0, entry_region, threshold, points,
+                 cache.epoch());
+  };
+  const std::vector<Box3> boxes = {region, half, Box3(3, 5, 7, 21, 22, 19),
+                                   cell};
+  const std::vector<double> thresholds = {2.0, 2.5, 7.25};
+
+  insert("velocity:strain", region, 1.0, all);
+  insert("magnetic:current", region, 1.0, all);
+  ASSERT_EQ(cache.stats().entries, 2u);
+
+  std::atomic<bool> invalidated{false};
+  std::atomic<bool> readers_done{false};
+  std::atomic<int> mismatches{0};
+  std::thread inserter([&]() {
+    do {
+      insert(key_field, region, 2.0, above_two);
+      insert("velocity:strain", region, 1.0, all);
+      insert(key_field, half, 1.0, half_points);
+      insert(key_field, region, 1.0, all);
+      insert("magnetic:current", region, 1.0, all);
+    } while (!readers_done.load());
+  });
+  std::thread invalidator([&]() {
+    for (int i = 0; i < 40; ++i) {
+      insert(key_field, cell, 1.0, cell_points);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      cache.Invalidate("mhd", key_field, 0);
+    }
+    invalidated.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t]() {
+      // Until the invalidations are over and this reader has seen a hit;
+      // the bound only guards against a hang.
+      int hits = 0;
+      for (int i = 0;
+           i < 1000000 && (i < 200 || !invalidated.load() || hits == 0);
+           ++i) {
+        const Box3& box = boxes[(i + t) % boxes.size()];
+        const double threshold = thresholds[i % thresholds.size()];
+        const MediatorCacheLookup lookup =
+            cache.Lookup("mhd", key_field, 4, 0, box, threshold);
+        if (!lookup.hit) continue;
+        ++hits;
+        if (lookup.points != BruteForce(all, box, threshold) ||
+            lookup.xml_bytes != PointsXmlSize(lookup.points)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  invalidator.join();
+  for (std::thread& reader : readers) reader.join();
+  readers_done.store(true);
+  inserter.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const MediatorCacheStats stats = cache.stats();
+  EXPECT_GE(stats.hits, 2u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
 // --- Integration: the cache wired into the mediator ---------------------
 
 constexpr int64_t kN = 32;
@@ -512,6 +762,104 @@ TEST(MediatorCacheIntegrationTest, StreamedMissPopulatesCache) {
               return a.zindex < b.zindex;
             });
   ExpectSamePoints(warm->points, collected);
+}
+
+/// Streams `query` in 64-point chunks; the summary comes back holding the
+/// streamed points in the order they arrived.
+Result<ThresholdResult> StreamIn64PointChunks(Mediator& mediator,
+                                              const ThresholdQuery& query) {
+  std::vector<ThresholdPoint> collected;
+  size_t chunks = 0;
+  Mediator::ThresholdChunkSink sink =
+      [&](std::vector<ThresholdPoint> points,
+          uint64_t /*total*/) -> Result<uint64_t> {
+    ++chunks;
+    collected.insert(collected.end(), points.begin(), points.end());
+    return static_cast<uint64_t>(points.size()) *
+           MediatorCache::kBytesPerPoint;
+  };
+  TURBDB_ASSIGN_OR_RETURN(
+      ThresholdResult summary,
+      mediator.GetThresholdStreaming(query, QueryOptions{}, CallBudget{}, 64,
+                                     sink));
+  if (chunks < 4) return Status::InvalidArgument("fewer than 4 chunks");
+  summary.points = std::move(collected);
+  return summary;
+}
+
+bool ZSorted(const std::vector<ThresholdPoint>& points) {
+  return std::is_sorted(points.begin(), points.end(),
+                        [](const ThresholdPoint& a, const ThresholdPoint& b) {
+                          return a.zindex < b.zindex;
+                        });
+}
+
+// A streamed summary charges the whole answer's XML size once, not one
+// document per chunk: its result_bytes_xml and WAN term equal the
+// buffered answer's, for a multi-chunk miss, a repeat hit and a subsumed
+// hit. A hit streams in z order.
+TEST(MediatorCacheIntegrationTest, StreamedSummarySizesEqualTheBufferedAnswer) {
+  auto db = MakeCachedDb(2);
+  ASSERT_NE(db, nullptr);
+  Mediator& mediator = db->mediator();
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+
+  const ThresholdQuery whole = Vorticity(0, 1.0);
+  const ThresholdQuery sub = Vorticity(0, 1.5, Box3(3, 5, 7, 29, 27, 30));
+  struct Case {
+    const char* name;
+    ThresholdQuery query;
+    bool hit;
+  };
+  for (const Case& c : {Case{"miss", whole, false}, Case{"repeat", whole, true},
+                        Case{"subsumed", sub, true}}) {
+    SCOPED_TRACE(c.name);
+    auto buffered = mediator.GetThreshold(c.query, no_cache);
+    ASSERT_TRUE(buffered.ok()) << buffered.status();
+    ASSERT_EQ(buffered->result_bytes_xml, PointsXmlSize(buffered->points));
+
+    const uint64_t hits = mediator.result_cache().stats().hits;
+    auto streamed = StreamIn64PointChunks(mediator, c.query);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_EQ(mediator.result_cache().stats().hits, hits + (c.hit ? 1 : 0));
+    EXPECT_EQ(streamed->all_cache_hits, c.hit);
+    if (c.hit) {
+      EXPECT_TRUE(ZSorted(streamed->points));
+    }
+    std::sort(streamed->points.begin(), streamed->points.end(),
+              [](const ThresholdPoint& a, const ThresholdPoint& b) {
+                return a.zindex < b.zindex;
+              });
+    EXPECT_EQ(streamed->points, buffered->points);
+    EXPECT_EQ(streamed->result_bytes_xml, buffered->result_bytes_xml);
+    EXPECT_EQ(streamed->time.mediator_user_comm_s,
+              buffered->time.mediator_user_comm_s);
+  }
+}
+
+// A node answering from its semantic cache returns its points in the
+// cacheData scan's z order, with no sort of its own. A streamed query
+// passes each shard's piece on as the node sent it, so the stream is
+// z-sorted within every shard.
+TEST(MediatorCacheIntegrationTest, NodeCacheHitsStreamEachShardInZOrder) {
+  constexpr int kNodes = 2;
+  auto db = MakeCachedDb(kNodes, /*mediator_cache_bytes=*/0);
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(db->Threshold(Vorticity(0, 1.0)).ok());
+  for (const ThresholdQuery& query :
+       {Vorticity(0, 1.0), Vorticity(0, 1.5, Box3(3, 5, 7, 29, 27, 30))}) {
+    auto streamed = StreamIn64PointChunks(db->mediator(), query);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_TRUE(streamed->all_cache_hits);
+    int descents = 0;
+    for (size_t i = 1; i < streamed->points.size(); ++i) {
+      if (streamed->points[i].zindex < streamed->points[i - 1].zindex) {
+        ++descents;
+      }
+    }
+    EXPECT_LT(descents, kNodes);
+  }
 }
 
 // An ingest into a timestep invalidates the cached results built on it

@@ -954,6 +954,74 @@ TEST(StreamedThresholdTest, ChunkSeqGapIsCorruptionOnBothReassemblers) {
   EXPECT_EQ(streams.load(), 2);
 }
 
+// Over TCP the client keeps the streamed summary's XML size, which covers
+// the whole answer, and recomputes only the binary size. For a
+// multi-chunk miss, a repeat hit and a subsumed hit of the mediator cache,
+// the reassembled result equals the buffered answer: the same points, both
+// byte counters and the WAN term.
+TEST(StreamedThresholdTest, SummarySizesEqualTheBufferedAnswerOverTcp) {
+  TurbDBConfig config;
+  config.cluster.num_nodes = 2;
+  config.cluster.processes_per_node = 2;
+  config.cluster.mediator_cache_bytes = 32ull << 20;
+  auto db = TurbDB::Open(config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE(EnsureMhdDemoData(db->get(), "mhd", 32, /*timesteps=*/1,
+                                /*seed=*/2015)
+                  .ok());
+  net::ServerOptions options;
+  options.num_workers = 2;
+  options.stream_chunk_points = 64;
+  auto server = ServeMediator(&(*db)->mediator(), options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  net::Client client("127.0.0.1", (*server)->port());
+  const MediatorCache& cache = (*db)->mediator().result_cache();
+
+  FieldStatsQuery stats_query;
+  stats_query.dataset = "mhd";
+  stats_query.raw_field = "velocity";
+  stats_query.derived_field = "vorticity";
+  stats_query.box = Box3::WholeGrid(32, 32, 32);
+  auto stats = (*db)->FieldStats(stats_query);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ThresholdQuery whole;
+  whole.dataset = "mhd";
+  whole.raw_field = "velocity";
+  whole.derived_field = "vorticity";
+  whole.box = Box3::WholeGrid(32, 32, 32);
+  whole.threshold = 1.5 * stats->rms;
+  ThresholdQuery sub = whole;
+  sub.box = Box3(3, 5, 7, 29, 27, 30);
+  sub.threshold = 1.75 * stats->rms;
+
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+  struct Case {
+    const char* name;
+    ThresholdQuery query;
+    bool hit;
+  };
+  for (const Case& c : {Case{"miss", whole, false}, Case{"repeat", whole, true},
+                        Case{"subsumed", sub, true}}) {
+    SCOPED_TRACE(c.name);
+    auto buffered = client.Threshold(c.query, no_cache);
+    ASSERT_TRUE(buffered.ok()) << buffered.status();
+    ASSERT_GE(buffered->points.size(), 4 * options.stream_chunk_points);
+
+    const uint64_t hits = cache.stats().hits;
+    auto streamed = client.ThresholdStreamed(c.query);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_EQ(cache.stats().hits, hits + (c.hit ? 1 : 0));
+    EXPECT_EQ(EncodePointsBinary(streamed->points),
+              EncodePointsBinary(buffered->points));
+    EXPECT_EQ(streamed->result_bytes_binary, buffered->result_bytes_binary);
+    EXPECT_EQ(streamed->result_bytes_xml, buffered->result_bytes_xml);
+    EXPECT_EQ(streamed->result_bytes_xml, PointsXmlSize(streamed->points));
+    EXPECT_EQ(streamed->time.mediator_user_comm_s,
+              buffered->time.mediator_user_comm_s);
+  }
+}
+
 // -- Admission control ---------------------------------------------------
 
 TEST(AdmissionControlTest, OverBudgetQueriesShedFastWithTypedError) {

@@ -188,6 +188,15 @@ void ExpectSizesMatchEncoders(const std::vector<ThresholdPoint>& points) {
       << points.size() << " points";
   EXPECT_EQ(PointsXmlSize(points), EncodePointsXml(points).size())
       << points.size() << " points";
+  // The split a cached answer is sized by: one envelope plus each
+  // point's element.
+  size_t elements = 0;
+  for (const ThresholdPoint& point : points) elements += PointXmlSize(point);
+  EXPECT_EQ(PointsXmlElementsSize(points), elements)
+      << points.size() << " points";
+  EXPECT_EQ(XmlEnvelopeSize(points.size()) + elements,
+            EncodePointsXml(points).size())
+      << points.size() << " points";
 }
 
 TEST(PointsSizeTest, MatchesEncodersOnRandomSets) {

@@ -36,17 +36,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --timeout 300
 ctest --test-dir "$BUILD_DIR" -L multiprocess --output-on-failure \
   --timeout 180
 
-# Fault-injection (chaos) drills: a dedicated TURBDB_FAULTS=ON build (the
-# registry is compiled out everywhere else) running the `chaos`-labeled
-# tests — stalled shards, mid-frame truncation, breaker-tripping flaps,
-# mid-stream client disconnects, torn chunk frames.
+# A dedicated TURBDB_FAULTS=ON build (the registry is compiled out
+# everywhere else). The streaming smoke and the self-heal drill below run
+# its binaries; its `chaos`-labeled tests run near the end.
 FAULTS_DIR="$ROOT/build-faults-check"
 cmake -B "$FAULTS_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTURBDB_FAULTS=ON \
   -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
 cmake --build "$FAULTS_DIR" -j "$JOBS"
-ctest --test-dir "$FAULTS_DIR" -L chaos --output-on-failure --timeout 180
 
 # Bounded-memory streaming smoke check against the real binaries: a
 # result far larger than the server's reply-byte budget must stream out
@@ -363,6 +361,20 @@ wait 2>/dev/null || true
 trap - EXIT
 echo "self-heal drill: ok ($HEAL_JSON)"
 
+# Wall-clock benchmark smoke (perfbench, its own RelWithDebInfo build in
+# .bench_build/): every workload on a 32^3 grid, traced and untraced.
+# Its answer checks gate the change: buffered, streamed and uncached
+# digests must agree on all three workloads, and it exits nonzero on any
+# failed op or missing metric.
+(cd "$ROOT" && python3 perfbench/run.py --smoke)
+
+# Fault-injection (chaos) drills on the faults build: stalled shards,
+# mid-frame truncation, breaker-tripping flaps, mid-stream client
+# disconnects, torn chunk frames. They and the TSan pass (which runs the
+# chaos tests too) come last, so a failure here cannot keep the drills
+# and the benchmark smoke above from running.
+ctest --test-dir "$FAULTS_DIR" -L chaos --output-on-failure --timeout 180
+
 # Race-check the failover path: the replica-group health tracking and
 # re-sync run concurrently with scatter-gathered sub-queries, so the
 # replication tests get a dedicated ThreadSanitizer build. Faults stay on
@@ -394,10 +406,3 @@ if [ "$SANITIZE" != "thread" ]; then
     -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|RoutedViewTest|ScrubTest|SelfHealTest|SemanticCacheTest|TxnTest|MediatorCache|CatalogTest" \
     --output-on-failure --timeout 300
 fi
-
-# Wall-clock benchmark smoke (perfbench, its own RelWithDebInfo build in
-# .bench_build/): every workload on a 32^3 grid, traced and untraced.
-# Its answer checks gate the change: buffered, streamed and uncached
-# digests must agree on all three workloads, and it exits nonzero on any
-# failed op or missing metric.
-(cd "$ROOT" && python3 perfbench/run.py --smoke)
