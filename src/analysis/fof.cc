@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace turbdb {
 
@@ -118,11 +120,14 @@ Result<std::vector<FofCluster>> FriendsOfFriends(
     }
   }
 
+  // Without time linking only the point's own slab can hold a friend:
+  // every point of a neighbouring slab fails the time test.
+  const int64_t slab_reach = t_link > 0 ? 1 : 0;
   UnionFind forest(n);
   for (size_t i = 0; i < n; ++i) {
     const FofPoint& p = points[i];
     const CellKey home = cell_of(p);
-    for (int64_t dt = -1; dt <= 1; ++dt) {
+    for (int64_t dt = -slab_reach; dt <= slab_reach; ++dt) {
       for (int64_t dz = -1; dz <= 1; ++dz) {
         for (int64_t dy = -1; dy <= 1; ++dy) {
           for (int64_t dx = -1; dx <= 1; ++dx) {
@@ -192,6 +197,79 @@ Result<std::vector<FofCluster>> FriendsOfFriends(
   std::sort(clusters.begin(), clusters.end(),
             [](const FofCluster& a, const FofCluster& b) {
               return a.max_norm > b.max_norm;
+            });
+  return clusters;
+}
+
+Status CheckFofLinkingLength(double linking_length, int64_t atom_width) {
+  if (!(linking_length > 0.0)) {
+    return Status::InvalidArgument("linking length must be positive");
+  }
+  if (linking_length > static_cast<double>(atom_width)) {
+    return Status::InvalidArgument(
+        "linking length " + std::to_string(linking_length) +
+        " exceeds the halo width (atom width " + std::to_string(atom_width) +
+        "): a FoF query links points at most one atom apart; use a smaller "
+        "linking length or the in-process FriendsOfFriends");
+  }
+  return Status::OK();
+}
+
+Result<std::vector<DistributedFofCluster>> ClusterThresholdPoints(
+    std::vector<ThresholdPoint> points, const FofParams& params,
+    uint64_t min_cluster_size) {
+  // Z order with a norm tie-break: real threshold answers have unique
+  // locations, but duplicated z-indexes (possible in synthetic input)
+  // must not make the output depend on arrival order.
+  std::sort(points.begin(), points.end(),
+            [](const ThresholdPoint& a, const ThresholdPoint& b) {
+              if (a.zindex != b.zindex) return a.zindex < b.zindex;
+              return a.norm < b.norm;
+            });
+  TURBDB_ASSIGN_OR_RETURN(std::vector<FofCluster> groups,
+                          FriendsOfFriends(ToFofPoints(points, 0), params));
+
+  // Members come in input order, which is z order here, so each record
+  // is named by its first member and every statistic reads the members
+  // as they come.
+  std::vector<DistributedFofCluster> clusters;
+  clusters.reserve(groups.size());
+  for (const FofCluster& group : groups) {
+    if (group.size() < min_cluster_size) continue;
+    DistributedFofCluster cluster;
+    cluster.members.reserve(group.size());
+    bool first = true;
+    for (const size_t i : group.members) {
+      const ThresholdPoint& point = points[i];
+      uint32_t x, y, z;
+      point.Coords(&x, &y, &z);
+      const uint64_t grid[3] = {x, y, z};
+      cluster.members.push_back(point);
+      for (int d = 0; d < 3; ++d) {
+        cluster.centroid[d] += static_cast<double>(grid[d]);
+        if (first || grid[d] < cluster.bbox_lo[d]) cluster.bbox_lo[d] = grid[d];
+        if (first || grid[d] > cluster.bbox_hi[d]) cluster.bbox_hi[d] = grid[d];
+      }
+      // Strict > over the z-ordered members picks the smallest z-index
+      // among the max-norm points.
+      if (first || point.norm > cluster.max_norm) {
+        cluster.max_norm = point.norm;
+        cluster.peak_zindex = point.zindex;
+      }
+      first = false;
+    }
+    cluster.id = cluster.members.front().zindex;
+    const double inv = 1.0 / static_cast<double>(cluster.members.size());
+    for (int d = 0; d < 3; ++d) cluster.centroid[d] *= inv;
+    clusters.push_back(std::move(cluster));
+  }
+
+  std::sort(clusters.begin(), clusters.end(),
+            [](const DistributedFofCluster& a, const DistributedFofCluster& b) {
+              if (a.members.size() != b.members.size()) {
+                return a.members.size() > b.members.size();
+              }
+              return a.id < b.id;
             });
   return clusters;
 }

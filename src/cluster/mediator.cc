@@ -296,14 +296,12 @@ net::NodeQuerySpec Mediator::SpecOf(NodeQuery::Mode mode, const Query& query,
 
 Result<std::vector<NodeOutcome>> Mediator::Dispatch(
     const NodeQuery& node_query, const CallBudget& budget,
-    const OutcomeSink& point_sink,
-    std::shared_ptr<const MembershipView>* routed_view) {
+    const OutcomeSink& point_sink) {
   // One ownership decision per query: the membership snapshot taken here.
   // Every sub-query carries it, and each node evaluates and reads by
   // exactly this view, so a cutover racing the scatter cannot change the
   // answer.
   const std::shared_ptr<const MembershipView> view = ViewSnapshot();
-  if (routed_view != nullptr) *routed_view = view;
   // Split the query along the spatial layout and submit each part
   // asynchronously to the node storing the data (Fig. 1). The split
   // follows *effective* ownership: a shard participates iff the view
@@ -418,8 +416,7 @@ Result<std::vector<NodeOutcome>> Mediator::Scatter(
       // other shards are still running, keeping at most one outcome's
       // points resident. A sink failure (the client hung up) aborts the
       // tail exactly like a hard shard failure.
-      Status sunk =
-          point_sink(parts[i].node_id, std::move(outcomes.back().points));
+      Status sunk = point_sink(std::move(outcomes.back().points));
       outcomes.back().points.clear();
       if (!sunk.ok()) {
         failure = sunk;
@@ -434,12 +431,12 @@ Result<std::vector<NodeOutcome>> Mediator::Scatter(
 namespace {
 
 /// Elapsed node phase = component-wise max across nodes (they execute
-/// concurrently); the mediator terms are added by the caller.
-TimeBreakdown MergeNodeTimes(const std::vector<NodeOutcome>& outcomes) {
+/// concurrently); the mediator terms are added by the caller. `nodes` is
+/// a query's outcomes or the node stats a threshold result reports.
+template <class Rows>
+TimeBreakdown MergeNodeTimes(const Rows& nodes) {
   TimeBreakdown merged;
-  for (const NodeOutcome& outcome : outcomes) {
-    merged = merged.MaxWith(outcome.time);
-  }
+  for (const auto& node : nodes) merged = merged.MaxWith(node.time);
   return merged;
 }
 
@@ -470,16 +467,13 @@ void FillNodeStats(const std::vector<NodeOutcome>& outcomes,
   }
 }
 
-}  // namespace
-
-Result<NodeQuery> Mediator::BuildThresholdQuery(const ThresholdQuery& query,
-                                                const QueryOptions& options) {
-  TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
-  net::NodeQuerySpec spec =
-      SpecOf(NodeQuery::Mode::kThreshold, query, options);
-  spec.threshold = query.threshold;
-  return catalog_.Resolve(spec);
+/// Whether the mediator cache answered a threshold query: a hit runs no
+/// node sub-query.
+bool MediatorCacheHit(const ThresholdResult& result) {
+  return result.all_cache_hits && result.node_stats.empty();
 }
+
+}  // namespace
 
 Result<ThresholdResult> Mediator::GetThreshold(const ThresholdQuery& query,
                                                const QueryOptions& options,
@@ -500,8 +494,10 @@ Result<ThresholdResult> Mediator::RunThreshold(
     const CallBudget& budget, uint64_t chunk_points,
     const ThresholdChunkSink* sink) {
   Stopwatch watch;
-  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
-                          BuildThresholdQuery(query, options));
+  TURBDB_RETURN_NOT_OK(ValidateThresholdQuery(query));
+  net::NodeQuerySpec spec = SpecOf(NodeQuery::Mode::kThreshold, query, options);
+  spec.threshold = query.threshold;
+  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query, catalog_.Resolve(spec));
   const bool cacheable = options.use_cache && result_cache_->enabled();
 
   // The points held on the mediator. Buffered: the whole answer.
@@ -595,10 +591,9 @@ Result<ThresholdResult> Mediator::RunThreshold(
     // points it would have to throw away.
     TURBDB_ASSIGN_OR_RETURN(
         outcomes,
-        Dispatch(node_query, budget,
-                 [&](int /*node_id*/, std::vector<ThresholdPoint> points) {
-                   return deliver(std::move(points));
-                 }));
+        Dispatch(node_query, budget, [&](std::vector<ThresholdPoint> points) {
+          return deliver(std::move(points));
+        }));
     if (!later_pieces.empty()) {
       size_t total = gathered.size();
       for (const auto& piece : later_pieces) total += piece.size();
@@ -654,48 +649,25 @@ Result<DistributedFofSummary> Mediator::GetFof(
     double linking_length, uint64_t min_cluster_size,
     const CallBudget& budget, uint64_t chunk_points,
     const FofClusterSink& sink) {
-  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
-                          BuildThresholdQuery(query, options));
-  const GridGeometry& geometry = node_query.dataset->geometry;
-
-  DistributedFofParams params;
+  TURBDB_ASSIGN_OR_RETURN(const DatasetInfo* info, GetDataset(query.dataset));
+  const GridGeometry& geometry = info->geometry;
+  TURBDB_RETURN_NOT_OK(
+      CheckFofLinkingLength(linking_length, geometry.atom_width()));
+  FofParams params;
   params.linking_length = linking_length;
-  params.min_cluster_size = min_cluster_size == 0 ? 1 : min_cluster_size;
-  params.atom_width = geometry.atom_width();
   for (int d = 0; d < 3; ++d) {
-    params.grid_extent[d] = geometry.extent(d);
     params.periodic_extent[d] =
         geometry.periodic(d) ? static_cast<double>(geometry.extent(d)) : 0.0;
   }
-  // The halo pass must judge ownership the way Dispatch attributed the
-  // points: by the view the scatter routed under, overrides included.
-  std::shared_ptr<const MembershipView> routed_view;
-  TURBDB_ASSIGN_OR_RETURN(
-      FofStitcher stitcher,
-      FofStitcher::Create(params, [&](int64_t ax, int64_t ay, int64_t az) {
-        const uint64_t code = MortonEncode3(static_cast<uint32_t>(ax),
-                                            static_cast<uint32_t>(ay),
-                                            static_cast<uint32_t>(az));
-        return routed_view->OwnerOf(
-            code, node_query.partitioner->OwnerOfAtom(code));
-      }));
 
-  // Fan the threshold sub-queries out; each shard's points feed the
-  // stitcher as that shard joins, with the shard id attached so the
-  // halo pass knows which territory is foreign. The mediator-tier
-  // result cache is deliberately bypassed: a cached union has lost the
-  // per-shard attribution.
-  auto outcome_sink = [&](int node_id,
-                          std::vector<ThresholdPoint> points) -> Status {
-    stitcher.AddShard(node_id, std::move(points));
-    return Status::OK();
-  };
+  // The buffered threshold answer, clustered once.
+  TURBDB_ASSIGN_OR_RETURN(ThresholdResult answer,
+                          GetThreshold(query, options, budget));
+  const uint64_t threshold_points = answer.points.size();
   TURBDB_ASSIGN_OR_RETURN(
-      std::vector<NodeOutcome> outcomes,
-      Dispatch(node_query, budget, outcome_sink, &routed_view));
-  const uint64_t threshold_points = stitcher.num_points();
-  TURBDB_ASSIGN_OR_RETURN(std::vector<DistributedFofCluster> clusters,
-                          stitcher.Finish());
+      std::vector<DistributedFofCluster> clusters,
+      ClusterThresholdPoints(std::move(answer.points), params,
+                             min_cluster_size));
 
   DistributedFofSummary summary;
   summary.clusters = clusters.size();
@@ -729,10 +701,13 @@ Result<DistributedFofSummary> Mediator::GetFof(
 
   // Modeled time: concurrent node phases, then the LAN gather of the
   // shard results (~6 bytes/point delta-varint encoded) and the WAN
-  // delivery of the cluster records actually streamed.
-  summary.time = MergeNodeTimes(outcomes);
-  ModelMediatorComm(config_.cost, outcomes.size(), threshold_points * 6 + 16,
-                    reply_bytes, &summary.time);
+  // delivery of the cluster records actually streamed. A mediator-cache
+  // hit has no node phase and no LAN gather.
+  const bool hit = MediatorCacheHit(answer);
+  summary.time = MergeNodeTimes(answer.node_stats);
+  ModelMediatorComm(config_.cost, answer.node_stats.size(),
+                    hit ? 0 : threshold_points * 6 + 16, reply_bytes,
+                    &summary.time);
   return summary;
 }
 
@@ -928,21 +903,11 @@ Result<Mediator::CacheWarmOutcome> Mediator::WarmThresholdCache(
     return Status::InvalidArgument(
         "mediator cache is disabled (--mediator-cache-mb 0)");
   }
-  TURBDB_ASSIGN_OR_RETURN(NodeQuery node_query,
-                          BuildThresholdQuery(query, QueryOptions{}));
-  MediatorCacheLookup cached = result_cache_->Lookup(
-      query.dataset, node_query.cache_field_key, query.fd_order,
-      query.timestep, node_query.box, query.threshold);
-  CacheWarmOutcome outcome;
-  if (cached.hit) {
-    outcome.points = cached.points.size();
-    outcome.already_cached = true;
-    return outcome;
-  }
   TURBDB_ASSIGN_OR_RETURN(ThresholdResult result,
                           GetThreshold(query, QueryOptions{}, budget));
+  CacheWarmOutcome outcome;
   outcome.points = result.points.size();
-  outcome.already_cached = false;
+  outcome.already_cached = MediatorCacheHit(result);
   return outcome;
 }
 

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/distributed_fof.h"
+#include "analysis/fof.h"
 #include "cache/mediator_cache.h"
 #include "cluster/catalog.h"
 #include "cluster/cost_model.h"
@@ -151,25 +151,24 @@ class Mediator {
       const CallBudget& budget, uint64_t chunk_points,
       const ThresholdChunkSink& sink);
 
-  /// Consumes one batch of stitched friends-of-friends clusters from
-  /// GetFof, plus the total cluster count (known once stitching
-  /// finished, so every batch carries it). Returns the encoded batch
-  /// size in bytes — fed into the comm-time model — or an error, which
-  /// aborts the reply.
+  /// Consumes one batch of friends-of-friends clusters from GetFof,
+  /// plus the total cluster count (known once the answer is clustered,
+  /// so every batch carries it). Returns the encoded batch size in bytes
+  /// — fed into the comm-time model — or an error, which aborts the
+  /// reply.
   using FofClusterSink = std::function<Result<uint64_t>(
       std::vector<DistributedFofCluster> clusters, uint64_t total_clusters)>;
 
-  /// Distributed friends-of-friends clustering over the points a
-  /// threshold query selects: fans the threshold sub-queries out to the
-  /// owning shards, runs per-shard union-find as each shard's points
-  /// join, stitches clusters across shard boundaries through a
-  /// halo-zone relink (periodic wrap included), and streams the
-  /// resulting cluster records through `sink` in batches of at most
-  /// `chunk_points` member points. Cluster ids are deterministic
-  /// (smallest member z-index) and the membership is byte-identical to
-  /// running the in-process FriendsOfFriends over the same threshold
-  /// result. Typed failures: non-positive linking length, or a linking
-  /// length above the dataset's atom width (the guaranteed halo width).
+  /// Friends-of-friends clustering over the points a threshold query
+  /// selects: the buffered threshold answer (mediator cache included,
+  /// when `options.use_cache` is set), clustered once on the mediator by
+  /// ClusterThresholdPoints (periodic wrap included), then streamed as
+  /// cluster records through `sink` in batches of at most `chunk_points`
+  /// member points. Cluster ids are deterministic (smallest member
+  /// z-index) and the membership is byte-identical to running the
+  /// in-process FriendsOfFriends over the same threshold answer. A
+  /// linking length that is not positive or exceeds the dataset's atom
+  /// width (CheckFofLinkingLength) fails typed before any node work.
   Result<DistributedFofSummary> GetFof(
       const ThresholdQuery& query, const QueryOptions& options,
       double linking_length, uint64_t min_cluster_size,
@@ -211,10 +210,11 @@ class Mediator {
     bool already_cached = false;  ///< True when no query had to run.
   };
 
-  /// Runs `query` solely to populate the mediator-tier cache: a lookup
-  /// that already subsumes it is a no-op, otherwise the query executes
-  /// (and its completion inserts the entry). Fails when the cache tier
-  /// is disabled.
+  /// Runs `query` through the threshold pipeline solely to populate the
+  /// mediator-tier cache, with one cache lookup: a resident entry that
+  /// subsumes it answers with no node work (`already_cached`), otherwise
+  /// the query executes and its completion inserts the entry. Fails when
+  /// the cache tier is disabled.
   Result<CacheWarmOutcome> WarmThresholdCache(const ThresholdQuery& query,
                                               const CallBudget& budget = {});
 
@@ -317,24 +317,19 @@ class Mediator {
   net::NodeQuerySpec SpecOf(NodeQuery::Mode mode, const Query& query,
                             const QueryOptions& options) const;
 
-  /// Validates a threshold query and resolves its node query; shared by
-  /// the threshold pipeline, GetFof and WarmThresholdCache.
-  Result<NodeQuery> BuildThresholdQuery(const ThresholdQuery& query,
-                                        const QueryOptions& options);
-
   /// The one threshold pipeline (the paper's Algorithm 1) behind
-  /// GetThreshold (`sink` null: buffered delivery) and
-  /// GetThresholdStreaming (streamed in `chunk_points` chunks). Both
-  /// deliveries take each shard's points as that shard joins.
+  /// GetThreshold (`sink` null: buffered delivery, which GetFof and
+  /// WarmThresholdCache run too) and GetThresholdStreaming (streamed in
+  /// `chunk_points` chunks). Both deliveries take each shard's points as
+  /// that shard joins.
   Result<ThresholdResult> RunThreshold(const ThresholdQuery& query,
                                        const QueryOptions& options,
                                        const CallBudget& budget,
                                        uint64_t chunk_points,
                                        const ThresholdChunkSink* sink);
 
-  /// Receives a joined outcome's points with the node id of its shard.
-  using OutcomeSink =
-      std::function<Status(int node_id, std::vector<ThresholdPoint> points)>;
+  /// Receives a joined outcome's points.
+  using OutcomeSink = std::function<Status(std::vector<ThresholdPoint> points)>;
 
   /// One node sub-query of a scatter.
   struct Part {
@@ -346,12 +341,10 @@ class Mediator {
   /// in its box. The routing is done once, under one membership snapshot
   /// that every sub-query carries: each node evaluates and reads by that
   /// view, so no sub-query can be routed stale and nothing is
-  /// re-scattered. `routed_view`, when set, receives the snapshot: the
-  /// ownership by which the outcomes' points were attributed to shards.
+  /// re-scattered.
   Result<std::vector<NodeOutcome>> Dispatch(
       const NodeQuery& node_query, const CallBudget& budget,
-      const OutcomeSink& point_sink = nullptr,
-      std::shared_ptr<const MembershipView>* routed_view = nullptr);
+      const OutcomeSink& point_sink = nullptr);
 
   /// Submits `parts` asynchronously, each carrying `view`, and joins the
   /// outcomes in order. Assigns the query a cluster-unique id, a cancel
@@ -364,9 +357,7 @@ class Mediator {
   /// When `point_sink` is set, each outcome's points are *moved* into it
   /// as that outcome joins (the returned outcomes keep their metadata but
   /// empty point vectors), so the mediator never holds more than one
-  /// outcome's points. The sink also receives the owning shard's node
-  /// id — the FoF stitcher needs the attribution; plain streaming
-  /// ignores it. A sink error aborts like a hard shard failure.
+  /// outcome's points. A sink error aborts like a hard shard failure.
   Result<std::vector<NodeOutcome>> Scatter(
       std::vector<Part> parts,
       const std::shared_ptr<const MembershipView>& view,

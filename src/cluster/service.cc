@@ -57,8 +57,8 @@ Result<ThresholdResult> Threshold(Mediator* mediator,
                                          ctx.chunk_points, sink);
 }
 
-/// Distributed FoF reply: cluster records stream out as kFofChunk frames
-/// as the stitcher emits them, each buffer reserved against the server's
+/// FoF reply: cluster records stream out as kFofChunk frames in the
+/// batches GetFof emits, each buffer reserved against the server's
 /// result-byte budget first (same discipline as the streamed threshold
 /// path); the terminating frame carries the summary. Without a streaming
 /// transport (in-process callers) the records are dropped and only the

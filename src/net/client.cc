@@ -177,27 +177,27 @@ Result<std::vector<uint8_t>> Client::Exchange(
       std::to_string(attempts) + " attempts)");
 }
 
-Result<std::vector<uint8_t>> Client::ExchangeThresholdStream(
+template <class Chunk, class Item>
+Result<std::vector<uint8_t>> Client::ExchangeStream(
     const std::vector<uint8_t>& request, uint64_t budget_ms,
-    std::vector<ThresholdPoint>* points) {
+    std::vector<Item> Chunk::*items, std::vector<Item>* out) {
   uint64_t next_seq = 0;
   StreamHooks hooks;
   hooks.restart = [&]() {
-    points->clear();
+    out->clear();
     next_seq = 0;
   };
   hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
-    TURBDB_ASSIGN_OR_RETURN(ThresholdChunk chunk,
-                            Decode<ThresholdChunk>(payload));
+    TURBDB_ASSIGN_OR_RETURN(Chunk chunk, Decode<Chunk>(payload));
     if (chunk.seq != next_seq) {
       return Status::Corruption(
           "streamed reply chunk gap: expected seq " +
           std::to_string(next_seq) + ", got " + std::to_string(chunk.seq));
     }
     ++next_seq;
-    points->insert(points->end(),
-                   std::make_move_iterator(chunk.points.begin()),
-                   std::make_move_iterator(chunk.points.end()));
+    std::vector<Item>& chunk_items = chunk.*items;
+    out->insert(out->end(), std::make_move_iterator(chunk_items.begin()),
+                std::make_move_iterator(chunk_items.end()));
     return Status::OK();
   };
   return Exchange(request, budget_ms, &hooks);
@@ -235,7 +235,8 @@ Result<ThresholdResult> Client::ThresholdStreamed(
   std::vector<ThresholdPoint> points;
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      ExchangeThresholdStream(Encode(request), budget_ms, &points));
+      ExchangeStream(Encode(request), budget_ms, &ThresholdChunk::points,
+                     &points));
   TURBDB_ASSIGN_OR_RETURN(ThresholdResult result,
                           Decode<ThresholdResult>(payload));
   // The terminating summary carries no points; reassemble the streamed
@@ -260,27 +261,9 @@ Result<FofResult> Client::Fof(FofRequest request) {
   WallTimer timer;
   const uint64_t budget_ms = Stamp(&request.rpc);
   FofResult result;
-  uint64_t next_seq = 0;
-  StreamHooks hooks;
-  hooks.restart = [&]() {
-    result.clusters.clear();
-    next_seq = 0;
-  };
-  hooks.chunk = [&](const std::vector<uint8_t>& payload) -> Status {
-    TURBDB_ASSIGN_OR_RETURN(FofChunk chunk, Decode<FofChunk>(payload));
-    if (chunk.seq != next_seq) {
-      return Status::Corruption(
-          "streamed FoF reply chunk gap: expected seq " +
-          std::to_string(next_seq) + ", got " + std::to_string(chunk.seq));
-    }
-    ++next_seq;
-    result.clusters.insert(result.clusters.end(),
-                           std::make_move_iterator(chunk.clusters.begin()),
-                           std::make_move_iterator(chunk.clusters.end()));
-    return Status::OK();
-  };
   TURBDB_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          Exchange(Encode(request), budget_ms, &hooks));
+                          ExchangeStream(Encode(request), budget_ms,
+                                         &FofChunk::clusters, &result.clusters));
   TURBDB_ASSIGN_OR_RETURN(result.summary,
                           Decode<DistributedFofSummary>(payload));
   if (result.summary.clusters != result.clusters.size()) {
@@ -320,7 +303,8 @@ Result<NodeOutcome> Client::NodeExecute(NodeExecuteRequest request) {
   std::vector<ThresholdPoint> points;
   TURBDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> payload,
-      ExchangeThresholdStream(Encode(request), budget_ms, &points));
+      ExchangeStream(Encode(request), budget_ms, &ThresholdChunk::points,
+                     &points));
   TURBDB_ASSIGN_OR_RETURN(NodeOutcome outcome, Decode<NodeOutcome>(payload));
   outcome.points = std::move(points);
   return outcome;

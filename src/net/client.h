@@ -161,14 +161,15 @@ class Client {
                                         uint64_t budget_ms,
                                         const StreamHooks* stream = nullptr);
 
-  /// A streamed threshold call (a ThresholdRequest or NodeExecuteRequest
-  /// with `stream` set): the kThresholdChunk frames are checked for seq
-  /// gaps (kCorruption) and their points appended to `points` in arrival
-  /// order, starting over on every retried attempt. Returns the
-  /// terminating frame's payload.
-  Result<std::vector<uint8_t>> ExchangeThresholdStream(
+  /// A streamed call whose chunk frames decode as `Chunk` (a
+  /// ThresholdChunk or a FofChunk): each frame is checked for a seq gap
+  /// (kCorruption, never retried) and its `items` are appended to `out`
+  /// in arrival order, starting over on every retried attempt. Returns
+  /// the terminating frame's payload.
+  template <class Chunk, class Item>
+  Result<std::vector<uint8_t>> ExchangeStream(
       const std::vector<uint8_t>& request, uint64_t budget_ms,
-      std::vector<ThresholdPoint>* points);
+      std::vector<Item> Chunk::*items, std::vector<Item>* out);
 
   /// One attempt on the current (or a fresh) connection, bounded by both
   /// the per-operation timeouts and the overall query budget.

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/distributed_fof.h"
+#include "analysis/fof.h"
 #include "array/atom.h"
 #include "cache/mediator_cache.h"
 #include "cluster/dataset.h"

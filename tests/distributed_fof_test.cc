@@ -1,10 +1,11 @@
-// FofStitcher unit tests: the distributed friends-of-friends stitcher
-// must reproduce the in-process FriendsOfFriends partition exactly —
-// including links that wrap the periodic boundary between shards and
-// clusters living entirely inside one shard's halo zone — and its
-// cluster ids must not depend on the order shards were joined.
+// ClusterThresholdPoints unit tests: a FoF query clusters the threshold
+// answer its shards returned, and must reproduce the in-process
+// FriendsOfFriends partition exactly — including links across a shard
+// boundary, links that wrap the periodic boundary between shards and
+// clusters hugging one shard's boundary — and its cluster ids must not
+// depend on the order in which the shards' points arrived.
 
-#include "analysis/distributed_fof.h"
+#include "analysis/fof.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include <set>
 #include <vector>
 
-#include "analysis/fof.h"
 #include "array/point.h"
 
 namespace turbdb {
@@ -22,12 +22,10 @@ namespace {
 /// A 16^3 periodic grid of 8-wide atoms: 2 atoms per axis, 8 atoms
 /// total, ownership split on the x axis (atom-x 0 -> shard 0, 1 ->
 /// shard 1).
-DistributedFofParams Grid16Params(double linking_length = 2.0) {
-  DistributedFofParams params;
+FofParams Grid16Params(double linking_length = 2.0) {
+  FofParams params;
   params.linking_length = linking_length;
   params.periodic_extent = {16.0, 16.0, 16.0};
-  params.grid_extent = {16, 16, 16};
-  params.atom_width = 8;
   return params;
 }
 
@@ -88,42 +86,47 @@ std::map<int, std::vector<ThresholdPoint>> SplitByOwner(
   return shards;
 }
 
+/// The threshold answer as the mediator gathers it: the shards' points,
+/// one shard after the other.
+std::vector<ThresholdPoint> Gather(
+    const std::map<int, std::vector<ThresholdPoint>>& shards) {
+  std::vector<ThresholdPoint> answer;
+  for (const auto& [shard, batch] : shards) {
+    answer.insert(answer.end(), batch.begin(), batch.end());
+  }
+  return answer;
+}
+
 TEST(DistributedFofTest, RejectsNonPositiveLinkingLength) {
-  auto stitcher = FofStitcher::Create(Grid16Params(0.0), OwnerByAtomX);
-  ASSERT_FALSE(stitcher.ok());
-  EXPECT_EQ(stitcher.status().code(), StatusCode::kInvalidArgument);
+  auto clusters = ClusterThresholdPoints({}, Grid16Params(0.0), 1);
+  ASSERT_FALSE(clusters.ok());
+  EXPECT_EQ(clusters.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckFofLinkingLength(0.0, 8).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DistributedFofTest, RejectsLinkingLengthWiderThanHalo) {
-  // A linking length beyond the atom width could link points whose halo
-  // zones never meet; the stitcher must refuse with a typed error rather
-  // than silently split clusters.
-  auto stitcher = FofStitcher::Create(Grid16Params(9.0), OwnerByAtomX);
-  ASSERT_FALSE(stitcher.ok());
-  EXPECT_EQ(stitcher.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stitcher.status().message().find("halo"), std::string::npos)
-      << stitcher.status();
+  // A FoF query links points at most one atom apart; a wider linking
+  // length is refused with a typed error before any node work.
+  const Status status = CheckFofLinkingLength(9.0, 8);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("halo"), std::string::npos) << status;
 }
 
 TEST(DistributedFofTest, EmptyInputYieldsNoClusters) {
-  auto stitcher = FofStitcher::Create(Grid16Params(), OwnerByAtomX);
-  ASSERT_TRUE(stitcher.ok()) << stitcher.status();
-  auto clusters = stitcher->Finish();
+  auto clusters = ClusterThresholdPoints({}, Grid16Params(), 1);
   ASSERT_TRUE(clusters.ok()) << clusters.status();
   EXPECT_TRUE(clusters->empty());
 }
 
 TEST(DistributedFofTest, StitchesClusterAcrossShardBoundary) {
-  // Two points straddling the x = 8 shard boundary, one per shard; only
-  // the halo pass can link them.
+  // Two points straddling the x = 8 shard boundary, one per shard; the
+  // gathered answer links them.
   const std::vector<ThresholdPoint> points = {
       MakeThresholdPoint(7, 4, 4, 1.0f), MakeThresholdPoint(8, 4, 4, 2.0f)};
-  auto stitcher = FofStitcher::Create(Grid16Params(), OwnerByAtomX);
-  ASSERT_TRUE(stitcher.ok()) << stitcher.status();
-  for (auto& [shard, batch] : SplitByOwner(points, 8)) {
-    stitcher->AddShard(shard, batch);
-  }
-  auto clusters = stitcher->Finish();
+  auto clusters =
+      ClusterThresholdPoints(Gather(SplitByOwner(points, 8)), Grid16Params(), 1);
   ASSERT_TRUE(clusters.ok()) << clusters.status();
   ASSERT_EQ(clusters->size(), 1u);
   EXPECT_EQ(clusters->front().members.size(), 2u);
@@ -134,46 +137,34 @@ TEST(DistributedFofTest, StitchesClusterAcrossShardBoundary) {
 TEST(DistributedFofTest, PeriodicWrapLinksAcrossShardBoundary) {
   // x = 0 (shard 0) and x = 15 (shard 1): periodic distance 1, direct
   // distance 15. The link exists only through the wrap, and it crosses
-  // shards, so it exercises the wrap-aware halo exchange.
+  // shards.
   const std::vector<ThresholdPoint> points = {
       MakeThresholdPoint(0, 4, 4, 1.0f), MakeThresholdPoint(15, 4, 4, 1.5f)};
-  auto stitcher = FofStitcher::Create(Grid16Params(), OwnerByAtomX);
-  ASSERT_TRUE(stitcher.ok()) << stitcher.status();
-  for (auto& [shard, batch] : SplitByOwner(points, 8)) {
-    stitcher->AddShard(shard, batch);
-  }
-  auto clusters = stitcher->Finish();
+  auto clusters =
+      ClusterThresholdPoints(Gather(SplitByOwner(points, 8)), Grid16Params(), 1);
   ASSERT_TRUE(clusters.ok()) << clusters.status();
   ASSERT_EQ(clusters->size(), 1u);
   EXPECT_EQ(clusters->front().members.size(), 2u);
   EXPECT_EQ(Partition(*clusters), ReferencePartition(points, 2.0, 16.0));
 
   // Without periodicity the same points stay apart.
-  DistributedFofParams open = Grid16Params();
+  FofParams open = Grid16Params();
   open.periodic_extent = {0.0, 0.0, 0.0};
-  auto open_stitcher = FofStitcher::Create(open, OwnerByAtomX);
-  ASSERT_TRUE(open_stitcher.ok()) << open_stitcher.status();
-  for (auto& [shard, batch] : SplitByOwner(points, 8)) {
-    open_stitcher->AddShard(shard, batch);
-  }
-  auto open_clusters = open_stitcher->Finish();
+  auto open_clusters =
+      ClusterThresholdPoints(Gather(SplitByOwner(points, 8)), open, 1);
   ASSERT_TRUE(open_clusters.ok()) << open_clusters.status();
   EXPECT_EQ(open_clusters->size(), 2u);
 }
 
 TEST(DistributedFofTest, ClusterEntirelyInsideOneShardsHalo) {
   // A chain hugging the boundary on shard 0's side only: every point is
-  // in the halo set (within the linking length of shard 1's atoms), but
-  // no cross-shard edge exists. The halo pass must neither split nor
-  // duplicate the cluster.
+  // within the linking length of shard 1's atoms, but no cross-shard
+  // edge exists. The cluster must be neither split nor duplicated.
   const std::vector<ThresholdPoint> points = {
       MakeThresholdPoint(7, 2, 2, 1.0f), MakeThresholdPoint(7, 3, 2, 1.0f),
       MakeThresholdPoint(7, 4, 2, 3.0f), MakeThresholdPoint(7, 5, 2, 1.0f)};
-  auto stitcher = FofStitcher::Create(Grid16Params(), OwnerByAtomX);
-  ASSERT_TRUE(stitcher.ok()) << stitcher.status();
-  stitcher->AddShard(0, points);
-  stitcher->AddShard(1, {});
-  auto clusters = stitcher->Finish();
+  auto clusters = ClusterThresholdPoints(Gather({{0, points}, {1, {}}}),
+                                         Grid16Params(), 1);
   ASSERT_TRUE(clusters.ok()) << clusters.status();
   ASSERT_EQ(clusters->size(), 1u);
   EXPECT_EQ(clusters->front().members.size(), 4u);
@@ -185,24 +176,18 @@ TEST(DistributedFofTest, MinClusterSizeFiltersSmallClusters) {
   const std::vector<ThresholdPoint> points = {
       MakeThresholdPoint(1, 1, 1, 1.0f), MakeThresholdPoint(2, 1, 1, 1.0f),
       MakeThresholdPoint(12, 12, 12, 1.0f)};  // Singleton.
-  DistributedFofParams params = Grid16Params();
-  params.min_cluster_size = 2;
-  auto stitcher = FofStitcher::Create(params, OwnerByAtomX);
-  ASSERT_TRUE(stitcher.ok()) << stitcher.status();
-  for (auto& [shard, batch] : SplitByOwner(points, 8)) {
-    stitcher->AddShard(shard, batch);
-  }
-  auto clusters = stitcher->Finish();
+  auto clusters = ClusterThresholdPoints(Gather(SplitByOwner(points, 8)),
+                                         Grid16Params(), 2);
   ASSERT_TRUE(clusters.ok()) << clusters.status();
   ASSERT_EQ(clusters->size(), 1u);
   EXPECT_EQ(clusters->front().members.size(), 2u);
 }
 
 TEST(DistributedFofTest, DeterministicIdsUnderShuffledJoinOrder) {
-  // A pseudo-random point cloud split over both shards; joining the
-  // shards in either order (and splitting one shard's points into two
-  // AddShard batches) must yield identical clusters: same ids, same
-  // sizes, same members, same order.
+  // A pseudo-random point cloud split over both shards; gathering the
+  // shards in either order (and each shard's points in two batches)
+  // must yield identical clusters: same ids, same sizes, same members,
+  // same order.
   std::vector<ThresholdPoint> points;
   uint64_t state = 12345;
   for (int i = 0; i < 300; ++i) {
@@ -218,27 +203,22 @@ TEST(DistributedFofTest, DeterministicIdsUnderShuffledJoinOrder) {
 
   auto run = [&](bool reversed, bool split_batches)
       -> std::vector<DistributedFofCluster> {
-    auto stitcher = FofStitcher::Create(Grid16Params(), OwnerByAtomX);
-    EXPECT_TRUE(stitcher.ok()) << stitcher.status();
+    std::vector<ThresholdPoint> answer;
     std::vector<int> order = {0, 1};
     if (reversed) std::swap(order[0], order[1]);
     for (const int shard : order) {
-      std::vector<ThresholdPoint> batch = shards[shard];
+      const std::vector<ThresholdPoint>& batch = shards[shard];
       if (split_batches) {
-        // Feed the shard in two pieces, reversed, to prove batch
+        // Gather the shard in two pieces, reversed, to prove batch
         // boundaries and arrival order inside a shard don't matter.
         const size_t half = batch.size() / 2;
-        stitcher->AddShard(
-            shard, std::vector<ThresholdPoint>(batch.begin() + half,
-                                               batch.end()));
-        stitcher->AddShard(
-            shard, std::vector<ThresholdPoint>(batch.begin(),
-                                               batch.begin() + half));
+        answer.insert(answer.end(), batch.begin() + half, batch.end());
+        answer.insert(answer.end(), batch.begin(), batch.begin() + half);
       } else {
-        stitcher->AddShard(shard, std::move(batch));
+        answer.insert(answer.end(), batch.begin(), batch.end());
       }
     }
-    auto clusters = stitcher->Finish();
+    auto clusters = ClusterThresholdPoints(std::move(answer), Grid16Params(), 1);
     EXPECT_TRUE(clusters.ok()) << clusters.status();
     return std::move(clusters).value();
   };

@@ -943,21 +943,123 @@ TEST(MediatorCacheIntegrationTest, WarmThenQueryHitsWithoutNodeWork) {
   auto db = MakeCachedDb(2);
   ASSERT_NE(db, nullptr);
   Mediator& mediator = db->mediator();
+  const MediatorCache& cache = mediator.result_cache();
 
+  // One cache lookup per warm: a cold warm misses once, a resident warm
+  // hits once.
+  const MediatorCacheStats before = cache.stats();
   auto warmed = mediator.WarmThresholdCache(Vorticity(0, 1.0));
   ASSERT_TRUE(warmed.ok());
   EXPECT_FALSE(warmed->already_cached);
   EXPECT_GT(warmed->points, 0u);
+  const MediatorCacheStats cold = cache.stats();
+  EXPECT_EQ(cold.misses - before.misses, 1u);
+  EXPECT_EQ(cold.hits - before.hits, 0u);
 
   auto again = mediator.WarmThresholdCache(Vorticity(0, 1.0));
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->already_cached);
+  EXPECT_EQ(again->points, warmed->points);
+  const MediatorCacheStats resident = cache.stats();
+  EXPECT_EQ(resident.hits - cold.hits, 1u);
+  EXPECT_EQ(resident.misses - cold.misses, 0u);
 
   const uint64_t executes_before = mediator.node_executes();
   auto hit = db->Threshold(Vorticity(0, 1.0));
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(mediator.node_executes(), executes_before);
   EXPECT_TRUE(hit->all_cache_hits);
+}
+
+void ExpectSameTime(const TimeBreakdown& actual, const TimeBreakdown& expected) {
+  EXPECT_EQ(actual.cache_lookup_s, expected.cache_lookup_s);
+  EXPECT_EQ(actual.io_s, expected.io_s);
+  EXPECT_EQ(actual.compute_s, expected.compute_s);
+  EXPECT_EQ(actual.mediator_db_comm_s, expected.mediator_db_comm_s);
+  EXPECT_EQ(actual.mediator_user_comm_s, expected.mediator_user_comm_s);
+}
+
+// A FoF query is its threshold answer clustered once, so it shares the
+// answer's caches: a resident threshold answer serves it with zero node
+// executes and the clusters of an uncached run. Its modeled time on a
+// miss is the node phases plus ModelMediatorComm(sub-queries,
+// 6 * points + 16, reply bytes); a hit keeps only the WAN term.
+TEST(MediatorCacheIntegrationTest, FofSharesTheThresholdAnswersCaches) {
+  auto db = MakeCachedDb(2);
+  ASSERT_NE(db, nullptr);
+  Mediator& mediator = db->mediator();
+  FieldStatsQuery stats_query;
+  stats_query.dataset = "iso";
+  stats_query.raw_field = "velocity";
+  stats_query.derived_field = "vorticity";
+  stats_query.box = Box3::WholeGrid(kN, kN, kN);
+  auto stats = db->FieldStats(stats_query);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  // High enough that the answer splits into many clusters.
+  const ThresholdQuery query = Vorticity(0, 2.0 * stats->rms);
+  constexpr uint64_t kBatchBytes = 1000;  // Reported by the sink per batch.
+
+  struct FofRun {
+    std::vector<DistributedFofCluster> clusters;
+    DistributedFofSummary summary;
+    uint64_t reply_bytes = 0;
+  };
+  auto fof = [&](const QueryOptions& options) {
+    FofRun run;
+    auto summary = mediator.GetFof(
+        query, options, /*linking_length=*/2.0, /*min_cluster_size=*/1,
+        CallBudget{}, /*chunk_points=*/64,
+        [&](std::vector<DistributedFofCluster> batch,
+            uint64_t) -> Result<uint64_t> {
+          for (DistributedFofCluster& cluster : batch) {
+            run.clusters.push_back(std::move(cluster));
+          }
+          run.reply_bytes += kBatchBytes;
+          return kBatchBytes;
+        });
+    EXPECT_TRUE(summary.ok()) << summary.status();
+    if (summary.ok()) run.summary = *summary;
+    return run;
+  };
+
+  ASSERT_TRUE(mediator.GetThreshold(query).ok());
+  const uint64_t executes_before = mediator.node_executes();
+  const FofRun cached = fof(QueryOptions{});
+  EXPECT_EQ(mediator.node_executes(), executes_before)
+      << "the resident threshold answer must serve the FoF query";
+
+  QueryOptions no_cache;
+  no_cache.use_cache = false;
+  const FofRun uncached = fof(no_cache);
+  EXPECT_GT(mediator.node_executes(), executes_before);
+  ASSERT_GT(uncached.clusters.size(), 1u);
+  ASSERT_EQ(cached.clusters.size(), uncached.clusters.size());
+  for (size_t i = 0; i < uncached.clusters.size(); ++i) {
+    const DistributedFofCluster& a = cached.clusters[i];
+    const DistributedFofCluster& b = uncached.clusters[i];
+    EXPECT_EQ(a.id, b.id) << i;
+    EXPECT_EQ(a.size(), b.size()) << i;
+    ExpectSamePoints(a.members, b.members);
+  }
+
+  auto reference = mediator.GetThreshold(query, no_cache);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const CostModelConfig& cost = mediator.config().cost;
+  TimeBreakdown miss;
+  for (const NodeExecutionStats& node : reference->node_stats) {
+    miss = miss.MaxWith(node.time);
+  }
+  miss.mediator_db_comm_s =
+      static_cast<double>(reference->node_stats.size()) *
+          (cost.mediator_dispatch_s + cost.lan.latency_s) +
+      static_cast<double>(reference->points.size() * 6 + 16) /
+          cost.lan.bandwidth_bps;
+  miss.mediator_user_comm_s = cost.wan.TransferCost(uncached.reply_bytes);
+  ExpectSameTime(uncached.summary.time, miss);
+
+  TimeBreakdown hit;
+  hit.mediator_user_comm_s = cost.wan.TransferCost(cached.reply_bytes);
+  ExpectSameTime(cached.summary.time, hit);
 }
 
 }  // namespace

@@ -906,20 +906,33 @@ TEST_F(ServerEndToEndTest, StreamedThresholdExactlyAtPointCap) {
 }
 
 TEST(StreamedThresholdTest, ChunkSeqGapIsCorruptionOnBothReassemblers) {
-  // A server whose threshold stream skips seq 1. The user-facing
-  // streamed query and the mediator's streamed node sub-reply share one
-  // reassembler, and both must refuse the stream, not merge around the
+  // A server whose streams skip seq 1. The user-facing streamed query,
+  // the mediator's streamed node sub-reply and the FoF reply share one
+  // reassembler, and each must refuse the stream, not merge around the
   // hole.
   std::atomic<int> streams{0};
-  net::Server::Handler handler = [&](const std::vector<uint8_t>&,
+  net::Server::Handler handler = [&](const std::vector<uint8_t>& payload,
                                      const net::CallContext& ctx) {
     ++streams;
+    auto header = net::PeekRequestHeader(payload);
+    const bool fof = header.ok() && header->type == net::MsgType::kFofRequest;
     for (uint64_t seq : {0u, 2u}) {
-      net::ThresholdChunk chunk;
-      chunk.seq = seq;
-      chunk.points = {ThresholdPoint{100 + seq, 1.5f}};
-      chunk.total_points = seq + 1;
-      if (!ctx.emit(net::Encode(chunk)).ok()) break;
+      std::vector<uint8_t> frame;
+      if (fof) {
+        net::FofChunk chunk;
+        chunk.seq = seq;
+        chunk.clusters.resize(1);
+        chunk.clusters.front().id = 100 + seq;
+        chunk.total_clusters = 2;
+        frame = net::Encode(chunk);
+      } else {
+        net::ThresholdChunk chunk;
+        chunk.seq = seq;
+        chunk.points = {ThresholdPoint{100 + seq, 1.5f}};
+        chunk.total_points = seq + 1;
+        frame = net::Encode(chunk);
+      }
+      if (!ctx.emit(frame).ok()) break;
     }
     return net::EncodeErrorResponse(
         Status::Internal("the reader should have stopped at the gap"));
@@ -950,8 +963,14 @@ TEST(StreamedThresholdTest, ChunkSeqGapIsCorruptionOnBothReassemblers) {
   ASSERT_FALSE(sub_reply.ok());
   EXPECT_EQ(sub_reply.status().code(), StatusCode::kCorruption)
       << sub_reply.status();
-  // A corrupt stream is final: neither call retried.
-  EXPECT_EQ(streams.load(), 2);
+
+  net::FofRequest fof_request;
+  fof_request.query = query;
+  auto fof = client.Fof(fof_request);
+  ASSERT_FALSE(fof.ok());
+  EXPECT_EQ(fof.status().code(), StatusCode::kCorruption) << fof.status();
+  // A corrupt stream is final: no call retried.
+  EXPECT_EQ(streams.load(), 3);
 }
 
 // Over TCP the client keeps the streamed summary's XML size, which covers

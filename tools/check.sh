@@ -380,9 +380,9 @@ ctest --test-dir "$FAULTS_DIR" -L chaos --output-on-failure --timeout 180
 # replication tests get a dedicated ThreadSanitizer build. Faults stay on
 # here so the chaos drills race-check cancellation and breaker state too.
 # The streaming/admission suites ride along: chunked emits, governor
-# accounting and shed-vs-admit all cross threads. So do the distributed
-# FoF stitch (per-shard results join from concurrent sub-queries) and
-# the tenant fairness drill (governor buckets hit from many workers).
+# accounting and shed-vs-admit all cross threads. So do distributed
+# FoF (its threshold answer joins from concurrent sub-queries) and the
+# tenant fairness drill (governor buckets hit from many workers).
 # The membership/WAL/elasticity suites join them: rebalance cutovers
 # race in-flight scatter-gather queries by design. So do the routed-view
 # reads: a node replaces its channel to a joined shard that moved port

@@ -19,6 +19,9 @@
 // data; later runs reopen it (and demonstrate the cache + durable
 // stores).
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,6 +75,11 @@ struct CliOptions {
   bool help = false;
   std::string command;
   std::vector<std::string> args;
+  /// The parsed <value> argument (see ParseValue): a threshold, scaled
+  /// by the measured RMS when `value_rms`, or top-k's `k`.
+  double value = 0.0;
+  bool value_rms = false;
+  uint64_t k = 0;
 };
 
 void PrintUsage() {
@@ -327,6 +335,42 @@ std::string RawFieldFor(const std::string& derived) {
   return "velocity";
 }
 
+/// Parses the <value> argument `text` of `options->command` into
+/// `options`: top-k takes a positive integer; threshold, fof and
+/// cache-warm take a finite number, optionally followed by exactly
+/// "rms" (a multiple of the measured RMS). Anything else is a usage
+/// error, caught before any ingest or dial.
+bool ParseValue(const std::string& text, CliOptions* options,
+                std::string* error) {
+  const std::string& cmd = options->command;
+  errno = 0;
+  if (cmd == "topk") {
+    const bool digits = !text.empty() &&
+                        text.find_first_not_of("0123456789") == std::string::npos;
+    options->k = digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (options->k == 0 || errno == ERANGE) {
+      *error = "topk: <k> must be a positive integer; got '" + text + "'";
+      return false;
+    }
+    return true;
+  }
+  // strtod alone would skip leading blanks and accept "inf" and "nan".
+  const bool leading_blank =
+      !text.empty() && std::isspace(static_cast<unsigned char>(text[0]));
+  char* end = nullptr;
+  options->value = std::strtod(text.c_str(), &end);
+  const std::string rest(end);
+  options->value_rms = rest == "rms";
+  if (leading_blank || end == text.c_str() ||
+      !(rest.empty() || options->value_rms) ||
+      !std::isfinite(options->value)) {
+    *error = cmd + ": <value> must be a number, optionally followed by 'rms'; "
+                   "got '" + text + "'";
+    return false;
+  }
+  return true;
+}
+
 /// Reports a failed query and picks the exit code (see the table in
 /// --help). A deadline failure exits 4 and restates the exhausted
 /// budget; transport-retry exhaustion (the server, or one of its
@@ -423,7 +467,7 @@ int RunCommand(const CliOptions& options, const Backend& backend) {
     query.timestep = options.timestep;
     query.box = whole;
     query.fd_order = options.fd_order;
-    query.k = std::strtoull(options.args[1].c_str(), nullptr, 10);
+    query.k = options.k;
     auto result = backend.topk(query);
     if (!result.ok()) return ReportFailure(result.status(), options.deadline_ms);
     for (const ThresholdPoint& point : result->points) {
@@ -436,15 +480,8 @@ int RunCommand(const CliOptions& options, const Backend& backend) {
   }
 
   // threshold
-  std::string value = options.args[1];
-  double threshold;
-  const size_t rms_pos = value.find("rms");
-  if (rms_pos != std::string::npos) {
-    threshold = std::strtod(value.substr(0, rms_pos).c_str(), nullptr) *
-                stats->rms;
-  } else {
-    threshold = std::strtod(value.c_str(), nullptr);
-  }
+  const double threshold =
+      options.value_rms ? options.value * stats->rms : options.value;
   ThresholdQuery query;
   query.dataset = "mhd";
   query.raw_field = raw;
@@ -473,54 +510,49 @@ int RunCommand(const CliOptions& options, const Backend& backend) {
   return 0;
 }
 
-/// Argument-count validation per command; true if OK.
-bool ValidateCommand(const CliOptions& options, std::string* error) {
-  const std::string& cmd = options.command;
+/// Argument validation per command, which also parses the <value>
+/// argument into `options`; true if OK.
+bool ValidateCommand(CliOptions* options, std::string* error) {
+  const std::string& cmd = options->command;
   if (cmd == "fields" || cmd == "ping" || cmd == "server-stats" ||
       cmd == "cache-stats" || cmd == "membership" || cmd == "rebalance") {
     return true;
   }
   if (cmd == "decommission") {
-    if (options.args.empty()) {
+    if (options->args.empty()) {
       *error = "decommission needs a node-id argument";
       return false;
     }
     return true;
   }
   if (cmd == "drop-cache" || cmd == "cache-pin" || cmd == "cache-unpin") {
-    if (options.args.empty()) {
+    if (options->args.empty()) {
       *error = cmd + " needs a derived-field argument";
       return false;
     }
     return true;
   }
-  if (cmd == "cache-warm") {
-    if (options.args.size() < 2) {
-      *error = "cache-warm needs <derived-field> and <value> arguments";
-      return false;
-    }
-    return true;
-  }
   if (cmd == "cluster-status" || cmd == "scrub") {
-    if (options.topology.empty()) {
+    if (options->topology.empty()) {
       *error = cmd + " needs --topology";
       return false;
     }
     return true;
   }
   if (cmd == "stats" || cmd == "pdf") {
-    if (options.args.empty()) {
+    if (options->args.empty()) {
       *error = cmd + " needs a derived-field argument";
       return false;
     }
     return true;
   }
-  if (cmd == "threshold" || cmd == "topk" || cmd == "fof") {
-    if (options.args.size() < 2) {
+  if (cmd == "threshold" || cmd == "topk" || cmd == "fof" ||
+      cmd == "cache-warm") {
+    if (options->args.size() < 2) {
       *error = cmd + " needs <derived-field> and <value> arguments";
       return false;
     }
-    return true;
+    return ParseValue(options->args[1], options, error);
   }
   *error = "unknown command '" + cmd + "'";
   return false;
@@ -756,6 +788,25 @@ int RunScrub(const CliOptions& options) {
                 json_rows.c_str(), json_rows.empty() ? "" : "\n  ");
   }
   return down == 0 ? 0 : 3;
+}
+
+/// The threshold the <value> argument names for `derived`: the number
+/// itself, or the number times the field's RMS, which one FieldStats RPC
+/// measures (`rms` receives it; it stays 0 otherwise).
+Result<double> ThresholdOverRpc(net::Client& client, const CliOptions& options,
+                                const std::string& derived, double* rms) {
+  if (!options.value_rms) return options.value;
+  FieldStatsQuery stats_query;
+  stats_query.dataset = "mhd";
+  stats_query.raw_field = RawFieldFor(derived);
+  stats_query.derived_field = derived;
+  stats_query.timestep = options.timestep;
+  stats_query.box = Box3::WholeGrid(options.n, options.n, options.n);
+  stats_query.fd_order = options.fd_order;
+  TURBDB_ASSIGN_OR_RETURN(FieldStatsResult stats,
+                          client.FieldStats(stats_query));
+  *rms = stats.rms;
+  return options.value * stats.rms;
 }
 
 int RunRemote(const CliOptions& options) {
@@ -1013,31 +1064,15 @@ int RunRemote(const CliOptions& options) {
   }
   if (options.command == "fof") {
     const std::string derived = options.args[0];
-    const std::string raw = RawFieldFor(derived);
-    std::string value = options.args[1];
-    double threshold;
     double rms = 0.0;
-    const size_t rms_pos = value.find("rms");
-    if (rms_pos != std::string::npos) {
-      FieldStatsQuery stats_query;
-      stats_query.dataset = "mhd";
-      stats_query.raw_field = raw;
-      stats_query.derived_field = derived;
-      stats_query.timestep = options.timestep;
-      stats_query.box = Box3::WholeGrid(options.n, options.n, options.n);
-      stats_query.fd_order = options.fd_order;
-      auto stats = client.FieldStats(stats_query);
-      if (!stats.ok()) {
-        return ReportFailure(stats.status(), options.deadline_ms);
-      }
-      rms = stats->rms;
-      threshold = std::strtod(value.substr(0, rms_pos).c_str(), nullptr) * rms;
-    } else {
-      threshold = std::strtod(value.c_str(), nullptr);
+    auto threshold_or = ThresholdOverRpc(client, options, derived, &rms);
+    if (!threshold_or.ok()) {
+      return ReportFailure(threshold_or.status(), options.deadline_ms);
     }
+    const double threshold = *threshold_or;
     net::FofRequest request;
     request.query.dataset = "mhd";
-    request.query.raw_field = raw;
+    request.query.raw_field = RawFieldFor(derived);
     request.query.derived_field = derived;
     request.query.timestep = options.timestep;
     request.query.box = Box3::WholeGrid(options.n, options.n, options.n);
@@ -1131,31 +1166,16 @@ int RunRemote(const CliOptions& options) {
   }
   if (options.command == "cache-warm") {
     const std::string derived = options.args[0];
-    const std::string raw = RawFieldFor(derived);
-    std::string value = options.args[1];
-    double threshold;
-    const size_t rms_pos = value.find("rms");
-    if (rms_pos != std::string::npos) {
-      FieldStatsQuery stats_query;
-      stats_query.dataset = "mhd";
-      stats_query.raw_field = raw;
-      stats_query.derived_field = derived;
-      stats_query.timestep = options.timestep;
-      stats_query.box = Box3::WholeGrid(options.n, options.n, options.n);
-      stats_query.fd_order = options.fd_order;
-      auto stats = client.FieldStats(stats_query);
-      if (!stats.ok()) {
-        return ReportFailure(stats.status(), options.deadline_ms);
-      }
-      threshold = std::strtod(value.substr(0, rms_pos).c_str(), nullptr) *
-                  stats->rms;
-    } else {
-      threshold = std::strtod(value.c_str(), nullptr);
+    double rms = 0.0;
+    auto threshold_or = ThresholdOverRpc(client, options, derived, &rms);
+    if (!threshold_or.ok()) {
+      return ReportFailure(threshold_or.status(), options.deadline_ms);
     }
+    const double threshold = *threshold_or;
     net::CacheWarmRequest request;
     ThresholdQuery& query = request.query;
     query.dataset = "mhd";
-    query.raw_field = raw;
+    query.raw_field = RawFieldFor(derived);
     query.derived_field = derived;
     query.timestep = options.timestep;
     query.box = Box3::WholeGrid(options.n, options.n, options.n);
@@ -1278,7 +1298,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  if (!ValidateCommand(options, &error)) {
+  if (!ValidateCommand(&options, &error)) {
     std::fprintf(stderr, "turbdb_cli: %s\n\n", error.c_str());
     PrintUsage();
     return 2;
