@@ -315,6 +315,19 @@ void BM_FriendsOfFriends(benchmark::State& state) {
 }
 BENCHMARK(BM_FriendsOfFriends)->Arg(1000)->Arg(30000);
 
+// What a FoF query runs on its threshold answer: the same points, z-sorted
+// as GetThreshold returns them, clustered into records.
+void BM_ClusterThresholdPoints(benchmark::State& state) {
+  const auto points = RandomPoints(static_cast<size_t>(state.range(0)));
+  FofParams params;
+  params.linking_length = 8.0;
+  params.periodic_extent = {1024.0, 1024.0, 1024.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ClusterThresholdPoints(points, params, 1));
+  }
+}
+BENCHMARK(BM_ClusterThresholdPoints)->Arg(1000)->Arg(30000);
+
 }  // namespace
 }  // namespace turbdb
 

@@ -79,9 +79,11 @@ double AxisDelta(double a, double b, double extent) {
   return delta;
 }
 
-}  // namespace
-
-Result<std::vector<FofCluster>> FriendsOfFriends(
+/// The linking step of friends-of-friends: a spatial hash grid with
+/// cells sized to the linking length, and union-find. Returns each
+/// cluster's member indices in input order, clusters in the order of
+/// their first members.
+Result<std::vector<std::vector<size_t>>> LinkFriends(
     const std::vector<FofPoint>& points, const FofParams& params) {
   if (params.linking_length <= 0.0) {
     return Status::InvalidArgument("linking length must be positive");
@@ -90,7 +92,7 @@ Result<std::vector<FofCluster>> FriendsOfFriends(
     return Status::InvalidArgument("time linking must be non-negative");
   }
   const size_t n = points.size();
-  std::vector<FofCluster> clusters;
+  std::vector<std::vector<size_t>> clusters;
   if (n == 0) return clusters;
 
   const double cell = params.linking_length;
@@ -168,29 +170,39 @@ Result<std::vector<FofCluster>> FriendsOfFriends(
     }
   }
 
-  // Materialize clusters.
   std::unordered_map<size_t, size_t> root_to_cluster;
   for (size_t i = 0; i < n; ++i) {
-    const size_t root = forest.Find(i);
-    auto [it, inserted] = root_to_cluster.emplace(root, clusters.size());
-    if (inserted) {
-      clusters.emplace_back();
-      clusters.back().t_min = points[i].timestep;
-      clusters.back().t_max = points[i].timestep;
-    }
-    FofCluster& cluster = clusters[it->second];
-    cluster.members.push_back(i);
-    cluster.centroid[0] += points[i].x;
-    cluster.centroid[1] += points[i].y;
-    cluster.centroid[2] += points[i].z;
-    cluster.t_min = std::min(cluster.t_min, points[i].timestep);
-    cluster.t_max = std::max(cluster.t_max, points[i].timestep);
-    if (points[i].norm > cluster.max_norm) {
-      cluster.max_norm = points[i].norm;
-      cluster.peak_index = i;
-    }
+    auto [it, inserted] =
+        root_to_cluster.emplace(forest.Find(i), clusters.size());
+    if (inserted) clusters.emplace_back();
+    clusters[it->second].push_back(i);
   }
-  for (FofCluster& cluster : clusters) {
+  return clusters;
+}
+
+}  // namespace
+
+Result<std::vector<FofCluster>> FriendsOfFriends(
+    const std::vector<FofPoint>& points, const FofParams& params) {
+  TURBDB_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
+                          LinkFriends(points, params));
+  std::vector<FofCluster> clusters(groups.size());
+  for (size_t c = 0; c < groups.size(); ++c) {
+    FofCluster& cluster = clusters[c];
+    cluster.members = std::move(groups[c]);
+    cluster.t_min = points[cluster.members.front()].timestep;
+    cluster.t_max = cluster.t_min;
+    for (const size_t i : cluster.members) {
+      cluster.centroid[0] += points[i].x;
+      cluster.centroid[1] += points[i].y;
+      cluster.centroid[2] += points[i].z;
+      cluster.t_min = std::min(cluster.t_min, points[i].timestep);
+      cluster.t_max = std::max(cluster.t_max, points[i].timestep);
+      if (points[i].norm > cluster.max_norm) {
+        cluster.max_norm = points[i].norm;
+        cluster.peak_index = i;
+      }
+    }
     const double inv = 1.0 / static_cast<double>(cluster.size());
     for (int d = 0; d < 3; ++d) cluster.centroid[d] *= inv;
   }
@@ -220,26 +232,29 @@ Result<std::vector<DistributedFofCluster>> ClusterThresholdPoints(
     uint64_t min_cluster_size) {
   // Z order with a norm tie-break: real threshold answers have unique
   // locations, but duplicated z-indexes (possible in synthetic input)
-  // must not make the output depend on arrival order.
-  std::sort(points.begin(), points.end(),
-            [](const ThresholdPoint& a, const ThresholdPoint& b) {
-              if (a.zindex != b.zindex) return a.zindex < b.zindex;
-              return a.norm < b.norm;
-            });
-  TURBDB_ASSIGN_OR_RETURN(std::vector<FofCluster> groups,
-                          FriendsOfFriends(ToFofPoints(points, 0), params));
+  // must not make the output depend on arrival order. A threshold
+  // answer arrives z-sorted already.
+  auto z_then_norm = [](const ThresholdPoint& a, const ThresholdPoint& b) {
+    if (a.zindex != b.zindex) return a.zindex < b.zindex;
+    return a.norm < b.norm;
+  };
+  if (!std::is_sorted(points.begin(), points.end(), z_then_norm)) {
+    std::sort(points.begin(), points.end(), z_then_norm);
+  }
+  TURBDB_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> groups,
+                          LinkFriends(ToFofPoints(points, 0), params));
 
   // Members come in input order, which is z order here, so each record
   // is named by its first member and every statistic reads the members
   // as they come.
   std::vector<DistributedFofCluster> clusters;
   clusters.reserve(groups.size());
-  for (const FofCluster& group : groups) {
+  for (const std::vector<size_t>& group : groups) {
     if (group.size() < min_cluster_size) continue;
     DistributedFofCluster cluster;
     cluster.members.reserve(group.size());
     bool first = true;
-    for (const size_t i : group.members) {
+    for (const size_t i : group) {
       const ThresholdPoint& point = points[i];
       uint32_t x, y, z;
       point.Coords(&x, &y, &z);

@@ -96,10 +96,10 @@ struct DistributedFofSummary {
 Status CheckFofLinkingLength(double linking_length, int64_t atom_width);
 
 /// Clusters a threshold answer the way a FoF query returns it: the
-/// points are put in (z-index, norm) order, clustered once by
-/// FriendsOfFriends (3-D, `params`), and each cluster of at least
-/// `min_cluster_size` points becomes a record whose statistics are read
-/// from its z-ordered members. Records are sorted by size descending,
+/// points are put in (z-index, norm) order (a z-sorted answer is kept as
+/// it is), linked once by FriendsOfFriends' union-find (3-D, `params`),
+/// and each cluster of at least `min_cluster_size` points becomes a
+/// record whose statistics are read from its z-ordered members. Records are sorted by size descending,
 /// then id ascending, so the output does not depend on the order of
 /// `points`.
 Result<std::vector<DistributedFofCluster>> ClusterThresholdPoints(

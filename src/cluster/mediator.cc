@@ -84,18 +84,14 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
     // misconfigured node fails the bring-up (not the first query); with
     // R>1 a group tolerates dead members as long as one answers.
     for (int g = 0; g < effective.num_nodes; ++g) {
-      std::vector<std::unique_ptr<RemoteNode>> members;
+      std::vector<std::pair<int, NodeAddress>> members;
       for (int r = 0; r < replication; ++r) {
         const int physical = g * replication + r;
-        members.push_back(std::make_unique<RemoteNode>(
-            physical,
-            effective.topology.nodes[static_cast<size_t>(physical)],
-            effective.remote, /*shard=*/g));
+        members.push_back(
+            {physical,
+             effective.topology.nodes[static_cast<size_t>(physical)]});
       }
-      auto group = std::make_unique<ReplicaGroup>(
-          g, std::move(members), &mediator->catalog_, effective.remote);
-      TURBDB_RETURN_NOT_OK(group->BringUp());
-      mediator->backends_.push_back(std::move(group));
+      TURBDB_RETURN_NOT_OK(mediator->DialGroup(g, members));
     }
     // Shards joined in a previous mediator incarnation (registry file):
     // re-dial them as single-replica groups so their overridden ranges
@@ -105,18 +101,10 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
           record.role != NodeRole::kShard) {
         continue;
       }
-      std::vector<std::unique_ptr<RemoteNode>> members;
-      members.push_back(std::make_unique<RemoteNode>(
-          record.node_id, NodeAddress{record.host, record.port},
-          effective.remote, record.shard));
-      auto group = std::make_unique<ReplicaGroup>(
-          record.shard, std::move(members), &mediator->catalog_,
-          effective.remote);
-      TURBDB_RETURN_NOT_OK(group->BringUp());
-      mediator->backends_.push_back(std::move(group));
+      TURBDB_RETURN_NOT_OK(mediator->DialGroup(
+          record.shard,
+          {{record.node_id, NodeAddress{record.host, record.port}}}));
     }
-    mediator->backend_count_.store(mediator->backends_.size(),
-                                   std::memory_order_release);
     return mediator;
   }
 
@@ -992,6 +980,24 @@ std::shared_ptr<const MembershipView> Mediator::ViewSnapshot() const {
   return std::make_shared<const MembershipView>(membership_->Snapshot());
 }
 
+Status Mediator::DialGroup(
+    int shard, const std::vector<std::pair<int, NodeAddress>>& members) {
+  std::vector<std::unique_ptr<RemoteNode>> remotes;
+  for (const auto& [physical, address] : members) {
+    remotes.push_back(std::make_unique<RemoteNode>(physical, address,
+                                                   config_.remote, shard));
+  }
+  auto group = std::make_unique<ReplicaGroup>(shard, std::move(remotes),
+                                              &catalog_, config_.remote);
+  TURBDB_RETURN_NOT_OK(group->BringUp());
+  // Append, then publish: a concurrent Dispatch reads only the published
+  // prefix, and Join appends only within the capacity reserved at Create,
+  // so the vector never reallocates under it.
+  backends_.push_back(std::move(group));
+  backend_count_.store(backends_.size(), std::memory_order_release);
+  return Status::OK();
+}
+
 Result<ReplicaGroup*> Mediator::Group(int shard) const {
   if (shard < 0 || shard >= num_nodes()) {
     return Status::InvalidArgument("no shard " + std::to_string(shard));
@@ -1151,15 +1157,9 @@ Result<net::JoinReply> Mediator::Join(const net::JoinRequest& request) {
           "admitted " +
           std::to_string(kJoinHeadroom) + " shards");
     }
-    std::vector<std::unique_ptr<RemoteNode>> members;
-    members.push_back(std::make_unique<RemoteNode>(
-        reply.record.node_id, NodeAddress{request.host, request.port},
-        config_.remote, reply.record.shard));
-    auto group = std::make_unique<ReplicaGroup>(
-        reply.record.shard, std::move(members), &catalog_, config_.remote);
-    TURBDB_RETURN_NOT_OK(group->BringUp());
-    backends_.push_back(std::move(group));
-    backend_count_.store(backends_.size(), std::memory_order_release);
+    TURBDB_RETURN_NOT_OK(DialGroup(
+        reply.record.shard,
+        {{reply.record.node_id, NodeAddress{request.host, request.port}}}));
   }
   reply.view = membership_->Snapshot();
   TURBDB_LOG(Info) << "node " << reply.record.node_id << " ("

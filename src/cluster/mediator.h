@@ -370,6 +370,12 @@ class Mediator {
   /// The replica group serving `shard`, or an error naming it.
   Result<ReplicaGroup*> Group(int shard) const;
 
+  /// Dials the replica group of `shard` over `members` (physical id and
+  /// address), brings it up, appends it to `backends_` and publishes the
+  /// new `backend_count_`. Create and Join add every group through it.
+  Status DialGroup(int shard,
+                   const std::vector<std::pair<int, NodeAddress>>& members);
+
   /// Sorted codes each shard effectively owns under `view`, across every
   /// dataset (the shared Morton code space; see RebalancePlanner).
   std::vector<std::vector<uint64_t>> ComputeShardAtoms(

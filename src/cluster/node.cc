@@ -14,8 +14,8 @@ namespace turbdb {
 
 namespace {
 
-/// Per-chunk slab memory guard; chunks whose gather region would exceed
-/// this are split and processed in halves.
+/// Per-run slab memory guard: a run whose destination box would need a
+/// bigger slab than this is split and evaluated in halves.
 constexpr uint64_t kMaxSlabBytes = 256ULL * 1024 * 1024;
 
 /// Gap (in atom codes) the clustered-index read-ahead absorbs without a
@@ -55,6 +55,74 @@ Status CheckInterrupts(const NodeQuery& query) {
     return Status::DeadlineExceeded("query budget exhausted mid-evaluation");
   }
   return Status::OK();
+}
+
+/// The grid-point box of atom `code`.
+Box3 AtomBox(uint64_t code, const GridGeometry& geometry) {
+  uint32_t ax, ay, az;
+  MortonDecode3(code, &ax, &ay, &az);
+  const int64_t w = geometry.atom_width();
+  return Box3(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
+              (az + 1) * w);
+}
+
+/// Folds `from` into `into`: points and samples append; histogram bins,
+/// moments and io counters add. Modeled seconds add for the halves of a
+/// split run (one worker runs them in turn) and take the maximum across
+/// runs (the slowest worker sets the node's time).
+void Fold(const NodeOutcome& from, bool sequential, NodeOutcome* into) {
+  into->points.insert(into->points.end(), from.points.begin(),
+                      from.points.end());
+  for (size_t bin = 0; bin < from.histogram.size(); ++bin) {
+    into->histogram[bin] += from.histogram[bin];
+  }
+  into->norm_sum += from.norm_sum;
+  into->norm_sum_sq += from.norm_sum_sq;
+  into->norm_max = std::max(into->norm_max, from.norm_max);
+  into->samples.insert(into->samples.end(), from.samples.begin(),
+                       from.samples.end());
+  if (sequential) {
+    into->time.io_s += from.time.io_s;
+    into->time.compute_s += from.time.compute_s;
+  } else {
+    into->time.io_s = std::max(into->time.io_s, from.time.io_s);
+    into->time.compute_s = std::max(into->time.compute_s, from.time.compute_s);
+  }
+  into->io += from.io;
+}
+
+/// Data-parallel evaluation: splits `items` (owned atom codes, or sample
+/// targets) into one contiguous run per worker process, evaluates the
+/// runs on `workers` and folds their outcomes in submit order. Every run
+/// is joined before the first failure in submit order is returned.
+template <class Item, class EvaluateFn>
+Result<NodeOutcome> FanOut(const NodeQuery& query,
+                           const std::vector<Item>& items, ThreadPool* workers,
+                           EvaluateFn evaluate) {
+  NodeOutcome outcome;
+  outcome.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
+  const size_t runs = std::min<size_t>(
+      static_cast<size_t>(std::max(1, query.processes)), items.size());
+  std::vector<std::future<Result<NodeOutcome>>> futures;
+  futures.reserve(runs);
+  for (size_t run = 0; run < runs; ++run) {
+    const size_t begin = items.size() * run / runs;
+    const size_t end = items.size() * (run + 1) / runs;
+    const std::span<const Item> slice(items.data() + begin, end - begin);
+    futures.push_back(
+        workers->Submit([&evaluate, slice] { return evaluate(slice); }));
+  }
+  Status failure;
+  for (auto& future : futures) {
+    Result<NodeOutcome> run = future.get();
+    if (run.ok()) {
+      Fold(run.value(), /*sequential=*/false, &outcome);
+    } else if (failure.ok()) {
+      failure = run.status();
+    }
+  }
+  TURBDB_RETURN_NOT_OK(failure);
+  return outcome;
 }
 
 }  // namespace
@@ -225,7 +293,14 @@ Result<std::vector<Atom>> DatabaseNode::ServeAtoms(
 Result<NodeOutcome> DatabaseNode::Execute(const NodeQuery& query,
                                           ThreadPool* workers) {
   if (query.mode == NodeQuery::Mode::kSample) {
-    return ExecuteSample(query, workers);
+    TURBDB_ASSIGN_OR_RETURN(
+        NodeOutcome outcome,
+        FanOut(query, query.targets, workers,
+               [this, &query](std::span<const SampleTarget> run) {
+                 return EvaluateRun(query, run);
+               }));
+    outcome.io.points_returned += outcome.samples.size();
+    return outcome;
   }
   const bool threshold_mode = query.mode == NodeQuery::Mode::kThreshold;
   const bool cacheable =
@@ -269,81 +344,23 @@ Result<NodeOutcome> DatabaseNode::Execute(const NodeQuery& query,
 
 Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
                                                  ThreadPool* workers) {
-  NodeOutcome outcome;
-  outcome.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
-
-  const GridGeometry& geometry = query.dataset->geometry;
-  const Box3 atom_cover = geometry.AtomCover(query.box);
   // The evaluated atoms are this shard's effective ownership under the
   // routed view: the partitioner's assignment, re-homed by the view's
   // range overrides.
-  const std::vector<uint64_t> atoms = OwnedAtomsInBox(
-      *query.partitioner, *query.view, shard_id_, atom_cover);
-  if (atoms.empty()) return outcome;
-
-  // Data-parallel evaluation: split this node's atoms into one contiguous
-  // morton run per worker process.
-  const int processes = std::max(1, query.processes);
-  const size_t num_chunks =
-      std::min<size_t>(static_cast<size_t>(processes), atoms.size());
-  std::vector<std::future<ChunkOutcome>> futures;
-  futures.reserve(num_chunks);
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const size_t begin = atoms.size() * chunk / num_chunks;
-    const size_t end = atoms.size() * (chunk + 1) / num_chunks;
-    std::vector<uint64_t> chunk_atoms(atoms.begin() + begin,
-                                      atoms.begin() + end);
-    futures.push_back(workers->Submit(
-        [this, &query, chunk_atoms = std::move(chunk_atoms)]() {
-          return ProcessChunk(query, chunk_atoms);
-        }));
-  }
-
-  // The slowest worker determines the node's elapsed I/O and compute
-  // time; byte and point counters accumulate across workers.
-  Status failure;
-  std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
-                      TopKHeapCompare>
-      topk;
-  for (auto& future : futures) {
-    ChunkOutcome chunk = future.get();
-    if (!chunk.status.ok()) {
-      if (failure.ok()) failure = chunk.status;
-      continue;
-    }
-    outcome.time.io_s = std::max(outcome.time.io_s, chunk.io_s);
-    outcome.time.compute_s = std::max(outcome.time.compute_s, chunk.compute_s);
-    outcome.io += chunk.io;
-    switch (query.mode) {
-      case NodeQuery::Mode::kThreshold:
-        outcome.points.insert(outcome.points.end(), chunk.points.begin(),
-                              chunk.points.end());
-        break;
-      case NodeQuery::Mode::kPdf:
-        for (size_t bin = 0; bin < chunk.histogram.size(); ++bin) {
-          outcome.histogram[bin] += chunk.histogram[bin];
-        }
-        break;
-      case NodeQuery::Mode::kTopK:
-        for (const ThresholdPoint& point : chunk.points) {
-          topk.push(point);
-          if (topk.size() > query.k) topk.pop();
-        }
-        break;
-      case NodeQuery::Mode::kMoments:
-        outcome.norm_sum += chunk.norm_sum;
-        outcome.norm_sum_sq += chunk.norm_sum_sq;
-        outcome.norm_max = std::max(outcome.norm_max, chunk.norm_max);
-        break;
-      case NodeQuery::Mode::kSample:  // Answered by ExecuteSample.
-        break;
-    }
-  }
-  TURBDB_RETURN_NOT_OK(failure);
+  const std::vector<uint64_t> atoms =
+      OwnedAtomsInBox(*query.partitioner, *query.view, shard_id_,
+                      query.dataset->geometry.AtomCover(query.box));
+  TURBDB_ASSIGN_OR_RETURN(
+      NodeOutcome outcome,
+      FanOut(query, atoms, workers,
+             [this, &query](std::span<const uint64_t> run) {
+               return EvaluateRun(query, run);
+             }));
 
   // CPU saturation: beyond the node's effective core count, worker
   // processes time-share and compute time stops improving (the paper
   // observes little gain from 4 to 8 processes, Sec. 5.3).
+  const int processes = std::max(1, query.processes);
   if (query.effective_cores > 0.0 &&
       static_cast<double>(processes) > query.effective_cores) {
     outcome.time.compute_s *=
@@ -359,7 +376,15 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
         "; raise the threshold or request the field directly");
   }
   if (query.mode == NodeQuery::Mode::kTopK) {
-    outcome.points.reserve(topk.size());
+    // One heap across the runs' candidates, taken in run order.
+    std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
+                        TopKHeapCompare>
+        topk;
+    for (const ThresholdPoint& point : outcome.points) {
+      topk.push(point);
+      if (topk.size() > query.k) topk.pop();
+    }
+    outcome.points.clear();
     while (!topk.empty()) {
       outcome.points.push_back(topk.top());
       topk.pop();
@@ -373,119 +398,52 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
   return outcome;
 }
 
-Result<NodeOutcome> DatabaseNode::ExecuteSample(const NodeQuery& query,
-                                                ThreadPool* workers) {
-  NodeOutcome outcome;
-  outcome.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
-  if (query.targets.empty()) return outcome;
-  TURBDB_CHECK(query.interpolator != nullptr);
+template <class Item>
+Result<NodeOutcome> DatabaseNode::EvaluateRun(const NodeQuery& query,
+                                              std::span<const Item> run) {
+  NodeOutcome out;
+  out.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
+  TURBDB_RETURN_NOT_OK(CheckInterrupts(query));
 
-  const int processes = std::max(1, query.processes);
-  const size_t num_chunks =
-      std::min<size_t>(static_cast<size_t>(processes), query.targets.size());
-  std::vector<std::future<ChunkOutcome>> futures;
-  futures.reserve(num_chunks);
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const size_t begin = query.targets.size() * chunk / num_chunks;
-    const size_t end = query.targets.size() * (chunk + 1) / num_chunks;
-    std::vector<std::pair<uint32_t, std::array<double, 3>>> slice(
-        query.targets.begin() + begin, query.targets.begin() + end);
-    futures.push_back(
-        workers->Submit([this, &query, slice = std::move(slice)]() {
-          return ProcessSampleChunk(query, slice);
-        }));
-  }
-  Status failure;
-  for (auto& future : futures) {
-    ChunkOutcome chunk = future.get();
-    if (!chunk.status.ok()) {
-      if (failure.ok()) failure = chunk.status;
-      continue;
-    }
-    outcome.time.io_s = std::max(outcome.time.io_s, chunk.io_s);
-    outcome.time.compute_s = std::max(outcome.time.compute_s, chunk.compute_s);
-    outcome.io += chunk.io;
-    outcome.samples.insert(outcome.samples.end(), chunk.samples.begin(),
-                           chunk.samples.end());
-  }
-  TURBDB_RETURN_NOT_OK(failure);
-  outcome.io.points_returned += outcome.samples.size();
-  return outcome;
-}
-
-DatabaseNode::ChunkOutcome DatabaseNode::ProcessSampleChunk(
-    const NodeQuery& query,
-    const std::vector<std::pair<uint32_t, std::array<double, 3>>>& targets) {
-  ChunkOutcome out;
-  if (targets.empty()) return out;
-  out.status = CheckInterrupts(query);
-  if (!out.status.ok()) return out;
-  const GridGeometry& geometry = query.dataset->geometry;
-  const LagrangeInterpolator& interp = *query.interpolator;
-
+  // Destination atom positions (in unwrapped atom coordinates, so
+  // periodic halo images land outside [0, na)) -> wrapped atom code.
   DestMap dest;
-  for (const auto& [index, position] : targets) {
-    InsertCover(geometry, geometry.AtomCover(interp.SupportBox(position)),
-                &dest);
-  }
+  const uint64_t points = AddDestinations(query, run, &dest);
   if (dest.empty()) return out;
 
-  // Memory guard: widely scattered targets could span a huge bounding
-  // box; split the batch until each gather fits.
-  {
-    Box3 bounds;
-    bool first = true;
-    for (const auto& [coord, code] : dest) {
-      if (first) {
-        bounds = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
-                      coord[1] + 1, coord[2] + 1);
-        first = false;
-      } else {
-        for (int d = 0; d < 3; ++d) {
-          bounds.lo[d] = std::min(bounds.lo[d], coord[d]);
-          bounds.hi[d] = std::max(bounds.hi[d], coord[d] + 1);
-        }
-      }
-    }
-    const int64_t w = geometry.atom_width();
-    const uint64_t slab_bytes = static_cast<uint64_t>(bounds.Volume()) * w *
-                                w * w * query.raw_ncomp * sizeof(float);
-    if (slab_bytes > kMaxSlabBytes && targets.size() > 1) {
-      const size_t mid = targets.size() / 2;
-      ChunkOutcome left = ProcessSampleChunk(
-          query, {targets.begin(), targets.begin() + mid});
-      if (!left.status.ok()) return left;
-      ChunkOutcome right =
-          ProcessSampleChunk(query, {targets.begin() + mid, targets.end()});
-      if (!right.status.ok()) return right;
-      right.samples.insert(right.samples.end(), left.samples.begin(),
-                           left.samples.end());
-      right.io_s += left.io_s;
-      right.compute_s += left.compute_s;
-      right.io += left.io;
-      return right;
+  // The slab covers the bounding box of all destinations.
+  const std::array<int64_t, 3>& first = dest.begin()->first;
+  Box3 box(first[0], first[1], first[2], first[0] + 1, first[1] + 1,
+           first[2] + 1);
+  for (const auto& [coord, code] : dest) {
+    for (int d = 0; d < 3; ++d) {
+      box.lo[d] = std::min(box.lo[d], coord[d]);
+      box.hi[d] = std::max(box.hi[d], coord[d] + 1);
     }
   }
-
-  Slab slab = GatherDest(query, dest, &out);
-  if (!out.status.ok()) return out;
-
-  double value[3] = {0.0, 0.0, 0.0};
-  out.samples.reserve(targets.size());
-  for (const auto& [index, position] : targets) {
-    interp.At(slab, position, query.raw_ncomp, value);
-    std::array<double, 3> sample = {0.0, 0.0, 0.0};
-    for (int c = 0; c < query.raw_ncomp; ++c) {
-      sample[static_cast<size_t>(c)] = value[c];
-    }
-    out.samples.push_back({index, sample});
+  // Memory guard: a contiguous Morton run on a grid with a
+  // non-power-of-two atom count, widely scattered targets or wrapped
+  // halos can span a huge box. Split the run until each slab fits; the
+  // halves run in turn on this worker.
+  const int64_t w = query.dataset->geometry.atom_width();
+  const uint64_t slab_bytes = static_cast<uint64_t>(box.Volume()) * w * w *
+                              w * query.raw_ncomp * sizeof(float);
+  if (slab_bytes > kMaxSlabBytes && run.size() > 1) {
+    const size_t mid = run.size() / 2;
+    TURBDB_ASSIGN_OR_RETURN(NodeOutcome left,
+                            EvaluateRun(query, run.first(mid)));
+    TURBDB_ASSIGN_OR_RETURN(NodeOutcome right,
+                            EvaluateRun(query, run.subspan(mid)));
+    Fold(left, /*sequential=*/true, &right);
+    return right;
   }
-  out.io.points_evaluated += targets.size();
-  const int s = interp.support();
-  const double flops_per_sample =
-      2.0 * s * s * s * query.raw_ncomp + 18.0 * s * s;
-  out.compute_s += static_cast<double>(targets.size()) * flops_per_sample /
-                   query.flops_per_process;
+
+  TURBDB_ASSIGN_OR_RETURN(Slab slab, GatherDest(query, dest, box, &out));
+  // Evaluated-point accounting happens here (rather than in the evaluate
+  // loop) so that I/O-only runs still report the workload size — the
+  // counters feed the paper-scale projections of Fig. 8.
+  out.io.points_evaluated += points;
+  TURBDB_RETURN_NOT_OK(Evaluate(query, run, slab, &out));
   return out;
 }
 
@@ -516,32 +474,150 @@ void DatabaseNode::InsertCover(const GridGeometry& geometry, const Box3& cover,
   }
 }
 
-Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
-                              ChunkOutcome* out) {
-  const int64_t w = query.dataset->geometry.atom_width();
+uint64_t DatabaseNode::AddDestinations(const NodeQuery& query,
+                                       std::span<const uint64_t> atoms,
+                                       DestMap* dest) {
+  const GridGeometry& geometry = query.dataset->geometry;
+  const int halo = query.kernel->HaloWidth(query.fd_order);
+  uint64_t interest_points = 0;
+  for (uint64_t code : atoms) {
+    const Box3 interest = AtomBox(code, geometry).Intersection(query.box);
+    if (interest.Empty()) continue;
+    interest_points += static_cast<uint64_t>(interest.Volume());
+    InsertCover(geometry, geometry.AtomCover(interest.Grown(halo)), dest);
+  }
+  return interest_points;
+}
 
-  // The slab covers the bounding box of all destinations. It is
-  // allocated first so that each atom is copied straight from the store
-  // or the fetch reply into every destination it backs.
-  Box3 slab_atoms;
-  {
-    bool first = true;
-    for (const auto& [coord, code] : dest) {
-      if (first) {
-        slab_atoms = Box3(coord[0], coord[1], coord[2], coord[0] + 1,
-                          coord[1] + 1, coord[2] + 1);
-        first = false;
-      } else {
-        for (int d = 0; d < 3; ++d) {
-          slab_atoms.lo[d] = std::min(slab_atoms.lo[d], coord[d]);
-          slab_atoms.hi[d] = std::max(slab_atoms.hi[d], coord[d] + 1);
+uint64_t DatabaseNode::AddDestinations(const NodeQuery& query,
+                                       std::span<const SampleTarget> targets,
+                                       DestMap* dest) {
+  const GridGeometry& geometry = query.dataset->geometry;
+  for (const auto& [index, position] : targets) {
+    InsertCover(geometry,
+                geometry.AtomCover(query.interpolator->SupportBox(position)),
+                dest);
+  }
+  return targets.size();
+}
+
+Status DatabaseNode::Evaluate(const NodeQuery& query,
+                              std::span<const uint64_t> atoms,
+                              const Slab& slab, NodeOutcome* out) {
+  if (query.options.io_only) return Status::OK();
+
+  // One kernel call per x row of each atom's interest box. Points are
+  // consumed in atom -> z -> y -> x order: which of equal norms top-k
+  // keeps, and where the point-cap exit stops, depend on it.
+  const int64_t w = query.dataset->geometry.atom_width();
+  std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
+                      TopKHeapCompare>
+      topk;
+  std::vector<double> norms(static_cast<size_t>(w));
+  uint64_t evaluated = 0;
+  for (uint64_t code : atoms) {
+    TURBDB_RETURN_NOT_OK(CheckInterrupts(query));
+    const Box3 interest =
+        AtomBox(code, query.dataset->geometry).Intersection(query.box);
+    if (interest.Empty()) continue;
+    const int64_t x0 = interest.lo[0];
+    const int64_t nx = interest.Extent(0);
+    for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
+      for (int64_t y = interest.lo[1]; y < interest.hi[1]; ++y) {
+        query.kernel->NormsRow(slab, *query.diff, x0, nx, y, z, norms.data());
+        evaluated += static_cast<uint64_t>(nx);
+        auto point = [&](int64_t i, double norm) {
+          return MakeThresholdPoint(static_cast<uint32_t>(x0 + i),
+                                    static_cast<uint32_t>(y),
+                                    static_cast<uint32_t>(z),
+                                    static_cast<float>(norm));
+        };
+        switch (query.mode) {
+          case NodeQuery::Mode::kThreshold:
+            for (int64_t i = 0; i < nx; ++i) {
+              if (!PassesThreshold(static_cast<float>(norms[i]),
+                                   query.threshold)) {
+                continue;
+              }
+              out->points.push_back(point(i, norms[i]));
+              if (out->points.size() > query.options.max_result_points) {
+                // The global cap is already exceeded by this node
+                // alone; computing further is pointless.
+                return Status::ThresholdTooLow(
+                    "threshold too low: result exceeds the point cap");
+              }
+            }
+            break;
+          case NodeQuery::Mode::kPdf:
+            for (int64_t i = 0; i < nx; ++i) {
+              // Clamp in double: a tiny width puts norm / width past
+              // INT_MAX, where the conversion alone is undefined.
+              const double scaled = norms[i] / query.bin_width;
+              const int bin = scaled < query.num_bins
+                                  ? static_cast<int>(scaled)
+                                  : query.num_bins;
+              ++out->histogram[static_cast<size_t>(bin)];
+            }
+            break;
+          case NodeQuery::Mode::kMoments:
+            for (int64_t i = 0; i < nx; ++i) {
+              out->norm_sum += norms[i];
+              out->norm_sum_sq += norms[i] * norms[i];
+              out->norm_max = std::max(out->norm_max, norms[i]);
+            }
+            break;
+          case NodeQuery::Mode::kTopK:
+            for (int64_t i = 0; i < nx; ++i) {
+              if (topk.size() < query.k) {
+                topk.push(point(i, norms[i]));
+              } else if (norms[i] > topk.top().norm) {
+                topk.pop();
+                topk.push(point(i, norms[i]));
+              }
+            }
+            break;
+          case NodeQuery::Mode::kSample:  // Runs take the target overload.
+            break;
         }
       }
     }
   }
-  Slab slab(Box3(slab_atoms.lo[0] * w, slab_atoms.lo[1] * w,
-                 slab_atoms.lo[2] * w, slab_atoms.hi[0] * w,
-                 slab_atoms.hi[1] * w, slab_atoms.hi[2] * w),
+  while (!topk.empty()) {
+    out->points.push_back(topk.top());
+    topk.pop();
+  }
+  out->time.compute_s += static_cast<double>(evaluated) *
+                         query.kernel->FlopsPerPoint(query.fd_order) /
+                         query.flops_per_process;
+  return Status::OK();
+}
+
+Status DatabaseNode::Evaluate(const NodeQuery& query,
+                              std::span<const SampleTarget> targets,
+                              const Slab& slab, NodeOutcome* out) {
+  const LagrangeInterpolator& interp = *query.interpolator;
+  out->samples.reserve(targets.size());
+  for (const auto& [index, position] : targets) {
+    std::array<double, 3> sample = {0.0, 0.0, 0.0};
+    interp.At(slab, position, query.raw_ncomp, sample.data());
+    out->samples.push_back({index, sample});
+  }
+  const int s = interp.support();
+  const double flops_per_sample =
+      2.0 * s * s * s * query.raw_ncomp + 18.0 * s * s;
+  out->time.compute_s += static_cast<double>(targets.size()) *
+                         flops_per_sample / query.flops_per_process;
+  return Status::OK();
+}
+
+Result<Slab> DatabaseNode::GatherDest(const NodeQuery& query,
+                                      const DestMap& dest, const Box3& box,
+                                      NodeOutcome* out) {
+  // The slab is allocated first so that each atom is copied straight
+  // from the store or the fetch reply into every destination it backs.
+  const int64_t w = query.dataset->geometry.atom_width();
+  Slab slab(Box3(box.lo[0] * w, box.lo[1] * w, box.lo[2] * w, box.hi[0] * w,
+                 box.hi[1] * w, box.hi[2] * w),
             query.raw_ncomp);
 
   // Destinations sorted by wrapped code: the same code can back several
@@ -582,10 +658,8 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
   if (!local_codes.empty()) {
     AtomStore* store = FindStore(query.dataset->name, query.raw_field);
     if (store == nullptr) {
-      out->status = Status::NotFound("field '" + query.raw_field +
-                                     "' not ingested on node " +
-                                     std::to_string(id_));
-      return Slab();
+      return Status::NotFound("field '" + query.raw_field +
+                              "' not ingested on node " + std::to_string(id_));
     }
     uint64_t bytes = 0;
     for (size_t lo = 0; lo < local_codes.size();) {
@@ -595,20 +669,17 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
         ++hi;
       }
       size_t visited = 0;
-      out->status = store->Scan(
+      TURBDB_RETURN_NOT_OK(store->Scan(
           query.timestep, MortonRange{local_codes[lo], local_codes[hi - 1] + 1},
           [&](const Atom& atom) {
             ++visited;
             bytes += atom.SizeBytes();
             place(atom);
-          });
-      if (out->status.ok() && visited != hi - lo) {
-        out->status = Status::NotFound("atom not found");
-      }
-      if (!out->status.ok()) return Slab();
+          }));
+      if (visited != hi - lo) return Status::NotFound("atom not found");
       lo = hi;
     }
-    out->io_s +=
+    out->time.io_s +=
         hdd_.ChargeRead(bytes, CountRuns(local_codes), query.processes);
     out->io.atoms_read_local += local_codes.size();
     out->io.bytes_read_local += bytes;
@@ -617,225 +688,42 @@ Slab DatabaseNode::GatherDest(const NodeQuery& query, const DestMap& dest,
   // re-checks cancellation/deadline first: a network fetch is the most
   // expensive thing to start for a query nobody is waiting on.
   for (const auto& [owner, codes] : remote_codes) {
-    if (!remote_fetch_) {
-      out->status = Status::Internal("remote fetch hook not wired");
-      return Slab();
-    }
-    out->status = CheckInterrupts(query);
-    if (!out->status.ok()) return Slab();
+    if (!remote_fetch_) return Status::Internal("remote fetch hook not wired");
+    TURBDB_RETURN_NOT_OK(CheckInterrupts(query));
     double cost = 0.0;
-    auto atoms = remote_fetch_(query, owner, query.dataset->name,
-                               query.raw_field, query.timestep, codes,
-                               query.processes, &cost);
-    if (!atoms.ok()) {
-      out->status = atoms.status();
-      return Slab();
-    }
-    out->io_s += cost;
+    TURBDB_ASSIGN_OR_RETURN(
+        std::vector<Atom> atoms,
+        remote_fetch_(query, owner, query.dataset->name, query.raw_field,
+                      query.timestep, codes, query.processes, &cost));
+    out->time.io_s += cost;
     // Atoms the request did not name are ignored; every one it named
     // must be there, in the shape this dataset stores.
     uint64_t bytes = 0;
     std::vector<bool> received(codes.size(), false);
-    for (const Atom& atom : atoms.value()) {
+    for (const Atom& atom : atoms) {
       bytes += atom.SizeBytes();
       auto it = std::lower_bound(codes.begin(), codes.end(), atom.key.zindex);
       if (it == codes.end() || *it != atom.key.zindex) continue;
       if (atom.width != w || atom.ncomp != query.raw_ncomp) {
-        out->status = Status::Internal(
-            "halo reply from node " + std::to_string(owner) +
-            " has atom " + std::to_string(atom.key.zindex) +
-            " in the wrong shape");
-        return Slab();
+        return Status::Internal("halo reply from node " +
+                                std::to_string(owner) + " has atom " +
+                                std::to_string(atom.key.zindex) +
+                                " in the wrong shape");
       }
       received[static_cast<size_t>(it - codes.begin())] = true;
       place(atom);
     }
     const auto missing = std::count(received.begin(), received.end(), false);
     if (missing > 0) {
-      out->status = Status::Internal(
+      return Status::Internal(
           "halo reply from node " + std::to_string(owner) + " lacks " +
           std::to_string(missing) + " of " + std::to_string(codes.size()) +
           " requested atoms");
-      return Slab();
     }
     out->io.atoms_read_remote += codes.size();
     out->io.bytes_read_remote += bytes;
   }
   return slab;
-}
-
-DatabaseNode::ChunkOutcome DatabaseNode::ProcessChunk(
-    const NodeQuery& query, const std::vector<uint64_t>& chunk_atoms) {
-  ChunkOutcome out;
-  out.histogram.assign(static_cast<size_t>(query.num_bins) + 1, 0);
-  if (chunk_atoms.empty()) return out;
-  out.status = CheckInterrupts(query);
-  if (!out.status.ok()) return out;
-
-  const GridGeometry& geometry = query.dataset->geometry;
-  const int64_t w = geometry.atom_width();
-  const int halo = query.kernel->HaloWidth(query.fd_order);
-
-  // Memory guard: a contiguous morton run can have a large bounding box
-  // on grids with non-power-of-two atom counts. Split oversized chunks.
-  {
-    Box3 rough;
-    bool first = true;
-    for (uint64_t code : chunk_atoms) {
-      uint32_t ax, ay, az;
-      MortonDecode3(code, &ax, &ay, &az);
-      if (first) {
-        rough = Box3(ax, ay, az, ax + 1, ay + 1, az + 1);
-        first = false;
-      } else {
-        for (int d = 0; d < 3; ++d) {
-          const int64_t coord = d == 0 ? ax : (d == 1 ? ay : az);
-          rough.lo[d] = std::min(rough.lo[d], coord);
-          rough.hi[d] = std::max(rough.hi[d], coord + 1);
-        }
-      }
-    }
-    const uint64_t slab_bytes = static_cast<uint64_t>(rough.Volume()) * w * w *
-                                w * query.raw_ncomp * sizeof(float);
-    if (slab_bytes > kMaxSlabBytes && chunk_atoms.size() > 1) {
-      const size_t mid = chunk_atoms.size() / 2;
-      ChunkOutcome left = ProcessChunk(
-          query, {chunk_atoms.begin(), chunk_atoms.begin() + mid});
-      if (!left.status.ok()) return left;
-      ChunkOutcome right =
-          ProcessChunk(query, {chunk_atoms.begin() + mid, chunk_atoms.end()});
-      if (!right.status.ok()) return right;
-      right.points.insert(right.points.end(), left.points.begin(),
-                          left.points.end());
-      for (size_t bin = 0; bin < right.histogram.size(); ++bin) {
-        right.histogram[bin] += left.histogram[bin];
-      }
-      right.norm_sum += left.norm_sum;
-      right.norm_sum_sq += left.norm_sum_sq;
-      right.norm_max = std::max(right.norm_max, left.norm_max);
-      right.io_s += left.io_s;
-      right.compute_s += left.compute_s;
-      right.io += left.io;
-      return right;
-    }
-  }
-
-  // ---- Gather phase -------------------------------------------------
-  // Destination atom positions (in unwrapped atom coordinates, so
-  // periodic halo images land outside [0, na)) -> wrapped atom code.
-  DestMap dest;
-  uint64_t interest_points = 0;
-  for (uint64_t code : chunk_atoms) {
-    uint32_t ax, ay, az;
-    MortonDecode3(code, &ax, &ay, &az);
-    const Box3 atom_box(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
-                        (az + 1) * w);
-    const Box3 interest = atom_box.Intersection(query.box);
-    if (interest.Empty()) continue;
-    interest_points += static_cast<uint64_t>(interest.Volume());
-    InsertCover(geometry, geometry.AtomCover(interest.Grown(halo)), &dest);
-  }
-  if (dest.empty()) return out;
-
-  Slab slab = GatherDest(query, dest, &out);
-  if (!out.status.ok()) return out;
-
-  // Evaluated-point accounting happens here (rather than in the evaluate
-  // loop) so that I/O-only runs still report the workload size — the
-  // counters feed the paper-scale projections of Fig. 8.
-  out.io.points_evaluated += interest_points;
-
-  if (query.options.io_only) return out;
-
-  // ---- Evaluate phase ------------------------------------------------
-  // One kernel call per x row of each atom's interest box. Points are
-  // consumed in atom -> z -> y -> x order: which of equal norms top-k
-  // keeps, and where the point-cap exit stops, depend on it.
-  std::priority_queue<ThresholdPoint, std::vector<ThresholdPoint>,
-                      TopKHeapCompare>
-      topk;
-  std::vector<double> norms(static_cast<size_t>(w));
-  uint64_t evaluated = 0;
-  for (uint64_t code : chunk_atoms) {
-    out.status = CheckInterrupts(query);
-    if (!out.status.ok()) return out;
-    uint32_t ax, ay, az;
-    MortonDecode3(code, &ax, &ay, &az);
-    const Box3 atom_box(ax * w, ay * w, az * w, (ax + 1) * w, (ay + 1) * w,
-                        (az + 1) * w);
-    const Box3 interest = atom_box.Intersection(query.box);
-    if (interest.Empty()) continue;
-    const int64_t x0 = interest.lo[0];
-    const int64_t nx = interest.Extent(0);
-    for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
-      for (int64_t y = interest.lo[1]; y < interest.hi[1]; ++y) {
-        query.kernel->NormsRow(slab, *query.diff, x0, nx, y, z, norms.data());
-        evaluated += static_cast<uint64_t>(nx);
-        auto point = [&](int64_t i, double norm) {
-          return MakeThresholdPoint(static_cast<uint32_t>(x0 + i),
-                                    static_cast<uint32_t>(y),
-                                    static_cast<uint32_t>(z),
-                                    static_cast<float>(norm));
-        };
-        switch (query.mode) {
-          case NodeQuery::Mode::kThreshold:
-            for (int64_t i = 0; i < nx; ++i) {
-              if (!PassesThreshold(static_cast<float>(norms[i]),
-                                   query.threshold)) {
-                continue;
-              }
-              out.points.push_back(point(i, norms[i]));
-              if (out.points.size() > query.options.max_result_points) {
-                // The global cap is already exceeded by this node
-                // alone; computing further is pointless.
-                out.status = Status::ThresholdTooLow(
-                    "threshold too low: result exceeds the point cap");
-                return out;
-              }
-            }
-            break;
-          case NodeQuery::Mode::kPdf:
-            for (int64_t i = 0; i < nx; ++i) {
-              // Clamp in double: a tiny width puts norm / width past
-              // INT_MAX, where the conversion alone is undefined.
-              const double scaled = norms[i] / query.bin_width;
-              const int bin = scaled < query.num_bins
-                                  ? static_cast<int>(scaled)
-                                  : query.num_bins;
-              ++out.histogram[static_cast<size_t>(bin)];
-            }
-            break;
-          case NodeQuery::Mode::kMoments:
-            for (int64_t i = 0; i < nx; ++i) {
-              out.norm_sum += norms[i];
-              out.norm_sum_sq += norms[i] * norms[i];
-              out.norm_max = std::max(out.norm_max, norms[i]);
-            }
-            break;
-          case NodeQuery::Mode::kTopK:
-            for (int64_t i = 0; i < nx; ++i) {
-              if (topk.size() < query.k) {
-                topk.push(point(i, norms[i]));
-              } else if (norms[i] > topk.top().norm) {
-                topk.pop();
-                topk.push(point(i, norms[i]));
-              }
-            }
-            break;
-          case NodeQuery::Mode::kSample:  // Answered by ExecuteSample.
-            break;
-        }
-      }
-    }
-  }
-  while (!topk.empty()) {
-    out.points.push_back(topk.top());
-    topk.pop();
-  }
-  out.compute_s += static_cast<double>(evaluated) *
-                   query.kernel->FlopsPerPoint(query.fd_order) /
-                   query.flops_per_process;
-  return out;
 }
 
 }  // namespace turbdb

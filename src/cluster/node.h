@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,10 +75,14 @@ struct NodeQuery : NodeQueryParams {
 
 /// One database node of the analysis cluster: its shard of every
 /// dataset's atoms (keyed by Morton range), its disks, and its local
-/// semantic cache, mirroring Fig. 5. The node evaluates its part of each
-/// query with `processes` data-parallel workers, fetching the boundary
-/// band it does not own from adjacent nodes through the mediator-provided
-/// fetch hook.
+/// semantic cache, mirroring Fig. 5. Every mode runs one pipeline: the
+/// query's items (the atoms this shard owns in the box, or the sample
+/// targets) are split into one contiguous run per worker process; each
+/// run gathers the atoms it reads, its own plus the boundary band that
+/// adjacent nodes serve through the fetch hook, into one slab (split in
+/// halves while that slab would pass a 256 MiB guard) and evaluates
+/// derived-field rows or interpolates over it; the runs' outcomes fold
+/// into the node's in submit order.
 class DatabaseNode {
  public:
   /// Batched halo fetch from a peer node: returns the atoms for `codes`
@@ -144,7 +149,7 @@ class DatabaseNode {
                                        uint64_t* bytes_out);
 
   /// Evaluates this node's part of a query (Algorithm 1 for thresholds),
-  /// running its data-parallel chunks on `workers`.
+  /// running its data-parallel runs on `workers`.
   Result<NodeOutcome> Execute(const NodeQuery& query, ThreadPool* workers);
 
   /// Drops cache entries (benchmark hook; see SemanticCache::Evict).
@@ -189,57 +194,61 @@ class DatabaseNode {
                               const AtomKey& key) const;
 
  private:
-  struct ChunkOutcome {
-    std::vector<ThresholdPoint> points;
-    std::vector<uint64_t> histogram;
-    double norm_sum = 0.0;
-    double norm_sum_sq = 0.0;
-    double norm_max = 0.0;
-    std::vector<std::pair<uint32_t, std::array<double, 3>>> samples;
-    double io_s = 0.0;
-    double compute_s = 0.0;
-    IoCounters io;
-    Status status;
-  };
-
   /// Destination atom position (unwrapped atom coords) -> wrapped code.
   using DestMap = std::map<std::array<int64_t, 3>, uint64_t>;
+  /// A point sample's original index and position.
+  using SampleTarget = std::pair<uint32_t, std::array<double, 3>>;
 
   AtomStore* FindStore(const std::string& dataset,
                        const std::string& field) const;
   AtomStore* GetOrCreateStore(const std::string& dataset,
                               const std::string& field);
 
+  /// Threshold, PDF, top-k and moments against the raw data (Algorithm 1
+  /// lines 29-38): this shard's atoms in the box, evaluated in runs, then
+  /// the node-level steps (effective-core scaling, point cap, one top-k
+  /// heap across the runs, z order).
+  Result<NodeOutcome> ExecuteFromRaw(const NodeQuery& query,
+                                     ThreadPool* workers);
+
+  /// Evaluates one worker's contiguous run of items (owned atom codes,
+  /// or sample targets): builds the run's destination map, splits the
+  /// run in halves while its destination box needs a slab past the
+  /// memory guard, gathers the box once and evaluates the run over it.
+  template <class Item>
+  Result<NodeOutcome> EvaluateRun(const NodeQuery& query,
+                                  std::span<const Item> run);
+
   /// Adds the atoms of `cover` (atom coordinates, possibly out of range)
   /// to `dest`, wrapping periodic axes and skipping beyond-wall entries.
   static void InsertCover(const GridGeometry& geometry, const Box3& cover,
                           DestMap* dest);
 
-  /// Fetches every atom of `dest` (local reads + batched peer fetches)
-  /// and assembles them into a slab covering the destinations. On
-  /// failure only `out->status` is meaningful.
-  Slab GatherDest(const NodeQuery& query, const DestMap& dest,
-                  ChunkOutcome* out);
+  /// Adds what a run reads to `dest`: each atom's part of the query box
+  /// grown by the kernel's halo, or each target's interpolation support.
+  /// Returns the number of points the run evaluates.
+  static uint64_t AddDestinations(const NodeQuery& query,
+                                  std::span<const uint64_t> atoms,
+                                  DestMap* dest);
+  static uint64_t AddDestinations(const NodeQuery& query,
+                                  std::span<const SampleTarget> targets,
+                                  DestMap* dest);
 
-  /// Point-sampling worker (mode == kSample).
-  ChunkOutcome ProcessSampleChunk(
-      const NodeQuery& query,
-      const std::vector<std::pair<uint32_t, std::array<double, 3>>>& targets);
+  /// The evaluate step over a gathered slab: the kernel at every owned
+  /// grid point inside the query box (skipped for I/O-only runs), or the
+  /// interpolated field at each target.
+  static Status Evaluate(const NodeQuery& query,
+                         std::span<const uint64_t> atoms, const Slab& slab,
+                         NodeOutcome* out);
+  static Status Evaluate(const NodeQuery& query,
+                         std::span<const SampleTarget> targets,
+                         const Slab& slab, NodeOutcome* out);
 
-  /// Data-parallel sampling across this node's targets.
-  Result<NodeOutcome> ExecuteSample(const NodeQuery& query,
-                                    ThreadPool* workers);
-
-  /// Evaluates one worker's contiguous run of owned atoms: gathers the
-  /// run plus halo into a slab (local reads from this node's store,
-  /// remote reads via remote_fetch_), then applies the kernel at every
-  /// owned grid point inside the query box.
-  ChunkOutcome ProcessChunk(const NodeQuery& query,
-                            const std::vector<uint64_t>& chunk_atoms);
-
-  /// Threshold evaluation against the raw data (Algorithm 1 lines 29-38).
-  Result<NodeOutcome> ExecuteFromRaw(const NodeQuery& query,
-                                     ThreadPool* workers);
+  /// Fetches every atom of `dest` (local reads from this node's store,
+  /// batched reads from peers via remote_fetch_) into a slab over `box`
+  /// (atom coordinates), charging the reads to `out`.
+  Result<Slab> GatherDest(const NodeQuery& query, const DestMap& dest,
+                          const Box3& box, NodeOutcome* out);
 
   int id_;
   int shard_id_;

@@ -356,13 +356,10 @@ Result<NodeOutcome> NodeService::Execute(
       begin = end;
       total += chunk.points.size();
       chunk.total_points = total;
-      ResourceGovernor::ByteReservation reservation;
-      if (ctx.governor != nullptr) {
-        TURBDB_RETURN_NOT_OK(ctx.governor->ReserveBlocking(
-            chunk.points.size() * 20 + 64, &reservation,
-            ctx.cancelled.get()));
-      }
-      TURBDB_RETURN_NOT_OK(ctx.emit(net::Encode(chunk)));
+      TURBDB_RETURN_NOT_OK(
+          net::EmitChunk(ctx, chunk,
+                         chunk.points.size() * net::kStreamedBytesPerPoint)
+              .status());
     }
     outcome.points.clear();
   }

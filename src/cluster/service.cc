@@ -26,43 +26,29 @@ Result<ThresholdResult> Threshold(Mediator* mediator,
   if (!req.stream || ctx.emit == nullptr) {
     return mediator->GetThreshold(req.query, req.options, BudgetOf(ctx));
   }
-  // Streamed reply: encode each chunk as a kThresholdChunk frame and push
-  // it to the connection now; the terminating frame is the summary (or
-  // error) this handler returns. Each chunk's buffer is reserved against
-  // the server's result-byte budget *before* it is materialized, so
-  // concurrent large replies cannot blow past the configured memory
-  // bound — they wait (bounded by the deadline / cancel token) for
-  // earlier chunks to drain.
+  // Streamed reply: each chunk leaves as a kThresholdChunk frame now
+  // (net::EmitChunk reserves its bytes first); the terminating frame is
+  // the summary (or error) this handler returns.
   uint64_t seq = 0;
   Mediator::ThresholdChunkSink sink =
       [&](std::vector<ThresholdPoint> points,
           uint64_t total_points) -> Result<uint64_t> {
-    ResourceGovernor::ByteReservation reservation;
-    if (ctx.governor != nullptr) {
-      // Upper-bound estimate of the encoded chunk: <= 20 bytes per point
-      // (3 varint coords + float + float) plus header slack.
-      const uint64_t estimate = points.size() * 20 + 64;
-      TURBDB_RETURN_NOT_OK(ctx.governor->ReserveBlocking(
-          estimate, &reservation, ctx.cancelled.get()));
-    }
     net::ThresholdChunk chunk;
     chunk.seq = seq++;
     chunk.points = std::move(points);
     chunk.total_points = total_points;
-    const std::vector<uint8_t> frame = net::Encode(chunk);
-    TURBDB_RETURN_NOT_OK(ctx.emit(frame));
-    return static_cast<uint64_t>(frame.size());
+    return net::EmitChunk(
+        ctx, chunk, chunk.points.size() * net::kStreamedBytesPerPoint);
   };
   return mediator->GetThresholdStreaming(req.query, req.options, BudgetOf(ctx),
                                          ctx.chunk_points, sink);
 }
 
 /// FoF reply: cluster records stream out as kFofChunk frames in the
-/// batches GetFof emits, each buffer reserved against the server's
-/// result-byte budget first (same discipline as the streamed threshold
-/// path); the terminating frame carries the summary. Without a streaming
-/// transport (in-process callers) the records are dropped and only the
-/// summary is returned.
+/// batches GetFof emits, each through net::EmitChunk like a streamed
+/// threshold chunk; the terminating frame carries the summary. Without a
+/// streaming transport (in-process callers) the records are dropped and
+/// only the summary is returned.
 Result<DistributedFofSummary> Fof(Mediator* mediator,
                                   const net::FofRequest& req,
                                   const net::CallContext& ctx) {
@@ -91,18 +77,11 @@ Result<DistributedFofSummary> Fof(Mediator* mediator,
       }
       chunk.clusters.push_back(std::move(record));
     }
-    ResourceGovernor::ByteReservation reservation;
-    if (ctx.governor != nullptr) {
-      // Upper-bound estimate: ~96 bytes of stats per record plus <= 20
-      // bytes per shipped member point.
-      const uint64_t estimate =
-          chunk.clusters.size() * 96 + member_points * 20 + 64;
-      TURBDB_RETURN_NOT_OK(ctx.governor->ReserveBlocking(
-          estimate, &reservation, ctx.cancelled.get()));
-    }
-    const std::vector<uint8_t> frame = net::Encode(chunk);
-    TURBDB_RETURN_NOT_OK(ctx.emit(frame));
-    return static_cast<uint64_t>(frame.size());
+    // About 96 bytes of stats per record, plus the shipped members.
+    return net::EmitChunk(
+        ctx, chunk,
+        chunk.clusters.size() * 96 +
+            member_points * net::kStreamedBytesPerPoint);
   };
   return mediator->GetFof(req.query, req.options, req.linking_length,
                           req.min_cluster_size, BudgetOf(ctx),

@@ -114,6 +114,29 @@ struct CallContext {
   }
 };
 
+/// Upper bound on one point's bytes in an encoded streamed chunk: three
+/// varint coordinates plus two floats.
+inline constexpr uint64_t kStreamedBytesPerPoint = 20;
+
+/// Sends one chunk of a streamed reply on `ctx.emit` (which must be set):
+/// first reserves `estimate` bytes plus 64 of frame slack against the
+/// server's result budget, blocking until it fits or the call is
+/// cancelled, so that concurrent large replies cannot outgrow the bound;
+/// then encodes the chunk and emits it. The reservation is released once
+/// the frame is written. Returns the frame's size.
+template <WireMessage Chunk>
+Result<uint64_t> EmitChunk(const CallContext& ctx, const Chunk& chunk,
+                           uint64_t estimate) {
+  ResourceGovernor::ByteReservation reservation;
+  if (ctx.governor != nullptr) {
+    TURBDB_RETURN_NOT_OK(ctx.governor->ReserveBlocking(
+        estimate + 64, &reservation, ctx.cancelled.get()));
+  }
+  const std::vector<uint8_t> frame = Encode(chunk);
+  TURBDB_RETURN_NOT_OK(ctx.emit(frame));
+  return static_cast<uint64_t>(frame.size());
+}
+
 /// The typed request table of a server: one handler per request type,
 /// taking the decoded request and returning the reply the wire table
 /// pairs with it, or a Status that goes back as an error frame. A request
