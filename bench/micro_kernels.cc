@@ -278,12 +278,12 @@ void BM_MediatorCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_MediatorCacheLookup)->Arg(0)->Arg(32);
 
-/// Fills a fresh node cache with state.range(0) entries of two points
-/// each, as cold thresholds leave them, and reports the resident heap
-/// each entry costs (glibc mallinfo2).
+/// Fills a fresh node cache with state.range(0) entries of
+/// state.range(1) points each, as cold thresholds leave them, and reports
+/// the resident heap each entry costs (glibc mallinfo2).
 void BM_CacheInsert(benchmark::State& state) {
   const int64_t entries = state.range(0);
-  const auto points = RandomPoints(2);
+  const auto points = RandomPoints(static_cast<size_t>(state.range(1)));
   double heap_per_entry = 0.0;
   for (auto _ : state) {
     TransactionManager txn_manager;
@@ -301,7 +301,10 @@ void BM_CacheInsert(benchmark::State& state) {
   state.counters["heap_bytes_per_entry"] = heap_per_entry;
   state.SetItemsProcessed(state.iterations() * entries);
 }
-BENCHMARK(BM_CacheInsert)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CacheInsert)
+    ->Args({4000, 2})
+    ->Args({4000, 32})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FriendsOfFriends(benchmark::State& state) {
   const auto raw = RandomPoints(static_cast<size_t>(state.range(0)));

@@ -48,39 +48,33 @@ Result<CacheLookup> SemanticCache::Lookup(const std::string& dataset,
           return true;
         });
   }
+  TURBDB_CHECK_OK(txn_manager_->Commit(txn.get()));
   lookup.io.cache_records_scanned += info_rows_scanned;
   lookup.io.cache_bytes_scanned += info_rows_scanned * kBytesPerInfoRecord;
   // The cacheInfo probe is a clustered-index lookup on the SSD.
   lookup.lookup_cost_s += ssd_.ChargeRead(
       info_rows_scanned * kBytesPerInfoRecord, /*ops=*/1, /*concurrent=*/1);
+  if (!found) return lookup;
 
-  if (!found) {
-    TURBDB_CHECK_OK(txn_manager_->Commit(txn.get()));
-    return lookup;
-  }
-
-  // Retrieve the entry's points with one range scan of cacheData
-  // (Algorithm 1, lines 13-22), filtering to the query box and threshold.
-  // The scan yields them in z order. A box holding the entry's whole
-  // region holds every point of it, so only the threshold is tested.
-  const CacheDataKey data_lo{match_key.ordinal, 0};
-  const CacheDataKey data_hi{match_key.ordinal, UINT64_MAX};
+  // Retrieve the entry's points (Algorithm 1, lines 13-22), filtering to
+  // the query box and threshold; the record's own reference keeps them
+  // alive past the snapshot, and they are stored in z order. A box
+  // holding the entry's whole region holds every point of it, so only
+  // the threshold is tested. The model reads every cacheData row of the
+  // entry with one range scan, as the paper's table does.
   const bool whole_region = box.ContainsBox(match_record.region);
-  uint64_t data_rows = 0;
-  cache_data_.Scan(txn.get(), data_lo, data_hi,
-                   [&](const CacheDataKey& key, const float& norm) {
-                     ++data_rows;
-                     if (!PassesThreshold(norm, threshold)) return true;
-                     if (!whole_region) {
-                       uint32_t x, y, z;
-                       MortonDecode3(key.zindex, &x, &y, &z);
-                       if (!box.ContainsPoint(x, y, z)) return true;
-                     }
-                     lookup.points.push_back(ThresholdPoint{key.zindex, norm});
-                     return true;
-                   });
-  TURBDB_CHECK_OK(txn_manager_->Commit(txn.get()));
-
+  if (match_record.points != nullptr) {
+    for (const ThresholdPoint& point : *match_record.points) {
+      if (!PassesThreshold(point.norm, threshold)) continue;
+      if (!whole_region) {
+        uint32_t x, y, z;
+        point.Coords(&x, &y, &z);
+        if (!box.ContainsPoint(x, y, z)) continue;
+      }
+      lookup.points.push_back(point);
+    }
+  }
+  const uint64_t data_rows = match_record.num_points();
   lookup.hit = true;
   lookup.io.cache_records_scanned += data_rows;
   lookup.io.cache_bytes_scanned += data_rows * kBytesPerPoint;
@@ -110,10 +104,24 @@ Status SemanticCache::Insert(const std::string& dataset,
     return Status::OK();
   }
   const uint32_t field_id = Intern(dataset, field);
+  // The entry's points: one immutable copy in z order, built once for
+  // every attempt.
+  std::shared_ptr<const std::vector<ThresholdPoint>> rows;
+  if (!points.empty()) {
+    auto sorted = std::make_shared<std::vector<ThresholdPoint>>(points);
+    const auto by_zindex = [](const ThresholdPoint& a,
+                              const ThresholdPoint& b) {
+      return a.zindex < b.zindex;
+    };
+    if (!std::is_sorted(sorted->begin(), sorted->end(), by_zindex)) {
+      std::sort(sorted->begin(), sorted->end(), by_zindex);
+    }
+    rows = std::move(sorted);
+  }
   Status status;
   for (int attempt = 0; attempt < kInsertRetries; ++attempt) {
     status = InsertOnce(field_id, timestep, fd_order, region, threshold,
-                        points);
+                        rows);
     if (status.ok() &&
         inserts_since_gc_.fetch_add(1) + 1 >= kGcInterval) {
       inserts_since_gc_.store(0);
@@ -126,12 +134,13 @@ Status SemanticCache::Insert(const std::string& dataset,
   return Status::OK();  // Caching is best-effort; the query still succeeded.
 }
 
-Status SemanticCache::InsertOnce(uint32_t field_id, int32_t timestep,
-                                 int fd_order, const Box3& region,
-                                 double threshold,
-                                 const std::vector<ThresholdPoint>& points) {
+Status SemanticCache::InsertOnce(
+    uint32_t field_id, int32_t timestep, int fd_order, const Box3& region,
+    double threshold,
+    const std::shared_ptr<const std::vector<ThresholdPoint>>& points) {
+  CacheInfoRecord entry{region, threshold, points};
   const uint64_t needed =
-      points.size() * kBytesPerPoint + kBytesPerInfoRecord;
+      entry.num_points() * kBytesPerPoint + kBytesPerInfoRecord;
   auto txn = txn_manager_->Begin();
 
   uint64_t freed = 0;
@@ -151,7 +160,7 @@ Status SemanticCache::InsertOnce(uint32_t field_id, int32_t timestep,
                      });
     for (const auto& [key, rec] : to_replace) {
       DeleteEntryInTxn(txn.get(), key, rec);
-      freed += rec.num_points * kBytesPerPoint + kBytesPerInfoRecord;
+      freed += rec.num_points() * kBytesPerPoint + kBytesPerInfoRecord;
       deleted_ordinals.push_back(key.ordinal);
     }
   }
@@ -204,15 +213,7 @@ Status SemanticCache::InsertOnce(uint32_t field_id, int32_t timestep,
                    CacheSlotKey{field_id, fd_order, timestep, region},
                    ordinal);
   const CacheInfoKey key{field_id, fd_order, timestep, ordinal};
-  CacheInfoRecord record;
-  record.region = region;
-  record.threshold = threshold;
-  record.num_points = points.size();
-  cache_info_.Put(txn.get(), key, record);
-  for (const ThresholdPoint& point : points) {
-    cache_data_.Put(txn.get(), CacheDataKey{ordinal, point.zindex},
-                    point.norm);
-  }
+  cache_info_.Put(txn.get(), key, std::move(entry));
 
   TURBDB_RETURN_NOT_OK(txn_manager_->Commit(txn.get()));
 
@@ -231,17 +232,6 @@ void SemanticCache::DeleteEntryInTxn(Transaction* txn, const CacheInfoKey& key,
   cache_info_.Delete(txn, key);
   cache_slots_.Delete(txn, CacheSlotKey{key.field_id, key.fd_order,
                                         key.timestep, record.region});
-  std::vector<CacheDataKey> data_keys;
-  data_keys.reserve(record.num_points);
-  cache_data_.Scan(txn, CacheDataKey{key.ordinal, 0},
-                   CacheDataKey{key.ordinal, UINT64_MAX},
-                   [&](const CacheDataKey& data_key, const float&) {
-                     data_keys.push_back(data_key);
-                     return true;
-                   });
-  for (const CacheDataKey& data_key : data_keys) {
-    cache_data_.Delete(txn, data_key);
-  }
 }
 
 Status SemanticCache::Evict(const std::string& dataset,
@@ -264,21 +254,22 @@ Status SemanticCache::Evict(const std::string& dataset,
         field_ids.push_back(it->second);
       }
     }
+    const auto matches = [&](uint32_t field_id, int32_t step) {
+      return std::find(field_ids.begin(), field_ids.end(), field_id) !=
+                 field_ids.end() &&
+             (timestep < 0 || step == timestep);
+    };
     std::vector<std::pair<CacheInfoKey, CacheInfoRecord>> victims;
     for (const auto& [ordinal, meta] : meta_) {
       const CacheInfoKey& key = meta.key;
-      if (std::find(field_ids.begin(), field_ids.end(), key.field_id) ==
-          field_ids.end()) {
-        continue;
-      }
-      if (timestep >= 0 && key.timestep != timestep) continue;
+      if (!matches(key.field_id, key.timestep)) continue;
       auto record = cache_info_.Get(txn.get(), key);
       if (record.ok()) victims.push_back({key, record.value()});
     }
     uint64_t freed = 0;
     for (const auto& [key, record] : victims) {
       DeleteEntryInTxn(txn.get(), key, record);
-      freed += record.num_points * kBytesPerPoint + kBytesPerInfoRecord;
+      freed += record.num_points() * kBytesPerPoint + kBytesPerInfoRecord;
     }
     Status status = txn_manager_->Commit(txn.get());
     if (status.IsAborted()) continue;
@@ -288,6 +279,10 @@ Status SemanticCache::Evict(const std::string& dataset,
     while (!used_bytes_.compare_exchange_weak(
         bytes, bytes >= freed ? bytes - freed : 0)) {
     }
+    std::lock_guard<std::mutex> lock(ceilings_mutex_);
+    std::erase_if(ceilings_, [&](const auto& item) {
+      return matches(std::get<0>(item.first), std::get<2>(item.first));
+    });
     return Status::OK();
   }
   return Status::Aborted("cache eviction kept conflicting");
@@ -296,9 +291,39 @@ Status SemanticCache::Evict(const std::string& dataset,
 size_t SemanticCache::GarbageCollect() {
   const Timestamp horizon = txn_manager_->GcHorizon();
   size_t reclaimed = cache_info_.GarbageCollect(horizon);
-  reclaimed += cache_data_.GarbageCollect(horizon);
   reclaimed += cache_slots_.GarbageCollect(horizon);
   return reclaimed;
+}
+
+void SemanticCache::RecordCeilings(const std::string& dataset,
+                                   const std::string& field, int32_t timestep,
+                                   int fd_order,
+                                   const std::vector<AtomCeiling>& ceilings) {
+  if (!enabled() || ceilings.empty()) return;
+  const CeilingKey key{Intern(dataset, field), fd_order, timestep};
+  std::lock_guard<std::mutex> lock(ceilings_mutex_);
+  std::unordered_map<uint64_t, float>& atoms = ceilings_[key];
+  for (const AtomCeiling& ceiling : ceilings) {
+    atoms.insert_or_assign(ceiling.code, ceiling.norm);
+  }
+}
+
+void SemanticCache::DropAtomsBelow(const std::string& dataset,
+                                   const std::string& field, int32_t timestep,
+                                   int fd_order, double threshold,
+                                   std::vector<uint64_t>* codes) const {
+  if (!enabled()) return;
+  const uint32_t field_id = FindFieldId(dataset, field);
+  if (field_id == 0) return;
+  std::lock_guard<std::mutex> lock(ceilings_mutex_);
+  auto it = ceilings_.find(CeilingKey{field_id, fd_order, timestep});
+  if (it == ceilings_.end()) return;
+  const std::unordered_map<uint64_t, float>& atoms = it->second;
+  std::erase_if(*codes, [&](uint64_t code) {
+    auto ceiling = atoms.find(code);
+    return ceiling != atoms.end() &&
+           !PassesThreshold(ceiling->second, threshold);
+  });
 }
 
 uint64_t SemanticCache::entry_count() const {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "array/box.h"
@@ -44,13 +45,19 @@ struct CacheInfoKey {
   }
 };
 
-/// Metadata of one cached threshold-query result (a cacheInfo row):
-/// the spatial region examined and the threshold used, which together
-/// define the semantic description the containment test runs against.
+/// One cached threshold-query result (a cacheInfo row): the spatial
+/// region examined and the threshold used, which together define the
+/// semantic description the containment test runs against, and the
+/// points themselves. The points are one immutable, z-sorted vector
+/// (null when there are none), shared by every snapshot that sees the
+/// row, so an entry is one MVCC row however many points it holds; the
+/// modeled SSD footprint still charges the paper's cacheData rows.
 struct CacheInfoRecord {
   Box3 region;
   double threshold = 0.0;
-  uint64_t num_points = 0;
+  std::shared_ptr<const std::vector<ThresholdPoint>> points;
+
+  uint64_t num_points() const { return points ? points->size() : 0; }
 };
 
 /// Key of the slot table: the full semantic identity of an entry
@@ -77,18 +84,12 @@ struct CacheSlotKey {
   }
 };
 
-/// Primary key of the cacheData table; clustered by (ordinal, zindex) so
-/// one entry's points are retrieved with a single range scan.
-struct CacheDataKey {
-  uint64_t ordinal = 0;
-  uint64_t zindex = 0;
-
-  bool operator<(const CacheDataKey& other) const {
-    return std::tie(ordinal, zindex) < std::tie(other.ordinal, other.zindex);
-  }
-  bool operator==(const CacheDataKey& other) const {
-    return ordinal == other.ordinal && zindex == other.zindex;
-  }
+/// The largest float norm any grid point of atom `code` produced under
+/// one (dataset, field, fd_order, timestep): no point of the atom passes
+/// a threshold its ceiling fails (see SemanticCache::DropAtomsBelow).
+struct AtomCeiling {
+  uint64_t code = 0;
+  float norm = 0.0f;
 };
 
 /// Outcome of a cache interrogation.
@@ -102,7 +103,7 @@ struct CacheLookup {
 /// The application-aware semantic cache for threshold-query results
 /// (Sec. 4 of the paper, Algorithm 1 lines 4-25).
 ///
-/// One instance lives on each database node; its two tables reside on the
+/// One instance lives on each database node; its tables reside on the
 /// node's SSD (by cost model). A query with box q and threshold k hits if
 /// some entry for the same (dataset, field, FD order, time-step) has
 /// region ⊇ q and stored threshold ks <= k: the cached points, filtered
@@ -110,11 +111,16 @@ struct CacheLookup {
 /// of q whose norm >= k >= ks was recorded when the entry was built.
 ///
 /// All reads and updates run in snapshot-isolation transactions, so
-/// concurrent queries never see a cacheInfo row without its cacheData
-/// rows, and never deadlock (the paper relies on SQL Server snapshot
-/// isolation for the same reasons). Replacement is least-recently-used
-/// across all entries; the LRU clock is kept outside the versioned
-/// tables so that read-only lookups do not create write conflicts.
+/// concurrent queries never see half an entry, and never deadlock (the
+/// paper relies on SQL Server snapshot isolation for the same reasons).
+/// Replacement is least-recently-used across all entries; the LRU clock
+/// is kept outside the versioned tables so that read-only lookups do not
+/// create write conflicts.
+///
+/// Beside the entries the cache keeps per-atom norm ceilings under the
+/// same (dataset, field, FD order, time-step) names. They describe the
+/// stored atoms, which never change, so they need no transaction; they
+/// go with the entries (Evict) and are kept only while caching is on.
 class SemanticCache {
  public:
   /// `capacity_bytes` bounds the modeled on-SSD footprint (the paper's
@@ -143,11 +149,27 @@ class SemanticCache {
                 double threshold, const std::vector<ThresholdPoint>& points,
                 double* cost_s = nullptr);
 
-  /// Drops every entry for the given time-step (used by the benchmarks to
-  /// force cache misses exactly as the paper's experiments drop cache
-  /// entries for the queried time-step). A timestep of -1 drops all.
+  /// Drops every entry and atom ceiling for the given time-step (used by
+  /// the benchmarks to force cache misses exactly as the paper's
+  /// experiments drop cache entries for the queried time-step). A
+  /// timestep of -1 drops all; an empty field drops every field of the
+  /// dataset.
   Status Evict(const std::string& dataset, const std::string& field,
                int32_t timestep);
+
+  /// Records the ceilings of atoms a threshold evaluation covered whole.
+  /// No-op while caching is disabled.
+  void RecordCeilings(const std::string& dataset, const std::string& field,
+                      int32_t timestep, int fd_order,
+                      const std::vector<AtomCeiling>& ceilings);
+
+  /// Removes from `codes` every atom whose recorded ceiling fails
+  /// `threshold` under PassesThreshold: every norm of the atom is at most
+  /// its ceiling, so none of its points can pass either. Atoms with no
+  /// recorded ceiling stay; the order of the rest is kept.
+  void DropAtomsBelow(const std::string& dataset, const std::string& field,
+                      int32_t timestep, int fd_order, double threshold,
+                      std::vector<uint64_t>* codes) const;
 
   uint64_t entry_count() const;
   uint64_t used_bytes() const { return used_bytes_.load(); }
@@ -179,13 +201,17 @@ class SemanticCache {
   uint32_t FindFieldId(const std::string& dataset,
                        const std::string& field) const;
 
-  Status InsertOnce(uint32_t field_id, int32_t timestep, int fd_order,
-                    const Box3& region, double threshold,
-                    const std::vector<ThresholdPoint>& points);
+  Status InsertOnce(
+      uint32_t field_id, int32_t timestep, int fd_order, const Box3& region,
+      double threshold,
+      const std::shared_ptr<const std::vector<ThresholdPoint>>& points);
 
   /// Deletes one entry's rows inside `txn`; caller commits.
   void DeleteEntryInTxn(Transaction* txn, const CacheInfoKey& key,
                         const CacheInfoRecord& record);
+
+  /// Atom ceilings of one (field id, fd_order, timestep).
+  using CeilingKey = std::tuple<uint32_t, int32_t, int32_t>;
 
   void TouchLru(uint64_t ordinal);
 
@@ -194,7 +220,6 @@ class SemanticCache {
   uint64_t capacity_bytes_;
 
   VersionedTable<CacheInfoKey, CacheInfoRecord> cache_info_;
-  VersionedTable<CacheDataKey, float> cache_data_;
   VersionedTable<CacheSlotKey, uint64_t> cache_slots_;
 
   /// Successful inserts between automatic GC passes.
@@ -214,6 +239,10 @@ class SemanticCache {
   mutable std::mutex lru_mutex_;
   std::map<uint64_t, EntryMeta> meta_;  ///< ordinal -> key, size, tick.
   std::atomic<uint64_t> lru_clock_{0};
+
+  /// Atom code -> ceiling, per (field id, fd_order, timestep).
+  mutable std::mutex ceilings_mutex_;
+  std::map<CeilingKey, std::unordered_map<uint64_t, float>> ceilings_;
 };
 
 }  // namespace turbdb

@@ -89,6 +89,9 @@ Result<NodeQuery> Catalog::Resolve(const net::NodeQuerySpec& spec) {
   if (query.mode == NodeQuery::Mode::kThreshold && !(spec.threshold >= 0.0)) {
     return Status::InvalidArgument("threshold must be non-negative");
   }
+  if (query.mode == NodeQuery::Mode::kTopK && spec.k == 0) {
+    return Status::InvalidArgument("top-k needs k >= 1");
+  }
   query.cache_field_key = spec.raw_field + ":" + spec.derived_field;
   TURBDB_ASSIGN_OR_RETURN(query.kernel,
                           registry_.Create(spec.derived_field, ncomp));

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <future>
+#include <limits>
 #include <queue>
 
 #include "common/logging.h"
@@ -55,6 +56,14 @@ Status CheckInterrupts(const NodeQuery& query) {
     return Status::DeadlineExceeded("query budget exhausted mid-evaluation");
   }
   return Status::OK();
+}
+
+/// Whether the node answers `query` through its semantic cache: a
+/// threshold query that asks for the cache, evaluates norms and finds the
+/// cache enabled. Only such queries record and consult atom ceilings.
+bool UsesCache(const NodeQuery& query, const SemanticCache& cache) {
+  return query.mode == NodeQuery::Mode::kThreshold &&
+         query.options.use_cache && !query.options.io_only && cache.enabled();
 }
 
 /// The grid-point box of atom `code`.
@@ -302,10 +311,7 @@ Result<NodeOutcome> DatabaseNode::Execute(const NodeQuery& query,
     outcome.io.points_returned += outcome.samples.size();
     return outcome;
   }
-  const bool threshold_mode = query.mode == NodeQuery::Mode::kThreshold;
-  const bool cacheable =
-      threshold_mode && query.options.use_cache && !query.options.io_only &&
-      cache_.enabled();
+  const bool cacheable = UsesCache(query, cache_);
 
   NodeOutcome outcome;
   if (cacheable) {
@@ -346,10 +352,17 @@ Result<NodeOutcome> DatabaseNode::ExecuteFromRaw(const NodeQuery& query,
                                                  ThreadPool* workers) {
   // The evaluated atoms are this shard's effective ownership under the
   // routed view: the partitioner's assignment, re-homed by the view's
-  // range overrides.
-  const std::vector<uint64_t> atoms =
+  // range overrides. A cached threshold query skips every atom whose
+  // recorded ceiling fails it, before the runs are cut, so the atoms
+  // left stay evenly spread over the worker processes.
+  std::vector<uint64_t> atoms =
       OwnedAtomsInBox(*query.partitioner, *query.view, shard_id_,
                       query.dataset->geometry.AtomCover(query.box));
+  if (UsesCache(query, cache_)) {
+    cache_.DropAtomsBelow(query.dataset->name, query.cache_field_key,
+                          query.timestep, query.fd_order, query.threshold,
+                          &atoms);
+  }
   TURBDB_ASSIGN_OR_RETURN(
       NodeOutcome outcome,
       FanOut(query, atoms, workers,
@@ -515,11 +528,16 @@ Status DatabaseNode::Evaluate(const NodeQuery& query,
       topk;
   std::vector<double> norms(static_cast<size_t>(w));
   uint64_t evaluated = 0;
+  // A cached threshold query records the ceiling of each atom it
+  // evaluates whole: the largest float norm among its points.
+  const bool record_ceilings = UsesCache(query, cache_);
+  std::vector<AtomCeiling> ceilings;
   for (uint64_t code : atoms) {
     TURBDB_RETURN_NOT_OK(CheckInterrupts(query));
-    const Box3 interest =
-        AtomBox(code, query.dataset->geometry).Intersection(query.box);
+    const Box3 atom_box = AtomBox(code, query.dataset->geometry);
+    const Box3 interest = atom_box.Intersection(query.box);
     if (interest.Empty()) continue;
+    float ceiling = -std::numeric_limits<float>::infinity();
     const int64_t x0 = interest.lo[0];
     const int64_t nx = interest.Extent(0);
     for (int64_t z = interest.lo[2]; z < interest.hi[2]; ++z) {
@@ -535,10 +553,9 @@ Status DatabaseNode::Evaluate(const NodeQuery& query,
         switch (query.mode) {
           case NodeQuery::Mode::kThreshold:
             for (int64_t i = 0; i < nx; ++i) {
-              if (!PassesThreshold(static_cast<float>(norms[i]),
-                                   query.threshold)) {
-                continue;
-              }
+              const float norm = static_cast<float>(norms[i]);
+              ceiling = std::max(ceiling, norm);
+              if (!PassesThreshold(norm, query.threshold)) continue;
               out->points.push_back(point(i, norms[i]));
               if (out->points.size() > query.options.max_result_points) {
                 // The global cap is already exceeded by this node
@@ -581,7 +598,12 @@ Status DatabaseNode::Evaluate(const NodeQuery& query,
         }
       }
     }
+    if (record_ceilings && interest == atom_box) {
+      ceilings.push_back(AtomCeiling{code, ceiling});
+    }
   }
+  cache_.RecordCeilings(query.dataset->name, query.cache_field_key,
+                        query.timestep, query.fd_order, ceilings);
   while (!topk.empty()) {
     out->points.push_back(topk.top());
     topk.pop();

@@ -152,7 +152,8 @@ class DatabaseNode {
   /// running its data-parallel runs on `workers`.
   Result<NodeOutcome> Execute(const NodeQuery& query, ThreadPool* workers);
 
-  /// Drops cache entries (benchmark hook; see SemanticCache::Evict).
+  /// Drops cache entries and atom ceilings (benchmark hook; see
+  /// SemanticCache::Evict).
   Status DropCacheEntries(const std::string& dataset, const std::string& field,
                           int32_t timestep) {
     return cache_.Evict(dataset, field, timestep);
@@ -205,9 +206,10 @@ class DatabaseNode {
                               const std::string& field);
 
   /// Threshold, PDF, top-k and moments against the raw data (Algorithm 1
-  /// lines 29-38): this shard's atoms in the box, evaluated in runs, then
-  /// the node-level steps (effective-core scaling, point cap, one top-k
-  /// heap across the runs, z order).
+  /// lines 29-38): this shard's atoms in the box (for a cached threshold
+  /// query, less those whose recorded ceiling fails the threshold),
+  /// evaluated in runs, then the node-level steps (effective-core
+  /// scaling, point cap, one top-k heap across the runs, z order).
   Result<NodeOutcome> ExecuteFromRaw(const NodeQuery& query,
                                      ThreadPool* workers);
 
@@ -236,10 +238,10 @@ class DatabaseNode {
 
   /// The evaluate step over a gathered slab: the kernel at every owned
   /// grid point inside the query box (skipped for I/O-only runs), or the
-  /// interpolated field at each target.
-  static Status Evaluate(const NodeQuery& query,
-                         std::span<const uint64_t> atoms, const Slab& slab,
-                         NodeOutcome* out);
+  /// interpolated field at each target. A cached threshold query records
+  /// the ceiling of every atom it evaluates whole in the semantic cache.
+  Status Evaluate(const NodeQuery& query, std::span<const uint64_t> atoms,
+                  const Slab& slab, NodeOutcome* out);
   static Status Evaluate(const NodeQuery& query,
                          std::span<const SampleTarget> targets,
                          const Slab& slab, NodeOutcome* out);

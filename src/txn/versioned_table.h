@@ -28,8 +28,8 @@ namespace turbdb {
 ///   cache rows are written once and never change).
 ///
 /// This is the storage substrate for the semantic cache's cacheInfo and
-/// cacheData tables (the paper keeps those in SQL Server under snapshot
-/// isolation; see Sec. 4).
+/// slot tables (the paper keeps its cache tables in SQL Server under
+/// snapshot isolation; see Sec. 4).
 template <typename K, typename V>
 class VersionedTable {
  public:

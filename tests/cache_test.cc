@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -90,8 +92,8 @@ TEST_F(SemanticCacheTest, HitFiltersPointsToQueryBox) {
   EXPECT_EQ(lookup->points.size(), 5u);
 }
 
-// The cacheData scan yields an entry's points in z order whatever order
-// they were inserted in, so a node's cache hit needs no sort. A box equal
+// An entry keeps its points in z order whatever order they were
+// inserted in, so a node's cache hit needs no sort. A box equal
 // to the region skips the box test, but both lookups scan, and count,
 // every row of the entry, as Algorithm 1 does.
 TEST_F(SemanticCacheTest, HitReturnsPointsInZOrderAndScansEveryRow) {
@@ -127,6 +129,53 @@ TEST_F(SemanticCacheTest, HitReturnsPointsInZOrderAndScansEveryRow) {
     EXPECT_EQ(lookup->points, expected) << box.ToString();
     // One cacheInfo row, then every cacheData row of the entry.
     EXPECT_EQ(lookup->io.cache_records_scanned, points.size() + 1);
+  }
+}
+
+// Points may arrive in any order; the entry stores them z-sorted, so a
+// hit comes back in z order whatever the box and threshold filter out.
+TEST_F(SemanticCacheTest, UnsortedInsertHitsInZOrderFilteredByBoxAndThreshold) {
+  std::vector<ThresholdPoint> points;
+  for (uint32_t z = 0; z < 16; ++z) {
+    for (uint32_t y = 0; y < 16; ++y) {
+      for (uint32_t x = 0; x < 16; x += 3) {
+        const float norm =
+            1.0f + static_cast<float>((x * 7 + y * 13 + z * 29) % 40);
+        points.push_back(MakeThresholdPoint(x, y, z, norm));
+      }
+    }
+  }
+  std::mt19937 rng(30);
+  std::shuffle(points.begin(), points.end(), rng);
+  const auto by_zindex = [](const ThresholdPoint& a, const ThresholdPoint& b) {
+    return a.zindex < b.zindex;
+  };
+  ASSERT_FALSE(std::is_sorted(points.begin(), points.end(), by_zindex));
+  const Box3 region(0, 0, 0, 16, 16, 16);
+  ASSERT_TRUE(
+      cache_.Insert("mhd", "vorticity", 0, 4, region, 1.0, points).ok());
+  std::sort(points.begin(), points.end(), by_zindex);
+
+  for (const Box3& box :
+       {region, Box3(3, 2, 5, 11, 16, 9), Box3(0, 0, 0, 1, 1, 1)}) {
+    for (double threshold : {1.0, 20.0, 40.5}) {
+      auto lookup =
+          cache_.Lookup("mhd", "vorticity", 0, 4, box, threshold);
+      ASSERT_TRUE(lookup.ok());
+      ASSERT_TRUE(lookup->hit);
+      std::vector<ThresholdPoint> expected;
+      for (const ThresholdPoint& point : points) {
+        uint32_t x = 0, y = 0, z = 0;
+        point.Coords(&x, &y, &z);
+        if (PassesThreshold(point.norm, threshold) &&
+            box.ContainsPoint(x, y, z)) {
+          expected.push_back(point);
+        }
+      }
+      EXPECT_EQ(lookup->points, expected)
+          << box.ToString() << " at " << threshold;
+      EXPECT_EQ(lookup->io.cache_records_scanned, points.size() + 1);
+    }
   }
 }
 
@@ -320,7 +369,8 @@ TEST_F(SemanticCacheTest, InsertReportsCost) {
 TEST_F(SemanticCacheTest, GarbageCollectionReclaimsSupersededEntries) {
   // Repeatedly replace the same region: every replacement supersedes the
   // prior entry's versions, which GC must reclaim once no snapshot can
-  // see them.
+  // see them. An entry keeps its points in its one cacheInfo row, so a
+  // superseded entry leaves that row's version and its tombstone.
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(cache_.Insert("mhd", "vorticity", 0, 4, whole_,
                               10.0 - round, MakePoints(8, 11.0f))
@@ -328,12 +378,53 @@ TEST_F(SemanticCacheTest, GarbageCollectionReclaimsSupersededEntries) {
   }
   EXPECT_EQ(cache_.entry_count(), 1u);
   const size_t reclaimed = cache_.GarbageCollect();
-  EXPECT_GT(reclaimed, 9u * 8u);  // At least the 9 superseded data sets.
+  EXPECT_GE(reclaimed, 9u * 2u);  // At least the 9 superseded entries.
+  EXPECT_EQ(cache_.GarbageCollect(), 0u);  // Nothing superseded is left.
   // The surviving entry still answers correctly.
   auto lookup = cache_.Lookup("mhd", "vorticity", 0, 4, whole_, 1.0);
   ASSERT_TRUE(lookup.ok());
   EXPECT_TRUE(lookup->hit);
   EXPECT_EQ(lookup->points.size(), 8u);
+}
+
+// An atom is dropped only when its recorded ceiling fails the threshold
+// under PassesThreshold, only under the names it was recorded for, and
+// no ceiling outlives an Evict of its names.
+TEST_F(SemanticCacheTest, CeilingsDropOnlyAtomsThatCannotPass) {
+  const float ceiling = 7.3f;
+  cache_.RecordCeilings("mhd", "vorticity", 0, 4,
+                        {{1, 5.0f}, {2, ceiling}, {3, 9.0f}});
+  const std::vector<uint64_t> all = {9, 3, 2, 1};
+  auto kept = [&](const char* field, int32_t timestep, int fd_order,
+                  double threshold) {
+    std::vector<uint64_t> codes = all;
+    cache_.DropAtomsBelow("mhd", field, timestep, fd_order, threshold,
+                          &codes);
+    return codes;
+  };
+  const double at = static_cast<double>(ceiling);
+  using Codes = std::vector<uint64_t>;
+  EXPECT_EQ(kept("vorticity", 0, 4, std::nextafter(at, 0.0)),
+            (Codes{9, 3, 2}));
+  EXPECT_EQ(kept("vorticity", 0, 4, at), (Codes{9, 3, 2}));
+  EXPECT_EQ(kept("vorticity", 0, 4, std::nextafter(at, 100.0)),
+            (Codes{9, 3}));
+  EXPECT_EQ(kept("vorticity", 0, 4, 100.0), (Codes{9}));
+  // Other names keep every atom.
+  EXPECT_EQ(kept("current", 0, 4, 100.0), all);
+  EXPECT_EQ(kept("vorticity", 1, 4, 100.0), all);
+  EXPECT_EQ(kept("vorticity", 0, 8, 100.0), all);
+
+  ASSERT_TRUE(cache_.Evict("mhd", "vorticity", 1).ok());
+  EXPECT_EQ(kept("vorticity", 0, 4, 100.0), (Codes{9}));
+  ASSERT_TRUE(cache_.Evict("mhd", "", -1).ok());
+  EXPECT_EQ(kept("vorticity", 0, 4, 100.0), all);
+
+  SemanticCache disabled(&txn_manager_, DeviceSpec::Ssd(), 0);
+  disabled.RecordCeilings("mhd", "vorticity", 0, 4, {{1, 5.0f}});
+  std::vector<uint64_t> codes = all;
+  disabled.DropAtomsBelow("mhd", "vorticity", 0, 4, 100.0, &codes);
+  EXPECT_EQ(codes, all);
 }
 
 TEST_F(SemanticCacheTest, ConcurrentInsertsAndLookupsStayConsistent) {

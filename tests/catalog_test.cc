@@ -193,6 +193,10 @@ TEST(CatalogTest, ResolveRefusesEachBadSpecWithItsCode) {
   spec = Spec(NodeQuery::Mode::kPdf);
   spec.num_bins = kMaxPdfBins + 1;
   EXPECT_EQ(code(spec), StatusCode::kInvalidArgument);
+  // An empty top-k heap has no top to compare against.
+  spec = Spec(NodeQuery::Mode::kTopK);
+  spec.k = 0;
+  EXPECT_EQ(code(spec), StatusCode::kInvalidArgument);
   spec = good;
   spec.fd_order = 3;
   EXPECT_EQ(code(spec), StatusCode::kInvalidArgument);

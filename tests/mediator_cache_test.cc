@@ -839,7 +839,7 @@ TEST(MediatorCacheIntegrationTest, StreamedSummarySizesEqualTheBufferedAnswer) {
 }
 
 // A node answering from its semantic cache returns its points in the
-// cacheData scan's z order, with no sort of its own. A streamed query
+// entry's stored z order, with no sort of its own. A streamed query
 // passes each shard's piece on as the node sent it, so the stream is
 // z-sorted within every shard.
 TEST(MediatorCacheIntegrationTest, NodeCacheHitsStreamEachShardInZOrder) {

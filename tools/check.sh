@@ -393,7 +393,9 @@ ctest --test-dir "$FAULTS_DIR" -L chaos --output-on-failure --timeout 180
 # lookups share the versioned tables and the cache's name table.
 # And the two caches every concurrent query shares: the mediator's
 # result cache (hit from many server workers at once) and the catalog
-# that resolves each sub-query and builds its differentiators.
+# that resolves each sub-query and builds its differentiators. So do
+# the node's atom ceilings: worker runs record them while concurrent
+# sub-queries filter their atoms by them.
 if [ "$SANITIZE" != "thread" ]; then
   TSAN_DIR="$ROOT/build-tsan"
   cmake -B "$TSAN_DIR" -S "$ROOT" \
@@ -403,6 +405,6 @@ if [ "$SANITIZE" != "thread" ]; then
     -DTURBDB_BUILD_BENCHMARKS=OFF -DTURBDB_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS"
   ctest --test-dir "$TSAN_DIR" \
-    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|RoutedViewTest|ScrubTest|SelfHealTest|SemanticCacheTest|TxnTest|MediatorCache|CatalogTest" \
+    -R "ReplicationTest|ChaosTest|AdmissionControlTest|StreamedThreshold|FofClusterTest|TenantFairnessTest|Membership|WalTest|ElasticityTest|RoutedViewTest|ScrubTest|SelfHealTest|SemanticCacheTest|TxnTest|MediatorCache|CatalogTest|NodeCeilingTest" \
     --output-on-failure --timeout 300
 fi
